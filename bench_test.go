@@ -456,7 +456,7 @@ func fig7Index(b *testing.B) *Index {
 
 // BenchmarkIndexLookup measures the serving-path point lookup over a
 // saved index: shard binary search, block binary search, and the
-// decoded-block cache — the hot path of one ngramsd /lookup request.
+// decoded-block cache — the hot path of one ngramsd /v1/lookup request.
 // The phrase mix is 64 frequent phrases plus one guaranteed miss.
 func BenchmarkIndexLookup(b *testing.B) {
 	ix := fig7Index(b)

@@ -66,14 +66,14 @@ func main() {
 	flag.StringVar(&cfg.tempDir, "tmp", "", "scratch directory for shuffle spills")
 	flag.StringVar(&cfg.csvDir, "csv", "", "directory for CSV output (optional)")
 	codec := flag.String("codec", "raw", "shuffle block codec: raw | flate (per-block DEFLATE on top of front-coding)")
-	runner := flag.String("runner", "", "execution backend address: local (in-process tasks) | process (one worker OS process per task) | net://host:port[?spawn=N] (HTTP coordinator with leased net workers); default honors $NGRAMS_RUNNER")
-	workers := flag.Int("workers", 0, "max concurrent worker processes with a worker-based -runner (0 = backend default)")
+	runner := flag.String("runner", "", "execution backend address: local (in-process tasks) | net://host:port[?spawn=N] (HTTP coordinator with leased worker processes) | process (net://127.0.0.1:0 with -workers spawned workers); default honors $NGRAMS_RUNNER")
+	workers := flag.Int("workers", 0, "worker processes spawned per job with a worker-spawning -runner (0 = backend default)")
 	retries := flag.Int("retries", 0, "per-task attempt budget with a worker-based -runner (0 = default of 2)")
 	flag.BoolVar(&cfg.verbose, "v", false, "log per-job progress")
 	quick := flag.Bool("quick", false, "small corpora for a fast smoke run")
 	nytDir := flag.String("nytdir", "", "load the NYT-like corpus from a corpusgen directory instead of generating")
 	cwDir := flag.String("cwdir", "", "load the CW-like corpus from a corpusgen directory instead of generating")
-	mapreduce.RunWorkerIfRequested() // hidden worker mode for -runner=process re-execs
+	mapreduce.RunWorkerIfRequested() // hidden worker mode: -runner=process and net:// re-exec this binary
 	flag.Parse()
 
 	if *quick {

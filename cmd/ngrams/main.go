@@ -19,15 +19,15 @@
 //	ngrams -tau 5 -save /data/books-idx books/*.txt
 //	ngrams -tau 5 -serve :8091 books/*.txt
 //
-// By default MapReduce tasks run as goroutines; -runner=process runs
-// every map/reduce task in a separate worker OS process (a re-exec of
-// this binary in a hidden worker mode) with per-task retry:
+// By default MapReduce tasks run as goroutines. -runner=net://host:port
+// starts an HTTP coordinator and drives worker processes with task
+// leases, heartbeats, retry, and a shuffle-transfer service;
+// -runner=process is that backend on a loopback port with -workers
+// spawned workers (re-execs of this binary in a hidden worker mode):
 //
 //	ngrams -runner=process -workers 4 -tau 5 books/*.txt
 //
-// -runner=net://host:port starts an HTTP coordinator and drives net
-// workers with task leases, heartbeats, retry, and a shuffle-transfer
-// service. By default the run spawns its own workers; with ?spawn=0 it
+// By default a net:// run spawns its own workers too; with ?spawn=0 it
 // waits for external workers started with -worker-connect (possibly on
 // other machines):
 //
@@ -87,8 +87,8 @@ func main() {
 		mem      = flag.Int("mem", 0, "corpus builder memory budget in MiB (0 = default)")
 		save     = flag.String("save", "", "persist the result as a queryable index in this directory")
 		serve    = flag.String("serve", "", "serve the result over HTTP on this address (e.g. :8091) until interrupted")
-		runner   = flag.String("runner", "", "execution backend address: local (in-process tasks) | process (one worker OS process per task) | net://host:port[?spawn=N] (HTTP coordinator with leased net workers); default honors $NGRAMS_RUNNER")
-		workers  = flag.Int("workers", 0, "max concurrent worker processes with a worker-based -runner (0 = backend default)")
+		runner   = flag.String("runner", "", "execution backend address: local (in-process tasks) | net://host:port[?spawn=N] (HTTP coordinator with leased worker processes) | process (net://127.0.0.1:0 with -workers spawned workers); default honors $NGRAMS_RUNNER")
+		workers  = flag.Int("workers", 0, "worker processes spawned per job with a worker-spawning -runner (0 = backend default)")
 		retries  = flag.Int("retries", 0, "per-task attempt budget with a worker-based -runner (0 = default of 2)")
 		connect  = flag.String("worker-connect", "", "run as a net worker for the coordinator at this address (host:port) until interrupted; no input is read")
 		appendTo = flag.String("append", "", "append the input documents to the saved index in this directory as a delta generation (exact job over only the new documents)")
@@ -98,7 +98,7 @@ func main() {
 		eps      = flag.Float64("eps", 0, "with -sketch: estimates exceed true counts by at most eps*N (0 = default 1e-4)")
 		delta    = flag.Float64("delta", 0, "with -sketch: the eps*N bound holds per key with probability 1-delta (0 = default 0.01)")
 	)
-	mapreduce.RunWorkerIfRequested() // hidden worker mode for worker-based -runner re-execs
+	mapreduce.RunWorkerIfRequested() // hidden worker mode: -runner=process and net:// re-exec this binary
 	flag.Parse()
 	ctx := context.Background()
 

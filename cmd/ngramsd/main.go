@@ -22,9 +22,6 @@
 //	curl 'localhost:8091/healthz'
 //	curl 'localhost:8091/metrics'
 //
-// The pre-/v1 endpoints (/lookup, /prefix, /topk) keep working with
-// their original response shapes, marked with a Deprecation header.
-//
 // Indexes reload without downtime: -watch polls each index's manifest
 // and swaps to the rewritten index (Result.Save with Replace) as soon
 // as it lands; POST /v1/admin/reload triggers the same swap on demand.

@@ -29,10 +29,11 @@
 // measures the paper reports are observable locally via Result
 // counters. Execution is pluggable: jobs compile into a declarative
 // plan handed to an execution backend, either in-process goroutine
-// tasks (the default) or one worker OS process per task with per-task
-// retry — select it with Options.Execution (or the NGRAMS_RUNNER
-// environment variable), and read WORKER_PROCS / TASKS_RETRIED in the
-// counters.
+// tasks (the default) or worker OS processes leased tasks by an HTTP
+// coordinator, with per-task retry ("process" spawns them on this
+// machine, "net://host:port" also admits external ones) — select it
+// with Options.Execution (or the NGRAMS_RUNNER environment variable),
+// and read WORKER_PROCS / TASKS_RETRIED in the counters.
 //
 // # Streaming-first API
 //

@@ -136,10 +136,10 @@ type Params struct {
 	// suits NAÏVE/APRIORI runs whose values compress well.
 	ShuffleCodec extsort.Codec
 	// Runner selects the execution backend for every MapReduce job the
-	// method launches: mapreduce.LocalRunner (in-process goroutines), a
-	// mapreduce.ProcessRunner (one worker OS process per task), or a
-	// mapreduce.NetRunner (workers leased over HTTP, with heartbeats,
-	// retry, and a shuffle-transfer service). Nil selects
+	// method launches: mapreduce.LocalRunner (in-process goroutines) or
+	// a mapreduce.NetRunner (worker processes leased tasks over HTTP,
+	// with heartbeats, retry, and a shuffle-transfer service; its zero
+	// value is what the "process" address builds). Nil selects
 	// mapreduce.DefaultRunner, which honors the NGRAMS_RUNNER
 	// environment variable ("local", "process", "net://host:port", or
 	// any scheme registered via mapreduce.RegisterRunner).

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"ngramstats/internal/mapreduce"
 	"ngramstats/internal/synth"
@@ -32,18 +31,19 @@ func collectResult(t *testing.T, run *Run) [][]mapreduce.KV {
 	return out
 }
 
-// equivalenceBackends are the alternate execution backends the golden
-// matrix holds to the LocalRunner reference: every cell must be
-// byte-identical whether tasks run as goroutines, worker OS processes,
-// or net workers behind an HTTP coordinator.
-var equivalenceBackends = []struct {
-	name string
-	mk   func() mapreduce.Runner
-}{
-	{"process", func() mapreduce.Runner { return &mapreduce.ProcessRunner{Workers: 2} }},
-	{"net", func() mapreduce.Runner {
-		return &mapreduce.NetRunner{Addr: "127.0.0.1:0", Workers: 2, LeaseTTL: 2 * time.Second}
-	}},
+// equivalenceBackends are the runner addresses the golden matrix holds
+// to the "local" reference: every cell must be byte-identical whether
+// tasks run as goroutines or in spawned workers behind an HTTP
+// coordinator, however that coordinator was addressed.
+var equivalenceBackends = []string{"process", "net://127.0.0.1:0?spawn=2"}
+
+func mustRunner(t *testing.T, address string, workers, attempts int) mapreduce.Runner {
+	t.Helper()
+	r, err := mapreduce.NewRunner(address, workers, attempts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestRunnerEquivalenceGoldenMatrix runs a fig7-style workload (synth
@@ -74,7 +74,7 @@ func TestRunnerEquivalenceGoldenMatrix(t *testing.T) {
 						Runner:      r,
 					}
 				}
-				local, err := Compute(context.Background(), col, m, mkParams(mapreduce.LocalRunner{}))
+				local, err := Compute(context.Background(), col, m, mkParams(mustRunner(t, "local", 0, 0)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,42 +84,42 @@ func TestRunnerEquivalenceGoldenMatrix(t *testing.T) {
 				lp := collectResult(t, local)
 
 				for _, backend := range equivalenceBackends {
-					alt, err := Compute(context.Background(), col, m, mkParams(backend.mk()))
+					alt, err := Compute(context.Background(), col, m, mkParams(mustRunner(t, backend, 2, 0)))
 					if err != nil {
-						t.Fatalf("%s: %v", backend.name, err)
+						t.Fatalf("%s: %v", backend, err)
 					}
 					if got := alt.Counters.Get(mapreduce.CounterWorkerProcs); got == 0 {
-						t.Fatalf("%s run spawned no worker processes (fell back to local?)", backend.name)
+						t.Fatalf("%s run spawned no worker processes (fell back to local?)", backend)
 					}
 
 					pp := collectResult(t, alt)
 					if len(lp) != len(pp) {
-						t.Fatalf("partitions: local %d, %s %d", len(lp), backend.name, len(pp))
+						t.Fatalf("partitions: local %d, %s %d", len(lp), backend, len(pp))
 					}
 					for p := range lp {
 						if len(lp[p]) != len(pp[p]) {
-							t.Fatalf("partition %d: local %d records, %s %d", p, len(lp[p]), backend.name, len(pp[p]))
+							t.Fatalf("partition %d: local %d records, %s %d", p, len(lp[p]), backend, len(pp[p]))
 						}
 						for i := range lp[p] {
 							if !bytes.Equal(lp[p][i].Key, pp[p][i].Key) || !bytes.Equal(lp[p][i].Value, pp[p][i].Value) {
 								t.Fatalf("partition %d record %d differs:\nlocal (%x, %x)\n%s (%x, %x)",
-									p, i, lp[p][i].Key, lp[p][i].Value, backend.name, pp[p][i].Key, pp[p][i].Value)
+									p, i, lp[p][i].Key, lp[p][i].Value, backend, pp[p][i].Key, pp[p][i].Value)
 							}
 						}
 					}
 					if l, p := local.Result.Len(), alt.Result.Len(); l != p {
-						t.Errorf("n-grams: local %d, %s %d", l, backend.name, p)
+						t.Errorf("n-grams: local %d, %s %d", l, backend, p)
 					}
 					for _, name := range []string{
 						mapreduce.CounterMapInputRecords, mapreduce.CounterMapOutputRecords,
 						mapreduce.CounterReduceInputGroups, mapreduce.CounterReduceOutputRecs,
 					} {
 						if l, p := local.Counters.Get(name), alt.Counters.Get(name); l != p {
-							t.Errorf("%s: local %d, %s %d", name, l, backend.name, p)
+							t.Errorf("%s: local %d, %s %d", name, l, backend, p)
 						}
 					}
 					if l, p := local.Jobs, alt.Jobs; l != p {
-						t.Errorf("jobs launched: local %d, %s %d", l, backend.name, p)
+						t.Errorf("jobs launched: local %d, %s %d", l, backend, p)
 					}
 					if err := alt.Result.Release(); err != nil {
 						t.Fatal(err)
@@ -133,10 +133,11 @@ func TestRunnerEquivalenceGoldenMatrix(t *testing.T) {
 	}
 }
 
-// TestProcessRunnerCrashRetryOnRealWorkload injects a first-attempt
-// worker crash into map task 1 of a SUFFIX-σ run and asserts the job
-// is retried, succeeds, and still matches the local result exactly.
-func TestProcessRunnerCrashRetryOnRealWorkload(t *testing.T) {
+// TestWorkerCrashRetryOnRealWorkload injects a first-attempt worker
+// crash into map task 1 of a SUFFIX-σ run — the worker dies mid-job,
+// its shuffle service with it — and asserts the job is retried,
+// succeeds, and still matches the local result exactly.
+func TestWorkerCrashRetryOnRealWorkload(t *testing.T) {
 	col := synth.Generate(synth.NYTLike(60, 23))
 	mkParams := func(r mapreduce.Runner) Params {
 		return Params{
@@ -148,74 +149,32 @@ func TestProcessRunnerCrashRetryOnRealWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv(mapreduce.WorkerCrashEnv, "map:1")
-	proc, err := Compute(context.Background(), col, SuffixSigma, mkParams(&mapreduce.ProcessRunner{MaxAttempts: 3}))
-	if err != nil {
-		t.Fatalf("job did not survive a crashed worker: %v", err)
-	}
-	if got := proc.Counters.Get(mapreduce.CounterTasksRetried); got < 1 {
-		t.Errorf("TASKS_RETRIED = %d, want >= 1", got)
-	}
 	lm, err := local.Result.CountMap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := proc.Result.CountMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lm) != len(pm) {
-		t.Fatalf("n-grams: local %d, process-with-crash %d", len(lm), len(pm))
-	}
-	for k, v := range lm {
-		if pm[k] != v {
-			t.Fatalf("cf(%x): local %d, process-with-crash %d", k, v, pm[k])
-		}
-	}
-}
-
-// TestNetRunnerCrashRetryOnRealWorkload is the same drill against the
-// net backend: the worker holding map task 1 is killed mid-job (its
-// shuffle service dies with it), and the run must recover through
-// lease expiry and retry while matching the local result exactly.
-func TestNetRunnerCrashRetryOnRealWorkload(t *testing.T) {
-	col := synth.Generate(synth.NYTLike(60, 23))
-	mkParams := func(r mapreduce.Runner) Params {
-		return Params{
-			Tau: 3, Sigma: 4, NumReducers: 3, InputSplits: 3,
-			Combiner: true, TempDir: t.TempDir(), Runner: r,
-		}
-	}
-	local, err := Compute(context.Background(), col, SuffixSigma, mkParams(mapreduce.LocalRunner{}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Setenv(mapreduce.WorkerCrashEnv, "map:1")
-	netr, err := Compute(context.Background(), col, SuffixSigma, mkParams(&mapreduce.NetRunner{
-		Addr: "127.0.0.1:0", Workers: 2, MaxAttempts: 3, LeaseTTL: 500 * time.Millisecond,
-	}))
-	if err != nil {
-		t.Fatalf("job did not survive a crashed net worker: %v", err)
-	}
-	recovered := netr.Counters.Get(mapreduce.CounterTasksRetried) +
-		netr.Counters.Get(mapreduce.CounterLeasesExpired)
-	if recovered < 1 {
-		t.Errorf("TASKS_RETRIED + LEASES_EXPIRED = %d, want >= 1", recovered)
-	}
-	lm, err := local.Result.CountMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm, err := netr.Result.CountMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lm) != len(nm) {
-		t.Fatalf("n-grams: local %d, net-with-crash %d", len(lm), len(nm))
-	}
-	for k, v := range lm {
-		if nm[k] != v {
-			t.Fatalf("cf(%x): local %d, net-with-crash %d", k, v, nm[k])
-		}
+	for _, backend := range equivalenceBackends {
+		t.Run(backend, func(t *testing.T) {
+			alt, err := Compute(context.Background(), col, SuffixSigma, mkParams(mustRunner(t, backend, 2, 3)))
+			if err != nil {
+				t.Fatalf("job did not survive a crashed worker: %v", err)
+			}
+			if got := alt.Counters.Get(mapreduce.CounterTasksRetried); got < 1 {
+				t.Errorf("TASKS_RETRIED = %d, want >= 1", got)
+			}
+			am, err := alt.Result.CountMap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lm) != len(am) {
+				t.Fatalf("n-grams: local %d, %s-with-crash %d", len(lm), backend, len(am))
+			}
+			for k, v := range lm {
+				if am[k] != v {
+					t.Fatalf("cf(%x): local %d, %s-with-crash %d", k, v, backend, am[k])
+				}
+			}
+		})
 	}
 }

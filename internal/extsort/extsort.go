@@ -256,7 +256,7 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	}
 	s.arena, s.recs = nil, nil
 	for _, sp := range s.spills {
-		fs, err := openFileRunSource(sp.path, s.opts.Stats, s.cmp, nil, nil, true)
+		fs, err := openFileRunSource(sp.path, s.opts.Stats, s.cmp, nil, nil)
 		if err != nil {
 			for _, src := range srcs {
 				src.close()
@@ -342,15 +342,10 @@ func (m *memSource) close() {
 	m.arena, m.recs = nil, nil
 }
 
-// openFileRunSource opens a block source over a run file. When own is
-// set the source owns the file: close() both closes and unlinks it;
-// otherwise the file is left on disk for its owner (shared runs).
-func openFileRunSource(path string, stats *IOStats, cmp Compare, lo, hi []byte, own bool) (source, error) {
-	remove := func() {
-		if own {
-			os.Remove(path)
-		}
-	}
+// openFileRunSource opens a block source over a run file. The source
+// owns the file: close() both closes and unlinks it.
+func openFileRunSource(path string, stats *IOStats, cmp Compare, lo, hi []byte) (source, error) {
+	remove := func() { os.Remove(path) }
 	f, err := os.Open(path)
 	if err != nil {
 		remove() // ownership passed to this source even on error
@@ -369,8 +364,7 @@ func openFileRunSource(path string, stats *IOStats, cmp Compare, lo, hi []byte, 
 		}
 		return buf, nil
 	}
-	cleanup := func() { os.Remove(path) }
-	src, err := newBlockSource(st.Size(), readAt, &fileFetcher{f: f}, stats, cmp, lo, hi, cleanup)
+	src, err := newBlockSource(st.Size(), readAt, &fileFetcher{f: f}, stats, cmp, lo, hi, remove)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run %s: %w", path, err)
 	}

@@ -10,12 +10,11 @@ import "fmt"
 // mostly-sequential regions). Merging a remote run verifies the same
 // footer index, trailer checksum, and per-block CRCs as a local one,
 // so a corrupted or truncated transfer surfaces as ErrCorruptRun
-// rather than wrong records. Like a shared file run, a remote run's
-// backing bytes are owned by the producer: Discard releases nothing
-// remote, and a failed consumer can be retried against the same
-// source.
+// rather than wrong records. A remote run's backing bytes are owned by
+// the producer: Discard releases nothing remote, and a failed consumer
+// can be retried against the same source.
 func OpenRemoteRun(size int64, records int, readAt ReadAtFunc, stats *IOStats) *Run {
-	return &Run{remote: readAt, size: size, n: records, stats: stats, shared: true}
+	return &Run{remote: readAt, size: size, n: records, stats: stats}
 }
 
 // remoteFetcher adapts a ReadAtFunc to the blockFetcher surface.

@@ -23,11 +23,6 @@ type Run struct {
 	path  string
 	n     int
 	stats *IOStats // the sealing sorter's stats; merges account reads here
-	// shared marks an on-disk run whose file is owned by someone else
-	// (typically the parent of a worker process): neither a merge over
-	// the run nor Discard unlinks it, so a failed consumer can be
-	// retried against the same file.
-	shared bool
 	// remote reads the encoded run through a byte-ranged transport
 	// (OpenRemoteRun); size is its total encoded length.
 	remote ReadAtFunc
@@ -43,34 +38,19 @@ func (r *Run) Len() int { return r.n }
 func (r *Run) InMemory() bool { return r.path == "" && r.remote == nil }
 
 // Path returns the spill file backing an on-disk run (empty for
-// in-memory runs). Worker processes report it to their parent, which
-// re-opens the file in another process with OpenSharedRunFile.
+// in-memory runs). Net workers serve the file to the reduce workers
+// that merge it (OpenRemoteRun).
 func (r *Run) Path() string { return r.path }
 
 // Bytes returns the encoded byte size of the run's data in memory
 // (zero for on-disk runs).
 func (r *Run) Bytes() int { return len(r.data) }
 
-// OpenSharedRunFile adopts an existing run-format file — typically
-// one written by another process — as an on-disk Run holding the
-// given number of sorted records, without transferring ownership: the
-// file is left on disk no matter how the run is consumed or
-// discarded. The reduce half of the process runner opens its map-run
-// inputs this way, so a reduce attempt that dies mid-merge can be
-// retried against intact inputs; the parent removes the files once
-// the job is over.
-func OpenSharedRunFile(path string, records int, stats *IOStats) *Run {
-	return &Run{path: path, n: records, stats: stats, shared: true}
-}
-
 // Discard releases the run's resources. It is a no-op for runs whose
-// ownership has passed to a merge iterator, and never unlinks a
-// shared run's file.
+// ownership has passed to a merge iterator.
 func (r *Run) Discard() {
 	if r.path != "" {
-		if !r.shared {
-			os.Remove(r.path)
-		}
+		os.Remove(r.path)
 		r.path = ""
 	}
 	r.data = nil
@@ -87,7 +67,7 @@ func (r *Run) source(cmp Compare, lo, hi []byte) (source, error) {
 	if r.path == "" {
 		return openMemRunSource(r.data, r.stats, cmp, lo, hi)
 	}
-	return openFileRunSource(r.path, r.stats, cmp, lo, hi, !r.shared)
+	return openFileRunSource(r.path, r.stats, cmp, lo, hi)
 }
 
 // Seal finalizes the sorter into its sealed sorted runs without merging

@@ -56,6 +56,7 @@ type netLease struct {
 type netWorkerState struct {
 	id       string
 	addr     string // base URL of the worker's shuffle service
+	pid      int    // the worker's OS process id, as it registered
 	lastSeen time.Time
 	// gone marks a worker presumed dead: its winning map outputs have
 	// been invalidated. Any later contact clears it.
@@ -100,6 +101,11 @@ type netCoordinator struct {
 	ended       bool
 	failure     error
 	doneCh      chan struct{}
+	// wake is closed and replaced whenever a held poll may have become
+	// answerable: a task went back to pending, or the last outstanding
+	// map finished and the reduce phase (re-)opened. (The job ending is
+	// signalled by doneCh.)
+	wake chan struct{}
 }
 
 func newNetCoordinator(plan *Plan, sink Sink, counters *Counters, progress Progress,
@@ -119,6 +125,7 @@ func newNetCoordinator(plan *Plan, sink Sink, counters *Counters, progress Progr
 		runIndex:  make(map[string]*netTaskState),
 		durations: make(map[string][]time.Duration),
 		doneCh:    make(chan struct{}),
+		wake:      make(chan struct{}),
 	}
 	sideKeys := make([]string, 0, len(sideFiles))
 	for key := range sideFiles {
@@ -167,6 +174,12 @@ func (c *netCoordinator) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.failLocked(err)
+}
+
+// wakePollsLocked releases every held poll to look for work again.
+func (c *netCoordinator) wakePollsLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 func (c *netCoordinator) failLocked(err error) {
@@ -237,9 +250,43 @@ func (c *netCoordinator) sweep() {
 	}
 	for _, w := range c.workers {
 		if !w.gone && now.Sub(w.lastSeen) > 3*c.ttl {
-			c.markWorkerGoneLocked(w)
+			c.markWorkerGoneLocked(w, nil)
 		}
 	}
+}
+
+// workerExited is the worker pool reporting that the child process pid
+// ended (waitErr is cmd.Wait's verdict) while the job may still be
+// running. Every worker that registered under that pid is gone for
+// certain, so its leases fail at once — charged, the attempt died with
+// the process — and its finished maps are requeued, instead of waiting
+// out the lease TTL. It reports whether such a worker had registered.
+// Pids are unique per host only, so a worker counts as that child only
+// if its shuffle service also sits on the coordinator's own host — the
+// interface a spawned child dials from; an external worker on another
+// machine that happens to share the pid is left alone.
+func (c *netCoordinator) workerExited(pid int, waitErr error) (registered bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.workers {
+		if w.pid != pid || urlHost(w.addr) != urlHost(c.baseURL) {
+			continue
+		}
+		registered = true
+		if !c.ended {
+			c.markWorkerGoneLocked(w, fmt.Errorf("worker %s (pid %d) exited: %v", w.id, pid, waitErr))
+		}
+	}
+	return registered
+}
+
+// urlHost is the host of a base URL, without the port ("" if malformed).
+func urlHost(base string) string {
+	u, err := url.Parse(base)
+	if err != nil {
+		return ""
+	}
+	return u.Hostname()
 }
 
 // dropLeaseLocked removes a lease from the books.
@@ -277,6 +324,7 @@ func (c *netCoordinator) failLeaseLocked(l *netLease, charge bool, err error) {
 	if len(t.leases) == 0 {
 		t.state = taskPending
 		c.counters.Add(CounterTasksRetried, 1)
+		c.wakePollsLocked()
 	}
 }
 
@@ -288,10 +336,12 @@ func phaseOf(t *netTaskState) string {
 }
 
 // markWorkerGoneLocked presumes a worker dead: its live leases are
-// requeued uncharged and every done map task it produced is
-// re-executed, because its shuffle service (and the run files behind
+// requeued — charged against the attempt budget with err when the
+// worker was seen to fail, uncharged (nil err) when it is merely
+// unreachable or left gracefully — and every done map task it produced
+// is re-executed, because its shuffle service (and the run files behind
 // it) died with it.
-func (c *netCoordinator) markWorkerGoneLocked(w *netWorkerState) {
+func (c *netCoordinator) markWorkerGoneLocked(w *netWorkerState, err error) {
 	w.gone = true
 	var lost []*netLease
 	for _, l := range c.leases {
@@ -300,7 +350,7 @@ func (c *netCoordinator) markWorkerGoneLocked(w *netWorkerState) {
 		}
 	}
 	for _, l := range lost {
-		c.failLeaseLocked(l, false, nil)
+		c.failLeaseLocked(l, err != nil, err)
 	}
 	for _, t := range c.maps {
 		if t.phase == "map" && t.state == taskDone && t.doneBy == w.id {
@@ -330,6 +380,7 @@ func (c *netCoordinator) requeueLostMapLocked(t *netTaskState) {
 	t.state = taskPending
 	c.mapsDone--
 	c.counters.Add(CounterTasksRetried, 1)
+	c.wakePollsLocked()
 }
 
 // assignLocked picks the next task for a polling worker: a pending
@@ -460,44 +511,63 @@ func (c *netCoordinator) handleRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	c.workerSeq++
 	id := fmt.Sprintf("w%d", c.workerSeq)
-	c.workers[id] = &netWorkerState{id: id, addr: req.Addr, lastSeen: time.Now()}
+	c.workers[id] = &netWorkerState{id: id, addr: req.Addr, pid: req.Pid, lastSeen: time.Now()}
 	c.counters.Add(CounterNetWorkers, 1)
 	cfg := c.cfg
 	c.mu.Unlock()
 	writeJSON(w, netRegisterResp{Worker: id, Job: cfg})
 }
 
+// handlePoll answers with a task as soon as one is assignable to the
+// worker. While none is, the request is held open — until a task goes
+// back to pending, the reduce phase opens, or the job ends — so idle
+// workers cross the map→reduce barrier and drain without sleeping. A
+// hold is bounded at a quarter of the lease TTL and at half a second:
+// the "wait" answer makes the worker poll again, which re-evaluates
+// speculation (nothing signals a running attempt turning into a
+// straggler) and keeps its lastSeen far inside the three-TTL silence
+// limit.
 func (c *netCoordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req netPollReq
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.mu.Lock()
-	wk := c.workers[req.Worker]
-	if wk == nil {
-		ended := c.ended
-		c.mu.Unlock()
-		if ended {
-			writeJSON(w, netPollResp{Status: netStatusDrain})
-		} else {
-			writeJSON(w, netPollResp{Status: netStatusReregister})
+	hold := time.NewTimer(min(c.ttl/4, 500*time.Millisecond))
+	defer hold.Stop()
+	for {
+		c.mu.Lock()
+		wk := c.workers[req.Worker]
+		if wk == nil || c.ended {
+			status := netStatusDrain
+			if !c.ended {
+				status = netStatusReregister
+			}
+			c.mu.Unlock()
+			writeJSON(w, netPollResp{Status: status})
+			return
 		}
-		return
-	}
-	wk.lastSeen, wk.gone = time.Now(), false
-	if c.ended {
+		wk.lastSeen, wk.gone = time.Now(), false
+		var task *netTask
+		if r.Context().Err() == nil { // never lease to a caller that hung up
+			task = c.assignLocked(wk, time.Now())
+		}
+		wake := c.wake
 		c.mu.Unlock()
-		writeJSON(w, netPollResp{Status: netStatusDrain})
-		return
+		if task != nil {
+			writeJSON(w, netPollResp{Status: netStatusTask, Task: task})
+			return
+		}
+		select {
+		case <-wake:
+		case <-c.doneCh:
+		case <-hold.C:
+			writeJSON(w, netPollResp{Status: netStatusWait})
+			return
+		case <-r.Context().Done():
+			return
+		}
 	}
-	task := c.assignLocked(wk, time.Now())
-	c.mu.Unlock()
-	if task == nil {
-		writeJSON(w, netPollResp{Status: netStatusWait})
-		return
-	}
-	writeJSON(w, netPollResp{Status: netStatusTask, Task: task})
 }
 
 func (c *netCoordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -533,7 +603,7 @@ func (c *netCoordinator) handleGoodbye(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	if wk := c.workers[req.Worker]; wk != nil && !c.ended {
-		c.markWorkerGoneLocked(wk)
+		c.markWorkerGoneLocked(wk, nil)
 	}
 	c.mu.Unlock()
 	w.WriteHeader(http.StatusOK)
@@ -643,6 +713,11 @@ func (c *netCoordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		if first {
 			c.progress.TaskDone(c.plan.Name, "map")
 		}
+		if c.mapsDone == len(c.maps) {
+			// The reduce phase opens — or re-opens, after a lost map
+			// output was re-executed: pending reduces are assignable again.
+			c.wakePollsLocked()
+		}
 		c.advanceLocked()
 		c.mu.Unlock()
 		writeJSON(w, netResultResp{Accepted: true})
@@ -696,7 +771,7 @@ func (c *netCoordinator) handleLostRuns(msg *netResultReq) {
 			continue
 		}
 		if wk := c.workers[mt.doneBy]; wk != nil && !wk.gone {
-			c.markWorkerGoneLocked(wk)
+			c.markWorkerGoneLocked(wk, nil)
 		} else {
 			c.requeueLostMapLocked(mt)
 		}
@@ -727,4 +802,18 @@ func (c *netCoordinator) handleSide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.ServeFile(w, r, path)
+}
+
+// copyRecords folds an attempt's staged output record file into
+// partition p of the job's sink.
+func copyRecords(path string, sink Sink, p int) error {
+	w, err := sink.Writer(p)
+	if err != nil {
+		return err
+	}
+	if err := (fileSplit{path: path}).Records(w.Write); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }

@@ -61,11 +61,12 @@ const (
 	// garbage to partition 0.
 	CounterMalformedKeys = "MALFORMED_KEYS"
 
-	// Process-runner counters. WORKER_PROCS counts the worker OS
-	// processes spawned over the life of the job (every attempt spawns
-	// one); TASKS_RETRIED counts task attempts that failed and were
-	// retried on a fresh worker. Both stay zero under the in-process
-	// LocalRunner.
+	// Worker counters. WORKER_PROCS counts the worker OS processes the
+	// runner spawned over the life of the job: its pool, plus a
+	// replacement for every worker that died mid-job (external workers
+	// are not counted); TASKS_RETRIED counts task attempts that failed,
+	// or whose outputs were lost, and were run again. Both stay zero
+	// under the in-process LocalRunner.
 	CounterWorkerProcs  = "WORKER_PROCS"
 	CounterTasksRetried = "TASKS_RETRIED"
 
@@ -78,8 +79,8 @@ const (
 	// shuffle-transfer services of the map workers — including bytes
 	// fetched by attempts that lost a speculative race, so it measures
 	// real transfer, unlike SHUFFLE_BYTES_READ which stays equal to the
-	// winner-only merge volume. All four stay zero under the local and
-	// process backends.
+	// winner-only merge volume. All four stay zero under the local
+	// runner.
 	CounterNetWorkers        = "NET_WORKERS"
 	CounterTasksSpeculated   = "TASKS_SPECULATED"
 	CounterLeasesExpired     = "LEASES_EXPIRED"

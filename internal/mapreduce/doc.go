@@ -18,16 +18,15 @@
 //	Job ──Compile──▶ Plan ──Runner.Run──▶ Dataset
 //
 // LocalRunner (the default) executes tasks as goroutines in this
-// process, exactly as the engine always has. ProcessRunner executes
-// every map and reduce task as a separate worker OS process, with
-// per-task retry (MaxAttempts) and failed-worker isolation — the
-// in-repo analogue of Hadoop scheduling isolated task JVMs onto
-// cluster slots. NetRunner generalizes that seam across a network: an
-// HTTP coordinator leases tasks to registered workers, with
-// heartbeats, retry, speculative execution, and a shuffle-transfer
-// service. Job.Runner selects the backend per job; DefaultRunner
-// honors the NGRAMS_RUNNER environment variable for jobs that leave
-// it nil.
+// process, exactly as the engine always has. NetRunner executes them
+// in worker OS processes — the in-repo analogue of Hadoop scheduling
+// isolated task JVMs onto cluster slots: an HTTP coordinator leases
+// tasks to registered workers, with heartbeats, per-task retry
+// (MaxAttempts), speculative execution, and a shuffle-transfer
+// service. The workers are re-executions of the current binary the
+// runner spawns itself, external ones that join over the network, or
+// both. Job.Runner selects the backend per job; DefaultRunner honors
+// the NGRAMS_RUNNER environment variable for jobs that leave it nil.
 //
 // # Runner addresses and the registry
 //
@@ -37,9 +36,12 @@
 // of the commands:
 //
 //	"local"                      in-process goroutine tasks (also "")
-//	"process"                    one worker OS process per task
 //	"net://host:port[?spawn=N]"  HTTP coordinator with leased workers
+//	"process"                    "net://127.0.0.1:0" spawning Workers
+//	                             one-job workers
 //
+// "process" is an address, not an implementation: NewRunner("process",
+// w, a) returns &NetRunner{Workers: w, MaxAttempts: a}.
 // The net scheme accepts further parameters: ttl=<duration> sets the
 // lease TTL and spec=<duration|off> the speculative-execution delay
 // (fault drills pin recovery to lease expiry with spec=off).
@@ -55,40 +57,14 @@
 // scheme panics: schemes are process-global identities.
 //
 // Task callbacks are Go closures, so a worker process cannot receive
-// them over a pipe; instead a job carries a Spec — the name of a
+// them over the wire; instead a job carries a Spec — the name of a
 // program registered with RegisterProgram plus a serialized
 // configuration — from which the worker rebuilds the mapper, combiner,
 // reducer, partitioner, and comparators. A job may even be Spec-only:
 // Compile materializes the callbacks from the registry, so the local
 // and worker construction paths are one and the same. Jobs without a
 // Spec (ad-hoc closures in tests) silently fall back to in-process
-// execution under the ProcessRunner.
-//
-// # Worker protocol
-//
-// The ProcessRunner re-executes the current binary (os.Executable)
-// with the NGRAMS_MR_WORKER environment variable set. The child must
-// call RunWorkerIfRequested first thing in main — or TestMain for test
-// binaries — which hijacks the process: it reads one JSON task spec
-// from stdin (program name and config, phase, task id, attempt,
-// partition count, memory budgets, codec, scratch dir, side-data
-// files, and the task's input), executes the task, writes a banner
-// line plus one JSON result to stdout (counters snapshot, measured
-// shuffle bytes, and the task's outputs), and exits.
-//
-// Data crosses the process boundary through files in a per-job working
-// directory under Job.TempDir: the parent materializes each input
-// split to a record file; a map worker seals every run to disk (the
-// PR-2 block-framed run format) and reports the file paths, which the
-// parent hands to reduce workers; reduce and map-only workers write
-// record files the parent folds into the job's sink. Reduce inputs are
-// opened as shared runs (extsort.OpenSharedRunFile) — consuming or
-// discarding them never unlinks, so a worker that dies mid-merge
-// leaves its inputs intact for the retry. Every attempt runs in a
-// private scratch directory, removed on failure; the working directory
-// is removed when the job ends, in success, failure, and cancellation
-// alike. WORKER_PROCS counts processes spawned, TASKS_RETRIED the
-// attempts that failed and were retried.
+// execution under the NetRunner.
 //
 // # Shuffle architecture
 //
@@ -156,9 +132,18 @@
 // such keys are tallied in MALFORMED_KEYS and any nonzero count fails
 // the job after the map phase.
 //
-// # The net runner wire protocol
+// # The worker protocol
 //
-// NetRunner's coordinator and workers speak plain HTTP/JSON under the
+// There is one worker protocol. A spawned worker is a re-execution of
+// the current binary (os.Executable) with NGRAMS_NET_WORKER naming the
+// coordinator; the child must call RunWorkerIfRequested first thing in
+// main — or TestMain for test binaries — which hijacks the process. A
+// binary that skips the hook fails fast in both roles: as the child it
+// finds NGRAMS_NET_WORKER set when it reaches NetRunner.Run and
+// refuses to spawn in turn, and the parent fails the job — naming the
+// hook — when a child exits without ever registering.
+//
+// The coordinator and its workers speak plain HTTP/JSON under the
 // /mr/ prefix (message types in netproto.go). The coordinator serves:
 //
 //	POST /mr/register       worker announces its shuffle-service URL;
@@ -166,9 +151,12 @@
 //	                        (program name, serialized config, partition
 //	                        count, memory budgets, codec, side-data
 //	                        keys, lease TTL)
-//	POST /mr/poll           worker asks for work; the answer is a
-//	                        leased task, "wait", "drain" (job over), or
-//	                        "reregister" (unknown worker id)
+//	POST /mr/poll           worker asks for work; the request is held
+//	                        open until the answer is a leased task,
+//	                        "drain" (job over), "reregister" (unknown
+//	                        worker id), or — after a quarter of the
+//	                        lease TTL (at most 500ms) with nothing to
+//	                        do — "wait"
 //	POST /mr/heartbeat      renews the leases a worker still executes;
 //	                        the reply lists leases to cancel
 //	POST /mr/output/{lease} streams a reduce or map-only attempt's
@@ -192,12 +180,27 @@
 // extsort.ErrCorruptRun rather than wrong counts, and
 // SHUFFLE_FETCH_BYTES counts the wire bytes pulled.
 //
+// Idle workers never sleep: a poll the coordinator cannot answer with
+// a task is held until a task goes back to pending, the reduce phase
+// opens (or re-opens, once a lost map output has been re-executed), or
+// the job ends, so the map→reduce barrier and the final drain cost a
+// wake-up, not a polling interval. The hold is bounded at a quarter of
+// the lease TTL and at 500ms; the "wait" that ends it makes the worker
+// poll again, which is also when speculation is re-evaluated.
+//
 // Fault tolerance is lease-based. Every assignment is a lease with a
 // TTL; workers heartbeat at a third of it, a coordinator janitor
 // expires leases that fall silent (LEASES_EXPIRED) and requeues their
 // tasks, and failures charge a per-task attempt budget (MaxAttempts,
-// fresh scratch per attempt) before the job fails. A worker silent
-// past three TTLs is presumed dead: map outputs published by it are
+// fresh scratch per attempt) before the job fails. Workers the runner
+// spawned do not wait for that: the pool that started them sees each
+// exit and reports it to the coordinator under the pid the worker
+// registered with (matched only against workers on the coordinator's
+// own host), which fails the worker's live leases at once —
+// charged, so TASKS_RETRIED and the attempt budget see a crash exactly
+// as they see a reported error — requeues the maps it had finished,
+// and starts a replacement. A worker silent past three TTLs is
+// presumed dead: map outputs published by it are
 // invalidated and their tasks re-executed — the Hadoop lost-map-output
 // recovery — triggered eagerly when a reduce attempt reports fetch
 // failures. Stragglers are speculatively duplicated (TASKS_SPECULATED)
@@ -209,9 +212,11 @@
 // and the output bytes — identical to the local runner's.
 //
 // Workers come in two flavors: a NetRunner spawns one-job workers
-// (re-executions of the current binary, NGRAMS_NET_WORKER set, scratch
-// rooted under the coordinator's working directory) unless NoSpawn is
-// set, and external persistent workers join with RunNetWorker — the
-// `ngrams -worker-connect` path — re-registering between jobs until
-// interrupted. NET_WORKERS counts registrations.
+// (scratch rooted under the coordinator's working directory, so one
+// removal cleans up after success, failure, cancellation, and SIGKILL
+// alike) unless NoSpawn is set, and external persistent workers join
+// with RunNetWorker — the `ngrams -worker-connect` path —
+// re-registering between jobs until interrupted. WORKER_PROCS counts
+// the workers spawned (the pool plus replacements), NET_WORKERS the
+// registrations.
 package mapreduce

@@ -85,13 +85,13 @@ type TaskContext struct {
 	Partition int
 	// NumReducers is the number of reduce partitions.
 	NumReducers int
-	// Counters is the job's counter group, for custom counters. Under
-	// the process runner this is the worker's private group, merged
-	// into the job's counters when the task completes.
+	// Counters is the job's counter group, for custom counters. In a
+	// worker process this is the attempt's private group, merged into
+	// the job's counters when the attempt wins.
 	Counters *Counters
 	// SideData is the job's read-only side data (distributed cache).
 	SideData map[string][]byte
-	// TempDir is the task's scratch directory. Under the process runner
+	// TempDir is the task's scratch directory. In a worker process
 	// every attempt gets a private directory, so a failed attempt's
 	// files can be removed wholesale.
 	TempDir string

@@ -6,9 +6,9 @@ import (
 )
 
 // TestMain wires hidden worker mode into the test binary: when the
-// suite runs with NGRAMS_RUNNER=process — and for the ProcessRunner
-// tests in this package — this binary is re-executed as the task
-// worker for the jobs its own tests launch.
+// suite runs with NGRAMS_RUNNER=process — and for the worker-spawning
+// tests in this package — this binary is re-executed as the worker for
+// the jobs its own tests launch.
 func TestMain(m *testing.M) {
 	RunWorkerIfRequested()
 	os.Exit(m.Run())

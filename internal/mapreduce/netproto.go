@@ -11,7 +11,9 @@ type netRegisterReq struct {
 	// shuffle-transfer service, where the coordinator-directed reduce
 	// workers fetch this worker's sealed map runs.
 	Addr string `json:"addr"`
-	Pid  int    `json:"pid,omitempty"`
+	// Pid is the worker's OS process id: a NetRunner that spawned the
+	// worker reports its exit to the coordinator under it.
+	Pid int `json:"pid,omitempty"`
 }
 
 // netRegisterResp hands a registering worker its identity and the
@@ -35,15 +37,15 @@ type netJobConfig struct {
 	Codec         int    `json:"codec"`
 	// SideKeys lists the side-data keys to fetch from /mr/side/<key>.
 	SideKeys []string `json:"side_keys,omitempty"`
-	// LeaseTTLMillis is the lease duration; workers heartbeat well
-	// within it and poll at a fraction of it.
+	// LeaseTTLMillis is the lease duration; workers heartbeat at a third
+	// of it.
 	LeaseTTLMillis int64 `json:"lease_ttl_millis"`
 }
 
 // Poll statuses.
 const (
 	netStatusTask       = "task"       // a task assignment rides along
-	netStatusWait       = "wait"       // nothing runnable now, poll again
+	netStatusWait       = "wait"       // nothing became runnable while the poll was held; poll again
 	netStatusDrain      = "drain"      // job over, clean up and disconnect
 	netStatusReregister = "reregister" // unknown worker id: register anew
 )

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -20,13 +21,13 @@ import (
 	"syscall"
 	"time"
 
+	"ngramstats/internal/encoding"
 	"ngramstats/internal/extsort"
 )
 
 // NetWorkerEnv is the environment variable whose presence switches a
-// process into net-worker mode (see RunNetWorkerIfRequested): its
-// value is the coordinator address to connect to, host:port or
-// net://host:port.
+// process into worker mode (see RunWorkerIfRequested): its value is
+// the coordinator address to connect to, host:port or net://host:port.
 const NetWorkerEnv = "NGRAMS_NET_WORKER"
 
 // netWorkerOneshotEnv marks a worker spawned by a NetRunner for one
@@ -38,6 +39,13 @@ const netWorkerOneshotEnv = "NGRAMS_NET_ONESHOT"
 // so even a SIGKILLed worker leaks nothing past the job.
 const netWorkerScratchEnv = "NGRAMS_NET_SCRATCH"
 
+// WorkerCrashEnv is a test hook: when set to "<phase>:<taskID>" (e.g.
+// "map:0"), a worker that leases that task exits with a nonzero status
+// before producing a result — but only on the task's first attempt, so
+// retry tests can assert that a killed worker is replaced, the task
+// retried, and the job still succeeds.
+const WorkerCrashEnv = "NGRAMS_WORKER_CRASH"
+
 // NetWorkerMuteEnv is a test hook: when set to "<phase>:<taskID>", a
 // net worker that leases that task (first attempt only) goes silent —
 // no heartbeats, no result — for several lease TTLs. Fault drills use
@@ -45,13 +53,18 @@ const netWorkerScratchEnv = "NGRAMS_NET_SCRATCH"
 // the task.
 const NetWorkerMuteEnv = "NGRAMS_NET_MUTE"
 
-// RunNetWorkerIfRequested turns the current process into a net-runner
+// workerHookHint is appended to errors whose likeliest cause is a
+// re-executed binary that never entered worker mode.
+const workerHookHint = "is mapreduce.RunWorkerIfRequested wired into this binary's main/TestMain?"
+
+// RunWorkerIfRequested turns the current process into a MapReduce
 // worker when NetWorkerEnv is set, and never returns in that case: it
 // connects to the coordinator named by the variable, serves tasks
-// until drained (or until SIGINT/SIGTERM), and exits. It is called by
-// RunWorkerIfRequested, so every binary wired for the process runner
-// is a spawnable net worker too; it is a no-op otherwise.
-func RunNetWorkerIfRequested() {
+// until drained (or until SIGINT/SIGTERM), and exits. Call it first
+// thing in main() — or in TestMain for test binaries — of every
+// program that may execute jobs under a worker-spawning backend
+// ("process", "net://…"); it is a no-op otherwise.
+func RunWorkerIfRequested() {
 	addr := os.Getenv(NetWorkerEnv)
 	if addr == "" {
 		return
@@ -256,7 +269,6 @@ func (a *netAgent) serveJob(ctx context.Context, reg *netRegisterResp) {
 	if ttl <= 0 {
 		ttl = 10 * time.Second
 	}
-	poll := min(max(ttl/5, 10*time.Millisecond), 500*time.Millisecond)
 	jobdir, err := os.MkdirTemp(a.scratch, "job-*")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ngrams net worker: %v\n", err)
@@ -282,13 +294,14 @@ func (a *netAgent) serveJob(ctx context.Context, reg *netRegisterResp) {
 			if errs++; errs > 8 {
 				return // coordinator gone: the job is over
 			}
-			sleepCtx(ctx, poll)
+			sleepCtx(ctx, time.Duration(errs)*100*time.Millisecond)
 			continue
 		}
 		errs = 0
 		switch pr.Status {
 		case netStatusWait:
-			sleepCtx(ctx, poll)
+			// The coordinator held the poll open for as long as it had
+			// nothing to assign; ask again at once.
 		case netStatusTask:
 			a.execute(ctx, cfg, ttl, jobdir, side, pr.Task)
 		default: // drain, reregister
@@ -672,6 +685,91 @@ func (a *netAgent) postJSON(ctx context.Context, u string, in, out any) error {
 		return fmt.Errorf("POST %s: status %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// fileSplit replays a split downloaded to a record file.
+type fileSplit struct{ path string }
+
+// Records implements Split.
+func (s fileSplit) Records(yield func(key, value []byte) error) error {
+	f, err := os.Open(s.path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	rr := encoding.NewRecordReader(bufio.NewReaderSize(f, 256<<10))
+	for {
+		k, v, err := rr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := yield(k, v); err != nil {
+			return err
+		}
+	}
+}
+
+// recordFileWriter is a SinkWriter appending length-framed records to
+// one file.
+type recordFileWriter struct {
+	f *os.File
+	w *bufio.Writer
+	n int64
+}
+
+func newRecordFileWriter(path string) (*recordFileWriter, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &recordFileWriter{f: f, w: bufio.NewWriterSize(f, 256<<10)}, nil
+}
+
+func (w *recordFileWriter) Write(key, value []byte) error {
+	w.n++
+	return encoding.WriteRecord(w.w, key, value)
+}
+
+func (w *recordFileWriter) Close() error {
+	if err := w.w.Flush(); err != nil {
+		w.f.Close()
+		return err
+	}
+	return w.f.Close()
+}
+
+// singleFileSink adapts one output record file to the Sink surface a
+// reduce task writes through.
+type singleFileSink struct {
+	path string
+	n    int64
+}
+
+func (s *singleFileSink) Writer(p int) (SinkWriter, error) {
+	w, err := newRecordFileWriter(s.path)
+	if err != nil {
+		return nil, err
+	}
+	return &singleFileSinkWriter{sink: s, w: w}, nil
+}
+
+func (s *singleFileSink) Finish() (Dataset, error) {
+	return nil, fmt.Errorf("mapreduce: worker task sink has no dataset")
+}
+
+type singleFileSinkWriter struct {
+	sink *singleFileSink
+	w    *recordFileWriter
+}
+
+func (w *singleFileSinkWriter) Write(key, value []byte) error { return w.w.Write(key, value) }
+
+func (w *singleFileSinkWriter) Close() error {
+	w.sink.n = w.w.n
+	return w.w.Close()
 }
 
 // sleepCtx sleeps for d or until ctx ends, reporting whether the full

@@ -15,7 +15,7 @@ import (
 // it; a Runner consumes it. The task-level callbacks (mapper, reducer,
 // comparators) stay reachable two ways: in-process through the
 // compiled job (LocalRunner), and by reconstruction from Spec in a
-// separate worker process (ProcessRunner).
+// separate worker process (NetRunner).
 type Plan struct {
 	// Name identifies the job.
 	Name string
@@ -34,8 +34,8 @@ type Plan struct {
 	// ShuffleCodec is the optional per-block compression of shuffle
 	// runs.
 	ShuffleCodec extsort.Codec
-	// TempDir is the scratch directory for spills and (under the
-	// process runner) the job's working directory.
+	// TempDir is the scratch directory for spills and (under the net
+	// runner) the job's working directory.
 	TempDir string
 	// SideData is the job's read-only side data (distributed cache).
 	SideData map[string][]byte
@@ -70,7 +70,7 @@ func (p *Plan) Job() *Job { return p.job }
 
 // ShuffleIO returns the live instrument measuring the plan's encoded
 // shuffle transfer (nil for map-only jobs). Runners account every
-// sealed-run write and merge read here — the process runner folds in
+// sealed-run write and merge read here — the net runner folds in
 // worker-reported totals as tasks complete.
 func (p *Plan) ShuffleIO() *extsort.IOStats { return p.shuffleIO }
 

@@ -36,9 +36,10 @@ type JobSummary struct {
 	MapPhase    time.Duration
 	ReducePhase time.Duration
 	Wallclock   time.Duration
-	// WorkerProcs and TasksRetried describe process-runner execution:
-	// worker OS processes spawned and task attempts retried after a
-	// worker failure. Both are zero under the in-process LocalRunner.
+	// WorkerProcs and TasksRetried describe execution in worker
+	// processes: workers the runner spawned (pool plus replacements)
+	// and task attempts run again after a failure. Both are zero under
+	// the in-process LocalRunner.
 	WorkerProcs  int64
 	TasksRetried int64
 }

@@ -11,11 +11,12 @@ import (
 
 // Runner is an execution backend: it takes a compiled Plan and runs
 // its tasks to completion, materializing the job output through the
-// plan's sink. The engine ships three: LocalRunner executes tasks as
-// goroutines in this process (the default), ProcessRunner executes
-// each task in a separate worker OS process, and NetRunner drives
-// workers over HTTP with leases, retries, and a shuffle-transfer
-// service. Third-party backends plug in through RegisterRunner.
+// plan's sink. The engine ships two: LocalRunner executes tasks as
+// goroutines in this process (the default), and NetRunner drives
+// worker OS processes over HTTP with leases, retries, and a
+// shuffle-transfer service — spawned on this machine (the "process"
+// address) or joining from others. Third-party backends plug in
+// through RegisterRunner.
 //
 // A Runner must fold every task's counter updates into counters, fire
 // PhaseStart/TaskDone events on progress as phases and tasks complete,
@@ -43,7 +44,7 @@ type RunnerConfig struct {
 	Address string
 	// Rest is the part after "scheme://", empty for bare scheme names.
 	Rest string
-	// Workers bounds worker concurrency (0 = backend default).
+	// Workers is the number of workers to spawn (0 = backend default).
 	Workers int
 	// MaxAttempts is the per-task failure budget (0 = backend default).
 	MaxAttempts int
@@ -62,8 +63,9 @@ var (
 // RegisterRunner registers an execution-backend scheme. The scheme is
 // the address part before "://" (or the whole address for bare names
 // like "local"); it is matched case-insensitively and must not contain
-// ':' or '/'. The shipped backends self-register as "local",
-// "process", and "net"; third-party backends register in an init
+// ':' or '/'. The shipped backends self-register as "local" and "net"
+// (plus "process", the net runner's loopback configuration);
+// third-party backends register in an init
 // function and are then addressable everywhere a runner name is
 // accepted — Options.Execution, NGRAMS_RUNNER, and the -runner flags.
 // Registering the same scheme twice panics: schemes are process-global
@@ -98,12 +100,12 @@ func splitRunnerAddress(address string) (scheme, rest string) {
 }
 
 // NewRunner constructs the execution backend for a runner address:
-// "local" (or "") for the in-process LocalRunner, "process" for a
-// ProcessRunner, "net://host:port[?spawn=N]" for a NetRunner
-// coordinating workers over HTTP, or any scheme a third party
-// registered — with the given worker bound and per-task attempt limit
-// (both zero-defaulted). Unknown schemes are an error, never a silent
-// fallback.
+// "local" (or "") for the in-process LocalRunner,
+// "net://host:port[?spawn=N]" for a NetRunner coordinating workers
+// over HTTP, "process" for that NetRunner on 127.0.0.1:0 with spawned
+// workers, or any scheme a third party registered — with the given
+// worker count and per-task attempt limit (both zero-defaulted).
+// Unknown schemes are an error, never a silent fallback.
 func NewRunner(address string, workers, maxAttempts int) (Runner, error) {
 	scheme, rest := splitRunnerAddress(address)
 	runnerMu.RLock()

@@ -139,9 +139,8 @@ func runMapReduce(ctx context.Context, j *Job, splits []Split, sink Sink, shuffl
 // atomic cells up front and all sorters are owned by this task alone.
 //
 // A negative sealKeep forces every partition sorter to spill before
-// sealing, guaranteeing all handed-off runs are on-disk files — the
-// process runner's workers rely on this to pass runs across process
-// boundaries by path.
+// sealing, guaranteeing all handed-off runs are on-disk files — net
+// workers rely on this to serve their runs to other processes.
 func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep int, shuffleIO *extsort.IOStats, counters *Counters) ([][]*extsort.Run, error) {
 	mapper := j.NewMapper()
 	tc := &TaskContext{

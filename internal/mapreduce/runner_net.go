@@ -8,8 +8,10 @@ import (
 	"net/url"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -26,12 +28,17 @@ import (
 //
 // By default the runner is self-contained on one machine: it spawns
 // Workers one-job worker processes (re-executions of the current
-// binary, exactly like ProcessRunner) against its own coordinator.
-// With NoSpawn it relies entirely on externally started workers
+// binary, which must call RunWorkerIfRequested) against its own
+// coordinator, replaces the ones that die, and tells the coordinator
+// about every exit, so a crashed worker's tasks are retried at once
+// rather than after lease expiry. The zero value — loopback, ephemeral
+// port — is what the "process" runner address resolves to. With
+// NoSpawn it relies entirely on externally started workers
 // (`ngrams -worker-connect host:port`, or RunNetWorker), which may
 // join from other machines; nothing runs until at least one connects.
 //
-// Like ProcessRunner, a plan without a Spec falls back to in-process
+// A plan without a Spec has no registered program a worker could
+// rebuild its callbacks from; such jobs fall back to in-process
 // execution via LocalRunner.
 type NetRunner struct {
 	// Addr is the coordinator listen address, host:port; an empty host
@@ -112,6 +119,19 @@ func (r *NetRunner) Run(ctx context.Context, plan *Plan, counters *Counters, pro
 	if _, err := buildProgram(plan.Spec); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", plan.Name, err)
 	}
+	var exe string
+	if !r.NoSpawn {
+		if os.Getenv(NetWorkerEnv) != "" {
+			// This process is itself a spawned worker that ran past the
+			// hook into its ordinary main; spawning from here would recurse.
+			return nil, fmt.Errorf("mapreduce: job %q: %s is set, so this process was started as a worker but is running a job (%s)",
+				plan.Name, NetWorkerEnv, workerHookHint)
+		}
+		var err error
+		if exe, err = os.Executable(); err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q: locate executable: %w", plan.Name, err)
+		}
+	}
 	workdir, err := os.MkdirTemp(plan.TempDir, "ngrams-net-"+sanitizeJobName(plan.Name)+"-*")
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: workdir: %w", plan.Name, err)
@@ -172,7 +192,7 @@ func (r *NetRunner) Run(ctx context.Context, plan *Plan, counters *Counters, pro
 
 	var pool *netWorkerPool
 	if !r.NoSpawn {
-		pool = newNetWorkerPool(c, counters, advertiseAddr(ln.Addr()), workdir, r.workers())
+		pool = newNetWorkerPool(c, counters, exe, advertiseAddr(ln.Addr()), workdir, r.workers())
 		pool.start()
 	}
 
@@ -208,12 +228,14 @@ func advertiseAddr(a net.Addr) string {
 }
 
 // netWorkerPool spawns and supervises the runner's one-job worker
-// processes: a worker that dies while the job is still running is
-// replaced, up to a respawn budget, so a crash drill with few workers
-// cannot strand the job.
+// processes. It reports every exit to the coordinator, and a worker
+// that dies while the job is still running is replaced, up to a
+// respawn budget, so a crash drill with few workers cannot strand the
+// job.
 type netWorkerPool struct {
 	c        *netCoordinator
 	counters *Counters
+	exe      string // the binary to re-execute
 	addr     string
 	workdir  string
 	target   int
@@ -221,14 +243,15 @@ type netWorkerPool struct {
 	mu      sync.Mutex
 	cmds    []*exec.Cmd
 	spawned int
+	live    int
 	budget  int
 	stopped bool
 	wg      sync.WaitGroup
 }
 
-func newNetWorkerPool(c *netCoordinator, counters *Counters, addr, workdir string, target int) *netWorkerPool {
+func newNetWorkerPool(c *netCoordinator, counters *Counters, exe, addr, workdir string, target int) *netWorkerPool {
 	return &netWorkerPool{
-		c: c, counters: counters, addr: addr, workdir: workdir,
+		c: c, counters: counters, exe: exe, addr: addr, workdir: workdir,
 		target: target, budget: 2*target + 4,
 	}
 }
@@ -248,19 +271,23 @@ func (p *netWorkerPool) jobRunning() bool {
 	}
 }
 
+func (p *netWorkerPool) failJob(format string, args ...any) {
+	p.c.fail(fmt.Errorf("mapreduce: job %q: "+format, append([]any{p.c.plan.Name}, args...)...))
+}
+
 func (p *netWorkerPool) spawn() {
 	p.mu.Lock()
-	if p.stopped || p.spawned >= p.budget {
-		p.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.stopped || !p.jobRunning() {
 		return
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		p.mu.Unlock()
-		p.c.fail(fmt.Errorf("mapreduce: job %q: locate executable: %w", p.c.plan.Name, err))
+	if p.spawned >= p.budget {
+		if p.live == 0 {
+			p.failJob("all %d spawned workers exited and the respawn budget is spent (%s)", p.spawned, workerHookHint)
+		}
 		return
 	}
-	cmd := exec.Command(exe)
+	cmd := exec.Command(p.exe)
 	cmd.Env = append(os.Environ(),
 		NetWorkerEnv+"="+p.addr,
 		netWorkerOneshotEnv+"=1",
@@ -269,24 +296,27 @@ func (p *netWorkerPool) spawn() {
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		p.mu.Unlock()
-		p.c.fail(fmt.Errorf("mapreduce: job %q: spawn net worker: %w", p.c.plan.Name, err))
+		p.failJob("spawn worker: %w", err)
 		return
 	}
 	p.spawned++
+	p.live++
 	p.counters.Add(CounterWorkerProcs, 1)
 	p.cmds = append(p.cmds, cmd)
 	p.wg.Add(1)
-	p.mu.Unlock()
 	go func() {
 		defer p.wg.Done()
-		cmd.Wait()
+		err := cmd.Wait()
 		p.mu.Lock()
-		stopped := p.stopped
+		p.live--
 		p.mu.Unlock()
-		if !stopped && p.jobRunning() {
-			p.spawn() // replace a worker that died mid-job
+		// Once the job is over, exits are the workers draining and all
+		// three calls below are no-ops.
+		if !p.c.workerExited(cmd.Process.Pid, err) {
+			p.failJob("spawned worker (pid %d) exited without registering with the coordinator: %v (%s)",
+				cmd.Process.Pid, err, workerHookHint)
 		}
+		p.spawn() // replace a worker that died mid-job
 	}()
 }
 
@@ -316,6 +346,14 @@ func (p *netWorkerPool) stop(grace time.Duration) {
 }
 
 func init() {
+	// "process" is an address, not a second backend: the net runner on
+	// loopback with an ephemeral port and spawned one-job workers.
+	RegisterRunner("process", func(cfg RunnerConfig) (Runner, error) {
+		if cfg.Rest != "" {
+			return nil, fmt.Errorf("mapreduce: runner %q: the process backend takes no address", cfg.Address)
+		}
+		return &NetRunner{Workers: cfg.Workers, MaxAttempts: cfg.MaxAttempts}, nil
+	})
 	RegisterRunner("net", func(cfg RunnerConfig) (Runner, error) {
 		if cfg.Rest == "" {
 			return nil, fmt.Errorf("mapreduce: runner %q: want net://host:port (port 0 for ephemeral)", cfg.Address)
@@ -365,4 +403,62 @@ func init() {
 		}
 		return r, nil
 	})
+}
+
+// sanitizeJobName reduces a job name to characters safe in a temp-dir
+// pattern.
+func sanitizeJobName(name string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.', r == '_':
+			return r
+		default:
+			return '_'
+		}
+	}, name)
+}
+
+// materializeSplits writes every input split to a record file the
+// coordinator serves to map workers. This is the analogue of reading
+// task input from the distributed filesystem.
+func materializeSplits(ctx context.Context, splits []Split, workdir string) ([]string, error) {
+	paths := make([]string, len(splits))
+	for i, split := range splits {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		path := filepath.Join(workdir, fmt.Sprintf("split-%d.rec", i))
+		w, err := newRecordFileWriter(path)
+		if err != nil {
+			return nil, err
+		}
+		err = split.Records(func(key, value []byte) error { return w.Write(key, value) })
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("split %d: %w", i, err)
+		}
+		paths[i] = path
+	}
+	return paths, nil
+}
+
+// materializeSideData writes each side-data entry to a file once per
+// job, the distributed-cache ship step.
+func materializeSideData(side map[string][]byte, workdir string) (map[string]string, error) {
+	if len(side) == 0 {
+		return nil, nil
+	}
+	files := make(map[string]string, len(side))
+	i := 0
+	for key, data := range side {
+		path := filepath.Join(workdir, fmt.Sprintf("side-%d", i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return nil, err
+		}
+		files[key] = path
+		i++
+	}
+	return files, nil
 }

@@ -3,7 +3,14 @@ package mapreduce
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -22,111 +29,63 @@ func netTestRunner() *NetRunner {
 	}
 }
 
-// assertSameDataset compares two results partition by partition,
-// record by record.
-func assertSameDataset(t *testing.T, want, got *Result, wantName, gotName string) {
-	t.Helper()
-	wp, gp := collectPartitions(t, want.Output), collectPartitions(t, got.Output)
-	if len(wp) != len(gp) {
-		t.Fatalf("partitions: %s %d, %s %d", wantName, len(wp), gotName, len(gp))
-	}
-	for p := range wp {
-		if len(wp[p]) != len(gp[p]) {
-			t.Fatalf("partition %d: %s %d records, %s %d", p, wantName, len(wp[p]), gotName, len(gp[p]))
-		}
-		for i := range wp[p] {
-			if !bytes.Equal(wp[p][i].Key, gp[p][i].Key) || !bytes.Equal(wp[p][i].Value, gp[p][i].Value) {
-				t.Fatalf("partition %d record %d differs: %s (%q,%q) %s (%q,%q)",
-					p, i, wantName, wp[p][i].Key, wp[p][i].Value, gotName, gp[p][i].Key, gp[p][i].Value)
-			}
-		}
-	}
+// drillBackends are the two configurations every fault drill runs
+// under: the "process" address, whose default 10s lease TTL means any
+// quick recovery came from the pool observing the exit, and the
+// short-TTL runner above.
+var drillBackends = []struct {
+	name string
+	mk   func(t *testing.T, attempts int) Runner
+}{
+	{"process", func(t *testing.T, attempts int) Runner { return mustRunner(t, "process", 2, attempts) }},
+	{"net-short-ttl", func(t *testing.T, attempts int) Runner {
+		r := netTestRunner()
+		r.MaxAttempts = attempts
+		return r
+	}},
 }
 
-// TestNetRunnerMatchesLocal asserts the net backend produces
-// byte-identical output, per partition and in order, with equal record
-// counters — and that the work actually crossed the network.
-func TestNetRunnerMatchesLocal(t *testing.T) {
+// TestWorkerCrashIsRetried kills the worker holding a task mid-task
+// (its shuffle service, and every map run it published, die with it)
+// and asserts the pool reports the exit, the task — and under
+// "reduce:0" the lost map outputs — are re-executed at once, and the
+// output stays byte-identical to the local runner's.
+func TestWorkerCrashIsRetried(t *testing.T) {
 	local, err := Run(context.Background(), wcJob(t, LocalRunner{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	netr, err := Run(context.Background(), wcJob(t, netTestRunner()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDataset(t, local, netr, "local", "net")
-
-	for _, name := range []string{
-		CounterMapInputRecords, CounterMapOutputRecords, CounterMapOutputBytes,
-		CounterReduceInputGroups, CounterReduceInputRecords, CounterReduceOutputRecs,
-	} {
-		if l, n := local.Counters.Get(name), netr.Counters.Get(name); l != n {
-			t.Errorf("%s: local %d, net %d", name, l, n)
+	for _, backend := range drillBackends {
+		for _, target := range []string{"map:0", "reduce:0"} {
+			t.Run(backend.name+"/"+target, func(t *testing.T) {
+				t.Setenv(WorkerCrashEnv, target)
+				start := time.Now()
+				alt, err := Run(context.Background(), wcJob(t, backend.mk(t, 3)))
+				if err != nil {
+					t.Fatalf("job did not survive a crashed worker: %v", err)
+				}
+				took := time.Since(start)
+				assertSameDataset(t, local, alt, "local", backend.name+"-with-crash")
+				if got := alt.Counters.Get(CounterTasksRetried); got < 1 {
+					t.Errorf("TASKS_RETRIED = %d, want >= 1", got)
+				}
+				if got := alt.Counters.Get(CounterWorkerProcs); got != 3 {
+					t.Errorf("WORKER_PROCS = %d, want 3 (the pool of 2 plus one replacement)", got)
+				}
+				if backend.name != "process" {
+					return
+				}
+				// Recovery must not have waited for the 10s lease.
+				if limit := 10 * time.Second / 3; took > limit {
+					t.Errorf("recovered in %v, want under %v", took, limit)
+				}
+				for _, name := range []string{CounterLeasesExpired, CounterTasksSpeculated} {
+					if got := alt.Counters.Get(name); got != 0 {
+						t.Errorf("%s = %d, want 0", name, got)
+					}
+				}
+			})
 		}
-	}
-	if got := netr.Counters.Get(CounterNetWorkers); got < 2 {
-		t.Errorf("NET_WORKERS = %d, want >= 2", got)
-	}
-	if got := netr.Counters.Get(CounterWorkerProcs); got < 2 {
-		t.Errorf("WORKER_PROCS = %d, want >= 2", got)
-	}
-	// Reduce inputs were pulled over HTTP from the shuffle services.
-	if got := netr.Counters.Get(CounterShuffleFetchBytes); got == 0 {
-		t.Error("SHUFFLE_FETCH_BYTES = 0, want > 0")
-	}
-	// The drained shuffle invariant holds across the wire.
-	if w, r := netr.Counters.Get(CounterShuffleBytesWritten), netr.Counters.Get(CounterShuffleBytesRead); w == 0 || w != r {
-		t.Errorf("shuffle bytes written/read = %d/%d, want equal and nonzero", w, r)
-	}
-	if got := local.Counters.Get(CounterNetWorkers); got != 0 {
-		t.Errorf("local runner registered %d net workers", got)
-	}
-}
-
-// TestNetRunnerRetriesCrashedMapWorker kills the worker holding map
-// task 0 mid-task (its shuffle service dies with it) and asserts the
-// lease expires, the task is retried elsewhere, and the output is
-// still byte-identical to the local runner's.
-func TestNetRunnerRetriesCrashedMapWorker(t *testing.T) {
-	t.Setenv(WorkerCrashEnv, "map:0")
-	local, err := Run(context.Background(), wcJob(t, LocalRunner{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	netr, err := Run(context.Background(), wcJob(t, netTestRunner()))
-	if err != nil {
-		t.Fatalf("job did not survive a crashed map worker: %v", err)
-	}
-	assertSameDataset(t, local, netr, "local", "net-with-crash")
-	if got := netr.Counters.Get(CounterTasksRetried); got < 1 {
-		t.Errorf("TASKS_RETRIED = %d, want >= 1", got)
-	}
-	if got := netr.Counters.Get(CounterLeasesExpired); got < 1 {
-		t.Errorf("LEASES_EXPIRED = %d, want >= 1 (the crashed worker's lease)", got)
-	}
-}
-
-// TestNetRunnerRecoversLostMapOutput kills the worker holding reduce
-// task 0. Any map runs that worker produced die with its shuffle
-// service, so surviving reduce attempts hit fetch failures; the
-// coordinator must re-execute the lost maps and still finish with
-// output byte-identical to the local runner's.
-func TestNetRunnerRecoversLostMapOutput(t *testing.T) {
-	t.Setenv(WorkerCrashEnv, "reduce:0")
-	local, err := Run(context.Background(), wcJob(t, LocalRunner{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	netr, err := Run(context.Background(), wcJob(t, netTestRunner()))
-	if err != nil {
-		t.Fatalf("job did not survive a crashed reduce worker: %v", err)
-	}
-	assertSameDataset(t, local, netr, "local", "net-with-crash")
-	retried := netr.Counters.Get(CounterTasksRetried)
-	expired := netr.Counters.Get(CounterLeasesExpired)
-	if retried < 1 && expired < 1 {
-		t.Errorf("TASKS_RETRIED = %d, LEASES_EXPIRED = %d, want at least one recovery event", retried, expired)
 	}
 }
 
@@ -152,24 +111,29 @@ func TestNetRunnerExpiresSilentLease(t *testing.T) {
 	}
 }
 
-// TestNetRunnerCrashExhaustsAttempts caps the budget at 1 so the
-// injected crash must fail the job, attributing the expired lease.
-func TestNetRunnerCrashExhaustsAttempts(t *testing.T) {
-	t.Setenv(WorkerCrashEnv, "map:0")
-	r := netTestRunner()
-	r.MaxAttempts = 1
-	_, err := Run(context.Background(), wcJob(t, r))
-	if err == nil {
-		t.Fatal("job succeeded despite an unretried worker crash")
-	}
-	if !strings.Contains(err.Error(), "after 1 attempt") {
-		t.Errorf("error does not mention exhausted attempts: %v", err)
+// TestWorkerCrashExhaustsAttempts caps the budget at 1 so the injected
+// crash must fail the job, naming the task.
+func TestWorkerCrashExhaustsAttempts(t *testing.T) {
+	for _, backend := range drillBackends {
+		for target, want := range map[string]string{"map:0": "map task 0", "reduce:0": "reduce task 0"} {
+			t.Run(backend.name+"/"+target, func(t *testing.T) {
+				t.Setenv(WorkerCrashEnv, target)
+				_, err := Run(context.Background(), wcJob(t, backend.mk(t, 1)))
+				if err == nil {
+					t.Fatal("job succeeded despite an unretried worker crash")
+				}
+				if !strings.Contains(err.Error(), want+" failed after 1 attempt") {
+					t.Errorf("error does not name the task and its exhausted attempts: %v", err)
+				}
+			})
+		}
 	}
 }
 
-// TestNetRunnerMapOnly checks the map-only path (no shuffle, output
-// uploaded straight to the coordinator) matches the local runner.
-func TestNetRunnerMapOnly(t *testing.T) {
+// TestWorkerBackendsMapOnly checks the map-only path (no shuffle,
+// output uploaded straight to the coordinator) matches the local
+// runner.
+func TestWorkerBackendsMapOnly(t *testing.T) {
 	mk := func(runner Runner) *Job {
 		job := wcJob(t, runner)
 		job.Spec = &Spec{Program: tagProgram}
@@ -179,12 +143,24 @@ func TestNetRunnerMapOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	netr, err := Run(context.Background(), mk(netTestRunner()))
-	if err != nil {
-		t.Fatal(err)
+	if local.Output.Records() == 0 {
+		t.Fatal("map-only job produced no records")
 	}
-	if l, n := local.Output.Records(), netr.Output.Records(); l != n || l == 0 {
-		t.Fatalf("map-only records: local %d, net %d", l, n)
+	for _, backend := range drillBackends {
+		t.Run(backend.name, func(t *testing.T) {
+			alt, err := Run(context.Background(), mk(backend.mk(t, 2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Map-only partitions are unsorted: tasks land in completion
+			// order.
+			if l, a := local.Output.Records(), alt.Output.Records(); l != a {
+				t.Fatalf("map-only records: local %d, %s %d", l, backend.name, a)
+			}
+			if got := alt.Counters.Get(CounterWorkerProcs); got != 2 {
+				t.Errorf("WORKER_PROCS = %d, want 2", got)
+			}
+		})
 	}
 }
 
@@ -221,7 +197,9 @@ func TestNetRunnerExternalWorkers(t *testing.T) {
 	r := netTestRunner()
 	r.Addr = addr
 	r.NoSpawn = true
-	netr, err := Run(context.Background(), wcJob(t, r))
+	// Gated: the first worker to dial in cannot finish the job alone, so
+	// both take part — two shuffle services, fetches across workers.
+	netr, err := Run(context.Background(), gatedWCJob(t, r, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +215,11 @@ func TestNetRunnerExternalWorkers(t *testing.T) {
 	}
 }
 
-// TestNetRunnerFallsBackWithoutSpec runs a closure-only job under the
-// net runner: no registered program a remote worker could rebuild, so
-// it must execute in-process.
-func TestNetRunnerFallsBackWithoutSpec(t *testing.T) {
-	job := wcJob(t, netTestRunner())
+// TestWorkerBackendsFallBackWithoutSpec runs a closure-only job under
+// the process address: no registered program a worker could rebuild,
+// so it must execute in-process.
+func TestWorkerBackendsFallBackWithoutSpec(t *testing.T) {
+	job := wcJob(t, mustRunner(t, "process", 0, 0))
 	job.Spec = nil
 	job.NewMapper = func() Mapper {
 		return MapperFunc(func(key, value []byte, emit Emit) error {
@@ -283,10 +261,10 @@ func TestNewRunnerAddresses(t *testing.T) {
 	}
 	if r, err := NewRunner("process", 3, 2); err != nil {
 		t.Errorf("process: %v", err)
-	} else if pr, ok := r.(*ProcessRunner); !ok {
-		t.Errorf("process resolved to %T, want *ProcessRunner", r)
-	} else if pr.Workers != 3 || pr.MaxAttempts != 2 {
-		t.Errorf("process knobs = (%d,%d), want (3,2)", pr.Workers, pr.MaxAttempts)
+	} else if nr, ok := r.(*NetRunner); !ok {
+		t.Errorf("process resolved to %T, want *NetRunner", r)
+	} else if want := (NetRunner{Workers: 3, MaxAttempts: 2}); *nr != want {
+		t.Errorf("process resolved to %+v, want the loopback spawning runner %+v", *nr, want)
 	}
 
 	if r, err := NewRunner("net://127.0.0.1:7001?spawn=3", 0, 2); err != nil {
@@ -367,10 +345,11 @@ func TestRegisterRunnerRejectsBadSchemes(t *testing.T) {
 	expectPanic("duplicate scheme", func() { RegisterRunner("local", dummy) })
 }
 
-// TestNetRunnerEnvSweep runs the job with NGRAMS_RUNNER pointed at the
-// net backend — the path the CI net tier uses for the whole suite.
-func TestNetRunnerEnvSweep(t *testing.T) {
-	t.Setenv(RunnerEnv, "net://127.0.0.1:0?spawn=2")
+// TestRunnerEnvSweep runs the job with NGRAMS_RUNNER pointed at the
+// process address — the path the CI worker-backend tier uses for the
+// whole suite.
+func TestRunnerEnvSweep(t *testing.T) {
+	t.Setenv(RunnerEnv, "process")
 	job := wcJob(t, nil)
 	res, err := Run(context.Background(), job)
 	if err != nil {
@@ -381,5 +360,273 @@ func TestNetRunnerEnvSweep(t *testing.T) {
 	}
 	if res.Output.Records() == 0 {
 		t.Error("no output records")
+	}
+}
+
+// newTestCoordinator stands up a coordinator for the word-count job
+// behind an httptest server, with no workers: tests play the worker
+// side of the protocol themselves, or attach a pool.
+func newTestCoordinator(t *testing.T, job *Job, ttl time.Duration, attempts int) (*netCoordinator, *httptest.Server) {
+	t.Helper()
+	plan, err := job.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	workdir := t.TempDir()
+	splitPaths, err := materializeSplits(context.Background(), plan.Splits, workdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := plan.Sink(plan.NumReducers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(nil)
+	c := newNetCoordinator(plan, sink, NewCounters(), nopProgress{}, workdir,
+		"http://"+srv.Listener.Addr().String(), splitPaths, nil, ttl, 0, attempts)
+	srv.Config.Handler = c.handler()
+	srv.Start()
+	t.Cleanup(func() {
+		c.fail(context.Canceled) // release held polls so Close returns
+		srv.Close()
+		abortSink(sink)
+	})
+	c.start()
+	return c, srv
+}
+
+// TestHeldPollCrossesBarriersWithoutSleeping plays two workers against
+// a one-map, one-reduce job: a poll issued while nothing is assignable
+// is answered the moment the reduce phase opens, and the moment the
+// job ends — and otherwise comes back as "wait" well inside the lease
+// TTL, so an idle worker is never presumed gone.
+func TestHeldPollCrossesBarriersWithoutSleeping(t *testing.T) {
+	const ttl = 2 * time.Second
+	job := wcJob(t, nil)
+	job.Input = wcInput(4, 1)
+	job.NumReducers = 1
+	_, srv := newTestCoordinator(t, job, ttl, 2)
+	const mapRunURL = "http://127.0.0.1:1/mr/run/r1" // never fetched
+
+	post := func(path string, in, out any) {
+		t.Helper()
+		body, _ := json.Marshal(in)
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s", path, resp.Status)
+		}
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+		}
+	}
+	register := func() string {
+		var reg netRegisterResp
+		post("/mr/register", netRegisterReq{Addr: "http://127.0.0.1:1"}, &reg)
+		return reg.Worker
+	}
+	type answer struct {
+		resp netPollResp
+		at   time.Time
+	}
+	pollAsync := func(worker string) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			var a answer
+			body, _ := json.Marshal(netPollReq{Worker: worker})
+			resp, err := http.Post(srv.URL+"/mr/poll", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+			} else {
+				if err := json.NewDecoder(resp.Body).Decode(&a.resp); err != nil {
+					t.Error(err)
+				}
+				resp.Body.Close()
+			}
+			a.at = time.Now()
+			ch <- a
+		}()
+		return ch
+	}
+	finish := func(worker string, task *netTask) {
+		t.Helper()
+		res := netResultReq{Lease: task.Lease, Worker: worker}
+		if task.Phase == "map" {
+			res.Runs = [][]netRunRef{{{URL: mapRunURL, Worker: worker}}}
+		} else {
+			// An empty record file is a valid (empty) partition output.
+			resp, err := http.Post(srv.URL+"/mr/output/"+task.Lease, "application/octet-stream", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		var ack netResultResp
+		post("/mr/result", res, &ack)
+		if !ack.Accepted {
+			t.Fatalf("%s result rejected", task.Phase)
+		}
+	}
+
+	a, b := register(), register()
+	first := <-pollAsync(a)
+	if first.resp.Status != netStatusTask || first.resp.Task.Phase != "map" {
+		t.Fatalf("first poll = %+v, want the map task", first.resp)
+	}
+
+	// Nothing assignable and nothing happening: "wait", inside ttl/3.
+	start := time.Now()
+	idle := <-pollAsync(b)
+	if idle.resp.Status != netStatusWait {
+		t.Fatalf("idle poll = %+v, want wait", idle.resp)
+	}
+	if held := idle.at.Sub(start); held >= ttl/3 {
+		t.Errorf("idle poll held %v, want under a third of the %v TTL", held, ttl)
+	}
+
+	// Held across the map→reduce barrier.
+	held := pollAsync(b)
+	time.Sleep(20 * time.Millisecond) // let the poll reach the coordinator
+	finish(a, first.resp.Task)
+	posted := time.Now()
+	reduce := <-held
+	if reduce.resp.Status != netStatusTask || reduce.resp.Task.Phase != "reduce" {
+		t.Fatalf("poll held across the barrier = %+v, want the reduce task", reduce.resp)
+	}
+	if lag := reduce.at.Sub(posted); lag > 50*time.Millisecond {
+		t.Errorf("reduce task arrived %v after the last map result, want within 50ms", lag)
+	}
+
+	// The reduce cannot fetch the map's run: the map is re-executed and
+	// the reduce goes back to pending behind it. A poll held meanwhile is
+	// answered the moment the map is done again and the phase re-opens.
+	var ack netResultResp
+	post("/mr/result", netResultReq{Lease: reduce.resp.Task.Lease, Worker: b, LostRuns: []string{mapRunURL}}, &ack)
+	rerun := <-pollAsync(a)
+	if rerun.resp.Status != netStatusTask || rerun.resp.Task.Phase != "map" || rerun.resp.Task.Attempt != 2 {
+		t.Fatalf("poll after a lost map output = %+v, want the map task's second attempt", rerun.resp)
+	}
+	held = pollAsync(b)
+	time.Sleep(20 * time.Millisecond)
+	finish(a, rerun.resp.Task)
+	posted = time.Now()
+	reduce = <-held
+	if reduce.resp.Status != netStatusTask || reduce.resp.Task.Phase != "reduce" {
+		t.Fatalf("poll held while the map was re-executed = %+v, want the reduce task", reduce.resp)
+	}
+	if lag := reduce.at.Sub(posted); lag > 50*time.Millisecond {
+		t.Errorf("reduce task arrived %v after the re-executed map result, want within 50ms", lag)
+	}
+
+	// Held until the job ends.
+	held = pollAsync(a)
+	time.Sleep(20 * time.Millisecond)
+	finish(b, reduce.resp.Task)
+	posted = time.Now()
+	drain := <-held
+	if drain.resp.Status != netStatusDrain {
+		t.Fatalf("poll held across job end = %+v, want drain", drain.resp)
+	}
+	if lag := drain.at.Sub(posted); lag > 50*time.Millisecond {
+		t.Errorf("drain arrived %v after the job ended, want within 50ms", lag)
+	}
+}
+
+// TestHookLessWorkerFailsFast covers a binary that never calls
+// RunWorkerIfRequested. As the re-executed child it finds
+// NGRAMS_NET_WORKER in its own environment and must refuse to spawn in
+// turn; as the parent it sees children exit without registering and
+// must fail the job instead of respawning until it hangs.
+func TestHookLessWorkerFailsFast(t *testing.T) {
+	t.Run("child", func(t *testing.T) {
+		t.Setenv(NetWorkerEnv, "127.0.0.1:1")
+		_, err := Run(context.Background(), wcJob(t, mustRunner(t, "process", 2, 0)))
+		if err == nil || !strings.Contains(err.Error(), "RunWorkerIfRequested") {
+			t.Fatalf("want an error naming RunWorkerIfRequested, got %v", err)
+		}
+	})
+	t.Run("parent", func(t *testing.T) {
+		hookLess, err := exec.LookPath("true")
+		if err != nil {
+			t.Skip("no `true` binary to stand in for a hook-less program")
+		}
+		c, srv := newTestCoordinator(t, wcJob(t, nil), 10*time.Second, 2)
+		pool := newNetWorkerPool(c, c.counters, hookLess, srv.Listener.Addr().String(), c.workdir, 2)
+		pool.start()
+		defer pool.stop(time.Second)
+		err = waitJobEnd(t, c)
+		if err == nil || !strings.Contains(err.Error(), "without registering") || !strings.Contains(err.Error(), "RunWorkerIfRequested") {
+			t.Fatalf("want a never-registered error naming RunWorkerIfRequested, got %v", err)
+		}
+	})
+}
+
+// TestRespawnBudgetExhaustedFailsJob lets a pool of one, with a budget
+// of one, lose its only worker to the crash hook: with nobody left to
+// run the retry the job must fail rather than wait for a worker that
+// will never come.
+func TestRespawnBudgetExhaustedFailsJob(t *testing.T) {
+	t.Setenv(WorkerCrashEnv, "map:0")
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, srv := newTestCoordinator(t, wcJob(t, nil), 10*time.Second, 3)
+	pool := newNetWorkerPool(c, c.counters, exe, srv.Listener.Addr().String(), c.workdir, 1)
+	pool.budget = 1
+	pool.start()
+	defer pool.stop(time.Second)
+	err = waitJobEnd(t, c)
+	if err == nil || !strings.Contains(err.Error(), "respawn budget") || !strings.Contains(err.Error(), "RunWorkerIfRequested") {
+		t.Fatalf("want a respawn-budget error naming RunWorkerIfRequested, got %v", err)
+	}
+	if got := c.counters.Get(CounterTasksRetried); got != 1 {
+		t.Errorf("TASKS_RETRIED = %d, want 1 (the crashed attempt was observed before the budget ran out)", got)
+	}
+}
+
+// TestWorkerExitedIgnoresForeignHosts registers two workers under one
+// pid, one on the coordinator's host and one elsewhere: the pool's exit
+// report for that pid must fail only the local worker's lease.
+func TestWorkerExitedIgnoresForeignHosts(t *testing.T) {
+	c, _ := newTestCoordinator(t, wcJob(t, nil), 10*time.Second, 3)
+	const pid = 4242
+	lease := func(addr string) *netLease {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.workerSeq++
+		w := &netWorkerState{id: fmt.Sprintf("w%d", c.workerSeq), addr: addr, pid: pid, lastSeen: time.Now()}
+		c.workers[w.id] = w
+		return c.leases[c.assignLocked(w, time.Now()).Lease]
+	}
+	local, foreign := lease(c.baseURL), lease("http://192.0.2.7:4000")
+	if !c.workerExited(pid, errors.New("exit status 3")) {
+		t.Fatal("workerExited did not find the local worker")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, live := c.leases[local.id]; live || local.task.failures != 1 {
+		t.Errorf("local worker's lease: live=%v failures=%d, want it failed and charged", live, local.task.failures)
+	}
+	if _, live := c.leases[foreign.id]; !live || foreign.task.failures != 0 {
+		t.Errorf("foreign worker's lease: live=%v failures=%d, want it untouched", live, foreign.task.failures)
+	}
+}
+
+// waitJobEnd waits for the coordinator's job to end and returns its
+// failure, well before any lease could expire.
+func waitJobEnd(t *testing.T, c *netCoordinator) error {
+	t.Helper()
+	select {
+	case <-c.doneCh:
+		return c.err()
+	case <-time.After(5 * time.Second):
+		t.Fatal("job still running after 5s")
+		return nil
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -20,6 +21,18 @@ import (
 // wcProgram is a registered word-count job: the mapper splits values
 // into words, the reducer sums unit counts.
 const wcProgram = "mapreduce-test/wordcount"
+
+// gatedWCProgram is wcProgram whose map tasks rendezvous before their
+// first record (config: gateConfig). A worker runs one task at a time,
+// so the job cannot finish before Workers workers have joined and
+// leased a map task each — however much sooner the first of them was
+// up — while its output stays that of wcProgram.
+const gatedWCProgram = "mapreduce-test/wordcount-gated"
+
+type gateConfig struct {
+	Dir     string `json:"dir"`
+	Workers int    `json:"workers"`
+}
 
 // slowProgram is a registered identity job whose mapper and reducer
 // sleep per record, so tests can cancel a job reliably mid-phase. Its
@@ -44,32 +57,26 @@ func init() {
 			},
 		}, nil
 	})
-	RegisterProgram(wcProgram, func(config []byte) (*Job, error) {
-		return &Job{
-			NewMapper: func() Mapper {
-				return MapperFunc(func(key, value []byte, emit Emit) error {
-					for _, w := range strings.Fields(string(value)) {
-						if err := emit([]byte(w), []byte("1")); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-			},
-			NewReducer: func() Reducer {
-				return ReducerFunc(func(key []byte, values *Values, emit Emit) error {
-					var n int64
-					for values.Next() {
-						v, err := strconv.ParseInt(string(values.Value()), 10, 64)
-						if err != nil {
-							return err
-						}
-						n += v
-					}
-					return emit(key, []byte(strconv.FormatInt(n, 10)))
-				})
-			},
-		}, nil
+	RegisterProgram(wcProgram, func(config []byte) (*Job, error) { return wordCount(), nil })
+	RegisterProgram(gatedWCProgram, func(config []byte) (*Job, error) {
+		var gate gateConfig
+		if err := json.Unmarshal(config, &gate); err != nil {
+			return nil, err
+		}
+		job := wordCount()
+		newMapper := job.NewMapper
+		job.NewMapper = func() Mapper {
+			m := newMapper()
+			var once sync.Once
+			var gateErr error
+			return MapperFunc(func(key, value []byte, emit Emit) error {
+				if once.Do(func() { gateErr = gate.await() }); gateErr != nil {
+					return gateErr
+				}
+				return m.Map(key, value, emit)
+			})
+		}
+		return job, nil
 	})
 	RegisterProgram(slowProgram, func(config []byte) (*Job, error) {
 		var cfg slowConfig
@@ -96,6 +103,71 @@ func init() {
 			},
 		}, nil
 	})
+}
+
+// wordCount is the word-count job: the mapper splits values into words,
+// the reducer sums unit counts.
+func wordCount() *Job {
+	return &Job{
+		NewMapper: func() Mapper {
+			return MapperFunc(func(key, value []byte, emit Emit) error {
+				for _, w := range strings.Fields(string(value)) {
+					if err := emit([]byte(w), []byte("1")); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+		NewReducer: func() Reducer {
+			return ReducerFunc(func(key []byte, values *Values, emit Emit) error {
+				var n int64
+				for values.Next() {
+					v, err := strconv.ParseInt(string(values.Value()), 10, 64)
+					if err != nil {
+						return err
+					}
+					n += v
+				}
+				return emit(key, []byte(strconv.FormatInt(n, 10)))
+			})
+		},
+	}
+}
+
+// await is one map task arriving at the gate: it drops a file into Dir
+// and waits until Workers tasks have done so.
+func (g gateConfig) await() error {
+	f, err := os.CreateTemp(g.Dir, "arrived-*")
+	if err != nil {
+		return err
+	}
+	f.Close()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		arrived, err := os.ReadDir(g.Dir)
+		if err != nil {
+			return err
+		}
+		if len(arrived) >= g.Workers {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("gate: %d of %d workers arrived in 20s", len(arrived), g.Workers)
+		}
+	}
+}
+
+// gatedWCJob is wcJob under gatedWCProgram, with a fresh gate that
+// opens once `workers` workers hold a map task.
+func gatedWCJob(t *testing.T, runner Runner, workers int) *Job {
+	t.Helper()
+	cfg, err := json.Marshal(gateConfig{Dir: t.TempDir(), Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := wcJob(t, runner)
+	job.Spec = &Spec{Program: gatedWCProgram, Config: cfg}
+	return job
 }
 
 // wcInput builds a deterministic multi-split word corpus.
@@ -139,119 +211,87 @@ func collectPartitions(t *testing.T, d Dataset) [][]KV {
 	return out
 }
 
-// TestProcessRunnerMatchesLocal asserts the process backend produces
-// byte-identical output, per partition and in order, with equal
-// record counters.
-func TestProcessRunnerMatchesLocal(t *testing.T) {
-	local, err := Run(context.Background(), wcJob(t, LocalRunner{}))
+// mustRunner builds a backend from its address, the way every caller
+// outside this package does.
+func mustRunner(t *testing.T, address string, workers, attempts int) Runner {
+	t.Helper()
+	r, err := NewRunner(address, workers, attempts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc, err := Run(context.Background(), wcJob(t, &ProcessRunner{Workers: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return r
+}
 
-	lp, pp := collectPartitions(t, local.Output), collectPartitions(t, proc.Output)
-	if len(lp) != len(pp) {
-		t.Fatalf("partitions: local %d, process %d", len(lp), len(pp))
+// assertSameDataset compares two results partition by partition,
+// record by record.
+func assertSameDataset(t *testing.T, want, got *Result, wantName, gotName string) {
+	t.Helper()
+	wp, gp := collectPartitions(t, want.Output), collectPartitions(t, got.Output)
+	if len(wp) != len(gp) {
+		t.Fatalf("partitions: %s %d, %s %d", wantName, len(wp), gotName, len(gp))
 	}
-	for p := range lp {
-		if len(lp[p]) != len(pp[p]) {
-			t.Fatalf("partition %d: local %d records, process %d", p, len(lp[p]), len(pp[p]))
+	for p := range wp {
+		if len(wp[p]) != len(gp[p]) {
+			t.Fatalf("partition %d: %s %d records, %s %d", p, wantName, len(wp[p]), gotName, len(gp[p]))
 		}
-		for i := range lp[p] {
-			if !bytes.Equal(lp[p][i].Key, pp[p][i].Key) || !bytes.Equal(lp[p][i].Value, pp[p][i].Value) {
-				t.Fatalf("partition %d record %d differs: local (%q,%q) process (%q,%q)",
-					p, i, lp[p][i].Key, lp[p][i].Value, pp[p][i].Key, pp[p][i].Value)
+		for i := range wp[p] {
+			if !bytes.Equal(wp[p][i].Key, gp[p][i].Key) || !bytes.Equal(wp[p][i].Value, gp[p][i].Value) {
+				t.Fatalf("partition %d record %d differs: %s (%q,%q) %s (%q,%q)",
+					p, i, wantName, wp[p][i].Key, wp[p][i].Value, gotName, gp[p][i].Key, gp[p][i].Value)
 			}
 		}
 	}
-	for _, name := range []string{
-		CounterMapInputRecords, CounterMapOutputRecords, CounterMapOutputBytes,
-		CounterReduceInputGroups, CounterReduceInputRecords, CounterReduceOutputRecs,
-	} {
-		if l, p := local.Counters.Get(name), proc.Counters.Get(name); l != p {
-			t.Errorf("%s: local %d, process %d", name, l, p)
+}
+
+// TestRunnerAddressesMatchLocal is the runner-equivalence matrix keyed
+// by address: every worker-spawning address produces byte-identical
+// output, per partition and in order, with equal record counters — and
+// the work really crossed process and network boundaries.
+func TestRunnerAddressesMatchLocal(t *testing.T) {
+	local, err := Run(context.Background(), wcJob(t, mustRunner(t, "local", 0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{CounterWorkerProcs, CounterNetWorkers} {
+		if got := local.Counters.Get(name); got != 0 {
+			t.Errorf("local runner: %s = %d, want 0", name, got)
 		}
 	}
-	if got := proc.Counters.Get(CounterWorkerProcs); got != int64(local.MapTasks+local.ReduceTasks) {
-		t.Errorf("WORKER_PROCS = %d, want %d", got, local.MapTasks+local.ReduceTasks)
-	}
-	if got := local.Counters.Get(CounterWorkerProcs); got != 0 {
-		t.Errorf("local runner spawned %d worker procs", got)
-	}
-	// The drained shuffle invariant holds across the process boundary.
-	if w, r := proc.Counters.Get(CounterShuffleBytesWritten), proc.Counters.Get(CounterShuffleBytesRead); w == 0 || w != r {
-		t.Errorf("shuffle bytes written/read = %d/%d, want equal and nonzero", w, r)
-	}
-}
-
-// TestProcessRunnerFallsBackWithoutSpec runs a closure-only job under
-// the process runner: it must execute in-process (no workers) and
-// still succeed.
-func TestProcessRunnerFallsBackWithoutSpec(t *testing.T) {
-	job := wcJob(t, &ProcessRunner{})
-	job.Spec = nil
-	job.NewMapper = func() Mapper {
-		return MapperFunc(func(key, value []byte, emit Emit) error {
-			return emit([]byte("k"), []byte("v"))
-		})
-	}
-	job.NewReducer = func() Reducer {
-		return ReducerFunc(func(key []byte, values *Values, emit Emit) error {
-			for values.Next() {
+	for _, address := range []string{"process", "net://127.0.0.1:0?spawn=2"} {
+		t.Run(address, func(t *testing.T) {
+			// Gated, so the job provably ran on both spawned workers.
+			alt, err := Run(context.Background(), gatedWCJob(t, mustRunner(t, address, 2, 0), 2))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return emit(key, []byte("done"))
+			assertSameDataset(t, local, alt, "local", address)
+			for _, name := range []string{
+				CounterMapInputRecords, CounterMapOutputRecords, CounterMapOutputBytes,
+				CounterReduceInputGroups, CounterReduceInputRecords, CounterReduceOutputRecs,
+			} {
+				if l, a := local.Counters.Get(name), alt.Counters.Get(name); l != a {
+					t.Errorf("%s: local %d, %s %d", name, l, address, a)
+				}
+			}
+			// A fault-free run spawns exactly its pool.
+			if got := alt.Counters.Get(CounterWorkerProcs); got != 2 {
+				t.Errorf("WORKER_PROCS = %d, want 2", got)
+			}
+			if got := alt.Counters.Get(CounterNetWorkers); got < 2 {
+				t.Errorf("NET_WORKERS = %d, want >= 2", got)
+			}
+			if got := alt.Counters.Get(CounterTasksRetried); got != 0 {
+				t.Errorf("TASKS_RETRIED = %d, want 0", got)
+			}
+			// Reduce inputs were pulled over HTTP from the shuffle services.
+			if got := alt.Counters.Get(CounterShuffleFetchBytes); got == 0 {
+				t.Error("SHUFFLE_FETCH_BYTES = 0, want > 0")
+			}
+			// The drained shuffle invariant holds across the wire.
+			if w, r := alt.Counters.Get(CounterShuffleBytesWritten), alt.Counters.Get(CounterShuffleBytesRead); w == 0 || w != r {
+				t.Errorf("shuffle bytes written/read = %d/%d, want equal and nonzero", w, r)
+			}
 		})
-	}
-	res, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Counters.Get(CounterWorkerProcs); got != 0 {
-		t.Errorf("spec-less job spawned %d worker procs", got)
-	}
-	if res.Output.Records() == 0 {
-		t.Error("no output records")
-	}
-}
-
-// TestProcessRunnerRetriesCrashedWorker injects a first-attempt crash
-// into map task 0 (the worker process exits without a result) and
-// asserts the task is retried on a fresh worker and the job succeeds
-// with correct output.
-func TestProcessRunnerRetriesCrashedWorker(t *testing.T) {
-	t.Setenv(WorkerCrashEnv, "map:0")
-	local, err := Run(context.Background(), wcJob(t, LocalRunner{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := Run(context.Background(), wcJob(t, &ProcessRunner{MaxAttempts: 2}))
-	if err != nil {
-		t.Fatalf("job did not survive a crashed worker: %v", err)
-	}
-	if got := proc.Counters.Get(CounterTasksRetried); got < 1 {
-		t.Errorf("TASKS_RETRIED = %d, want >= 1", got)
-	}
-	if want := int64(local.MapTasks + local.ReduceTasks + 1); proc.Counters.Get(CounterWorkerProcs) != want {
-		t.Errorf("WORKER_PROCS = %d, want %d (one extra for the retry)", proc.Counters.Get(CounterWorkerProcs), want)
-	}
-	if l, p := local.Counters.Get(CounterReduceOutputRecs), proc.Counters.Get(CounterReduceOutputRecs); l != p {
-		t.Errorf("output records: local %d, process-with-crash %d", l, p)
-	}
-}
-
-// TestProcessRunnerCrashExhaustsAttempts caps attempts at 1 so the
-// injected crash must fail the job.
-func TestProcessRunnerCrashExhaustsAttempts(t *testing.T) {
-	t.Setenv(WorkerCrashEnv, "reduce:0")
-	_, err := Run(context.Background(), wcJob(t, &ProcessRunner{MaxAttempts: 1}))
-	if err == nil {
-		t.Fatal("job succeeded despite an unretried worker crash")
-	}
-	if !strings.Contains(err.Error(), "after 1 attempt") {
-		t.Errorf("error does not mention exhausted attempts: %v", err)
 	}
 }
 
@@ -308,21 +348,17 @@ func (c *cancelOnTaskDone) TaskDone(job, phase string) {
 }
 
 // TestCancelLeavesNoScratchFiles cancels a job mid-map and mid-reduce
-// under both runners and asserts nothing is left under TempDir:
-// neither partial spill/run files nor (for the process runner) the
-// job's working directory.
+// under the local and the process address and asserts nothing is left
+// under TempDir: neither partial spill/run files nor (with workers) the
+// job's working directory and the worker scratch rooted in it.
 func TestCancelLeavesNoScratchFiles(t *testing.T) {
-	runners := map[string]func() Runner{
-		"local":   func() Runner { return LocalRunner{} },
-		"process": func() Runner { return &ProcessRunner{Workers: 2} },
-	}
-	for rname, mk := range runners {
+	for _, address := range []string{"local", "process"} {
 		for _, phase := range []string{"map", "reduce"} {
-			t.Run(rname+"-cancel-in-"+phase, func(t *testing.T) {
+			t.Run(address+"-cancel-in-"+phase, func(t *testing.T) {
 				dir := t.TempDir()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				job := slowJob(t, mk(), dir, &cancelOnTaskDone{phase: phase, cancel: cancel})
+				job := slowJob(t, mustRunner(t, address, 2, 0), dir, &cancelOnTaskDone{phase: phase, cancel: cancel})
 				_, err := Run(ctx, job)
 				if err == nil {
 					t.Fatal("cancelled job reported success")
@@ -340,29 +376,5 @@ func TestCancelLeavesNoScratchFiles(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestProcessRunnerMapOnly checks the map-only path (no shuffle)
-// produces the same dataset as the local runner.
-func TestProcessRunnerMapOnly(t *testing.T) {
-	mk := func(runner Runner) *Job {
-		job := wcJob(t, runner)
-		job.Spec = &Spec{Program: tagProgram}
-		return job
-	}
-	local, err := Run(context.Background(), mk(LocalRunner{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := Run(context.Background(), mk(&ProcessRunner{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, p := local.Output.Records(), proc.Output.Records(); l != p || l == 0 {
-		t.Fatalf("map-only records: local %d, process %d", l, p)
-	}
-	if got := proc.Counters.Get(CounterWorkerProcs); got != int64(local.MapTasks) {
-		t.Errorf("WORKER_PROCS = %d, want %d", got, local.MapTasks)
 	}
 }

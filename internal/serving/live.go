@@ -244,7 +244,7 @@ func (s *Server) handleApproxTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	k, ok := s.parseK(w, r, defaultTopK, 1)
+	k, ok := s.parseK(w, r, defaultTopK)
 	if !ok {
 		return
 	}

@@ -22,10 +22,7 @@
 //	GET  /metrics                                Prometheus-style text
 //
 // Every /v1 response decodes into a typed struct from wire.go and
-// carries the index generation it was answered from. The pre-/v1
-// endpoints (/lookup, /prefix, /topk) remain as byte-compatible
-// aliases that emit a "Deprecation: true" header and count into
-// ngramsd_legacy_requests_total.
+// carries the index generation it was answered from.
 //
 // # Generations and hot swap
 //
@@ -390,13 +387,12 @@ func (m *endpointMetrics) record(d time.Duration, status int, encodeFailed bool)
 	m.buckets[b].Add(1)
 }
 
-// endpoint is one logical endpoint's shared state. A legacy alias and
-// its /v1 successor share one endpoint: one gate, one metrics row.
+// endpoint is one logical endpoint's shared state: one gate, one
+// metrics row.
 type endpoint struct {
 	name    string // metrics label; /v1/<name> is the canonical path
 	metrics endpointMetrics
-	gate    *gate        // nil: never shed (healthz, metrics, admin)
-	legacy  atomic.Int64 // requests via the deprecated unversioned path
+	gate    *gate // nil: never shed (healthz, metrics, admin)
 }
 
 // testHookQueryStart, when non-nil, runs at the start of every gated
@@ -513,24 +509,21 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		s.epHealthz, s.epMetrics, s.epReload, s.epReconcile, s.epCompact,
 	}
 
-	s.mux.HandleFunc("GET /v1/lookup", s.handler(s.epLookup, false, s.handleLookupV1))
-	s.mux.HandleFunc("GET /v1/prefix", s.handler(s.epPrefix, false, s.handlePrefixV1))
-	s.mux.HandleFunc("GET /v1/topk", s.handler(s.epTopK, false, s.handleTopKV1))
-	s.mux.HandleFunc("POST /v1/query", s.handler(s.epQuery, false, s.handleBatch))
-	s.mux.HandleFunc("GET /v1/lm/score", s.handler(s.epScore, false, s.handleLMScore))
-	s.mux.HandleFunc("GET /v1/lm/predict", s.handler(s.epPredict, false, s.handleLMPredict))
-	s.mux.HandleFunc("POST /v1/ingest", s.handler(s.epIngest, false, s.handleIngest))
-	s.mux.HandleFunc("GET /v1/approx/lookup", s.handler(s.epApproxLookup, false, s.handleApproxLookup))
-	s.mux.HandleFunc("GET /v1/approx/topk", s.handler(s.epApproxTopK, false, s.handleApproxTopK))
-	s.mux.HandleFunc("POST /v1/admin/reload", s.handler(s.epReload, false, s.handleReload))
-	s.mux.HandleFunc("POST /v1/admin/reconcile", s.handler(s.epReconcile, false, s.handleReconcile))
-	s.mux.HandleFunc("POST /v1/admin/compact", s.handler(s.epCompact, false, s.handleCompact))
-	s.mux.HandleFunc("GET /v1/healthz", s.handler(s.epHealthz, false, s.handleHealthz))
-	s.mux.HandleFunc("/lookup", s.handler(s.epLookup, true, s.handleLookupLegacy))
-	s.mux.HandleFunc("/prefix", s.handler(s.epPrefix, true, s.handlePrefixLegacy))
-	s.mux.HandleFunc("/topk", s.handler(s.epTopK, true, s.handleTopKLegacy))
-	s.mux.HandleFunc("/healthz", s.handler(s.epHealthz, false, s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.handler(s.epMetrics, false, s.handleMetrics))
+	s.mux.HandleFunc("GET /v1/lookup", s.handler(s.epLookup, s.handleLookupV1))
+	s.mux.HandleFunc("GET /v1/prefix", s.handler(s.epPrefix, s.handlePrefixV1))
+	s.mux.HandleFunc("GET /v1/topk", s.handler(s.epTopK, s.handleTopKV1))
+	s.mux.HandleFunc("POST /v1/query", s.handler(s.epQuery, s.handleBatch))
+	s.mux.HandleFunc("GET /v1/lm/score", s.handler(s.epScore, s.handleLMScore))
+	s.mux.HandleFunc("GET /v1/lm/predict", s.handler(s.epPredict, s.handleLMPredict))
+	s.mux.HandleFunc("POST /v1/ingest", s.handler(s.epIngest, s.handleIngest))
+	s.mux.HandleFunc("GET /v1/approx/lookup", s.handler(s.epApproxLookup, s.handleApproxLookup))
+	s.mux.HandleFunc("GET /v1/approx/topk", s.handler(s.epApproxTopK, s.handleApproxTopK))
+	s.mux.HandleFunc("POST /v1/admin/reload", s.handler(s.epReload, s.handleReload))
+	s.mux.HandleFunc("POST /v1/admin/reconcile", s.handler(s.epReconcile, s.handleReconcile))
+	s.mux.HandleFunc("POST /v1/admin/compact", s.handler(s.epCompact, s.handleCompact))
+	s.mux.HandleFunc("GET /v1/healthz", s.handler(s.epHealthz, s.handleHealthz))
+	s.mux.HandleFunc("/healthz", s.handler(s.epHealthz, s.handleHealthz))
+	s.mux.HandleFunc("/metrics", s.handler(s.epMetrics, s.handleMetrics))
 	return s, nil
 }
 
@@ -696,18 +689,12 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// handler wraps an endpoint handler with instrumentation, deprecation
-// headers for legacy aliases, and — for gated endpoints — admission
-// control.
-func (s *Server) handler(ep *endpoint, legacy bool, h http.HandlerFunc) http.HandlerFunc {
+// handler wraps an endpoint handler with instrumentation and — for
+// gated endpoints — admission control.
+func (s *Server) handler(ep *endpoint, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if legacy {
-			ep.legacy.Add(1)
-			sw.Header().Set("Deprecation", "true")
-			sw.Header().Set("Link", fmt.Sprintf("</v1/%s>; rel=%q", ep.name, "successor-version"))
-		}
 		if ep.gate != nil {
 			if !ep.gate.enter() {
 				sw.Header().Set("Retry-After", s.retryAfter)
@@ -802,16 +789,15 @@ func (s *Server) parseLimit(w http.ResponseWriter, r *http.Request) (int, bool) 
 }
 
 // parseK validates a k parameter: absent selects def, explicit values
-// must be minimum..MaxK (minimum 0 keeps the legacy k=0 empty-answer
-// behavior).
-func (s *Server) parseK(w http.ResponseWriter, r *http.Request, def, minimum int) (int, bool) {
+// must be 1..MaxK.
+func (s *Server) parseK(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 	ks := r.URL.Query().Get("k")
 	if ks == "" {
 		return def, true
 	}
 	v, err := strconv.Atoi(ks)
-	if err != nil || v < minimum || v > s.opts.MaxK {
-		writeError(w, http.StatusBadRequest, "bad k %q (want %d..%d)", ks, minimum, s.opts.MaxK)
+	if err != nil || v < 1 || v > s.opts.MaxK {
+		writeError(w, http.StatusBadRequest, "bad k %q (want 1..%d)", ks, s.opts.MaxK)
 		return 0, false
 	}
 	return v, true
@@ -885,7 +871,7 @@ func (s *Server) handleTopKV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.release()
-	k, ok := s.parseK(w, r, defaultTopK, 1)
+	k, ok := s.parseK(w, r, defaultTopK)
 	if !ok {
 		return
 	}
@@ -1034,7 +1020,7 @@ func (s *Server) handleLMPredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.release()
-	k, ok := s.parseK(w, r, defaultPredictK, 1)
+	k, ok := s.parseK(w, r, defaultPredictK)
 	if !ok {
 		return
 	}
@@ -1046,82 +1032,6 @@ func (s *Server) handleLMPredict(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, LMPredictResponse{
 		Index: name, Generation: g.num, Context: q, K: k, Predictions: out,
-	})
-}
-
-// ---- legacy aliases (frozen pre-/v1 wire shapes) ----
-
-func (s *Server) handleLookupLegacy(w http.ResponseWriter, r *http.Request) {
-	g, name, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	defer g.release()
-	q, ok := requireQ(w, r)
-	if !ok {
-		return
-	}
-	ng, found, err := g.ix.Lookup(q)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "lookup: %v", err)
-		return
-	}
-	resp := map[string]any{"index": name, "query": q, "found": found}
-	if found {
-		resp["ngram"] = toWire(ng)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handlePrefixLegacy(w http.ResponseWriter, r *http.Request) {
-	g, name, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	defer g.release()
-	q, ok := requireQ(w, r)
-	if !ok {
-		return
-	}
-	limit, ok := s.parseLimit(w, r)
-	if !ok {
-		return
-	}
-	ngs, err := g.ix.Prefix(q, limit)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "prefix: %v", err)
-		return
-	}
-	out := make([]WireNGram, len(ngs))
-	for i, ng := range ngs {
-		out[i] = toWire(ng)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"index": name, "query": q, "count": len(out), "ngrams": out,
-	})
-}
-
-func (s *Server) handleTopKLegacy(w http.ResponseWriter, r *http.Request) {
-	g, name, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	defer g.release()
-	k, ok := s.parseK(w, r, defaultTopK, 0)
-	if !ok {
-		return
-	}
-	ngs, err := g.ix.TopK(k)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "topk: %v", err)
-		return
-	}
-	out := make([]WireNGram, len(ngs))
-	for i, ng := range ngs {
-		out[i] = toWire(ng)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"index": name, "k": k, "ngrams": out,
 	})
 }
 
@@ -1217,9 +1127,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "ngramsd_shed_reason_total{endpoint=%q,reason=\"timeout\"} %d\n",
 				ep.name, ep.gate.shedTimeout.Load())
 		}
-	}
-	for _, ep := range []*endpoint{s.epLookup, s.epPrefix, s.epTopK} {
-		fmt.Fprintf(w, "ngramsd_legacy_requests_total{endpoint=%q} %d\n", ep.name, ep.legacy.Load())
 	}
 	if s.live != nil {
 		si := s.live.cfg.Ingester

@@ -138,18 +138,9 @@ func postJSON(t *testing.T, client *http.Client, url string, req, out any) int {
 	return resp.StatusCode
 }
 
-// lookupResponse mirrors the legacy /lookup JSON shape.
-type lookupResponse struct {
-	Index string    `json:"index"`
-	Query string    `json:"query"`
-	Found bool      `json:"found"`
-	NGram WireNGram `json:"ngram"`
-}
-
 // TestServingEndToEnd is the serving-smoke oracle test: concurrent
-// HTTP clients query a saved index — via both the legacy and the /v1
-// endpoints — and every response must match the in-process Result's
-// answer. Run under -race in CI.
+// HTTP clients query a saved index and every response must match the
+// in-process Result's answer. Run under -race in CI.
 func TestServingEndToEnd(t *testing.T) {
 	res, dir := buildServedIndex(t)
 	_, ts := newTestServer(t, dir, nil)
@@ -190,37 +181,19 @@ func TestServingEndToEnd(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				p := phrases[(c*perClient+i*13)%len(phrases)]
 				want := oracle[p]
-				// Alternate between the legacy alias and /v1.
-				if i%2 == 0 {
-					var got lookupResponse
-					status := getJSON(t, client, ts.URL+"/lookup?q="+urlQuery(p), &got)
-					if status != http.StatusOK {
-						t.Errorf("client %d: /lookup status %d", c, status)
-						return
-					}
-					if got.Found != want.found {
-						t.Errorf("client %d: Lookup(%q) found=%v, oracle says %v", c, p, got.Found, want.found)
-						return
-					}
-					if want.found && !reflect.DeepEqual(got.NGram, toWire(want.ng)) {
-						t.Errorf("client %d: Lookup(%q) = %+v, oracle %+v", c, p, got.NGram, toWire(want.ng))
-						return
-					}
-				} else {
-					var got LookupResponse
-					status := getJSON(t, client, ts.URL+"/v1/lookup?q="+urlQuery(p), &got)
-					if status != http.StatusOK {
-						t.Errorf("client %d: /v1/lookup status %d", c, status)
-						return
-					}
-					if got.Found != want.found || got.Generation != 1 {
-						t.Errorf("client %d: /v1/lookup(%q) = %+v, oracle found=%v", c, p, got, want.found)
-						return
-					}
-					if want.found && !reflect.DeepEqual(*got.NGram, toWire(want.ng)) {
-						t.Errorf("client %d: /v1/lookup(%q) = %+v, oracle %+v", c, p, *got.NGram, toWire(want.ng))
-						return
-					}
+				var got LookupResponse
+				status := getJSON(t, client, ts.URL+"/v1/lookup?q="+urlQuery(p), &got)
+				if status != http.StatusOK {
+					t.Errorf("client %d: /v1/lookup status %d", c, status)
+					return
+				}
+				if got.Found != want.found || got.Generation != 1 {
+					t.Errorf("client %d: /v1/lookup(%q) = %+v, oracle found=%v", c, p, got, want.found)
+					return
+				}
+				if want.found && !reflect.DeepEqual(*got.NGram, toWire(want.ng)) {
+					t.Errorf("client %d: /v1/lookup(%q) = %+v, oracle %+v", c, p, *got.NGram, toWire(want.ng))
+					return
 				}
 				// Every few requests, cross-check /topk against the oracle.
 				if i%10 == 0 {
@@ -272,12 +245,6 @@ func TestServingEndToEnd(t *testing.T) {
 	if lookups < clients*perClient {
 		t.Fatalf("metrics count %d lookups, expected >= %d", lookups, clients*perClient)
 	}
-	// Half the lookups went through the deprecated alias.
-	var legacy int64
-	fmt.Sscanf(findLine(metrics, `ngramsd_legacy_requests_total{endpoint="lookup"}`), "%d", &legacy)
-	if legacy < clients*perClient/2 {
-		t.Fatalf("legacy lookups counted %d, expected >= %d", legacy, clients*perClient/2)
-	}
 }
 
 // urlQuery escapes a phrase for use as a query parameter.
@@ -327,16 +294,14 @@ func TestServingPrefixEndpoint(t *testing.T) {
 			t.Fatalf("/v1/prefix %q = %+v, oracle %+v", ng.Text, ng, toWire(want))
 		}
 	}
-	// The legacy alias answers with the same n-grams in its frozen shape.
-	var legacy struct {
-		Count  int         `json:"count"`
-		NGrams []WireNGram `json:"ngrams"`
+	// The batch endpoint's prefix op answers with the same n-grams.
+	var batch BatchResponse
+	req := BatchRequest{Ops: []BatchOp{{Op: "prefix", Q: word, Limit: 50}}}
+	if s := postJSON(t, ts.Client(), ts.URL+"/v1/query", req, &batch); s != http.StatusOK || len(batch.Results) != 1 {
+		t.Fatalf("/v1/query status %d, %d results", s, len(batch.Results))
 	}
-	if s := getJSON(t, ts.Client(), ts.URL+"/prefix?q="+urlQuery(word)+"&limit=50", &legacy); s != http.StatusOK {
-		t.Fatalf("/prefix status %d", s)
-	}
-	if legacy.Count != pr.Count || !reflect.DeepEqual(legacy.NGrams, pr.NGrams) {
-		t.Fatalf("legacy /prefix diverged from /v1/prefix: %d vs %d n-grams", legacy.Count, pr.Count)
+	if got := batch.Results[0]; got.Count != pr.Count || !reflect.DeepEqual(got.NGrams, pr.NGrams) {
+		t.Fatalf("/v1/query prefix op diverged from /v1/prefix: %d vs %d n-grams", got.Count, pr.Count)
 	}
 }
 
@@ -437,74 +402,6 @@ func TestServingWireSchemas(t *testing.T) {
 	}
 	if er.Error == "" {
 		t.Fatalf("error response carries no error text")
-	}
-}
-
-// TestServingLegacyDeprecation pins the compatibility contract of the
-// pre-/v1 aliases: frozen response shape (exact key set), Deprecation
-// and successor Link headers, and the legacy-traffic counter.
-func TestServingLegacyDeprecation(t *testing.T) {
-	res, dir := buildServedIndex(t)
-	_, ts := newTestServer(t, dir, nil)
-	top, err := res.TopK(1)
-	if err != nil || len(top) == 0 {
-		t.Fatalf("TopK: %v", err)
-	}
-
-	resp, err := ts.Client().Get(ts.URL + "/lookup?q=" + urlQuery(top[0].Text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/lookup status %d", resp.StatusCode)
-	}
-	if d := resp.Header.Get("Deprecation"); d != "true" {
-		t.Fatalf("Deprecation header = %q, want \"true\"", d)
-	}
-	if l := resp.Header.Get("Link"); !strings.Contains(l, "/v1/lookup") || !strings.Contains(l, "successor-version") {
-		t.Fatalf("Link header = %q, want successor-version pointing at /v1/lookup", l)
-	}
-	// The body still has exactly the PR 4-era key set — no generation
-	// field, nothing else new.
-	var shape map[string]json.RawMessage
-	if err := json.Unmarshal(body, &shape); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"index", "query", "found", "ngram"} {
-		if _, ok := shape[key]; !ok {
-			t.Fatalf("legacy /lookup body missing %q: %s", key, body)
-		}
-		delete(shape, key)
-	}
-	if len(shape) != 0 {
-		t.Fatalf("legacy /lookup body grew new keys %v: %s", shape, body)
-	}
-
-	// /v1 responses carry no deprecation marker.
-	resp, err = ts.Client().Get(ts.URL + "/v1/lookup?q=x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if d := resp.Header.Get("Deprecation"); d != "" {
-		t.Fatalf("/v1/lookup sent Deprecation header %q", d)
-	}
-
-	var metrics string
-	{
-		resp, err := ts.Client().Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		metrics = string(b)
-	}
-	if got := findLine(metrics, `ngramsd_legacy_requests_total{endpoint="lookup"}`); got != "1" {
-		t.Fatalf("ngramsd_legacy_requests_total{endpoint=\"lookup\"} = %q, want 1", got)
 	}
 }
 
@@ -901,20 +798,20 @@ func TestServingValidationAndHealth(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/lookup?q=x", http.StatusBadRequest},         // ambiguous index with two served
-		{"/lookup?q=x&index=zzz", http.StatusNotFound}, // unknown index
-		{"/lookup?index=a", http.StatusBadRequest},     // missing q
-		{"/topk?k=-1&index=a", http.StatusBadRequest},  // bad k
-		{"/topk?k=51&index=a", http.StatusBadRequest},  // k beyond MaxK
-		{"/prefix?q=x&limit=bogus&index=a", http.StatusBadRequest},
-		{"/prefix?q=x&limit=0&index=a", http.StatusBadRequest},  // limit=0 no longer means unbounded
-		{"/prefix?q=x&limit=51&index=a", http.StatusBadRequest}, // limit beyond MaxLimit
-		{"/v1/lookup?q=x", http.StatusBadRequest},
-		{"/v1/lookup?q=x&index=zzz", http.StatusNotFound},
-		{"/v1/topk?k=0&index=a", http.StatusBadRequest}, // v1 requires k >= 1
-		{"/v1/prefix?q=x&limit=0&index=a", http.StatusBadRequest},
-		{"/v1/lm/score?q=x&index=a", http.StatusNotImplemented}, // LM not enabled
-		{"/topk?k=0&index=a", http.StatusOK},                    // legacy k=0 stays an empty answer
+		{"/v1/lookup?q=x", http.StatusBadRequest},         // ambiguous index with two served
+		{"/v1/lookup?q=x&index=zzz", http.StatusNotFound}, // unknown index
+		{"/v1/lookup?index=a", http.StatusBadRequest},     // missing q
+		{"/v1/topk?k=-1&index=a", http.StatusBadRequest},  // bad k
+		{"/v1/topk?k=0&index=a", http.StatusBadRequest},   // k is 1..MaxK everywhere
+		{"/v1/topk?k=51&index=a", http.StatusBadRequest},  // k beyond MaxK
+		{"/v1/prefix?q=x&limit=bogus&index=a", http.StatusBadRequest},
+		{"/v1/prefix?q=x&limit=0&index=a", http.StatusBadRequest},  // limit=0 does not mean unbounded
+		{"/v1/prefix?q=x&limit=51&index=a", http.StatusBadRequest}, // limit beyond MaxLimit
+		{"/v1/lm/score?q=x&index=a", http.StatusNotImplemented},    // LM not enabled
+		// The pre-/v1 paths are gone, not redirected.
+		{"/lookup?q=x&index=a", http.StatusNotFound},
+		{"/prefix?q=x&index=a", http.StatusNotFound},
+		{"/topk?k=3&index=a", http.StatusNotFound},
 	} {
 		if s := getJSON(t, client, ts.URL+tc.url, nil); s != tc.want {
 			t.Fatalf("%s: status %d, want %d", tc.url, s, tc.want)
@@ -943,8 +840,8 @@ func TestServingValidationAndHealth(t *testing.T) {
 	resp.Body.Close()
 	var errs int64
 	fmt.Sscanf(findLine(string(body), `ngramsd_errors_total{endpoint="lookup"}`), "%d", &errs)
-	if errs < 4 {
-		t.Fatalf("lookup errors counted %d, want >= 4", errs)
+	if errs < 3 {
+		t.Fatalf("lookup errors counted %d, want >= 3", errs)
 	}
 	// The metrics endpoint now instruments itself (a request lands in
 	// the counters once it finishes, so the next scrape shows it).

@@ -4,12 +4,9 @@ import "ngramstats"
 
 // This file is the versioned wire schema of the /v1 API: every /v1
 // response decodes into exactly one of these types, and the golden
-// wire tests round-trip each endpoint through them. The legacy
-// unversioned endpoints do NOT use these types — their map-based
-// encoding is frozen for byte-compatibility with PR 4-era clients.
+// wire tests round-trip each endpoint through them.
 
-// WireNGram is the JSON shape of one n-gram, shared by the /v1 and
-// legacy endpoints.
+// WireNGram is the JSON shape of one n-gram.
 type WireNGram struct {
 	Text      string          `json:"text"`
 	IDs       []uint32        `json:"ids,omitempty"`

@@ -56,27 +56,28 @@ const (
 // tasks), unless the NGRAMS_RUNNER environment variable overrides it.
 type Execution struct {
 	// Runner is the backend address: "local" executes tasks as
-	// goroutines in this process; "process" executes every map/reduce
-	// task in a separate worker OS process; "net://host:port[?spawn=N]"
-	// starts an HTTP coordinator on host:port and drives net workers
+	// goroutines in this process; "net://host:port[?spawn=N]" starts
+	// an HTTP coordinator on host:port and drives worker processes
 	// with task leases, heartbeats, retry, and a shuffle-transfer
 	// service (spawn=N fixes the number of spawned workers, spawn=0
 	// relies entirely on externally connected `ngrams -worker-connect`
-	// workers). Worker-based backends re-execute the current binary;
-	// wire mapreduce.RunWorkerIfRequested into main for non-library
-	// binaries — the ngrams and experiments commands already do. Any
+	// workers); "process" is that backend on 127.0.0.1:0 with Workers
+	// spawned workers. Spawned workers are re-executions of the
+	// current binary; wire mapreduce.RunWorkerIfRequested into main for
+	// non-library binaries — the ngrams and experiments commands
+	// already do, and a binary that does not gets a Start error. Any
 	// scheme registered via mapreduce.RegisterRunner is accepted;
 	// unknown ones are a Start error. Empty selects the default,
 	// honoring NGRAMS_RUNNER.
 	Runner string
-	// Workers bounds concurrently running worker processes (process
-	// backend: default GOMAXPROCS; net backend: spawned workers,
-	// default max(2, GOMAXPROCS)).
+	// Workers is the number of worker processes spawned per job under
+	// "process" and "net://…" (default max(2, GOMAXPROCS)); each runs
+	// one task at a time.
 	Workers int
 	// MaxAttempts is the per-task failure budget before the computation
-	// fails; attempts beyond the first run on a fresh worker with a
-	// clean scratch directory, and under the net backend expired leases
-	// count against it (default: 2, i.e. one retry).
+	// fails; attempts beyond the first run on fresh scratch, and worker
+	// exits and expired leases count against it (default: 2, i.e. one
+	// retry).
 	MaxAttempts int
 }
 
@@ -117,9 +118,9 @@ type Options struct {
 	// system temp).
 	TempDir string
 	// Execution selects the backend that runs the MapReduce tasks: in
-	// this process (the default) or as separate worker OS processes,
-	// with per-task retry. The counters of a run report WORKER_PROCS
-	// and TASKS_RETRIED under the process backend.
+	// this process (the default) or in worker OS processes, with
+	// per-task retry. The counters of a run report WORKER_PROCS and
+	// TASKS_RETRIED under a worker-spawning backend.
 	Execution Execution
 	// Logf, if non-nil, receives human-readable progress lines. For
 	// structured live progress (phases, task counts, live counters) use
