@@ -12,12 +12,9 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"ngramstats/internal/core"
 	"ngramstats/internal/corpus"
-	"ngramstats/internal/encoding"
 	"ngramstats/internal/extsort"
 	"ngramstats/internal/index"
 	"ngramstats/internal/lsm"
@@ -150,14 +147,13 @@ func AppendDelta(ctx context.Context, dir string, docs []Document, opts AppendOp
 	}
 	defer res.Release()
 
-	// Deltas carry no precomputed top records: a merged top-k cannot be
-	// assembled from per-generation tops anyway (a gram just below every
-	// generation's cutoff may sum into the global top), so views always
-	// take the scanning fallback and the next compaction rebuilds the
-	// precomputed file.
+	// A delta stores its own top records exactly as a base does (same
+	// default depth, same top.run): per-generation frequencies add up
+	// under Merge, so the view's threshold merge assembles the chain's
+	// exact top-k from these lists plus point gets instead of scanning
+	// every generation (see lsm.View.TopRecords).
 	deltaDir := man.NextDeltaDir()
 	err = res.SaveWith(filepath.Join(dir, deltaDir), SaveOptions{
-		TopDepth: -1,
 		Compress: man.Compress,
 		TempDir:  copts.TempDir,
 	})
@@ -244,7 +240,6 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	}
 	defer v.Close()
 	prev := v.Manifest()
-	kind := core.AggregationKind(v.Kind())
 	hadFlatBase := prev.Base.Dir == "."
 
 	// One merged pass over every generation, folding equal keys and
@@ -266,34 +261,15 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	}
 	total := int64(sorter.Len())
 
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = int((total + (128 << 10) - 1) / (128 << 10))
-		if shards < 1 {
-			shards = 1
-		}
-		if shards > 32 {
-			shards = 32
-		}
-	}
-	topDepth := opts.TopDepth
-	if topDepth == 0 {
-		topDepth = defaultTopDepth
-	}
-	if int64(topDepth) > total {
-		topDepth = int(total)
-	}
 	codec := extsort.CodecRaw
 	if prev.Compress {
 		codec = extsort.CodecFlate
 	}
-
 	baseDir := prev.NextBaseDir()
-	w, err := index.NewWriter(filepath.Join(dir, baseDir), index.WriterOptions{
+	err = writeIndex(filepath.Join(dir, baseDir), sorter, v.Dictionary(), opts.TopDepth, index.WriterOptions{
 		Corpus:       prev.Corpus,
 		Kind:         prev.Kind,
-		Records:      total,
-		Shards:       shards,
+		Shards:       opts.Shards,
 		Codec:        codec,
 		Counters:     v.Counters(),
 		Docs:         prev.Docs,
@@ -302,56 +278,7 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 		Selection:    int(SelectAll),
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := w.SetDictionary(v.Dictionary().Save); err != nil {
-		w.Abort()
-		return nil, err
-	}
-
-	it, err := sorter.Sort()
-	if err != nil {
-		w.Abort()
 		return nil, fmt.Errorf("ngramstats: compact %s: %w", dir, err)
-	}
-	defer it.Close()
-	rv := resolver{term: v.Dictionary().Term}
-	top := boundedTop{k: topDepth, better: rv.topKBetter}
-	for it.Next() {
-		if err := w.Append(it.Key(), it.Value()); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if topDepth > 0 {
-			s, err := encoding.DecodeSeq(it.Key())
-			if err != nil {
-				w.Abort()
-				return nil, err
-			}
-			agg, err := core.DecodeAggregate(kind, it.Value())
-			if err != nil {
-				w.Abort()
-				return nil, err
-			}
-			top.offer(rawNGram{seq: s, agg: agg, cf: agg.Frequency()})
-		}
-	}
-	if err := it.Err(); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("ngramstats: compact %s: %w", dir, err)
-	}
-	if topDepth > 0 {
-		entries := top.heap
-		sort.Slice(entries, func(i, j int) bool { return rv.topKBetter(entries[i], entries[j]) })
-		for _, e := range entries {
-			if err := w.AppendTop(encoding.EncodeSeq(e.seq), e.agg.Encode()); err != nil {
-				w.Abort()
-				return nil, err
-			}
-		}
-	}
-	if err := w.Commit(); err != nil {
-		return nil, err
 	}
 
 	if _, err := lsm.SwapBase(dir, &prev, lsm.GenInfo{Dir: baseDir, Records: total, Docs: prev.Docs}); err != nil {

@@ -544,39 +544,46 @@ func lsmBenchBatches() [][]Document {
 	return batches
 }
 
-// lsmBenchChain builds the benchmark chain — one base plus 4 delta
-// generations, τ = 1 (the appendable invariant) — and returns its
-// directory.
-func lsmBenchChain(b *testing.B) string {
-	b.Helper()
-	batches := lsmBenchBatches()
-	dir := filepath.Join(b.TempDir(), "chain")
+// saveDocuments counts docs under the chain invariants (τ = 1, σ = 4,
+// no selection) and saves the result at dir with Save's defaults.
+func saveDocuments(tb testing.TB, docs []Document, dir string) {
+	tb.Helper()
 	c, err := FromDocuments(context.Background(), "lsm-bench",
 		func(yield func(Document, error) bool) {
-			for _, d := range batches[0] {
+			for _, d := range docs {
 				if !yield(d, nil) {
 					return
 				}
 			}
 		}, BuilderOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := Count(context.Background(), c, Options{
-		MinFrequency: 1, MaxLength: 4, Combiner: true, TempDir: b.TempDir(),
+		MinFrequency: 1, MaxLength: 4, Combiner: true, TempDir: tb.TempDir(),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := res.SaveWith(dir, SaveOptions{TempDir: b.TempDir()}); err != nil {
-		b.Fatal(err)
+	defer res.Release()
+	if err := res.SaveWith(dir, SaveOptions{TempDir: tb.TempDir()}); err != nil {
+		tb.Fatal(err)
 	}
-	res.Release()
+}
+
+// lsmBenchChain builds the benchmark chain — one base plus 4 delta
+// generations, τ = 1 (the appendable invariant) — and returns its
+// directory.
+func lsmBenchChain(tb testing.TB) string {
+	tb.Helper()
+	batches := lsmBenchBatches()
+	dir := filepath.Join(tb.TempDir(), "chain")
+	saveDocuments(tb, batches[0], dir)
 	for _, batch := range batches[1:] {
 		if _, err := AppendDelta(context.Background(), dir, batch, AppendOptions{
-			Count: Options{Combiner: true, TempDir: b.TempDir()},
+			Count: Options{Combiner: true, TempDir: tb.TempDir()},
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return dir
@@ -614,6 +621,40 @@ func BenchmarkViewLookup(b *testing.B) {
 		if !ok && p != "xylophone zzyzx" {
 			b.Fatalf("Lookup(%q) missed", p)
 		}
+	}
+}
+
+// BenchmarkViewTopK measures both TopK answers of the same chain:
+// "merged" (k = 100) is the threshold merge over the generations'
+// stored top records plus point gets; "scan" (k one past the stored
+// depth, which those lists cannot prove) pays the merge's wasted walk
+// and then the full fold of every generation — what every chain TopK
+// cost before deltas stored their top records.
+func BenchmarkViewTopK(b *testing.B) {
+	ix, err := OpenIndex(lsmBenchChain(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ix.Close() })
+	for _, bc := range []struct {
+		name string
+		k    int
+	}{{"merged", 100}, {"scan", defaultTopDepth + 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m0, s0 := ix.TopKStats()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				top, err := ix.TopK(bc.k)
+				if err != nil || len(top) != bc.k {
+					b.Fatalf("TopK(%d): %v (%d)", bc.k, err, len(top))
+				}
+			}
+			b.StopTimer()
+			m1, s1 := ix.TopKStats()
+			if merged := bc.name == "merged"; (m1 > m0) != merged || (s1 > s0) == merged {
+				b.Fatalf("TopK(%d) took the wrong path: %d merged, %d scans", bc.k, m1-m0, s1-s0)
+			}
+		})
 	}
 }
 

@@ -136,9 +136,7 @@ func selectTopRaw(each eachAggregateFunc, total int64, k int, better func(a, b r
 	if err != nil {
 		return nil, err
 	}
-	entries := t.heap
-	sort.Slice(entries, func(i, j int) bool { return better(entries[i], entries[j]) })
-	return entries, nil
+	return t.sorted(), nil
 }
 
 // selectTop is selectTopRaw followed by decoding exactly the survivors.
@@ -167,8 +165,14 @@ type boundedTop struct {
 // retained entry beats.
 func (t *boundedTop) worse(a, b rawNGram) bool { return t.better(b, a) }
 
+// admits reports whether offer would retain e: there is room, or e
+// beats the worst retained entry. Only e's seq and cf are consulted.
+func (t *boundedTop) admits(e rawNGram) bool {
+	return len(t.heap) < t.k || (t.k > 0 && t.better(e, t.heap[0]))
+}
+
 func (t *boundedTop) offer(e rawNGram) {
-	if t.k <= 0 {
+	if !t.admits(e) {
 		return
 	}
 	if len(t.heap) < t.k {
@@ -176,11 +180,15 @@ func (t *boundedTop) offer(e rawNGram) {
 		t.up(len(t.heap) - 1)
 		return
 	}
-	if !t.better(e, t.heap[0]) {
-		return
-	}
 	t.heap[0] = e
 	t.down(0)
+}
+
+// sorted returns the retained entries best first; the heap must not be
+// offered to afterwards.
+func (t *boundedTop) sorted() []rawNGram {
+	sort.Slice(t.heap, func(i, j int) bool { return t.better(t.heap[i], t.heap[j]) })
+	return t.heap
 }
 
 func (t *boundedTop) up(i int) {

@@ -116,7 +116,10 @@
 // the previous generation so term identifiers stay stable, and
 // OpenIndex serves the chain transparently through a merge-on-read
 // view whose every answer equals a from-scratch rebuild over all
-// documents. CompactIndex merges base + deltas back into a single
+// documents. Each delta stores its own top records, so TopK over a
+// chain is an exact threshold merge of the generations' stored lists
+// plus point gets rather than a scan (Index.TopKStats counts which
+// answered). CompactIndex merges base + deltas back into a single
 // base that is byte-identical — dictionary, shard files, precomputed
 // top records — to that rebuild, committing via an atomic manifest
 // swap (a crash leaves the previous chain intact and queryable).

@@ -89,14 +89,43 @@ type docMeta struct {
 	year  int
 }
 
-// decodeFrequency extracts the total occurrence count from an encoded
-// aggregate value.
-func decodeFrequency(kind AggregationKind, v []byte) (int64, error) {
-	agg, err := decodeAggregate(kind, v)
-	if err != nil {
-		return 0, err
+// DecodeFrequency extracts the total occurrence count from an encoded
+// aggregate value without building the cell: every kind's frequency is
+// a sum of stored counts, so it reads straight off the varints with no
+// allocation. Selection loops use it to reject a record before paying
+// for its sequence and aggregate.
+func DecodeFrequency(kind AggregationKind, v []byte) (int64, error) {
+	first, n := encoding.Uvarint(v)
+	if n <= 0 {
+		return 0, fmt.Errorf("core: %w: %s value", encoding.ErrCorrupt, kind)
 	}
-	return agg.Frequency(), nil
+	v = v[n:]
+	if kind == AggCount {
+		if len(v) != 0 {
+			return 0, fmt.Errorf("core: %w: count value", encoding.ErrCorrupt)
+		}
+		return int64(first), nil
+	}
+	// Time series and document index share one layout: a pair count,
+	// then (year or document, count) pairs.
+	var cf int64
+	for i := uint64(0); i < first; i++ {
+		_, n := encoding.Uvarint(v)
+		if n <= 0 {
+			return 0, fmt.Errorf("core: %w: %s pair", encoding.ErrCorrupt, kind)
+		}
+		v = v[n:]
+		count, n := encoding.Uvarint(v)
+		if n <= 0 {
+			return 0, fmt.Errorf("core: %w: %s pair", encoding.ErrCorrupt, kind)
+		}
+		v = v[n:]
+		cf += int64(count)
+	}
+	if len(v) != 0 {
+		return 0, fmt.Errorf("core: %w: %s trailing bytes", encoding.ErrCorrupt, kind)
+	}
+	return cf, nil
 }
 
 // decodeAggregate decodes an encoded aggregate value of the given kind.

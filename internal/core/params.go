@@ -263,7 +263,7 @@ func (r *ResultSet) Each(fn func(s sequence.Seq, cf int64) error) error {
 			if err != nil {
 				return err
 			}
-			cf, err := decodeFrequency(r.kind, v)
+			cf, err := DecodeFrequency(r.kind, v)
 			if err != nil {
 				return err
 			}

@@ -28,7 +28,7 @@ func drive(t *testing.T, r *suffixSigmaReducer, steps []struct {
 		if err != nil {
 			return err
 		}
-		cf, err := decodeFrequency(r.kind, v)
+		cf, err := DecodeFrequency(r.kind, v)
 		if err != nil {
 			return err
 		}

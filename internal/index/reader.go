@@ -424,6 +424,14 @@ func (ix *Index) TopRecords(k int) (keys, values [][]byte, ok bool) {
 // TopStored returns how many precomputed top records the index holds.
 func (ix *Index) TopStored() int64 { return ix.topN }
 
+// TopRecord returns the precomputed top record of rank i (0 is the
+// most frequent), for 0 ≤ i < TopStored. It lets a caller walk the
+// stored list only as deep as it needs; the returned slices must not
+// be modified.
+func (ix *Index) TopRecord(i int) (key, value []byte) {
+	return ix.top.Key(i), ix.top.Value(i)
+}
+
 // block returns the decoded block b of shard s, through the cache when
 // useCache is set.
 func (ix *Index) block(s, b int, useCache bool) (*extsort.DecodedBlock, error) {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"container/heap"
 	"errors"
 	"fmt"
 	"os"
@@ -63,6 +64,10 @@ type View struct {
 
 	refs   atomic.Int64
 	closed atomic.Bool
+
+	// topMerged and topScans count TopRecords calls answered by the
+	// threshold merge and calls handed back to the caller's scan.
+	topMerged, topScans atomic.Int64
 }
 
 // OpenChain opens the chain at dir and builds its merged view. Every
@@ -260,12 +265,190 @@ func (v *View) ManifestTime() time.Time { return v.manTime }
 // rebuild would assign them.
 func (v *View) Dictionary() *dictionary.Dictionary { return v.dict }
 
-// TopRecords always reports false: the per-generation precomputed top
-// records cannot be merged without a full fold (a gram just below
-// every generation's top cutoff may sum into the global top), so TopK
-// over a view takes the scanning fallback until the next compaction
-// rebuilds the precomputed file.
-func (v *View) TopRecords(k int) (keys, values [][]byte, ok bool) { return nil, nil, false }
+// TopKStats returns how many TopRecords calls the threshold merge
+// answered and how many fell back to the caller's full scan — the
+// answer to "why was this top-k slow" (ngramsd exports both).
+func (v *View) TopKStats() (merged, scans int64) {
+	return v.topMerged.Load(), v.topScans.Load()
+}
+
+// TopRecords returns the chain's k most frequent merged records in
+// report order — frequency, then length, then canonical text, the
+// order a rebuilt index stores them in — with canonical-space keys,
+// without scanning: a threshold merge (Fagin's TA) over the
+// generations' stored top lists. Frequency is additive under the
+// aggregate fold, so the sum of the frequencies at the lists'
+// frontiers bounds every n-gram the walk has not met yet; each newly
+// met n-gram is folded across all generations by point gets, and the
+// walk stops once the k-th best folded frequency is strictly above
+// that bound (strictly, so ties at the cut are all in hand and the
+// full order decides them exactly as the scan would). An exhausted
+// list contributes 0 only if it holds every record of its generation;
+// a truncated one keeps contributing its last frequency. The cost is
+// O(depth walked × generations) point gets — about k for skewed counts.
+//
+// ok is false when the lists run out before the bound proves the
+// answer — k close to the stored depth, or a delta written before
+// deltas carried top.run — and the caller takes its scanning path;
+// that probing is wasted, at most stored depth × generations² gets.
+// Fewer than k records come back when the chain holds fewer distinct
+// n-grams and every list is complete.
+func (v *View) TopRecords(k int) (keys, values [][]byte, ok bool) {
+	keys, values, ok = v.mergeTop(k)
+	if ok {
+		v.topMerged.Add(1)
+	} else {
+		v.topScans.Add(1)
+	}
+	return keys, values, ok
+}
+
+// topCand is one n-gram the threshold merge has met and folded.
+type topCand struct {
+	key   []byte       // canonical space
+	seq   sequence.Seq // canonical identifiers
+	value []byte       // folded across generations
+	cf    int64
+}
+
+// topBetter is the TopK report order over canonical identifiers:
+// descending frequency, then longer first, then by text.
+func (v *View) topBetter(a, b *topCand) bool {
+	if a.cf != b.cf {
+		return a.cf > b.cf
+	}
+	if len(a.seq) != len(b.seq) {
+		return len(a.seq) > len(b.seq)
+	}
+	for i := range a.seq {
+		if wa, wb := v.dict.Term(a.seq[i]), v.dict.Term(b.seq[i]); wa != wb {
+			return wa < wb
+		}
+	}
+	return false
+}
+
+// freqHeap is a min-heap of frequencies: holding the k best met so
+// far, its root is the k-th best.
+type freqHeap []int64
+
+func (h freqHeap) Len() int           { return len(h) }
+func (h freqHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h freqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *freqHeap) Push(x any)        { *h = append(*h, x.(int64)) }
+func (h *freqHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
+	if err := v.acquire(); err != nil {
+		return nil, nil, false
+	}
+	defer v.release()
+	if len(v.gens) == 1 {
+		// A chain of length one is its base: the stored records are the
+		// answer, re-keyed into the canonical space.
+		base := v.gens[0]
+		if base.TopStored() == base.Records() {
+			k = min(k, int(base.Records()))
+		}
+		keys, values, ok = base.TopRecords(k)
+		for i, key := range keys {
+			var err error
+			if keys[i], _, err = remapKey(nil, key, v.toCanon, nil); err != nil {
+				return nil, nil, false
+			}
+		}
+		return keys, values, ok
+	}
+	if k <= 0 {
+		return nil, nil, true
+	}
+
+	kind := core.AggregationKind(v.man.Kind)
+	stored := make([]int, len(v.gens))
+	truncated := make([]bool, len(v.gens))
+	anyTruncated := false
+	deepest := 0
+	for g, ix := range v.gens {
+		stored[g] = int(ix.TopStored())
+		truncated[g] = int64(stored[g]) < ix.Records()
+		if truncated[g] && stored[g] == 0 {
+			return nil, nil, false // no top.run: nothing bounds this generation
+		}
+		anyTruncated = anyTruncated || truncated[g]
+		deepest = max(deepest, stored[g])
+	}
+
+	var cands []*topCand
+	result := func() ([][]byte, [][]byte, bool) {
+		sort.Slice(cands, func(i, j int) bool { return v.topBetter(cands[i], cands[j]) })
+		cands = cands[:min(k, len(cands))]
+		keys, values := make([][]byte, len(cands)), make([][]byte, len(cands))
+		for i, c := range cands {
+			keys[i], values[i] = c.key, c.value
+		}
+		return keys, values, true
+	}
+	met := make(map[string]struct{})
+	frontier := make([]int64, len(v.gens))
+	var kth freqHeap
+	for d := 0; d < deepest; d++ {
+		for g, ix := range v.gens {
+			if d >= stored[g] {
+				// Exhausted: a complete list has shown everything its
+				// generation holds; a truncated one may hide records as
+				// frequent as its last.
+				if !truncated[g] {
+					frontier[g] = 0
+				}
+				continue
+			}
+			chainKey, val := ix.TopRecord(d)
+			var err error
+			if frontier[g], err = core.DecodeFrequency(kind, val); err != nil {
+				return nil, nil, false
+			}
+			if _, dup := met[string(chainKey)]; dup {
+				continue
+			}
+			met[string(chainKey)] = struct{}{}
+			c := &topCand{}
+			if c.value, ok, err = v.getChain(chainKey); err != nil || !ok {
+				return nil, nil, false
+			}
+			if c.cf, err = core.DecodeFrequency(kind, c.value); err != nil {
+				return nil, nil, false
+			}
+			if c.key, c.seq, err = remapKey(nil, chainKey, v.toCanon, nil); err != nil {
+				return nil, nil, false
+			}
+			cands = append(cands, c)
+			if len(kth) < k {
+				heap.Push(&kth, c.cf)
+			} else if c.cf > kth[0] {
+				kth[0] = c.cf
+				heap.Fix(&kth, 0)
+			}
+		}
+		var bound int64
+		for _, f := range frontier {
+			bound += f
+		}
+		if len(kth) == k && kth[0] > bound {
+			return result()
+		}
+	}
+	if anyTruncated {
+		return nil, nil, false
+	}
+	// Every list is complete and exhausted: the walk met every n-gram
+	// in the chain, fewer than k of them.
+	return result()
+}
 
 // remap rewrites an encoded key through the given identifier table
 // into dst (reusing scratch for the decoded sequence) — chain→canon
@@ -307,7 +490,14 @@ func (v *View) Get(key []byte) ([]byte, bool, error) {
 		// stored anywhere in the chain.
 		return nil, false, nil
 	}
-	var agg core.Aggregate
+	return v.getChain(chainKey)
+}
+
+// getChain is Get for a chain-space key on an already pinned view: one
+// point get per generation, folded.
+func (v *View) getChain(chainKey []byte) ([]byte, bool, error) {
+	kind := core.AggregationKind(v.man.Kind)
+	var agg core.Aggregate // non-nil once the key spans >1 generation
 	var single []byte
 	found := 0
 	for _, g := range v.gens {
@@ -318,29 +508,20 @@ func (v *View) Get(key []byte) ([]byte, bool, error) {
 		if !ok {
 			continue
 		}
-		found++
-		switch found {
-		case 1:
+		if found++; found == 1 {
 			single = val
-		case 2:
-			agg, err = core.DecodeAggregate(core.AggregationKind(v.man.Kind), single)
-			if err == nil {
-				var other core.Aggregate
-				other, err = core.DecodeAggregate(core.AggregationKind(v.man.Kind), val)
-				if err == nil {
-					agg.Merge(other)
-				}
-			}
-			if err != nil {
-				return nil, false, err
-			}
-		default:
-			other, err := core.DecodeAggregate(core.AggregationKind(v.man.Kind), val)
-			if err != nil {
-				return nil, false, err
-			}
-			agg.Merge(other)
+			continue
 		}
+		if agg == nil {
+			if agg, err = core.DecodeAggregate(kind, single); err != nil {
+				return nil, false, err
+			}
+		}
+		other, err := core.DecodeAggregate(kind, val)
+		if err != nil {
+			return nil, false, err
+		}
+		agg.Merge(other)
 	}
 	switch found {
 	case 0:

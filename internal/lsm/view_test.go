@@ -1,0 +1,507 @@
+package lsm
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"ngramstats/internal/core"
+	"ngramstats/internal/dictionary"
+	"ngramstats/internal/encoding"
+	"ngramstats/internal/index"
+	"ngramstats/internal/sequence"
+)
+
+// The fixtures here write chains straight through index.Writer from
+// brute-force counts, so every generation's stored top depth — all
+// records, a truncated list, or no top.run at all (a delta from before
+// deltas carried one) — is under the test's control, and the expected
+// counts do not pass through the code under test.
+
+// testDoc is one document: an identifier, a year, and tokenized
+// sentences.
+type testDoc struct {
+	id    int64
+	year  int
+	sents [][]string
+}
+
+// testGen is one generation to write: its documents and how many top
+// records to store (negative: every record; 0: no top.run).
+type testGen struct {
+	docs  []testDoc
+	depth int
+}
+
+// cell is one n-gram's aggregate under any kind: counts keyed by year
+// (time series), document (document index) or 0 (plain count).
+type cell map[int64]int64
+
+func (c cell) freq() (n int64) {
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
+
+func (c cell) encode(kind core.AggregationKind) []byte {
+	if kind == core.AggCount {
+		return encoding.AppendUvarint(nil, uint64(c[0]))
+	}
+	ids := make([]int64, 0, len(c))
+	for id := range c {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	b := encoding.AppendUvarint(nil, uint64(len(ids)))
+	for _, id := range ids {
+		b = encoding.AppendUvarint(b, uint64(id))
+		b = encoding.AppendUvarint(b, uint64(c[id]))
+	}
+	return b
+}
+
+// countNGrams brute-forces the n-grams of docs up to length sigma into
+// cells keyed by the space-joined text.
+func countNGrams(into map[string]cell, docs []testDoc, sigma int, kind core.AggregationKind) {
+	for _, d := range docs {
+		var slot int64
+		switch kind {
+		case core.AggTimeSeries:
+			slot = int64(d.year)
+		case core.AggDocIndex:
+			slot = d.id
+		}
+		for _, s := range d.sents {
+			for i := range s {
+				for n := 1; n <= sigma && i+n <= len(s); n++ {
+					text := strings.Join(s[i:i+n], " ")
+					if into[text] == nil {
+						into[text] = cell{}
+					}
+					into[text][slot]++
+				}
+			}
+		}
+	}
+}
+
+// writeChain writes gens as a chain at dir (gens[0] the base, adopted
+// flat) and returns the brute-force counts over all documents.
+func writeChain(t *testing.T, dir string, kind core.AggregationKind, sigma int, gens []testGen) map[string]cell {
+	t.Helper()
+	all := map[string]cell{}
+	var terms []string // chain-global identifier order
+	cfs := map[string]int64{}
+	var man *Manifest
+	for g, gen := range gens {
+		counts := map[string]cell{}
+		countNGrams(counts, gen.docs, sigma, kind)
+		countNGrams(all, gen.docs, sigma, kind)
+
+		// The dictionary contract: the base ranks its terms; a delta
+		// inherits every identifier, appends its new terms, and carries
+		// cumulative frequencies.
+		var fresh []string
+		for _, d := range gen.docs {
+			for _, s := range d.sents {
+				for _, w := range s {
+					if _, ok := cfs[w]; !ok {
+						fresh = append(fresh, w)
+					}
+					cfs[w]++
+				}
+			}
+		}
+		sort.Strings(fresh)
+		var dict *dictionary.Dictionary
+		if g == 0 {
+			db := dictionary.NewBuilder()
+			for w, n := range cfs {
+				db.AddN(w, n)
+			}
+			dict = db.Build()
+			for i := 0; i < dict.Len(); i++ {
+				terms = append(terms, dict.Term(sequence.Term(i)))
+			}
+		} else {
+			terms = append(terms, fresh...)
+			table := make([]int64, len(terms))
+			for i, w := range terms {
+				table[i] = cfs[w]
+			}
+			var err error
+			if dict, err = dictionary.FromTable(terms, table); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		type rec struct {
+			key, value []byte
+			cf         int64
+			text       string
+		}
+		recs := make([]rec, 0, len(counts))
+		for text, c := range counts {
+			seq, err := dict.Encode(strings.Fields(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec{encoding.EncodeSeq(seq), c.encode(kind), c.freq(), text})
+		}
+		sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
+
+		sub := "."
+		if g > 0 {
+			sub = man.NextDeltaDir()
+		}
+		w, err := index.NewWriter(filepath.Join(dir, sub), index.WriterOptions{
+			Corpus: "t", Kind: int(kind), Records: int64(len(recs)), Shards: 1,
+			Docs: int64(len(gen.docs)), MaxLength: sigma, MinFrequency: 1, DictUnranked: g > 0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.SetDictionary(dict.Save); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r.key, r.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A chain of one serves its base's list as the answer, so that
+		// list is in report order, as Save writes it. Lists that get
+		// merged need only descend by frequency: their ties sit in key
+		// order, which the merge must not depend on.
+		sort.SliceStable(recs, func(i, j int) bool {
+			a, b := recs[i], recs[j]
+			if a.cf != b.cf || len(gens) > 1 {
+				return a.cf > b.cf
+			}
+			if len(a.key) != len(b.key) { // one byte per term at this vocabulary size
+				return len(a.key) > len(b.key)
+			}
+			return a.text < b.text
+		})
+		depth := gen.depth
+		if depth < 0 || depth > len(recs) {
+			depth = len(recs)
+		}
+		for _, r := range recs[:depth] {
+			if err := w.AppendTop(r.key, r.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		if g == 0 {
+			if man, err = Adopt(dir, false); err != nil {
+				t.Fatal(err)
+			}
+			err = WriteManifest(dir, man)
+		} else {
+			err = AppendGen(dir, man, GenInfo{Dir: sub, Records: int64(len(recs)), Docs: int64(len(gen.docs))})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return all
+}
+
+func openTestChain(t *testing.T, dir string) *View {
+	t.Helper()
+	v, err := OpenChain(dir, Options{TempDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	return v
+}
+
+// topRec is one scanned record with what the report order needs.
+type topRec struct {
+	key, value []byte
+	cf         int64
+	words      int
+	text       string
+}
+
+// scanRanked is the scanning path: every merged record of the view,
+// in TopK report order (frequency, then length, then text).
+func scanRanked(t *testing.T, v *View) []topRec {
+	t.Helper()
+	var recs []topRec
+	err := v.ScanUnordered(func(key, value []byte) error {
+		seq, err := encoding.DecodeSeq(key)
+		if err != nil {
+			return err
+		}
+		cf, err := core.DecodeFrequency(core.AggregationKind(v.Kind()), value)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, topRec{
+			key:   append([]byte(nil), key...),
+			value: append([]byte(nil), value...),
+			cf:    cf,
+			words: len(seq),
+			text:  v.Dictionary().Format(seq),
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.cf != b.cf {
+			return a.cf > b.cf
+		}
+		if a.words != b.words {
+			return a.words > b.words
+		}
+		return a.text < b.text
+	})
+	return recs
+}
+
+// checkMerge requires TopRecords(k), when it answers, to equal the
+// first k scanned records byte for byte, and reports whether it did.
+func checkMerge(t *testing.T, v *View, ranked []topRec, k int) bool {
+	t.Helper()
+	keys, values, ok := v.TopRecords(k)
+	if !ok {
+		return false
+	}
+	want := ranked[:min(k, len(ranked))]
+	if len(keys) != len(want) || len(values) != len(want) {
+		t.Fatalf("TopRecords(%d) returned %d keys, %d values; the scan has %d", k, len(keys), len(values), len(want))
+	}
+	for i, w := range want {
+		if !bytes.Equal(keys[i], w.key) || !bytes.Equal(values[i], w.value) {
+			t.Fatalf("TopRecords(%d)[%d] = %x → %x, the scan has %q (%x → %x)", k, i, keys[i], values[i], w.text, w.key, w.value)
+		}
+	}
+	return true
+}
+
+// randomGen draws documents over a tiny, skewed vocabulary so that
+// frequencies tie constantly and every tie-break is exercised.
+func randomGen(rng *rand.Rand, vocab []string, nextDoc *int64) []testDoc {
+	docs := make([]testDoc, 1+rng.Intn(3))
+	for d := range docs {
+		docs[d] = testDoc{id: *nextDoc, year: 1990 + rng.Intn(3)}
+		*nextDoc++
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			sent := make([]string, 1+rng.Intn(7))
+			for i := range sent {
+				f := rng.Float64()
+				sent[i] = vocab[int(f*f*float64(len(vocab)))]
+			}
+			docs[d].sents = append(docs[d].sents, sent)
+		}
+	}
+	return docs
+}
+
+// TestTopRecordsMatchesScan is the exactness property: over random
+// small chains — every aggregation kind, σ ∈ {1,2,3}, 0–5 deltas,
+// complete, truncated and missing stored lists — the threshold merge
+// either declines or returns exactly what the scan ranks first, order
+// and folded bytes included, and the scan itself equals the
+// brute-force count.
+func TestTopRecordsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(20240915))
+	vocab := []string{"a", "b", "c", "d", "e", "f"}
+	var mergedTruncated, declined int
+	for iter := 0; iter < 150; iter++ {
+		kind := core.AggregationKind(iter % 3)
+		sigma := 1 + rng.Intn(3)
+		words := vocab[:3+rng.Intn(4)]
+		var nextDoc int64
+		gens := make([]testGen, 1+rng.Intn(6))
+		complete := iter%2 == 0
+		for g := range gens {
+			gens[g] = testGen{docs: randomGen(rng, words, &nextDoc), depth: -1}
+			if !complete {
+				// Mostly short lists; now and then a delta with none.
+				gens[g].depth = 1 + rng.Intn(12)
+				if g > 0 && rng.Intn(8) == 0 {
+					gens[g].depth = 0
+				}
+			}
+		}
+		dir := filepath.Join(t.TempDir(), "chain")
+		truth := writeChain(t, dir, kind, sigma, gens)
+		v := openTestChain(t, dir)
+
+		ranked := scanRanked(t, v)
+		if len(ranked) != len(truth) {
+			t.Fatalf("iter %d: the scan yields %d n-grams, brute force %d", iter, len(ranked), len(truth))
+		}
+		for _, r := range ranked {
+			if c := truth[r.text]; r.cf != c.freq() || !bytes.Equal(r.value, c.encode(kind)) {
+				t.Fatalf("iter %d: scan has %q = %d (%x), brute force %d (%x)", iter, r.text, r.cf, r.value, c.freq(), c.encode(kind))
+			}
+		}
+
+		depth := len(ranked)
+		for _, ix := range v.gens {
+			depth = min(depth, int(ix.TopStored()))
+		}
+		for _, k := range []int{0, 1, 2, 10, depth - 1, depth, depth + 1, len(ranked), len(ranked) + 7} {
+			if k < 0 {
+				continue
+			}
+			switch ok := checkMerge(t, v, ranked, k); {
+			case !ok && complete:
+				t.Fatalf("iter %d: TopRecords(%d) declined although every list is complete", iter, k)
+			case !ok:
+				declined++
+			case !complete && len(gens) > 1 && k > 0:
+				mergedTruncated++
+			}
+		}
+	}
+	// The property is vacuous unless truncated lists both answer and
+	// decline.
+	if mergedTruncated == 0 || declined == 0 {
+		t.Fatalf("truncated chains: %d merged answers, %d declined; want both", mergedTruncated, declined)
+	}
+}
+
+// unigrams builds one single-sentence document per (word, count) pair,
+// so at σ = 1 a generation's records are exactly the given counts.
+func unigrams(firstDoc int64, counts ...any) []testDoc {
+	var docs []testDoc
+	for i := 0; i < len(counts); i += 2 {
+		sent := make([]string, counts[i+1].(int))
+		for j := range sent {
+			sent[j] = counts[i].(string)
+		}
+		docs = append(docs, testDoc{id: firstDoc + int64(i/2), year: 2000, sents: [][]string{sent}})
+	}
+	return docs
+}
+
+func rankedTexts(recs []topRec) string {
+	var out []string
+	for _, r := range recs {
+		out = append(out, fmt.Sprintf("%s=%d", r.text, r.cf))
+	}
+	return strings.Join(out, " ")
+}
+
+// TestTopRecordsAbsentFromBase: an n-gram the base never saw but every
+// delta did is found through the deltas' lists and summed.
+func TestTopRecordsAbsentFromBase(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	writeChain(t, dir, core.AggCount, 1, []testGen{
+		{docs: unigrams(0, "a", 9, "b", 3, "c", 1), depth: 2},
+		{docs: unigrams(10, "x", 4, "a", 1, "c", 1), depth: 2},
+		{docs: unigrams(20, "x", 4, "b", 2, "c", 1), depth: 2},
+		{docs: unigrams(30, "x", 4, "a", 1, "b", 1, "c", 1), depth: 2},
+	})
+	v := openTestChain(t, dir)
+	ranked := scanRanked(t, v)
+	if got := rankedTexts(ranked[:2]); got != "x=12 a=11" {
+		t.Fatalf("scan ranks %s first", got)
+	}
+	for _, k := range []int{1, 2} {
+		if !checkMerge(t, v, ranked, k) {
+			t.Fatalf("TopRecords(%d) declined", k)
+		}
+	}
+}
+
+// TestTopRecordsBelowEveryCutoff is the case the scanning fallback was
+// once thought unavoidable for: "s" sits below every generation's own
+// leader yet sums into the global top. Lists too short to reach it
+// must decline (the bound never drops under the best sum in hand);
+// one record deeper and the merge meets it, folds it by point gets and
+// proves it. It is never missed.
+func TestTopRecordsBelowEveryCutoff(t *testing.T) {
+	for _, tc := range []struct {
+		depth int
+		ok    bool
+	}{{1, false}, {2, false}, {3, true}} {
+		dir := filepath.Join(t.TempDir(), "chain")
+		var gens []testGen
+		for g := 0; g < 3; g++ {
+			gens = append(gens, testGen{depth: tc.depth, docs: unigrams(int64(10*g),
+				fmt.Sprintf("h%d", g), 5, "s", 4, fmt.Sprintf("q%d", g), 1, fmt.Sprintf("r%d", g), 1)})
+		}
+		writeChain(t, dir, core.AggCount, 1, gens)
+		v := openTestChain(t, dir)
+		ranked := scanRanked(t, v)
+		if got := rankedTexts(ranked[:2]); got != "s=12 h0=5" {
+			t.Fatalf("scan ranks %s first", got)
+		}
+		if ok := checkMerge(t, v, ranked, 1); ok != tc.ok {
+			t.Fatalf("depth %d: TopRecords(1) answered = %v, want %v", tc.depth, ok, tc.ok)
+		}
+		merged, scans := v.TopKStats()
+		if want := map[bool][2]int64{true: {1, 0}, false: {0, 1}}[tc.ok]; [2]int64{merged, scans} != want {
+			t.Fatalf("depth %d: TopKStats = %d merged, %d scans; want %v", tc.depth, merged, scans, want)
+		}
+	}
+}
+
+// TestTopRecordsDeltaWithoutTop: a chain holding a delta written
+// before deltas carried top.run opens and declines every k, so the
+// caller's scan answers.
+func TestTopRecordsDeltaWithoutTop(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	writeChain(t, dir, core.AggCount, 2, []testGen{
+		{docs: unigrams(0, "a", 3, "b", 2), depth: -1},
+		{docs: unigrams(10, "a", 1, "c", 2), depth: 0},
+	})
+	if _, err := os.Stat(filepath.Join(dir, "delta-000000", index.TopFile)); !os.IsNotExist(err) {
+		t.Fatalf("fixture delta has a top.run (err=%v)", err)
+	}
+	v := openTestChain(t, dir)
+	for _, k := range []int{1, 3, 100} {
+		if _, _, ok := v.TopRecords(k); ok {
+			t.Fatalf("TopRecords(%d) answered past a generation with no stored list", k)
+		}
+	}
+	if merged, scans := v.TopKStats(); merged != 0 || scans != 3 {
+		t.Fatalf("TopKStats = %d merged, %d scans; want 0, 3", merged, scans)
+	}
+}
+
+// TestTopRecordsChainOfOne: a chain with no deltas answers with
+// exactly its base's stored records, to exactly the stored depth.
+func TestTopRecordsChainOfOne(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	writeChain(t, dir, core.AggTimeSeries, 2, []testGen{
+		{docs: unigrams(0, "a", 5, "b", 4, "c", 3, "d", 2), depth: 6},
+	})
+	v := openTestChain(t, dir)
+	base := v.gens[0]
+	for k := 0; k <= 6; k++ {
+		keys, values, ok := v.TopRecords(k)
+		if !ok || len(keys) != k {
+			t.Fatalf("TopRecords(%d) = %d records, ok=%v", k, len(keys), ok)
+		}
+		for i := range keys {
+			// The base's ranked dictionary is the canonical one, so even
+			// the keys are the stored bytes.
+			if wk, wv := base.TopRecord(i); !bytes.Equal(keys[i], wk) || !bytes.Equal(values[i], wv) {
+				t.Fatalf("TopRecords(%d)[%d] is not the base's stored record", k, i)
+			}
+		}
+	}
+	if _, _, ok := v.TopRecords(7); ok {
+		t.Fatal("TopRecords answered beyond the base's stored depth")
+	}
+}

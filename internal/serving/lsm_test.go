@@ -3,10 +3,12 @@ package serving
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,6 +199,27 @@ func TestCompactEndpoint(t *testing.T) {
 	var before LookupResponse
 	if s := getStrict(t, client, ts.URL+"/v1/lookup?q=the+rose", &before); s != http.StatusOK {
 		t.Fatalf("lookup: status %d", s)
+	}
+
+	// The daemon says how it answered a chain top-k: by the threshold
+	// merge over the generations' stored top records, not a scan.
+	var tk TopKResponse
+	if s := getStrict(t, client, ts.URL+"/v1/topk?k=5", &tk); s != http.StatusOK || len(tk.NGrams) != 5 {
+		t.Fatalf("topk on the chain: status %d, %d n-grams", s, len(tk.NGrams))
+	}
+	resp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`ngramsd_topk_merged_total{index="live"} 1`,
+		`ngramsd_topk_scans_total{index="live"} 0`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
 	}
 
 	var cr CompactResponse

@@ -1148,6 +1148,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "ngramsd_index_shards{index=%q} %d\n", name, g.ix.Shards())
 		fmt.Fprintf(w, "ngramsd_block_cache_hits_total{index=%q} %d\n", name, hits)
 		fmt.Fprintf(w, "ngramsd_block_cache_misses_total{index=%q} %d\n", name, misses)
+		merged, scans := g.ix.TopKStats()
+		fmt.Fprintf(w, "ngramsd_topk_merged_total{index=%q} %d\n", name, merged)
+		fmt.Fprintf(w, "ngramsd_topk_scans_total{index=%q} %d\n", name, scans)
 		g.release()
 	}
 }

@@ -115,7 +115,7 @@ func assertIndexesEqual(t *testing.T, got, want *Index) {
 			t.Fatalf("NGram mismatch for %q:\ngot:  %+v\nwant: %+v", w.Text, g, w)
 		}
 	}
-	for _, k := range []int{0, 1, 3, 7, 25, int(want.Len()), int(want.Len()) + 9} {
+	for _, k := range []int{0, 1, 3, 7, 10, 25, 100, int(want.Len()), int(want.Len()) + 9} {
 		gw, err := got.TopK(k)
 		if err != nil {
 			t.Fatal(err)
@@ -264,6 +264,103 @@ func TestAppendCompactGolden(t *testing.T) {
 				t.Fatal("compacting a delta-free chain must be a no-op")
 			}
 		})
+	}
+}
+
+// TestChainTopKBeyondDistinct: a view's Len counts an n-gram once per
+// generation holding it, so a k clamped to Len can still exceed the
+// distinct count. With every stored list complete the merge answers
+// anyway — every n-gram, in scan order, nothing padded — and each
+// delta carries the top.run that makes that possible.
+func TestChainTopKBeyondDistinct(t *testing.T) {
+	chainDir := filepath.Join(t.TempDir(), "chain")
+	fullDir := filepath.Join(t.TempDir(), "full")
+	buildChain(t, Counts, chainDir)
+	saveFullIndex(t, Counts, len(lsmDocs), fullDir)
+	for _, delta := range []string{"delta-000000", "delta-000001"} {
+		if st, err := os.Stat(filepath.Join(chainDir, delta, "top.run")); err != nil || st.Size() == 0 {
+			t.Fatalf("%s has no top.run (%v)", delta, err)
+		}
+	}
+	full, err := OpenIndex(fullDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	chain, err := OpenIndex(chainDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chain.Close()
+	if chain.Len() <= full.Len() {
+		t.Fatalf("fixture: the view's Len %d does not exceed the %d distinct n-grams", chain.Len(), full.Len())
+	}
+	want, err := full.TopK(int(full.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := chain.TopK(int(chain.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK(%d) over %d distinct n-grams:\ngot:  %v\nwant: %v", chain.Len(), full.Len(), texts(got), texts(want))
+	}
+	if merged, scans := chain.TopKStats(); merged != 1 || scans != 0 {
+		t.Fatalf("TopKStats = %d merged, %d scans; want the merge to have answered", merged, scans)
+	}
+}
+
+// TestChainTopKPaths drives both answers of a chain's TopK on
+// generations larger than the stored depth: k the stored lists can
+// prove comes from the threshold merge, k beyond them from the
+// scanning fallback, and both equal a from-scratch rebuild's.
+func TestChainTopKPaths(t *testing.T) {
+	batches := lsmBenchBatches()
+	chain, err := OpenIndex(lsmBenchChain(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chain.Close()
+	var all []Document
+	for _, b := range batches {
+		all = append(all, b...)
+	}
+	fullDir := filepath.Join(t.TempDir(), "full")
+	saveDocuments(t, all, fullDir)
+	full, err := OpenIndex(fullDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+
+	for _, tc := range []struct {
+		k      int
+		merged bool
+	}{{10, true}, {100, true}, {defaultTopDepth + 1, false}, {3000, false}} {
+		m0, s0 := chain.TopKStats()
+		got, err := chain.TopK(tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.TopK(tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != tc.k || !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopK(%d) differs from the rebuild's (%d vs %d n-grams)", tc.k, len(got), len(want))
+		}
+		if tc.merged {
+			m0++
+		} else {
+			s0++
+		}
+		if m1, s1 := chain.TopKStats(); m1 != m0 || s1 != s0 {
+			t.Fatalf("TopK(%d): TopKStats = %d merged, %d scans; want %d, %d", tc.k, m1, s1, m0, s0)
+		}
+	}
+	if merged, scans := full.TopKStats(); merged != 0 || scans != 0 {
+		t.Fatalf("a plain index reports TopKStats %d, %d", merged, scans)
 	}
 }
 

@@ -65,50 +65,31 @@ func (r *Result) SaveWith(dir string, opts SaveOptions) error {
 	if dict == nil {
 		return fmt.Errorf("ngramstats: corpus has no dictionary to persist")
 	}
-	total := r.Len()
-	if opts.Shards <= 0 {
-		opts.Shards = int((total + (128 << 10) - 1) / (128 << 10))
-		if opts.Shards < 1 {
-			opts.Shards = 1
-		}
-		if opts.Shards > 32 {
-			opts.Shards = 32
-		}
-	}
-	if opts.TopDepth == 0 {
-		opts.TopDepth = defaultTopDepth
-	}
-	codec := extsort.CodecRaw
-	if opts.Compress {
-		codec = extsort.CodecFlate
-	}
 
 	// Globally sort the result records by encoded key: the reducer
 	// emits each partition in its own order, while the index relies on
 	// one total bytewise order for shard and block binary search.
 	sorter := extsort.NewSorter(extsort.Options{TempDir: opts.TempDir})
+	defer sorter.Discard()
 	ds := r.run.Result.Dataset()
 	for p := 0; p < ds.NumPartitions(); p++ {
 		err := ds.Scan(p, func(k, v []byte) error { return sorter.Add(k, v) })
 		if err != nil {
-			sorter.Discard()
 			return fmt.Errorf("ngramstats: save: %w", err)
 		}
 	}
-	it, err := sorter.Sort()
-	if err != nil {
-		return fmt.Errorf("ngramstats: save: %w", err)
-	}
-	defer it.Close()
 
 	tau := r.opts.MinFrequency
 	if tau < 1 {
 		tau = 1
 	}
-	w, err := index.NewWriter(dir, index.WriterOptions{
+	codec := extsort.CodecRaw
+	if opts.Compress {
+		codec = extsort.CodecFlate
+	}
+	err := writeIndex(dir, sorter, dict, opts.TopDepth, index.WriterOptions{
 		Corpus:       r.corpus.Name(),
 		Kind:         int(r.run.Result.Kind()),
-		Records:      total,
 		Shards:       opts.Shards,
 		Codec:        codec,
 		Jobs:         r.Jobs(),
@@ -122,35 +103,77 @@ func (r *Result) SaveWith(dir string, opts SaveOptions) error {
 		Replace:      opts.Replace,
 	})
 	if err != nil {
-		return err
-	}
-	if err := w.SetDictionary(dict.Save); err != nil {
-		w.Abort()
-		return err
-	}
-	for it.Next() {
-		if err := w.Append(it.Key(), it.Value()); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	if err := it.Err(); err != nil {
-		w.Abort()
 		return fmt.Errorf("ngramstats: save: %w", err)
 	}
+	return nil
+}
 
-	if opts.TopDepth > 0 {
-		rv := r.resolver()
-		top, err := selectTopRaw(r.eachAggregate, total, opts.TopDepth, rv.topKBetter)
-		if err != nil {
-			w.Abort()
-			return fmt.Errorf("ngramstats: save top records: %w", err)
+// writeIndex drains a filled sorter into a new index at dir: the one
+// save loop behind Result.SaveWith and CompactIndex, which is what
+// keeps a compacted base byte-identical to a rebuild. wo.Records is
+// taken from the sorter; a wo.Shards of 0 sizes the shards
+// automatically (~128k records each, at most 32); topDepth follows
+// SaveOptions.TopDepth. The top records are selected in the same pass
+// that writes the shards; a record whose frequency cannot beat the
+// worst retained one is dropped before its sequence is decoded, and one
+// that loses the tie-break before its aggregate is.
+func writeIndex(dir string, sorter *extsort.Sorter, dict *dictionary.Dictionary, topDepth int, wo index.WriterOptions) error {
+	wo.Records = int64(sorter.Len())
+	if wo.Shards <= 0 {
+		wo.Shards = min(max(int((wo.Records+(128<<10)-1)/(128<<10)), 1), 32)
+	}
+	if topDepth == 0 {
+		topDepth = defaultTopDepth
+	}
+	it, err := sorter.Sort()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+
+	w, err := index.NewWriter(dir, wo)
+	if err != nil {
+		return err
+	}
+	defer w.Abort() // a no-op once Commit has succeeded
+	if err := w.SetDictionary(dict.Save); err != nil {
+		return err
+	}
+	kind := core.AggregationKind(wo.Kind)
+	rv := resolver{term: dict.Term}
+	top := boundedTop{k: topDepth, better: rv.topKBetter}
+	for it.Next() {
+		k, v := it.Key(), it.Value()
+		if err := w.Append(k, v); err != nil {
+			return err
 		}
-		for _, e := range top {
-			if err := w.AppendTop(encoding.EncodeSeq(e.seq), e.agg.Encode()); err != nil {
-				w.Abort()
-				return err
-			}
+		if topDepth <= 0 {
+			continue
+		}
+		e := rawNGram{}
+		if e.cf, err = core.DecodeFrequency(kind, v); err != nil {
+			return err
+		}
+		if len(top.heap) == top.k && e.cf < top.heap[0].cf {
+			continue
+		}
+		if e.seq, err = encoding.DecodeSeq(k); err != nil {
+			return err
+		}
+		if !top.admits(e) {
+			continue
+		}
+		if e.agg, err = core.DecodeAggregate(kind, v); err != nil {
+			return err
+		}
+		top.offer(e)
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	for _, e := range top.sorted() {
+		if err := w.AppendTop(encoding.EncodeSeq(e.seq), e.agg.Encode()); err != nil {
+			return err
 		}
 	}
 	return w.Commit()
@@ -367,8 +390,9 @@ func (x *Index) Each(fn func(NGram) error) error {
 // TopK returns the k most frequent n-grams in the same order as
 // Result.TopK. Up to the saved precomputation depth (SaveOptions.
 // TopDepth) the answer is served from the stored top records without
-// scanning; beyond it the index falls back to a full streaming
-// selection.
+// scanning — for a chain, from a threshold merge over its generations'
+// stored records plus point gets; beyond what those can prove the
+// index falls back to a full streaming selection.
 func (x *Index) TopK(k int) ([]NGram, error) {
 	if k < 0 {
 		k = 0
@@ -378,8 +402,9 @@ func (x *Index) TopK(k int) ([]NGram, error) {
 	}
 	rv := x.resolver()
 	if keys, vals, ok := x.b.TopRecords(k); ok {
-		out := make([]NGram, k)
-		for i := 0; i < k; i++ {
+		// A chain's Len is an upper bound, so fewer than k may come back.
+		out := make([]NGram, len(keys))
+		for i := range keys {
 			s, err := encoding.DecodeSeq(keys[i])
 			if err != nil {
 				return nil, err
@@ -393,6 +418,16 @@ func (x *Index) TopK(k int) ([]NGram, error) {
 		return out, nil
 	}
 	return rv.selectTop(x.eachAggregateUnordered, x.Len(), k, rv.topKBetter)
+}
+
+// TopKStats reports how a chain's TopK calls were answered since the
+// index was opened: by the threshold merge, or by the scanning
+// fallback. Both are zero for a plain index.
+func (x *Index) TopKStats() (merged, scans int64) {
+	if v, ok := x.b.(*lsm.View); ok {
+		return v.TopKStats()
+	}
+	return 0, 0
 }
 
 // Longest returns the k longest indexed n-grams in the same order as
