@@ -249,7 +249,7 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	sorter := extsort.NewSorter(extsort.Options{TempDir: opts.TempDir})
 	defer sorter.Discard()
 	var keyBuf []byte
-	err = v.ScanChain(nil, nil, func(chainKey, value []byte) error {
+	err = v.ScanChain(func(chainKey, value []byte) error {
 		keyBuf, err = v.AppendCanonicalKey(keyBuf, chainKey)
 		if err != nil {
 			return err

@@ -26,6 +26,7 @@ import (
 
 	"ngramstats/internal/core"
 	"ngramstats/internal/corpus"
+	"ngramstats/internal/lsm"
 	"ngramstats/internal/sequence"
 	"ngramstats/internal/stats"
 	"ngramstats/internal/synth"
@@ -516,7 +517,10 @@ func BenchmarkIndexTopK(b *testing.B) {
 // lsmBenchBatches generates five deterministic document batches over a
 // shared skewed vocabulary, so delta generations genuinely overlap the
 // base's key space (the case merge-on-read has to fold).
-func lsmBenchBatches() [][]Document {
+func lsmBenchBatches() [][]Document { return lsmBatches(80) }
+
+// lsmBatches is lsmBenchBatches at a chosen batch size.
+func lsmBatches(docsPerBatch int) [][]Document {
 	rng := rand.New(rand.NewSource(43))
 	vocab := make([]string, 300)
 	for i := range vocab {
@@ -524,7 +528,7 @@ func lsmBenchBatches() [][]Document {
 	}
 	batches := make([][]Document, 5)
 	for bi := range batches {
-		docs := make([]Document, 80)
+		docs := make([]Document, docsPerBatch)
 		for d := range docs {
 			var sb strings.Builder
 			for s := 0; s < 5; s++ {
@@ -574,9 +578,11 @@ func saveDocuments(tb testing.TB, docs []Document, dir string) {
 // lsmBenchChain builds the benchmark chain — one base plus 4 delta
 // generations, τ = 1 (the appendable invariant) — and returns its
 // directory.
-func lsmBenchChain(tb testing.TB) string {
+func lsmBenchChain(tb testing.TB) string { return lsmChain(tb, lsmBenchBatches()) }
+
+// lsmChain saves batches[0] as a base and appends the rest as deltas.
+func lsmChain(tb testing.TB, batches [][]Document) string {
 	tb.Helper()
-	batches := lsmBenchBatches()
 	dir := filepath.Join(tb.TempDir(), "chain")
 	saveDocuments(tb, batches[0], dir)
 	for _, batch := range batches[1:] {
@@ -656,6 +662,70 @@ func BenchmarkViewTopK(b *testing.B) {
 			}
 		})
 	}
+}
+
+// lsmPrefixChain is lsmBenchChain at five times the documents, so that
+// its most frequent word heads a range of more than 5 000 merged
+// records (lsmBenchChain's largest range holds ~1 500).
+func lsmPrefixChain(tb testing.TB) string { return lsmChain(tb, lsmBatches(400)) }
+
+// lsmPrefixCases are the Prefix queries measured and tested on
+// lsmPrefixChain: a range of tens of records and one of thousands.
+var lsmPrefixCases = []struct {
+	name, phrase string
+	minRange     int
+}{{"short", "w001 w002", 20}, {"long", "w000", 5000}}
+
+// benchPrefix measures Prefix(phrase, 20) on ix for lsmPrefixCases.
+func benchPrefix(b *testing.B, ix *Index) {
+	for _, bc := range lsmPrefixCases {
+		b.Run(bc.name, func(b *testing.B) {
+			if all, err := ix.Prefix(bc.phrase, 0); err != nil || len(all) < bc.minRange {
+				b.Fatalf("Prefix(%q, 0): %v (%d records, want ≥ %d)", bc.phrase, err, len(all), bc.minRange)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := ix.Prefix(bc.phrase, 20)
+				if err != nil || len(out) != 20 {
+					b.Fatalf("Prefix(%q, 20): %v (%d)", bc.phrase, err, len(out))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkViewPrefix measures a limit-20 prefix query on a chain of 1
+// base + 4 deltas: one cursor per generation over cached blocks, merged
+// and cut to the 20 smallest canonical keys. "short" is what it costs
+// to set the merge up; "long" adds a pass over a range of thousands.
+func BenchmarkViewPrefix(b *testing.B) {
+	ix, err := OpenIndex(lsmPrefixChain(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ix.Close() })
+	benchPrefix(b, ix)
+}
+
+// BenchmarkIndexPrefix is BenchmarkViewPrefix on the plain index that
+// compaction leaves as the chain's base: one cursor, which stops at the
+// 20th record whatever the range.
+func BenchmarkIndexPrefix(b *testing.B) {
+	dir := lsmPrefixChain(b)
+	if _, err := CompactIndex(dir, CompactOptions{TempDir: b.TempDir()}); err != nil {
+		b.Fatal(err)
+	}
+	man, err := lsm.ReadManifest(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := OpenIndex(filepath.Join(dir, man.Base.Dir))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ix.Close() })
+	benchPrefix(b, ix)
 }
 
 // BenchmarkCompact measures the compaction merge itself: one

@@ -119,7 +119,9 @@
 // documents. Each delta stores its own top records, so TopK over a
 // chain is an exact threshold merge of the generations' stored lists
 // plus point gets rather than a scan (Index.TopKStats counts which
-// answered). CompactIndex merges base + deltas back into a single
+// answered), and Prefix merges one block-cache-served cursor per
+// generation, keeping only the limit answers it returns
+// (Index.PrefixStats counts the records read). CompactIndex merges base + deltas back into a single
 // base that is byte-identical — dictionary, shard files, precomputed
 // top records — to that rebuild, committing via an atomic manifest
 // swap (a crash leaves the previous chain intact and queryable).

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -81,6 +82,61 @@ func TestCorruptionSweep(t *testing.T) {
 		}
 		if err := os.WriteFile(target, orig, 0o666); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCursorDamagedBlock: a block damaged after Open (footers intact)
+// ends a cursor with a corruption error at that block. The records it
+// yielded before are the true ones and nothing of the damaged block is
+// served — through Seek and through the bounded Scan built on it.
+func TestCursorDamagedBlock(t *testing.T) {
+	dir := t.TempDir()
+	const n = 40000
+	keys, vals := buildIndex(t, dir, n, 3)
+	path := filepath.Join(dir, "shard-00001.run")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20 // inside a middle block's payload
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open reads no block, so it cannot see the damage: %v", err)
+	}
+	defer ix.Close()
+	// The damaged block is the one shard 1 names for the first key the
+	// cursor fails to deliver.
+	for _, lo := range [][]byte{nil, keys[n/3+5]} {
+		from := 0
+		if lo != nil {
+			from = n/3 + 5
+		}
+		c := ix.Seek(lo, []byte("zzz"))
+		got := from
+		for c.Next() {
+			if !bytes.Equal(c.Key(), keys[got]) || !bytes.Equal(c.Value(), vals[got]) {
+				t.Fatalf("record %d served as (%s, %s)", got, c.Key(), c.Value())
+			}
+			got++
+		}
+		if !isCleanCorruptionError(c.Err()) {
+			t.Fatalf("cursor ended after %d records with %v, want a corruption error", got-from, c.Err())
+		}
+		if c.Next() || !isCleanCorruptionError(c.Err()) {
+			t.Fatalf("the error does not stick: %v", c.Err())
+		}
+		sh := ix.shards[1]
+		if b := sh.rr.FindBlock(keys[got], nil); ix.findShard(keys[got]) != 1 || b < 1 || !bytes.Equal(sh.rr.FirstKey(b), keys[got]) {
+			t.Fatalf("cursor stopped at %s, not at the start of a later block of shard 1", keys[got])
+		}
+		scanned := from
+		err := ix.Scan(lo, []byte("zzz"), func(k, v []byte) error { scanned++; return nil })
+		if !isCleanCorruptionError(err) || scanned != got {
+			t.Fatalf("Scan delivered %d records and %v; the cursor %d", scanned-from, err, got-from)
 		}
 	}
 }

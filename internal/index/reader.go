@@ -498,62 +498,132 @@ var errStopScan = errors.New("index: stop scan")
 // scan early; Scan then returns nil.
 func StopScan() error { return errStopScan }
 
-// Scan calls fn for every record with lo ≤ key < hi in ascending key
-// order (nil bounds are unbounded). Bounded scans are served through
-// the block cache; full scans bypass it so one NGrams pass cannot evict
-// the hot set. The slices passed to fn are valid only during the call.
-func (ix *Index) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
-	if err := ix.acquire(); err != nil {
-		return err
+// Cursor iterates the records with lo ≤ key < hi in ascending key
+// order, one CRC-verified decoded block at a time, through the block
+// cache. It pins the index against Close until Next has returned false
+// or the cursor is closed, whichever comes first:
+//
+//	c := ix.Seek(lo, hi)
+//	defer c.Close()
+//	for c.Next() { use(c.Key(), c.Value()) }
+//	return c.Err()
+//
+// Key and Value alias immutable block memory: they stay valid after
+// further Next calls and after Close, and must not be modified.
+type Cursor struct {
+	ix     *Index
+	hi     []byte // nil: unbounded
+	lo     []byte // pending lower bound, cleared by the first block
+	s, b   int    // shard and block the cursor reads next
+	blk    *extsort.DecodedBlock
+	i, end int  // current record and end of the range within blk
+	last   bool // blk holds the end of the range
+	err    error
+}
+
+// Seek returns a cursor over the records with lo ≤ key < hi (nil bounds
+// are unbounded), positioned before the first: the manifest's key
+// ranges name the shard, the shard's footer the block, and a binary
+// search the record. On a closed index the cursor is empty and its Err
+// is ErrClosed.
+func (ix *Index) Seek(lo, hi []byte) *Cursor {
+	c := &Cursor{ix: ix, lo: lo, hi: hi}
+	if c.err = ix.acquire(); c.err != nil {
+		c.ix = nil
+		return c
 	}
-	defer ix.release()
-	useCache := lo != nil || hi != nil
-	if !useCache {
-		return ix.scanAll(fn)
-	}
-	s := 0
 	if lo != nil {
-		s = sort.Search(len(ix.shards), func(i int) bool {
+		c.s = sort.Search(len(ix.shards), func(i int) bool {
 			return bytes.Compare(ix.shards[i].info.LastKey, lo) >= 0
 		})
+		if c.s < len(ix.shards) {
+			c.b = max(0, ix.shards[c.s].rr.FindBlock(lo, nil))
+		}
 	}
-	for ; s < len(ix.shards); s++ {
-		sh := ix.shards[s]
-		if hi != nil && bytes.Compare(sh.info.FirstKey, hi) >= 0 {
-			return nil
+	return c
+}
+
+// Next advances to the next record and reports whether there is one;
+// when there is none it closes the cursor.
+func (c *Cursor) Next() bool {
+	if c.i++; c.i < c.end {
+		return true
+	}
+	for c.err == nil && !c.last && c.s < len(c.ix.shards) {
+		rr := c.ix.shards[c.s].rr
+		if c.b >= rr.NumBlocks() {
+			c.s, c.b = c.s+1, 0
+			continue
 		}
-		b := 0
-		if lo != nil {
-			if fb := sh.rr.FindBlock(lo, nil); fb > 0 {
-				b = fb
-			}
+		if c.hi != nil && bytes.Compare(rr.FirstKey(c.b), c.hi) >= 0 {
+			break
 		}
-		for ; b < sh.rr.NumBlocks(); b++ {
-			if hi != nil && bytes.Compare(sh.rr.FirstKey(b), hi) >= 0 {
+		if c.blk, c.err = c.ix.block(c.s, c.b, true); c.err != nil {
+			break
+		}
+		c.b++
+		c.i, c.end = 0, c.blk.Len()
+		if c.lo != nil {
+			// Only the first block can hold keys below lo.
+			c.i, _ = c.blk.Search(c.lo, nil)
+			c.lo = nil
+		}
+		if c.hi != nil && c.end > 0 && bytes.Compare(c.blk.Key(c.end-1), c.hi) >= 0 {
+			c.end, _ = c.blk.Search(c.hi, nil)
+			c.last = true
+		}
+		if c.i < c.end {
+			return true
+		}
+	}
+	c.Close()
+	return false
+}
+
+// Key returns the current record's key.
+func (c *Cursor) Key() []byte { return c.blk.Key(c.i) }
+
+// Value returns the current record's value.
+func (c *Cursor) Value() []byte { return c.blk.Value(c.i) }
+
+// Err returns the error that ended the iteration, if any: ErrClosed, or
+// the read or corruption error of the block Next could not load.
+func (c *Cursor) Err() error { return c.err }
+
+// Close ends the iteration and releases the cursor's pin on the index.
+// It is idempotent.
+func (c *Cursor) Close() {
+	if c.ix != nil {
+		c.ix.release()
+		c.ix = nil
+	}
+	c.i, c.end, c.last = 0, 0, true
+}
+
+// Scan calls fn for every record with lo ≤ key < hi in ascending key
+// order (nil bounds are unbounded). Bounded scans run on a Cursor,
+// through the block cache; full scans bypass it so one NGrams pass
+// cannot evict the hot set. The slices passed to fn are valid only
+// during the call.
+func (ix *Index) Scan(lo, hi []byte, fn func(key, value []byte) error) error {
+	if lo == nil && hi == nil {
+		if err := ix.acquire(); err != nil {
+			return err
+		}
+		defer ix.release()
+		return ix.scanAll(fn)
+	}
+	c := ix.Seek(lo, hi)
+	defer c.Close()
+	for c.Next() {
+		if err := fn(c.Key(), c.Value()); err != nil {
+			if errors.Is(err, errStopScan) {
 				return nil
 			}
-			blk, err := ix.block(s, b, useCache)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < blk.Len(); i++ {
-				k := blk.Key(i)
-				if lo != nil && bytes.Compare(k, lo) < 0 {
-					continue
-				}
-				if hi != nil && bytes.Compare(k, hi) >= 0 {
-					return nil
-				}
-				if err := fn(k, blk.Value(i)); err != nil {
-					if errors.Is(err, errStopScan) {
-						return nil
-					}
-					return err
-				}
-			}
+			return err
 		}
 	}
-	return nil
+	return c.Err()
 }
 
 // scanBatchBlocks bounds one batched region read of an unbounded scan

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -41,6 +42,12 @@ type Options struct {
 // identifier space on the way in and back on the way out, so a caller
 // cannot distinguish a View from the rebuilt index it stands in for.
 //
+// Point gets and bounded scans read each generation through its block
+// cache — one probe, or one index.Cursor, per generation, folded or
+// merged as they go — so a warm query touches no file. Only the full
+// passes (ScanAll, ScanUnordered, the compactor's ScanChain) stream the
+// shard files, past the cache.
+//
 // Like index.Index, all state is immutable after OpenChain and Close
 // is refcounted against in-flight queries, so a serving layer can
 // retire a view under live traffic.
@@ -68,6 +75,9 @@ type View struct {
 	// topMerged and topScans count TopRecords calls answered by the
 	// threshold merge and calls handed back to the caller's scan.
 	topMerged, topScans atomic.Int64
+	// prefixScans and prefixRecords count ScanPrefix calls and the
+	// generation records their merges consumed.
+	prefixScans, prefixRecords atomic.Int64
 }
 
 // OpenChain opens the chain at dir and builds its merged view. Every
@@ -270,6 +280,14 @@ func (v *View) Dictionary() *dictionary.Dictionary { return v.dict }
 // answer to "why was this top-k slow" (ngramsd exports both).
 func (v *View) TopKStats() (merged, scans int64) {
 	return v.topMerged.Load(), v.topScans.Load()
+}
+
+// PrefixStats returns how many bounded scans (ScanPrefix calls) the
+// view has served and how many generation records their merges read —
+// records per scan is the work a prefix query does (ngramsd exports
+// both).
+func (v *View) PrefixStats() (scans, records int64) {
+	return v.prefixScans.Load(), v.prefixRecords.Load()
 }
 
 // TopRecords returns the chain's k most frequent merged records in
@@ -496,121 +514,176 @@ func (v *View) Get(key []byte) ([]byte, bool, error) {
 // getChain is Get for a chain-space key on an already pinned view: one
 // point get per generation, folded.
 func (v *View) getChain(chainKey []byte) ([]byte, bool, error) {
-	kind := core.AggregationKind(v.man.Kind)
-	var agg core.Aggregate // non-nil once the key spans >1 generation
-	var single []byte
-	found := 0
+	var buf [8][]byte
+	cells := buf[:0]
 	for _, g := range v.gens {
 		val, ok, err := g.Get(chainKey)
 		if err != nil {
 			return nil, false, err
 		}
-		if !ok {
-			continue
+		if ok {
+			cells = append(cells, val)
 		}
-		if found++; found == 1 {
-			single = val
-			continue
-		}
-		if agg == nil {
-			if agg, err = core.DecodeAggregate(kind, single); err != nil {
-				return nil, false, err
-			}
-		}
-		other, err := core.DecodeAggregate(kind, val)
+	}
+	if len(cells) == 0 {
+		return nil, false, nil
+	}
+	val, err := v.fold(cells)
+	return val, err == nil, err
+}
+
+// fold merges one key's aggregate cells, one per generation holding the
+// key, into the merged value. A key present in a single generation
+// passes its stored bytes through unchanged, which is the common case.
+func (v *View) fold(cells [][]byte) ([]byte, error) {
+	if len(cells) == 1 {
+		return cells[0], nil
+	}
+	kind := core.AggregationKind(v.man.Kind)
+	agg, err := core.DecodeAggregate(kind, cells[0])
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range cells[1:] {
+		other, err := core.DecodeAggregate(kind, cell)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		agg.Merge(other)
 	}
-	switch found {
-	case 0:
-		return nil, false, nil
-	case 1:
-		return single, true, nil
-	default:
-		return agg.Encode(), true, nil
-	}
+	return agg.Encode(), nil
 }
 
-// ScanChain calls fn for every merged record with lo ≤ chain key < hi
-// in ascending chain-key order. Equal keys across generations arrive
-// folded: fn sees each distinct chain key exactly once, with the
-// generations' aggregate cells merged (a key present in a single
-// generation passes its stored bytes through unchanged, which is the
-// common case). The slices passed to fn are valid only during the
+// ScanChain calls fn for every merged record in ascending chain-key
+// order. Equal keys across generations arrive folded: fn sees each
+// distinct chain key exactly once, with the generations' aggregate
+// cells merged. The slices passed to fn are valid only during the
 // call. fn may return index.StopScan() to end the scan early.
 //
-// The scan streams every generation's sorted shards through one merge
-// tree (reusing the extsort loser tree over the generations' open file
-// descriptors), so its cost is O(total records in range) regardless of
-// how the records are spread across generations.
-func (v *View) ScanChain(lo, hi []byte, fn func(chainKey, value []byte) error) error {
+// This is the full pass of ordered scans, top-k selection and the
+// compactor: it streams every generation's sorted shards through one
+// merge tree (the extsort loser tree over the generations' open file
+// descriptors, batched reads, no block cache), so its cost is O(total
+// records) however they are spread across generations. Bounded reads
+// take scanRange instead.
+func (v *View) ScanChain(fn func(chainKey, value []byte) error) error {
 	if err := v.acquire(); err != nil {
 		return err
 	}
 	defer v.release()
-	return v.scanChainLocked(lo, hi, fn)
-}
-
-func (v *View) scanChainLocked(lo, hi []byte, fn func(chainKey, value []byte) error) error {
 	var runs []*extsort.Run
 	for _, g := range v.gens {
 		runs = append(runs, g.ShardRuns(nil)...)
 	}
-	it, err := extsort.MergeRunsRange(nil, runs, lo, hi)
+	it, err := extsort.MergeRuns(nil, runs)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
 
-	kind := core.AggregationKind(v.man.Kind)
-	var curKey, curVal []byte
-	var agg core.Aggregate // non-nil once cur spans >1 generation
-	have := false
+	// cells[:n] hold the current key's values; the iterator reuses its
+	// buffers, so both are copied into buffers reused in turn.
+	var key []byte
+	var cells [][]byte
+	n := 0
 	flush := func() error {
-		val := curVal
-		if agg != nil {
-			val = agg.Encode()
-		}
-		if err := fn(curKey, val); err != nil {
+		val, err := v.fold(cells[:n])
+		if err != nil {
 			return err
 		}
-		agg = nil
-		return nil
+		n = 0
+		return fn(key, val)
 	}
 	for it.Next() {
-		k, val := it.Key(), it.Value()
-		if have && bytes.Equal(k, curKey) {
-			if agg == nil {
-				if agg, err = core.DecodeAggregate(kind, curVal); err != nil {
-					return err
-				}
-			}
-			other, err := core.DecodeAggregate(kind, val)
-			if err != nil {
-				return err
-			}
-			agg.Merge(other)
-			continue
-		}
-		if have {
+		if n > 0 && !bytes.Equal(it.Key(), key) {
 			if err := flush(); err != nil {
-				if errors.Is(err, index.StopScan()) {
-					return nil
-				}
-				return err
+				return stopIsNil(err)
 			}
 		}
-		curKey = append(curKey[:0], k...)
-		curVal = append(curVal[:0], val...)
-		have = true
+		if n == 0 {
+			key = append(key[:0], it.Key()...)
+		}
+		if n == len(cells) {
+			cells = append(cells, nil)
+		}
+		cells[n] = append(cells[n][:0], it.Value()...)
+		n++
 	}
 	if err := it.Err(); err != nil {
 		return err
 	}
-	if have {
-		if err := flush(); err != nil && !errors.Is(err, index.StopScan()) {
+	if n > 0 {
+		return stopIsNil(flush())
+	}
+	return nil
+}
+
+// stopIsNil maps the early-stop sentinel of a scan callback to nil.
+func stopIsNil(err error) error {
+	if errors.Is(err, index.StopScan()) {
+		return nil
+	}
+	return err
+}
+
+// scanRange calls fn for every distinct chain key with lo ≤ key < hi in
+// ascending order, with the cells stored under it oldest generation
+// first (unfolded, so a caller that drops the key pays no decode). It
+// is a k-way merge over one index.Cursor per generation: each cursor
+// seeks by footer and binary search and steps through cached decoded
+// blocks, so a warm scan reads no file. chainKey and the cells alias
+// immutable block memory; the cells slice itself is reused. The view
+// must be pinned.
+func (v *View) scanRange(lo, hi []byte, fn func(chainKey []byte, cells [][]byte) error) error {
+	// curs are the cursors with records left, in generation order; keys
+	// caches each one's current key. An exhausted cursor has released
+	// itself.
+	curs := make([]*index.Cursor, 0, len(v.gens))
+	keys := make([][]byte, 0, len(v.gens))
+	defer func() {
+		for _, c := range curs {
+			c.Close()
+		}
+	}()
+	for _, g := range v.gens {
+		c := g.Seek(lo, hi)
+		if c.Next() {
+			curs, keys = append(curs, c), append(keys, c.Key())
+		} else if err := c.Err(); err != nil {
+			return err
+		}
+	}
+	cells := make([][]byte, 0, len(curs))
+	at := make([]int, 0, len(curs)) // the cursors on the smallest key
+	for len(curs) > 0 {
+		at = append(at[:0], 0)
+		for i := 1; i < len(curs); i++ {
+			switch c := bytes.Compare(keys[i], keys[at[0]]); {
+			case c < 0:
+				at = append(at[:0], i)
+			case c == 0:
+				at = append(at, i)
+			}
+		}
+		key := keys[at[0]]
+		cells = cells[:0]
+		for _, i := range at {
+			cells = append(cells, curs[i].Value())
+		}
+		// Advance them, newest first so that dropping an exhausted
+		// cursor leaves the indexes still to visit in place.
+		for j := len(at) - 1; j >= 0; j-- {
+			i := at[j]
+			if curs[i].Next() {
+				keys[i] = curs[i].Key()
+				continue
+			}
+			if err := curs[i].Err(); err != nil {
+				return err
+			}
+			curs, keys = slices.Delete(curs, i, i+1), slices.Delete(keys, i, i+1)
+		}
+		if err := fn(key, cells); err != nil {
 			return err
 		}
 	}
@@ -624,7 +697,7 @@ func (v *View) scanChainLocked(lo, hi []byte, fn func(chainKey, value []byte) er
 func (v *View) ScanUnordered(fn func(key, value []byte) error) error {
 	var keyBuf []byte
 	var scratch sequence.Seq
-	return v.ScanChain(nil, nil, func(chainKey, value []byte) error {
+	return v.ScanChain(func(chainKey, value []byte) error {
 		var err error
 		keyBuf, scratch, err = remapKey(keyBuf, chainKey, v.toCanon, scratch)
 		if err != nil {
@@ -655,26 +728,25 @@ func (v *View) ScanAll(fn func(key, value []byte) error) error {
 	defer it.Close()
 	for it.Next() {
 		if err := fn(it.Key(), it.Value()); err != nil {
-			if errors.Is(err, index.StopScan()) {
-				return nil
-			}
-			return err
+			return stopIsNil(err)
 		}
 	}
 	return it.Err()
 }
 
-// ScanPrefix calls fn for every merged record whose canonical key
-// starts with the given byte prefix, in ascending canonical key order.
-// The prefix must be a complete encoded sequence (as produced for a
-// phrase); it is translated to the chain space, where — identifier
-// translation being sequence-position-wise — it bounds exactly the
-// same set of records, which are then collected, translated back, and
-// emitted in canonical order.
-func (v *View) ScanPrefix(prefix []byte, fn func(key, value []byte) error) error {
-	if len(prefix) == 0 {
-		return v.ScanAll(fn)
-	}
+// ScanPrefix calls fn for the first limit merged records, in ascending
+// canonical key order, whose canonical key starts with the given byte
+// prefix (limit ≤ 0: all of them). The prefix must be a complete
+// encoded sequence (as produced for a phrase); it is translated to the
+// chain space, where — identifier translation being
+// sequence-position-wise — it bounds exactly the same set of records.
+// One scanRange pass over that range translates each chain key back
+// into reused scratch and keeps the limit smallest canonical keys in a
+// bounded max-heap; only the survivors are folded, sorted and emitted,
+// so a warm query costs O(range) comparisons and O(limit) memory. The
+// slices passed to fn must not be modified. An empty prefix matches
+// every record; ScanAll is the full pass that does not hold them all.
+func (v *View) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error {
 	if err := v.acquire(); err != nil {
 		return err
 	}
@@ -684,40 +756,89 @@ func (v *View) ScanPrefix(prefix []byte, fn func(key, value []byte) error) error
 		// Identifiers outside the dictionary match nothing.
 		return nil
 	}
-	type rec struct{ key, value []byte }
-	var recs []rec
-	err = v.scanChainLocked(chainPrefix, index.PrefixSuccessor(chainPrefix), func(chainKey, value []byte) error {
-		key, _, err := remapKey(nil, chainKey, v.toCanon, nil)
-		if err != nil {
+	keep := smallestKeys{limit: limit}
+	var keyBuf []byte
+	var scratch sequence.Seq
+	var records int64
+	err = v.scanRange(chainPrefix, index.PrefixSuccessor(chainPrefix), func(chainKey []byte, cells [][]byte) error {
+		records += int64(len(cells))
+		var err error
+		if keyBuf, scratch, err = remapKey(keyBuf, chainKey, v.toCanon, scratch); err != nil {
 			return err
 		}
-		recs = append(recs, rec{key, append([]byte(nil), value...)})
+		keep.offer(keyBuf, cells)
 		return nil
 	})
+	v.prefixScans.Add(1)
+	v.prefixRecords.Add(records)
 	if err != nil {
 		return err
 	}
-	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
-	for _, r := range recs {
-		if err := fn(r.key, r.value); err != nil {
-			if errors.Is(err, index.StopScan()) {
-				return nil
-			}
+	slices.SortFunc(keep.recs, func(a, b keptRecord) int { return bytes.Compare(a.key, b.key) })
+	for _, r := range keep.recs {
+		val, err := v.fold(r.cells)
+		if err != nil {
 			return err
+		}
+		if err := fn(r.key, val); err != nil {
+			return stopIsNil(err)
 		}
 	}
 	return nil
 }
 
-// ShardRuns opens every generation's shards as extsort merge inputs in
-// merge order, reading through the view's open file descriptors — the
-// compactor's input. The view must stay open until the merge
-// completes; the runs stay readable even after the underlying files
-// are unlinked by a committed compaction.
-func (v *View) ShardRuns(stats *extsort.IOStats) []*extsort.Run {
-	var runs []*extsort.Run
-	for _, g := range v.gens {
-		runs = append(runs, g.ShardRuns(stats)...)
+// smallestKeys selects the limit records with the smallest keys of a
+// stream (limit ≤ 0: all of them, unordered): once it holds limit
+// records they form a max-heap on key, so the root is the record the
+// next smaller key replaces.
+type smallestKeys struct {
+	limit int
+	recs  []keptRecord
+	// keys and cells are the arenas the first limit records are cut
+	// from; a record that replaces the root reuses the root's slices.
+	keys  []byte
+	cells [][]byte
+}
+
+type keptRecord struct {
+	key   []byte
+	cells [][]byte // immutable block memory, one cell per generation
+}
+
+// offer considers one record, copying what it keeps.
+func (h *smallestKeys) offer(key []byte, cells [][]byte) {
+	if h.limit <= 0 || len(h.recs) < h.limit {
+		k, c := len(h.keys), len(h.cells)
+		h.keys, h.cells = append(h.keys, key...), append(h.cells, cells...)
+		h.recs = append(h.recs, keptRecord{h.keys[k:len(h.keys):len(h.keys)], h.cells[c:len(h.cells):len(h.cells)]})
+		if len(h.recs) == h.limit {
+			for i := len(h.recs)/2 - 1; i >= 0; i-- {
+				h.siftDown(i)
+			}
+		}
+		return
 	}
-	return runs
+	root := &h.recs[0]
+	if bytes.Compare(key, root.key) >= 0 {
+		return
+	}
+	root.key, root.cells = append(root.key[:0], key...), append(root.cells[:0], cells...)
+	h.siftDown(0)
+}
+
+func (h *smallestKeys) siftDown(i int) {
+	s := h.recs
+	for {
+		big := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(s); c++ {
+			if bytes.Compare(s[c].key, s[big].key) > 0 {
+				big = c
+			}
+		}
+		if big == i {
+			return
+		}
+		s[i], s[big] = s[big], s[i]
+		i = big
+	}
 }

@@ -313,43 +313,60 @@ func randomGen(rng *rand.Rand, vocab []string, nextDoc *int64) []testDoc {
 	return docs
 }
 
-// TestTopRecordsMatchesScan is the exactness property: over random
-// small chains — every aggregation kind, σ ∈ {1,2,3}, 0–5 deltas,
-// complete, truncated and missing stored lists — the threshold merge
-// either declines or returns exactly what the scan ranks first, order
-// and folded bytes included, and the scan itself equals the
-// brute-force count.
-func TestTopRecordsMatchesScan(t *testing.T) {
+// randomChain is one chain of the property tests: what was drawn, the
+// brute-force counts over all its documents, and the open view.
+type randomChain struct {
+	iter     int
+	kind     core.AggregationKind
+	gens     []testGen
+	complete bool // every generation stores all its records as top records
+	truth    map[string]cell
+	v        *View
+}
+
+// forRandomChains draws the 150 random small chains the property tests
+// share — every aggregation kind, σ ∈ {1,2,3}, 0–5 deltas, complete,
+// truncated and missing stored lists — and calls fn on each.
+func forRandomChains(t *testing.T, fn func(c randomChain)) {
 	rng := rand.New(rand.NewSource(20240915))
 	vocab := []string{"a", "b", "c", "d", "e", "f"}
-	var mergedTruncated, declined int
 	for iter := 0; iter < 150; iter++ {
-		kind := core.AggregationKind(iter % 3)
+		c := randomChain{iter: iter, kind: core.AggregationKind(iter % 3), complete: iter%2 == 0}
 		sigma := 1 + rng.Intn(3)
 		words := vocab[:3+rng.Intn(4)]
 		var nextDoc int64
-		gens := make([]testGen, 1+rng.Intn(6))
-		complete := iter%2 == 0
-		for g := range gens {
-			gens[g] = testGen{docs: randomGen(rng, words, &nextDoc), depth: -1}
-			if !complete {
+		c.gens = make([]testGen, 1+rng.Intn(6))
+		for g := range c.gens {
+			c.gens[g] = testGen{docs: randomGen(rng, words, &nextDoc), depth: -1}
+			if !c.complete {
 				// Mostly short lists; now and then a delta with none.
-				gens[g].depth = 1 + rng.Intn(12)
+				c.gens[g].depth = 1 + rng.Intn(12)
 				if g > 0 && rng.Intn(8) == 0 {
-					gens[g].depth = 0
+					c.gens[g].depth = 0
 				}
 			}
 		}
 		dir := filepath.Join(t.TempDir(), "chain")
-		truth := writeChain(t, dir, kind, sigma, gens)
-		v := openTestChain(t, dir)
+		c.truth = writeChain(t, dir, c.kind, sigma, c.gens)
+		c.v = openTestChain(t, dir)
+		fn(c)
+	}
+}
 
+// TestTopRecordsMatchesScan is the exactness property: over random
+// small chains the threshold merge either declines or returns exactly
+// what the scan ranks first, order and folded bytes included, and the
+// scan itself equals the brute-force count.
+func TestTopRecordsMatchesScan(t *testing.T) {
+	var mergedTruncated, declined int
+	forRandomChains(t, func(c randomChain) {
+		iter, v, kind := c.iter, c.v, c.kind
 		ranked := scanRanked(t, v)
-		if len(ranked) != len(truth) {
-			t.Fatalf("iter %d: the scan yields %d n-grams, brute force %d", iter, len(ranked), len(truth))
+		if len(ranked) != len(c.truth) {
+			t.Fatalf("iter %d: the scan yields %d n-grams, brute force %d", iter, len(ranked), len(c.truth))
 		}
 		for _, r := range ranked {
-			if c := truth[r.text]; r.cf != c.freq() || !bytes.Equal(r.value, c.encode(kind)) {
+			if c := c.truth[r.text]; r.cf != c.freq() || !bytes.Equal(r.value, c.encode(kind)) {
 				t.Fatalf("iter %d: scan has %q = %d (%x), brute force %d (%x)", iter, r.text, r.cf, r.value, c.freq(), c.encode(kind))
 			}
 		}
@@ -363,19 +380,172 @@ func TestTopRecordsMatchesScan(t *testing.T) {
 				continue
 			}
 			switch ok := checkMerge(t, v, ranked, k); {
-			case !ok && complete:
+			case !ok && c.complete:
 				t.Fatalf("iter %d: TopRecords(%d) declined although every list is complete", iter, k)
 			case !ok:
 				declined++
-			case !complete && len(gens) > 1 && k > 0:
+			case !c.complete && len(c.gens) > 1 && k > 0:
 				mergedTruncated++
 			}
 		}
-	}
+	})
 	// The property is vacuous unless truncated lists both answer and
 	// decline.
 	if mergedTruncated == 0 || declined == 0 {
 		t.Fatalf("truncated chains: %d merged answers, %d declined; want both", mergedTruncated, declined)
+	}
+}
+
+// kv is one emitted record.
+type kv struct{ key, value []byte }
+
+// TestBoundedScansMatchFullScan is the bounded-read property, over the
+// same random chains. The cursor merge (scanRange) on a random [lo, hi)
+// emits exactly the chain keys and folded values the streaming
+// ScanChain emits inside that range; and ScanPrefix(prefix, limit)
+// emits exactly the first limit records, in canonical key order, of
+// the brute-force counts under that prefix.
+func TestBoundedScansMatchFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var inOne, inSome, inAll int
+	forRandomChains(t, func(c randomChain) {
+		iter, v := c.iter, c.v
+		var stream []kv
+		err := v.ScanChain(func(k, val []byte) error {
+			stream = append(stream, kv{append([]byte(nil), k...), append([]byte(nil), val...)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A bound is absent, a stored key, just past one, or arbitrary.
+		bound := func() []byte {
+			k := stream[rng.Intn(len(stream))].key
+			switch rng.Intn(5) {
+			case 0:
+				return nil
+			case 1:
+				return append(append([]byte(nil), k...), 0)
+			case 2:
+				return []byte{byte(rng.Intn(8)), byte(rng.Intn(8))}
+			default:
+				return k
+			}
+		}
+		for i := 0; i < 12; i++ {
+			lo, hi := bound(), bound()
+			var want []kv
+			for _, r := range stream {
+				if (lo == nil || bytes.Compare(r.key, lo) >= 0) && (hi == nil || bytes.Compare(r.key, hi) < 0) {
+					want = append(want, r)
+				}
+			}
+			var got []kv
+			err := v.scanRange(lo, hi, func(k []byte, cells [][]byte) error {
+				switch {
+				case len(cells) == 1:
+					inOne++
+				case len(cells) == len(v.gens):
+					inAll++
+				default:
+					inSome++
+				}
+				val, err := v.fold(cells)
+				got = append(got, kv{k, val})
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("iter %d: [%x, %x) merges to %d records, the stream holds %d", iter, lo, hi, len(got), len(want))
+			}
+			for j := range want {
+				if !bytes.Equal(got[j].key, want[j].key) || !bytes.Equal(got[j].value, want[j].value) {
+					t.Fatalf("iter %d: [%x, %x) record %d is %x → %x, the stream has %x → %x",
+						iter, lo, hi, j, got[j].key, got[j].value, want[j].key, want[j].value)
+				}
+			}
+		}
+
+		// The canonical answer, from the brute-force counts alone.
+		var canon []kv
+		for text, cl := range c.truth {
+			seq, err := v.Dictionary().Encode(strings.Fields(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon = append(canon, kv{encoding.EncodeSeq(seq), cl.encode(c.kind)})
+		}
+		sort.Slice(canon, func(i, j int) bool { return bytes.Compare(canon[i].key, canon[j].key) < 0 })
+		prefixes := [][]byte{{byte(v.Dictionary().Len())}} // an identifier no term has
+		for i := 0; i < 4; i++ {
+			k := canon[rng.Intn(len(canon))].key
+			prefixes = append(prefixes, k[:1+rng.Intn(len(k))]) // one byte per term at this vocabulary size
+		}
+		for _, prefix := range prefixes {
+			var within []kv
+			for _, r := range canon {
+				if bytes.HasPrefix(r.key, prefix) {
+					within = append(within, r)
+				}
+			}
+			for _, limit := range []int{1, 20, len(within) + 1, 0} {
+				want := within
+				if limit > 0 {
+					want = within[:min(limit, len(within))]
+				}
+				var got []kv
+				if err := v.ScanPrefix(prefix, limit, func(k, val []byte) error {
+					got = append(got, kv{k, val})
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("iter %d: ScanPrefix(%x, %d) emits %d records, want %d", iter, prefix, limit, len(got), len(want))
+				}
+				for j := range want {
+					if !bytes.Equal(got[j].key, want[j].key) || !bytes.Equal(got[j].value, want[j].value) {
+						t.Fatalf("iter %d: ScanPrefix(%x, %d)[%d] = %x → %x, want %x → %x",
+							iter, prefix, limit, j, got[j].key, got[j].value, want[j].key, want[j].value)
+					}
+				}
+			}
+		}
+	})
+	if inOne == 0 || inSome == 0 || inAll == 0 {
+		t.Fatalf("merged keys present in one / some / all generations: %d / %d / %d; want all three", inOne, inSome, inAll)
+	}
+}
+
+// TestPrefixStats: the view counts its bounded scans and the generation
+// records their merges read; an early stop by the callback still counts
+// the scan.
+func TestPrefixStats(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	writeChain(t, dir, core.AggCount, 2, []testGen{
+		{docs: []testDoc{{id: 0, year: 2000, sents: [][]string{{"a", "b", "a", "c"}}}}, depth: -1},
+		{docs: []testDoc{{id: 1, year: 2000, sents: [][]string{{"a", "b", "b", "a"}}}}, depth: -1},
+	})
+	v := openTestChain(t, dir)
+	a, err := v.Dictionary().Encode([]string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen int
+	for _, limit := range []int{0, 1} {
+		if err := v.ScanPrefix(encoding.EncodeSeq(a), limit, func(k, val []byte) error {
+			seen++
+			return index.StopScan()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Under "a": a, a b, a c in the base; a, a b in the delta.
+	if scans, records := v.PrefixStats(); seen != 2 || scans != 2 || records != 10 {
+		t.Fatalf("saw %d records; PrefixStats = %d scans, %d records; want 2, 2, 10", seen, scans, records)
 	}
 }
 

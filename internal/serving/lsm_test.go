@@ -202,10 +202,16 @@ func TestCompactEndpoint(t *testing.T) {
 	}
 
 	// The daemon says how it answered a chain top-k: by the threshold
-	// merge over the generations' stored top records, not a scan.
+	// merge over the generations' stored top records, not a scan. It
+	// also counts the chain's prefix scans and the generation records
+	// they read.
 	var tk TopKResponse
 	if s := getStrict(t, client, ts.URL+"/v1/topk?k=5", &tk); s != http.StatusOK || len(tk.NGrams) != 5 {
 		t.Fatalf("topk on the chain: status %d, %d n-grams", s, len(tk.NGrams))
+	}
+	var pr PrefixResponse
+	if s := getStrict(t, client, ts.URL+"/v1/prefix?q=the+rose&limit=1", &pr); s != http.StatusOK || pr.Count != 1 {
+		t.Fatalf("prefix on the chain: status %d, %d n-grams", s, pr.Count)
 	}
 	resp, err := client.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -216,10 +222,14 @@ func TestCompactEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`ngramsd_topk_merged_total{index="live"} 1`,
 		`ngramsd_topk_scans_total{index="live"} 0`,
+		`ngramsd_prefix_scans_total{index="live"} 1`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	if folded := `ngramsd_prefix_records_folded_total{index="live"} `; !strings.Contains(string(body), folded) || strings.Contains(string(body), folded+"0\n") {
+		t.Fatalf("metrics do not count the records the prefix scan read:\n%s", body)
 	}
 
 	var cr CompactResponse

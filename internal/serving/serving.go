@@ -1151,6 +1151,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		merged, scans := g.ix.TopKStats()
 		fmt.Fprintf(w, "ngramsd_topk_merged_total{index=%q} %d\n", name, merged)
 		fmt.Fprintf(w, "ngramsd_topk_scans_total{index=%q} %d\n", name, scans)
+		prefixScans, prefixRecords := g.ix.PrefixStats()
+		fmt.Fprintf(w, "ngramsd_prefix_scans_total{index=%q} %d\n", name, prefixScans)
+		fmt.Fprintf(w, "ngramsd_prefix_records_folded_total{index=%q} %d\n", name, prefixRecords)
 		g.release()
 	}
 }

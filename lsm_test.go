@@ -160,17 +160,19 @@ func assertIndexesEqual(t *testing.T, got, want *Index) {
 			t.Fatalf("Lookup(%q): got (%v, %v), want (%v, %v)", p, gg, gok, wg, wok)
 		}
 	}
-	for _, p := range []string{"the", "quick brown", "to be", "zebra"} {
-		gp, err := got.Prefix(p, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp, err := want.Prefix(p, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gp, wp) {
-			t.Fatalf("Prefix(%q) mismatch: got %v, want %v", p, texts(gp), texts(wp))
+	for _, p := range []string{"the", "quick", "quick brown", "to be", "zebra"} {
+		for _, limit := range []int{1, 20, 0} {
+			gp, err := got.Prefix(p, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wp, err := want.Prefix(p, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gp, wp) {
+				t.Fatalf("Prefix(%q, %d) mismatch: got %v, want %v", p, limit, texts(gp), texts(wp))
+			}
 		}
 	}
 }
@@ -361,6 +363,55 @@ func TestChainTopKPaths(t *testing.T) {
 	}
 	if merged, scans := full.TopKStats(); merged != 0 || scans != 0 {
 		t.Fatalf("a plain index reports TopKStats %d, %d", merged, scans)
+	}
+	if _, err := full.Prefix("w000", 5); err != nil {
+		t.Fatal(err)
+	}
+	if scans, records := full.PrefixStats(); scans != 0 || records != 0 {
+		t.Fatalf("a plain index reports PrefixStats %d, %d", scans, records)
+	}
+}
+
+// TestChainPrefixWarmPath: once its blocks are cached, a limit-20
+// Prefix on a chain reads no file — every generation's cursor is served
+// by the block cache — and allocates for the 20 answers it returns, not
+// for the range it walked: a range of thousands of records costs no
+// more allocations than one of tens.
+func TestChainPrefixWarmPath(t *testing.T) {
+	chain, err := OpenIndex(lsmPrefixChain(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chain.Close()
+	const gens, bound = 5, 250
+	for _, tc := range lsmPrefixCases {
+		all, err := chain.Prefix(tc.phrase, 0) // also the warm-up
+		if err != nil || len(all) < tc.minRange {
+			t.Fatalf("Prefix(%q, 0): %v (%d records, want ≥ %d)", tc.phrase, err, len(all), tc.minRange)
+		}
+		hits0, misses0 := chain.CacheStats()
+		scans0, records0 := chain.PrefixStats()
+		got, err := chain.Prefix(tc.phrase, 20)
+		if err != nil || !reflect.DeepEqual(got, all[:20]) {
+			t.Fatalf("Prefix(%q, 20) is not the first 20 of Prefix(%q, 0): %v", tc.phrase, tc.phrase, err)
+		}
+		hits, misses := chain.CacheStats()
+		if misses != misses0 || hits-hits0 < gens {
+			t.Fatalf("warm Prefix(%q, 20): %d cache misses, %d hits; want 0 and ≥ %d", tc.phrase, misses-misses0, hits-hits0, gens)
+		}
+		scans, records := chain.PrefixStats()
+		if scans != scans0+1 || records-records0 < int64(len(all)) {
+			t.Fatalf("warm Prefix(%q, 20): PrefixStats moved by %d scans, %d records; the range holds %d", tc.phrase, scans-scans0, records-records0, len(all))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := chain.Prefix(tc.phrase, 20); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Prefix(%q, 20) over %d records: %.0f allocs", tc.phrase, len(all), allocs)
+		if allocs > bound {
+			t.Fatalf("Prefix(%q, 20) over %d records: %.0f allocs, want ≤ %d whatever the range", tc.phrase, len(all), allocs, bound)
+		}
 	}
 }
 

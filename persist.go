@@ -232,7 +232,10 @@ func OpenIndexWith(dir string, opts IndexOptions) (*Index, error) {
 // merged view satisfies it by folding its generations on the fly.
 // ScanAll enumerates in ascending encoded-key order; ScanUnordered
 // may use any order (the cheap variant for order-independent
-// consumers like top-k selection).
+// consumers like top-k selection). ScanPrefix yields the first limit
+// records of the prefix's range in ascending encoded-key order (all of
+// them for limit ≤ 0): a plain index stops its cursor there, a chain
+// selects them while merging one cursor per generation.
 type indexBackend interface {
 	Records() int64
 	Corpus() string
@@ -246,7 +249,7 @@ type indexBackend interface {
 	Get(key []byte) ([]byte, bool, error)
 	ScanAll(fn func(key, value []byte) error) error
 	ScanUnordered(fn func(key, value []byte) error) error
-	ScanPrefix(prefix []byte, fn func(key, value []byte) error) error
+	ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error
 	TopRecords(k int) (keys, values [][]byte, ok bool)
 }
 
@@ -272,8 +275,17 @@ func (p plainBackend) ScanAll(fn func(key, value []byte) error) error {
 func (p plainBackend) ScanUnordered(fn func(key, value []byte) error) error {
 	return p.ix.Scan(nil, nil, fn)
 }
-func (p plainBackend) ScanPrefix(prefix []byte, fn func(key, value []byte) error) error {
-	return p.ix.ScanPrefix(prefix, fn)
+func (p plainBackend) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error {
+	n := 0
+	return p.ix.ScanPrefix(prefix, func(k, v []byte) error {
+		if err := fn(k, v); err != nil {
+			return err
+		}
+		if n++; n == limit {
+			return index.StopScan()
+		}
+		return nil
+	})
 }
 func (p plainBackend) TopRecords(k int) ([][]byte, [][]byte, bool) {
 	return p.ix.TopRecords(k)
@@ -430,6 +442,16 @@ func (x *Index) TopKStats() (merged, scans int64) {
 	return 0, 0
 }
 
+// PrefixStats reports the work a chain's Prefix calls did since the
+// index was opened: the bounded scans served and the generation
+// records their merges read. Both are zero for a plain index.
+func (x *Index) PrefixStats() (scans, records int64) {
+	if v, ok := x.b.(*lsm.View); ok {
+		return v.PrefixStats()
+	}
+	return 0, 0
+}
+
 // Longest returns the k longest indexed n-grams in the same order as
 // Result.Longest, via a full streaming selection.
 func (x *Index) Longest(k int) ([]NGram, error) {
@@ -482,7 +504,9 @@ func (x *Index) Lookup(phrase string) (NGram, bool, error) {
 // Prefix returns up to limit indexed n-grams that extend the given
 // phrase (including the phrase itself, if indexed), in ascending
 // encoded-key order. limit <= 0 returns all. The scan touches only the
-// blocks whose key range intersects the prefix.
+// blocks whose key range intersects the prefix, through the block
+// cache, and stops at limit; on a chain it walks that range in every
+// generation and keeps the limit smallest merged keys.
 func (x *Index) Prefix(phrase string, limit int) ([]NGram, error) {
 	key, ok := x.encodePhrase(phrase)
 	if !ok {
@@ -490,7 +514,7 @@ func (x *Index) Prefix(phrase string, limit int) ([]NGram, error) {
 	}
 	rv := x.resolver()
 	var out []NGram
-	err := x.b.ScanPrefix(key, func(k, v []byte) error {
+	err := x.b.ScanPrefix(key, limit, func(k, v []byte) error {
 		s, err := encoding.DecodeSeq(k)
 		if err != nil {
 			return err
@@ -500,9 +524,6 @@ func (x *Index) Prefix(phrase string, limit int) ([]NGram, error) {
 			return err
 		}
 		out = append(out, rv.decode(s, agg))
-		if limit > 0 && len(out) >= limit {
-			return index.StopScan()
-		}
 		return nil
 	})
 	if err != nil {
