@@ -9,8 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
+
+	"ngramstats/internal/core"
+	"ngramstats/internal/mapreduce"
 )
 
 // countMap collects a result into text → frequency for comparison.
@@ -252,6 +256,52 @@ func TestJobProgressMonotonic(t *testing.T) {
 	}
 	if counters["LAUNCHED_JOBS"] != 3 {
 		t.Fatalf("LAUNCHED_JOBS = %d", counters["LAUNCHED_JOBS"])
+	}
+}
+
+// onTaskDone adapts a function to the one Progress event it wants.
+type onTaskDone func(phase string)
+
+func (onTaskDone) JobStart(mapreduce.JobInfo)   {}
+func (onTaskDone) PhaseStart(string, string)    {}
+func (f onTaskDone) TaskDone(_, phase string)   { f(phase) }
+func (onTaskDone) JobDone(mapreduce.JobSummary) {}
+
+// TestProgressRecordsAdvancePerMapTask wires a tracker the way Start
+// does and snapshots it whenever a map task of a 16-split job finishes:
+// Records must already be non-zero at the first of them, with the map
+// phase still running, and must have reached the job's total at the
+// last — map tasks hand their tallies over as they end, not when the
+// phase does.
+func TestProgressRecordsAdvancePerMapTask(t *testing.T) {
+	track := newProgressTracker()
+	var mu sync.Mutex
+	var snaps []JobProgress
+	hook := onTaskDone(func(phase string) {
+		if phase == "map" {
+			mu.Lock()
+			snaps = append(snaps, track.snapshot())
+			mu.Unlock()
+		}
+	})
+	run, err := core.Compute(context.Background(), SyntheticNYT(160, 9).collection(), core.SuffixSigma, core.Params{
+		Tau: 2, Sigma: 3, InputSplits: 16, NumReducers: 2, MapSlots: 2, Combiner: true,
+		TempDir: t.TempDir(), Progress: mapreduce.MultiProgress(track, hook),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Result.Release()
+	if len(snaps) != 16 {
+		t.Fatalf("%d map-task snapshots, want 16", len(snaps))
+	}
+	for i, p := range snaps {
+		if p.Phase != "map" || p.Records == 0 || (i > 0 && p.Records < snaps[i-1].Records) {
+			t.Fatalf("snapshot %d of the map phase: %+v", i, p)
+		}
+	}
+	if first, last := snaps[0].Records, snaps[15].Records; first >= last || last != run.RecordsTransferred() {
+		t.Fatalf("Records went %d … %d, job total %d", first, last, run.RecordsTransferred())
 	}
 }
 

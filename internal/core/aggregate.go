@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ngramstats/internal/encoding"
 )
@@ -48,6 +48,11 @@ type Aggregate interface {
 	Frequency() int64
 	// Encode serializes the cell as an output value.
 	Encode() []byte
+	// AppendEncode appends the serialized cell to dst, so per-group
+	// loops encode into one reused buffer.
+	AppendEncode(dst []byte) []byte
+	// Reset empties the cell for reuse, keeping its storage.
+	Reset()
 }
 
 // newAggregate returns an empty cell of the given kind.
@@ -162,13 +167,20 @@ func (c *countAggregate) Merge(other Aggregate) { c.n += other.(*countAggregate)
 
 func (c *countAggregate) Frequency() int64 { return c.n }
 
-func (c *countAggregate) Encode() []byte { return encoding.AppendUvarint(nil, uint64(c.n)) }
+func (c *countAggregate) Encode() []byte { return c.AppendEncode(nil) }
+
+func (c *countAggregate) AppendEncode(dst []byte) []byte {
+	return encoding.AppendUvarint(dst, uint64(c.n))
+}
+
+func (c *countAggregate) Reset() { c.n = 0 }
 
 // timeSeriesAggregate counts occurrences per publication year. Encoded
 // form: uvarint(#pairs) then (uvarint(year), uvarint(count))… sorted by
 // year.
 type timeSeriesAggregate struct {
 	counts map[int]int64
+	years  []int // AppendEncode's sort scratch
 }
 
 func (t *timeSeriesAggregate) Add(value []byte) error {
@@ -210,19 +222,23 @@ func (t *timeSeriesAggregate) Frequency() int64 {
 	return n
 }
 
-func (t *timeSeriesAggregate) Encode() []byte {
-	years := make([]int, 0, len(t.counts))
+func (t *timeSeriesAggregate) Encode() []byte { return t.AppendEncode(nil) }
+
+func (t *timeSeriesAggregate) AppendEncode(b []byte) []byte {
+	t.years = t.years[:0]
 	for y := range t.counts {
-		years = append(years, y)
+		t.years = append(t.years, y)
 	}
-	sort.Ints(years)
-	b := encoding.AppendUvarint(nil, uint64(len(years)))
-	for _, y := range years {
+	slices.Sort(t.years)
+	b = encoding.AppendUvarint(b, uint64(len(t.years)))
+	for _, y := range t.years {
 		b = encoding.AppendUvarint(b, uint64(y))
 		b = encoding.AppendUvarint(b, uint64(t.counts[y]))
 	}
 	return b
 }
+
+func (t *timeSeriesAggregate) Reset() { clear(t.counts) }
 
 // Years returns the per-year counts of a time-series aggregate.
 func (t *timeSeriesAggregate) Years() map[int]int64 { return t.counts }
@@ -243,6 +259,7 @@ func TimeSeriesCounts(a Aggregate) (map[int]int64, bool) {
 // document.
 type docIndexAggregate struct {
 	counts map[int64]int64
+	docs   []int64 // AppendEncode's sort scratch
 }
 
 func (d *docIndexAggregate) Add(value []byte) error {
@@ -284,18 +301,31 @@ func (d *docIndexAggregate) Frequency() int64 {
 	return n
 }
 
-func (d *docIndexAggregate) Encode() []byte {
-	docs := make([]int64, 0, len(d.counts))
+func (d *docIndexAggregate) Encode() []byte { return d.AppendEncode(nil) }
+
+func (d *docIndexAggregate) AppendEncode(b []byte) []byte {
+	d.docs = d.docs[:0]
 	for doc := range d.counts {
-		docs = append(docs, doc)
+		d.docs = append(d.docs, doc)
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-	b := encoding.AppendUvarint(nil, uint64(len(docs)))
-	for _, doc := range docs {
+	slices.Sort(d.docs)
+	b = encoding.AppendUvarint(b, uint64(len(d.docs)))
+	for _, doc := range d.docs {
 		b = encoding.AppendUvarint(b, uint64(doc))
 		b = encoding.AppendUvarint(b, uint64(d.counts[doc]))
 	}
 	return b
+}
+
+// Reset drops a large map instead of clearing it: clear costs the
+// map's capacity, which one frequent n-gram would otherwise charge to
+// every later group that reuses the cell.
+func (d *docIndexAggregate) Reset() {
+	if len(d.counts) > 64 {
+		d.counts = make(map[int64]int64)
+		return
+	}
+	clear(d.counts)
 }
 
 // DocIndexCounts extracts the per-document counts from an aggregate

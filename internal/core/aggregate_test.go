@@ -49,6 +49,39 @@ func TestCellEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCellResetAndAppendEncode: a recycled cell is indistinguishable
+// from a fresh one — also after holding enough documents that Reset
+// drops its map — and AppendEncode appends exactly what Encode returns.
+func TestCellResetAndAppendEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, kind := range []AggregationKind{AggCount, AggTimeSeries, AggDocIndex} {
+		reused := newAggregate(kind)
+		for trial := 0; trial < 100; trial++ {
+			fresh, singles := randomCell(t, kind, rng, 1+rng.Intn(10))
+			if trial%10 == 0 { // a large group first
+				for doc := 0; doc < 100; doc++ {
+					if err := reused.Add(mapValue(kind, &docMeta{docID: int64(doc), year: 1900 + doc})); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			reused.Reset()
+			if f := reused.Frequency(); f != 0 {
+				t.Fatalf("%v: frequency %d after Reset", kind, f)
+			}
+			for _, v := range singles {
+				if err := reused.Add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := fresh.Encode()
+			if got := reused.AppendEncode([]byte("prefix")); string(got) != "prefix"+string(want) {
+				t.Fatalf("%v: recycled cell encodes %x, fresh cell %x", kind, got, want)
+			}
+		}
+	}
+}
+
 // TestCellMergeOrderIndependence: merging cells in any order and
 // grouping yields the same aggregate — the algebraic requirement for
 // combiners and for the lazy stack merging of SUFFIX-σ.

@@ -137,17 +137,24 @@ func (m *suffixMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 // feeds the reducer unchanged.
 type aggregateCombiner struct {
 	kind AggregationKind
+
+	cell   Aggregate // reused for every group
+	valBuf []byte
 }
 
 // Reduce implements mapreduce.Reducer.
 func (c *aggregateCombiner) Reduce(key []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	cell := newAggregate(c.kind)
+	if c.cell == nil {
+		c.cell = newAggregate(c.kind)
+	}
+	c.cell.Reset()
 	for values.Next() {
-		if err := cell.Add(values.Value()); err != nil {
+		if err := c.cell.Add(values.Value()); err != nil {
 			return err
 		}
 	}
-	return emit(key, cell.Encode())
+	c.valBuf = c.cell.AppendEncode(c.valBuf[:0])
+	return emit(key, c.valBuf)
 }
 
 // suffixSigmaReducer is the reduce-function of Algorithm 4: it keeps a
@@ -165,6 +172,7 @@ type suffixSigmaReducer struct {
 
 	terms sequence.Seq
 	cells []Aggregate
+	free  []Aggregate // cells process is done with, reset on reuse
 	cur   sequence.Seq
 
 	// Prefix-maximality/closedness filter state (Section VI-A): the last
@@ -173,7 +181,19 @@ type suffixSigmaReducer struct {
 	lastCF      int64
 	haveLast    bool
 
-	keyBuf []byte
+	keyBuf, valBuf []byte
+}
+
+// newCell returns an empty cell, recycled from the free list when
+// process has released one.
+func (r *suffixSigmaReducer) newCell() Aggregate {
+	if n := len(r.free); n > 0 {
+		cell := r.free[n-1]
+		r.free = r.free[:n-1]
+		cell.Reset()
+		return cell
+	}
+	return newAggregate(r.kind)
 }
 
 // Reduce implements mapreduce.Reducer.
@@ -183,7 +203,7 @@ func (r *suffixSigmaReducer) Reduce(key []byte, values *mapreduce.Values, emit m
 	if err != nil {
 		return err
 	}
-	cell := newAggregate(r.kind)
+	cell := r.newCell()
 	for values.Next() {
 		if err := cell.Add(values.Value()); err != nil {
 			return err
@@ -214,6 +234,7 @@ func (r *suffixSigmaReducer) process(s sequence.Seq, cell Aggregate, emit mapred
 			// Lazy aggregation: fold the popped count into the parent.
 			r.cells[len(r.cells)-2].Merge(top)
 		}
+		r.free = append(r.free, top)
 		r.terms = r.terms[:len(r.terms)-1]
 		r.cells = r.cells[:len(r.cells)-1]
 	}
@@ -226,6 +247,7 @@ func (r *suffixSigmaReducer) process(s sequence.Seq, cell Aggregate, emit mapred
 		if len(s) > 0 {
 			r.cells[len(r.cells)-1].Merge(cell)
 		}
+		r.free = append(r.free, cell)
 		return nil
 	}
 	// Push the diverging rest of s; only the complete suffix carries the
@@ -235,7 +257,7 @@ func (r *suffixSigmaReducer) process(s sequence.Seq, cell Aggregate, emit mapred
 		if i == len(s)-1 {
 			r.cells = append(r.cells, cell)
 		} else {
-			r.cells = append(r.cells, newAggregate(r.kind))
+			r.cells = append(r.cells, r.newCell())
 		}
 	}
 	return nil
@@ -256,7 +278,8 @@ func (r *suffixSigmaReducer) emitNGram(s sequence.Seq, cell Aggregate, emit mapr
 		}
 	}
 	r.keyBuf = encoding.AppendSeq(r.keyBuf[:0], s)
-	if err := emit(r.keyBuf, cell.Encode()); err != nil {
+	r.valBuf = cell.AppendEncode(r.valBuf[:0])
+	if err := emit(r.keyBuf, r.valBuf); err != nil {
 		return err
 	}
 	if r.mode != SelectAll {

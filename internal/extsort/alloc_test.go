@@ -72,3 +72,32 @@ func TestRunWriterAppendAllocs(t *testing.T) {
 		t.Fatalf("Append allocates %.1f times per record, want <= 4", avg)
 	}
 }
+
+// TestSealRecyclesBuffers: Seal encodes its buffer into a run of its
+// own, so the record arena and table go back to the pools — the next
+// sorter starts on them instead of growing from zero.
+func TestSealRecyclesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	for getArena() != nil || getRecs() != nil { // leftovers of earlier tests
+	}
+	s := NewSorter(Options{TempDir: t.TempDir()})
+	for i := 0; i < 1000; i++ {
+		if err := s.Add([]byte(fmt.Sprintf("key-%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arenaCap, recsCap := cap(s.arena), cap(s.recs)
+	runs, err := s.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runs[0].Discard()
+	next := NewSorter(Options{TempDir: t.TempDir()})
+	defer next.Discard()
+	if cap(next.arena) != arenaCap || cap(next.recs) != recsCap {
+		t.Fatalf("sorter after a Seal starts with arena cap %d, table cap %d; the sealed one had %d and %d",
+			cap(next.arena), cap(next.recs), arenaCap, recsCap)
+	}
+}

@@ -8,19 +8,20 @@
 // runs themselves off as immutable Run values that any number of
 // sorters can contribute to one MergeRuns call.
 //
-// The Sort path serves single-owner consumers (a combiner sorting one
-// map task's local output); the Seal/MergeRuns path is the shuffle
-// hand-off, mirroring Hadoop's architecture in which every map task
-// sorts and spills its own output and each reduce task merges the
-// sealed runs of all map tasks for its partition — the "sorting" half
-// of MapReduce's sort-and-group contract that the paper's methods rely
-// on.
+// The Sort path serves single-owner consumers (an index save sorting
+// its own records); the Seal/MergeRuns path is the shuffle hand-off,
+// mirroring Hadoop's architecture in which every map task sorts and
+// spills its own output — through its combiner, when Options.Combine
+// is set — and each reduce task merges the sealed runs of all map
+// tasks for its partition — the "sorting" half of MapReduce's
+// sort-and-group contract that the paper's methods rely on.
 package extsort
 
 import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -44,6 +45,10 @@ type Options struct {
 	// OnSpill, if non-nil, is invoked with the number of records in each
 	// spilled run (for SPILLED_RECORDS-style counters).
 	OnSpill func(records int)
+	// Combine, if non-nil, folds every sorted buffer while it is encoded
+	// into a run, at each spill and at Seal (Hadoop's combine-on-spill).
+	// Sort does not apply it.
+	Combine CombineFunc
 	// Codec selects the optional per-block compression of sealed runs
 	// and spill files. Default is CodecRaw (front-coding only).
 	Codec Codec
@@ -53,18 +58,23 @@ type Options struct {
 	Stats *IOStats
 }
 
+// CombineFunc consumes one sorted buffer and passes the records that
+// replace it to write, in the sorter's key order: a key that sorts
+// before the previously written one fails the run instead of
+// corrupting it. Both sides copy what they keep.
+type CombineFunc func(sorted *Iterator, write func(key, value []byte) error) error
+
 type record struct {
 	keyOff, keyLen int
 	valOff, valLen int
 }
 
 // Process-wide buffer pools. The shuffle creates one sorter per map
-// task per partition (and the combiner another set per task), so the
-// record arenas and tables churn constantly; recycling them removes
-// the dominant allocation of the emit path. Buffers return to the
-// pools when a sorter is sealed or discarded and when a Sort
-// iterator's in-memory source drains, i.e. strictly after the last
-// read of their contents.
+// task per partition, so the record arenas and tables churn
+// constantly; recycling them removes the dominant allocation of the
+// emit path. Buffers return to the pools when a sorter is sealed or
+// discarded and when a Sort iterator's in-memory source drains, i.e.
+// strictly after the last read of their contents.
 var (
 	arenaPool sync.Pool // *[]byte
 	recsPool  sync.Pool // *[]record
@@ -177,32 +187,58 @@ func (s *Sorter) sortInMemory() {
 	})
 }
 
+// encodeRun sorts the in-memory buffer and encodes it into w in the
+// run format — through the combiner, when one is configured. It
+// reports the encoded size and the number of records written; the
+// buffer itself is left to the caller.
+func (s *Sorter) encodeRun(w io.Writer) (size int64, n int, err error) {
+	s.sortInMemory()
+	rw := newRunWriter(w, s.opts.Codec, 0)
+	if s.opts.Combine == nil {
+		for _, r := range s.recs {
+			key := s.arena[r.keyOff : r.keyOff+r.keyLen]
+			val := s.arena[r.valOff : r.valOff+r.valLen]
+			if err := rw.append(key, val); err != nil {
+				return 0, 0, err
+			}
+		}
+	} else {
+		// The iterator borrows the buffer: its Close must not recycle
+		// what the sorter goes on using after a spill.
+		src := &memSource{arena: s.arena, recs: s.recs, lent: true}
+		src.next() // callers encode non-empty buffers only
+		sorted := &Iterator{cmp: s.cmp}
+		sorted.addSource(src)
+		err := s.opts.Combine(sorted, func(key, value []byte) error {
+			if rw.total > 0 && s.cmp(rw.prevKey, key) > 0 {
+				return fmt.Errorf("combiner wrote key %x after %x, out of sort order", key, rw.prevKey)
+			}
+			return rw.append(key, value)
+		})
+		sorted.Close()
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	size, err = rw.finish()
+	return size, int(rw.total), err
+}
+
 func (s *Sorter) spill() error {
 	if len(s.recs) == 0 {
 		return nil
 	}
-	s.sortInMemory()
 	f, err := os.CreateTemp(s.opts.TempDir, fmt.Sprintf("extsort-spill-%d-*.run", s.spillID))
 	if err != nil {
 		return fmt.Errorf("extsort: create spill: %w", err)
 	}
 	s.spillID++
 	w := bufio.NewWriterSize(f, 256<<10)
-	rw := newRunWriter(w, s.opts.Codec, 0)
-	for _, r := range s.recs {
-		key := s.arena[r.keyOff : r.keyOff+r.keyLen]
-		val := s.arena[r.valOff : r.valOff+r.valLen]
-		if err := rw.append(key, val); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return fmt.Errorf("extsort: write spill: %w", err)
-		}
-	}
-	written, err := rw.finish()
+	written, n, err := s.encodeRun(w)
 	if err != nil {
 		f.Close()
 		os.Remove(f.Name())
-		return fmt.Errorf("extsort: finish spill: %w", err)
+		return fmt.Errorf("extsort: write spill: %w", err)
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -213,14 +249,19 @@ func (s *Sorter) spill() error {
 		os.Remove(f.Name())
 		return fmt.Errorf("extsort: close spill: %w", err)
 	}
-	s.opts.Stats.addWritten(written)
-	if s.opts.OnSpill != nil {
-		s.opts.OnSpill(len(s.recs))
-	}
-	s.spills = append(s.spills, spillFile{path: f.Name(), recs: len(s.recs)})
 	s.arena = s.arena[:0]
 	s.recs = s.recs[:0]
 	s.mem = 0
+	if n == 0 {
+		// The combiner dropped every record: no run to hand off.
+		os.Remove(f.Name())
+		return nil
+	}
+	s.opts.Stats.addWritten(written)
+	if s.opts.OnSpill != nil {
+		s.opts.OnSpill(n)
+	}
+	s.spills = append(s.spills, spillFile{path: f.Name(), recs: n})
 	return nil
 }
 
@@ -315,6 +356,7 @@ type memSource struct {
 	recs  []record
 	i     int
 	cur   record
+	lent  bool // the sorter keeps the buffers; close leaves them alone
 }
 
 func (m *memSource) next() (bool, error) {
@@ -335,10 +377,12 @@ func (m *memSource) value() []byte {
 }
 
 func (m *memSource) close() {
-	// The source owns the sorter's arena and record table; recycle them
-	// now that the last record has been read.
-	putArena(m.arena)
-	putRecs(m.recs)
+	// A source that owns the sorter's arena and record table recycles
+	// them now that the last record has been read.
+	if !m.lent {
+		putArena(m.arena)
+		putRecs(m.recs)
+	}
 	m.arena, m.recs = nil, nil
 }
 

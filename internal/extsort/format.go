@@ -317,7 +317,8 @@ func (rw *runWriter) flushBlock() error {
 	rw.off += uint64(len(hdr) + len(payload))
 	rw.buf = rw.buf[:0]
 	rw.nRecs = 0
-	rw.prevKey = rw.prevKey[:0]
+	// prevKey stays: it is the run's last key, which the sorter's
+	// combine path checks the next key against.
 	rw.prevVal = rw.prevVal[:0]
 	rw.hasPrev = false
 	return nil

@@ -71,10 +71,12 @@ func (r *Run) source(cmp Compare, lo, hi []byte) (source, error) {
 }
 
 // Seal finalizes the sorter into its sealed sorted runs without merging
-// them: the in-memory buffer is sorted and encoded into one in-memory
-// run in the block-framed run format, and each spill file becomes one
-// on-disk run. Ownership of all backing resources passes to the
-// returned runs. After Seal, Add and Sort must not be called.
+// them: the in-memory buffer is sorted and encoded — through
+// Options.Combine, when set — into one in-memory run in the
+// block-framed run format, and each spill file becomes one on-disk
+// run. Ownership of all backing resources passes to the returned runs;
+// when Seal fails it releases them, spill files included. After Seal,
+// Add and Sort must not be called.
 //
 // Seal is the map-task half of the shuffle hand-off: it costs no disk
 // I/O beyond spills that already happened, so small map outputs travel
@@ -86,32 +88,34 @@ func (s *Sorter) Seal() ([]*Run, error) {
 		return nil, fmt.Errorf("extsort: Seal after Sort or Seal")
 	}
 	s.closed = true
-	s.sortInMemory()
 
 	var runs []*Run
 	for _, sp := range s.spills {
 		runs = append(runs, &Run{path: sp.path, n: sp.recs, stats: s.opts.Stats})
 	}
-	if len(s.recs) > 0 {
-		var buf bytes.Buffer
-		rw := newRunWriter(&buf, s.opts.Codec, 0)
-		for _, r := range s.recs {
-			key := s.arena[r.keyOff : r.keyOff+r.keyLen]
-			val := s.arena[r.valOff : r.valOff+r.valLen]
-			if err := rw.append(key, val); err != nil {
-				return nil, fmt.Errorf("extsort: seal in-memory run: %w", err)
-			}
-		}
-		written, err := rw.finish()
-		if err != nil {
-			return nil, fmt.Errorf("extsort: seal in-memory run: %w", err)
-		}
-		s.opts.Stats.addWritten(written)
-		runs = append(runs, &Run{data: buf.Bytes(), n: len(s.recs), stats: s.opts.Stats})
-	}
 	s.spills = nil
-	s.arena = nil
-	s.recs = nil
+	// The encoded run holds its own copy of every record, so the buffers
+	// go back to the pools on every path out.
+	defer func() {
+		putArena(s.arena)
+		putRecs(s.recs)
+		s.arena, s.recs = nil, nil
+	}()
+	if len(s.recs) == 0 {
+		return runs, nil
+	}
+	var buf bytes.Buffer
+	written, n, err := s.encodeRun(&buf)
+	if err != nil {
+		for _, r := range runs {
+			r.Discard()
+		}
+		return nil, fmt.Errorf("extsort: seal in-memory run: %w", err)
+	}
+	if n > 0 { // a combiner may drop every record
+		s.opts.Stats.addWritten(written)
+		runs = append(runs, &Run{data: buf.Bytes(), n: n, stats: s.opts.Stats})
+	}
 	return runs, nil
 }
 

@@ -1,16 +1,17 @@
 package mapreduce
 
-// Benchmarks for the shuffle emit path. The headline comparison is map
-// phase throughput at MapSlots=1 vs MapSlots=GOMAXPROCS: with the
-// map-side shuffle no lock is taken per emitted record, so adding map
-// slots must never make the map phase slower (and speeds it up on
-// multi-core hosts).
+// Benchmarks for the task loops. The headline comparison is phase
+// throughput at one slot vs GOMAXPROCS slots: a task shares nothing
+// with its neighbours per record or per group — no lock, no counter
+// cell, no cancellation state — so adding slots must never make a
+// phase slower (and speeds it up on multi-core hosts).
 
 import (
 	"context"
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"ngramstats/internal/encoding"
 )
@@ -54,7 +55,8 @@ func benchShuffleJob(b *testing.B, mapSlots, emitPerTask int) {
 }
 
 // BenchmarkMapPhaseThroughput is the before/after evidence for the
-// lock-free emit path: compare MapSlots=1 against MapSlots=GOMAXPROCS.
+// share-nothing emit path: compare MapSlots=1 against
+// MapSlots=GOMAXPROCS.
 func BenchmarkMapPhaseThroughput(b *testing.B) {
 	const emitPerTask = 20_000
 	b.Run("MapSlots=1", func(b *testing.B) {
@@ -65,8 +67,94 @@ func BenchmarkMapPhaseThroughput(b *testing.B) {
 	})
 }
 
+// reducePhaseProbe reads the clock and the allocation count when the
+// reduce phase opens, so the benchmark charges the phase alone.
+type reducePhaseProbe struct {
+	start   time.Time
+	mallocs uint64
+}
+
+func (p *reducePhaseProbe) JobStart(JobInfo) {}
+func (p *reducePhaseProbe) PhaseStart(_, phase string) {
+	if phase == "reduce" {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		p.start, p.mallocs = time.Now(), m.Mallocs
+	}
+}
+func (p *reducePhaseProbe) TaskDone(string, string) {}
+func (p *reducePhaseProbe) JobDone(JobSummary)      {}
+
+// discardSink drops reducer output: the benchmark measures the reduce
+// loop, not the dataset it would fill.
+type discardSink struct{}
+
+func (discardSink) Writer(int) (SinkWriter, error) { return discardSink{}, nil }
+func (discardSink) Finish() (Dataset, error)       { return NewMemDataset(nil), nil }
+func (discardSink) Write(key, value []byte) error  { return nil }
+func (discardSink) Close() error                   { return nil }
+
+func benchReduceJob(b *testing.B, reduceSlots, groups int) {
+	b.Helper()
+	const splits = 8 // every group merges one value from each
+	var phase time.Duration
+	var mallocs uint64
+	for i := 0; i < b.N; i++ {
+		var probe reducePhaseProbe
+		res, err := Run(context.Background(), &Job{
+			Name:      "bench-reduce",
+			Input:     benchInput(splits),
+			NewMapper: func() Mapper { return emitHeavyMapper{k: groups} },
+			NewReducer: func() Reducer {
+				var buf []byte
+				return ReducerFunc(func(key []byte, values *Values, emit Emit) error {
+					var total uint64
+					for values.Next() {
+						v, _ := encoding.Uvarint(values.Value())
+						total += v
+					}
+					buf = encoding.AppendUvarint(buf[:0], total)
+					return emit(key, buf)
+				})
+			},
+			NumReducers: 4,
+			ReduceSlots: reduceSlots,
+			Sink:        func(int) (Sink, error) { return discardSink{}, nil },
+			TempDir:     b.TempDir(),
+			Progress:    &probe,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		phase += time.Since(probe.start)
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		mallocs += m.Mallocs - probe.mallocs
+		if got := res.Counters.Get(CounterReduceInputGroups); got != int64(groups) {
+			b.Fatalf("%d reduce groups, want %d", got, groups)
+		}
+	}
+	perGroup := float64(b.N) * float64(groups)
+	b.ReportMetric(float64(phase.Nanoseconds())/perGroup, "ns/group")
+	b.ReportMetric(float64(mallocs)/perGroup, "allocs/group")
+}
+
+// BenchmarkReducePhaseThroughput is the reduce-side mirror of
+// BenchmarkMapPhaseThroughput: the merge, the grouping and the
+// per-group bookkeeping of the reduce loop, at ReduceSlots=1 against
+// ReduceSlots=GOMAXPROCS.
+func BenchmarkReducePhaseThroughput(b *testing.B) {
+	const groups = 20_000
+	b.Run("ReduceSlots=1", func(b *testing.B) {
+		benchReduceJob(b, 1, groups)
+	})
+	b.Run("ReduceSlots=GOMAXPROCS", func(b *testing.B) {
+		benchReduceJob(b, runtime.GOMAXPROCS(0), groups)
+	})
+}
+
 // BenchmarkEmitRecord measures the raw cost of one record through the
-// emit path (partition + task-private sorter append + atomic counters).
+// emit path (partition + task-private sorter append + plain tallies).
 func BenchmarkEmitRecord(b *testing.B) {
 	val := encoding.AppendUvarint(nil, 1)
 	recs := []KV{{Key: []byte("0"), Value: []byte("x")}}

@@ -138,7 +138,6 @@ func newNetCoordinator(plan *Plan, sink Sink, counters *Counters, progress Progr
 		Config:         plan.Spec.Config,
 		NumReducers:    plan.NumReducers,
 		ShuffleMemory:  plan.ShuffleMemory,
-		CombineMemory:  plan.CombineMemory,
 		Codec:          int(plan.ShuffleCodec),
 		SideKeys:       sideKeys,
 		LeaseTTLMillis: ttl.Milliseconds(),

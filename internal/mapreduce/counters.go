@@ -117,10 +117,10 @@ func (c *Counters) Add(name string, delta int64) {
 }
 
 // Counter returns the atomic cell backing the named counter, creating
-// it if needed. Hot paths — the per-record map emit path above all —
-// resolve their counters once per task and then update the returned
-// cell lock-free, instead of paying the name lookup (and its mutex) per
-// record.
+// it if needed, for callers that mind Add's name lookup and mutex. The
+// runtime's task loops do not use it: they count into task-local
+// integers and Add once per task, since even a pre-resolved cell is a
+// cache line every slot writes.
 func (c *Counters) Counter(name string) *atomic.Int64 {
 	return c.counter(name)
 }

@@ -70,11 +70,17 @@
 //
 // The shuffle follows Hadoop's map-side spill / reduce-side merge
 // design. Each map task partitions its output into task-private
-// bounded-memory sorters (package extsort), one per reduce partition,
-// optionally routing records through the combiner first. No lock is
-// taken on the per-record emit path: the sorters belong to the task
-// alone and hot counters are pre-resolved atomic cells, so map slots
-// scale without contending on a shared collector.
+// bounded-memory sorters (package extsort), one per reduce partition;
+// a record is copied once, into its partition's buffer. A combiner
+// runs inside the sorter, over each sorted buffer as it is encoded
+// into a run (Hadoop's combine-on-spill), and must emit in key order:
+// a key sorting before the previous one fails the task.
+//
+// A task shares nothing with its neighbours per record or per group,
+// map or reduce: its sorters are its own, its loops count into plain
+// integers added to the job's Counters once when the task ends (live
+// readers see counters advance per finished task), and cancellation
+// reaches it through a task-local flag the context sets.
 //
 // When a task finishes, it seals every partition sorter into immutable
 // sorted runs — the final in-memory buffer is encoded into an
@@ -111,9 +117,8 @@
 // sorters; total shuffle buffering therefore approaches
 // MapSlots×ShuffleMemory. When a task's buffered bytes exceed its
 // budget, the largest partition buffer is gracefully spilled to a
-// sorted on-disk run and counting continues. Job.CombineMemory bounds
-// the combiner's pre-sort buffers the same way, divided statically per
-// partition.
+// sorted on-disk run and counting continues. The budget holds the map
+// output as emitted; a combiner shrinks a buffer only as it is encoded.
 //
 // Sealed in-memory runs stay resident until their reduce task drains
 // them, so when a job has more map tasks than slots, each finishing

@@ -106,8 +106,9 @@ type Job struct {
 	// NewMapper creates a mapper per map task. Required.
 	NewMapper func() Mapper
 	// NewCombiner, if non-nil, creates a combiner applied to each map
-	// task's sorted local output before it enters the shuffle (local
-	// aggregation, Section V).
+	// task's sorted output as it is encoded into a shuffle run (local
+	// aggregation, Section V): once per partition, or once per spilled
+	// run. It must emit in key order — its group's key, in practice.
 	NewCombiner func() Reducer
 	// NewReducer creates a reducer per reduce task. If nil the job is
 	// map-only: mapper output goes straight to the sink, partitioned but
@@ -134,16 +135,13 @@ type Job struct {
 	// tasks. Defaults to GOMAXPROCS.
 	ReduceSlots int
 	// ShuffleMemory is the memory budget in bytes of a single map task
-	// for buffering its partitioned output — the analogue of Hadoop's
-	// io.sort.mb, so total shuffle buffering approaches
-	// MapSlots×ShuffleMemory. When a task's buffered bytes across all of
-	// its partition sorters exceed the budget, the largest buffer is
-	// gracefully spilled to a sorted on-disk run. Defaults to 128 MiB;
-	// values below 64 KiB are clamped up to 64 KiB.
+	// for buffering its partitioned (not yet combined) output — the
+	// analogue of Hadoop's io.sort.mb, so total shuffle buffering
+	// approaches MapSlots×ShuffleMemory. When a task's buffered bytes
+	// across all of its partition sorters exceed the budget, the largest
+	// buffer is gracefully spilled to a sorted on-disk run. Defaults to
+	// 128 MiB; values below 64 KiB are clamped up to 64 KiB.
 	ShuffleMemory int
-	// CombineMemory is the per-map-task memory budget for combiner
-	// buffering. Defaults to 32 MiB.
-	CombineMemory int
 	// ShuffleCodec selects the optional per-block compression of sealed
 	// shuffle runs on top of the format's front-coding. Default is
 	// extsort.CodecRaw; extsort.CodecFlate pays CPU for smaller transfer
@@ -212,9 +210,6 @@ func (j *Job) withDefaults() *Job {
 		// Floor the task budget so a tiny setting degrades to frequent
 		// small spills rather than one run per record.
 		cp.ShuffleMemory = 64 << 10
-	}
-	if cp.CombineMemory <= 0 {
-		cp.CombineMemory = 32 << 20
 	}
 	if cp.Sink == nil {
 		cp.Sink = MemSinkFactory()

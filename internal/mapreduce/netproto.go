@@ -33,7 +33,6 @@ type netJobConfig struct {
 	Config        []byte `json:"config,omitempty"`
 	NumReducers   int    `json:"num_reducers"`
 	ShuffleMemory int    `json:"shuffle_memory"`
-	CombineMemory int    `json:"combine_memory"`
 	Codec         int    `json:"codec"`
 	// SideKeys lists the side-data keys to fetch from /mr/side/<key>.
 	SideKeys []string `json:"side_keys,omitempty"`

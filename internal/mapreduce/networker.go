@@ -395,7 +395,6 @@ func (a *netAgent) runTask(ctx context.Context, cfg netJobConfig, task *netTask,
 	j.Name = cfg.Name
 	j.NumReducers = cfg.NumReducers
 	j.ShuffleMemory = cfg.ShuffleMemory
-	j.CombineMemory = cfg.CombineMemory
 	j.ShuffleCodec = extsort.Codec(cfg.Codec)
 	j.TempDir = taskdir
 	j.SideData = side

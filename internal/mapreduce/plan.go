@@ -28,9 +28,8 @@ type Plan struct {
 	NumReducers int
 	// MapSlots and ReduceSlots bound in-process task concurrency.
 	MapSlots, ReduceSlots int
-	// ShuffleMemory and CombineMemory are the per-map-task buffering
-	// budgets in bytes.
-	ShuffleMemory, CombineMemory int
+	// ShuffleMemory is the per-map-task buffering budget in bytes.
+	ShuffleMemory int
 	// ShuffleCodec is the optional per-block compression of shuffle
 	// runs.
 	ShuffleCodec extsort.Codec
@@ -118,7 +117,6 @@ func (j *Job) Compile() (*Plan, error) {
 		MapSlots:      d.MapSlots,
 		ReduceSlots:   d.ReduceSlots,
 		ShuffleMemory: d.ShuffleMemory,
-		CombineMemory: d.CombineMemory,
 		ShuffleCodec:  d.ShuffleCodec,
 		TempDir:       d.TempDir,
 		SideData:      d.SideData,

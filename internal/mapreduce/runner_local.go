@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ngramstats/internal/extsort"
@@ -131,17 +132,58 @@ func runMapReduce(ctx context.Context, j *Job, splits []Split, sink Sink, shuffl
 	return nil
 }
 
+// armCancel mirrors ctx's cancellation into a flag only the calling
+// task reads; ctx.Err() itself takes a mutex every task of the job
+// shares. Once the flag is set, ctx.Err() is non-nil; release detaches
+// the flag from ctx.
+func armCancel(ctx context.Context) (cancelled *atomic.Bool, release func() bool) {
+	cancelled = new(atomic.Bool)
+	return cancelled, context.AfterFunc(ctx, func() { cancelled.Store(true) })
+}
+
+// mapTally is what one map task's loops count, in plain integers the
+// task alone touches; addTo folds it into the job's counters once, when
+// the task ends — in failure too, which the MALFORMED_KEYS check after
+// the map phase relies on.
+type mapTally struct {
+	inRecs, outRecs, outBytes           int64
+	combineIn, combineOut, shuffleBytes int64
+	malformed, spilled                  int64
+	sealedRuns, sealMicros              int64
+}
+
+func (t *mapTally) addTo(c *Counters, combine bool) {
+	c.Add(CounterMapInputRecords, t.inRecs)
+	c.Add(CounterMapOutputRecords, t.outRecs)
+	c.Add(CounterMapOutputBytes, t.outBytes)
+	if combine {
+		c.Add(CounterCombineInputRecs, t.combineIn)
+		c.Add(CounterCombineOutputRecs, t.combineOut)
+	}
+	c.Add(CounterReduceShuffleBytes, t.shuffleBytes)
+	c.Add(CounterMalformedKeys, t.malformed)
+	c.Add(CounterSpilledRecords, t.spilled)
+	c.Add(CounterShuffleRuns, t.sealedRuns)
+	c.Add(CounterShuffleMicros, t.sealMicros)
+}
+
 // runMapTask executes one map task: it runs the mapper over its split,
-// partitions and locally sorts the output in task-private sorters
-// (routing it through the combiner first when configured), then seals
-// each partition's sorter into sorted runs for the reduce-side merge.
-// The per-record emit path acquires no locks: counters are resolved to
-// atomic cells up front and all sorters are owned by this task alone.
+// partitions the output into task-private sorters, one per partition,
+// and seals each sorter into sorted runs for the reduce-side merge. A
+// combiner runs inside the sorters, over each sorted buffer as it is
+// encoded into a run, so a record is copied once. Nothing the
+// per-record and per-group paths touch is shared with another task.
 //
 // A negative sealKeep forces every partition sorter to spill before
 // sealing, guaranteeing all handed-off runs are on-disk files — net
 // workers rely on this to serve their runs to other processes.
 func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep int, shuffleIO *extsort.IOStats, counters *Counters) ([][]*extsort.Run, error) {
+	combine := j.NewCombiner != nil
+	var t mapTally
+	defer func() { t.addTo(counters, combine) }()
+	cancelled, release := armCancel(ctx)
+	defer release()
+
 	mapper := j.NewMapper()
 	tc := &TaskContext{
 		JobName: j.Name, TaskID: taskID, Phase: "map", Partition: -1,
@@ -152,13 +194,6 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 			return nil, fmt.Errorf("map task %d setup: %w", taskID, err)
 		}
 	}
-
-	mapOutRecs := counters.Counter(CounterMapOutputRecords)
-	mapOutBytes := counters.Counter(CounterMapOutputBytes)
-	shuffleBytes := counters.Counter(CounterReduceShuffleBytes)
-	malformedKeys := counters.Counter(CounterMalformedKeys)
-	spilled := counters.Counter(CounterSpilledRecords)
-	onSpill := func(n int) { spilled.Add(int64(n)) }
 
 	// Task-private per-partition output sorters, created on first use so
 	// tasks touching few partitions stay cheap. Each sorter's own budget
@@ -172,6 +207,25 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 			}
 		}
 	}
+	newSorter := func(p int) *extsort.Sorter {
+		opts := extsort.Options{
+			MemoryBudget: j.ShuffleMemory,
+			TempDir:      j.TempDir,
+			Compare:      j.Compare,
+			OnSpill:      func(n int) { t.spilled += int64(n) },
+			Codec:        j.ShuffleCodec,
+			Stats:        shuffleIO,
+		}
+		if combine {
+			opts.Combine = func(sorted *extsort.Iterator, write func(key, value []byte) error) error {
+				if err := combineRun(ctx, cancelled, j, tc, p, sorted, write, &t); err != nil {
+					return fmt.Errorf("combine partition %d: %w", p, err)
+				}
+				return nil
+			}
+		}
+		return extsort.NewSorter(opts)
+	}
 
 	// Shared task-level memory accounting: when the buffered bytes
 	// across all partition sorters exceed ShuffleMemory, spill the
@@ -181,14 +235,7 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 	addOut := func(p int, key, value []byte) error {
 		s := out[p]
 		if s == nil {
-			s = extsort.NewSorter(extsort.Options{
-				MemoryBudget: j.ShuffleMemory,
-				TempDir:      j.TempDir,
-				Compare:      j.Compare,
-				OnSpill:      onSpill,
-				Codec:        j.ShuffleCodec,
-				Stats:        shuffleIO,
-			})
+			s = newSorter(p)
 			out[p] = s
 		}
 		before := s.MemoryInUse()
@@ -222,87 +269,42 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 		return nil
 	}
 
-	var local []*extsort.Sorter // per-partition combiner buffers
-	combine := j.NewCombiner != nil
-	if combine {
-		local = make([]*extsort.Sorter, j.NumReducers)
-		per := j.CombineMemory / j.NumReducers
-		if per < 256<<10 {
-			per = 256 << 10
-		}
-		for p := range local {
-			local[p] = extsort.NewSorter(extsort.Options{
-				MemoryBudget: per,
-				TempDir:      j.TempDir,
-				Compare:      j.Compare,
-				OnSpill:      onSpill,
-			})
-		}
-	}
-	discardLocal := func() {
-		for _, s := range local {
-			if s != nil {
-				s.Discard()
-			}
-		}
-	}
-	discardAll := func() {
-		discardLocal()
-		discardOut()
-	}
-
 	emit := Emit(func(key, value []byte) error {
-		mapOutRecs.Add(1)
-		mapOutBytes.Add(int64(len(key) + len(value)))
+		t.outRecs++
+		t.outBytes += int64(len(key) + len(value))
 		p := j.Partition(key, j.NumReducers)
 		if p == MalformedKeyPartition {
 			// Count every unparseable key and keep the task running so
 			// the post-map-phase check can report the full tally; route
 			// the record to partition 0 in the meantime (the job fails
 			// before any reducer sees it).
-			malformedKeys.Add(1)
+			t.malformed++
 			p = 0
 		}
 		if p < 0 || p >= j.NumReducers {
 			return fmt.Errorf("partitioner returned %d for %d reducers", p, j.NumReducers)
 		}
-		if combine {
-			return local[p].Add(key, value)
+		if !combine {
+			t.shuffleBytes += int64(len(key) + len(value))
 		}
-		shuffleBytes.Add(int64(len(key) + len(value)))
 		return addOut(p, key, value)
 	})
 
-	var n int64
 	err := split.Records(func(key, value []byte) error {
-		if err := ctx.Err(); err != nil {
-			return err
+		if cancelled.Load() {
+			return ctx.Err()
 		}
-		n++
+		t.inRecs++
 		return mapper.Map(key, value, emit)
 	})
-	counters.Add(CounterMapInputRecords, n)
 	if err != nil {
-		discardAll()
+		discardOut()
 		return nil, fmt.Errorf("map task %d: %w", taskID, err)
 	}
 	if c, ok := mapper.(TaskCleanup); ok {
 		if err := c.Cleanup(emit); err != nil {
-			discardAll()
+			discardOut()
 			return nil, fmt.Errorf("map task %d cleanup: %w", taskID, err)
-		}
-	}
-
-	if combine {
-		// Run the combiner over each partition's sorted local output and
-		// feed the combined records into the task's output sorters.
-		for p, sorter := range local {
-			local[p] = nil
-			add := func(key, value []byte) error { return addOut(p, key, value) }
-			if err := combinePartition(ctx, j, taskID, p, sorter, add, counters); err != nil {
-				discardAll()
-				return nil, fmt.Errorf("map task %d combine partition %d: %w", taskID, p, err)
-			}
 		}
 	}
 
@@ -313,20 +315,20 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 	// slots the remainders of finished tasks would accumulate past
 	// MapSlots×ShuffleMemory — in that case spill them to disk first
 	// (Hadoop's always-on-disk final map output, applied only when the
-	// bound is actually at risk).
+	// bound is at risk; the buffered bytes stand in for the smaller
+	// combined, front-coded run they become).
 	sealStart := time.Now()
 	if buffered > sealKeep {
 		for _, s := range out {
 			if s != nil && s.MemoryInUse() > 0 {
 				if err := s.Spill(); err != nil {
-					discardAll()
+					discardOut()
 					return nil, fmt.Errorf("map task %d final spill: %w", taskID, err)
 				}
 			}
 		}
 	}
 	taskRuns := make([][]*extsort.Run, j.NumReducers)
-	var sealedRuns int64
 	for p, s := range out {
 		if s == nil {
 			continue
@@ -335,68 +337,67 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 		runs, err := s.Seal()
 		if err != nil {
 			discardRuns(taskRuns...)
-			discardAll()
+			discardOut()
 			return nil, fmt.Errorf("map task %d seal partition %d: %w", taskID, p, err)
 		}
 		taskRuns[p] = runs
-		sealedRuns += int64(len(runs))
+		t.sealedRuns += int64(len(runs))
 	}
-	counters.Add(CounterShuffleRuns, sealedRuns)
-	counters.Add(CounterShuffleMicros, time.Since(sealStart).Microseconds())
+	t.sealMicros = time.Since(sealStart).Microseconds()
 	return taskRuns, nil
 }
 
-// combinePartition sorts one partition's local map output, runs the
-// combiner over its groups, and forwards the combined records through
-// add into the task's shuffle output for that partition.
-func combinePartition(ctx context.Context, j *Job, taskID, p int, sorter *extsort.Sorter, add func(key, value []byte) error, counters *Counters) error {
+// combineRun runs a fresh combiner over one sorted buffer of partition
+// p — the sorter calls it while encoding the buffer into a run — and
+// passes the combined records on through write, which rejects a key
+// that sorts before the one written last.
+func combineRun(ctx context.Context, cancelled *atomic.Bool, j *Job, mapTC *TaskContext, p int, sorted *extsort.Iterator, write func(key, value []byte) error, t *mapTally) error {
 	combiner := j.NewCombiner()
-	tc := &TaskContext{
-		JobName: j.Name, TaskID: taskID, Phase: "combine", Partition: p,
-		NumReducers: j.NumReducers, Counters: counters, SideData: j.SideData, TempDir: j.TempDir,
-	}
 	if s, ok := combiner.(TaskSetup); ok {
-		if err := s.Setup(tc); err != nil {
+		tc := *mapTC
+		tc.Phase, tc.Partition = "combine", p
+		if err := s.Setup(&tc); err != nil {
 			return err
 		}
 	}
-	it, err := sorter.Sort()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	combineOut := counters.Counter(CounterCombineOutputRecs)
-	shuffleBytes := counters.Counter(CounterReduceShuffleBytes)
 	emit := Emit(func(key, value []byte) error {
-		combineOut.Add(1)
-		shuffleBytes.Add(int64(len(key) + len(value)))
-		return add(key, value)
+		t.combineOut++
+		t.shuffleBytes += int64(len(key) + len(value))
+		return write(key, value)
 	})
-	vals := newValues(it, j.GroupCompare)
+	vals := newValues(sorted, j.GroupCompare)
 	for vals.nextGroup() {
-		if err := ctx.Err(); err != nil {
-			return err
+		if cancelled.Load() {
+			return ctx.Err()
 		}
 		if err := combiner.Reduce(vals.Key(), vals, emit); err != nil {
 			return err
 		}
-		counters.Add(CounterCombineInputRecs, vals.Count())
+		t.combineIn += vals.Count()
 	}
 	if err := vals.Err(); err != nil {
 		return err
 	}
 	if c, ok := combiner.(TaskCleanup); ok {
-		if err := c.Cleanup(emit); err != nil {
-			return err
-		}
+		return c.Cleanup(emit)
 	}
 	return nil
 }
 
 // runReduceTask multi-way merges every map task's sealed runs for
 // partition p and feeds the merged groups to the reducer. It takes
-// ownership of runs.
+// ownership of runs. Like a map task it counts into its own integers.
 func runReduceTask(ctx context.Context, j *Job, p int, runs []*extsort.Run, sink Sink, counters *Counters) error {
+	var groups, inRecs, outRecs, outBytes int64
+	defer func() {
+		counters.Add(CounterReduceInputGroups, groups)
+		counters.Add(CounterReduceInputRecords, inRecs)
+		counters.Add(CounterReduceOutputRecs, outRecs)
+		counters.Add(CounterReduceOutputBytes, outBytes)
+	}()
+	cancelled, release := armCancel(ctx)
+	defer release()
+
 	reducer := j.NewReducer()
 	tc := &TaskContext{
 		JobName: j.Name, TaskID: p, Phase: "reduce", Partition: p,
@@ -413,11 +414,9 @@ func runReduceTask(ctx context.Context, j *Job, p int, runs []*extsort.Run, sink
 		discardRuns(runs)
 		return fmt.Errorf("reduce task %d: sink writer: %w", p, err)
 	}
-	reduceOutRecs := counters.Counter(CounterReduceOutputRecs)
-	reduceOutBytes := counters.Counter(CounterReduceOutputBytes)
 	emit := Emit(func(key, value []byte) error {
-		reduceOutRecs.Add(1)
-		reduceOutBytes.Add(int64(len(key) + len(value)))
+		outRecs++
+		outBytes += int64(len(key) + len(value))
 		return w.Write(key, value)
 	})
 	mergeStart := time.Now()
@@ -432,16 +431,16 @@ func runReduceTask(ctx context.Context, j *Job, p int, runs []*extsort.Run, sink
 
 	vals := newValues(it, j.GroupCompare)
 	for vals.nextGroup() {
-		if err := ctx.Err(); err != nil {
+		if cancelled.Load() {
 			w.Close()
-			return err
+			return ctx.Err()
 		}
-		counters.Add(CounterReduceInputGroups, 1)
+		groups++
 		if err := reducer.Reduce(vals.Key(), vals, emit); err != nil {
 			w.Close()
 			return fmt.Errorf("reduce task %d: %w", p, err)
 		}
-		counters.Add(CounterReduceInputRecords, vals.Count())
+		inRecs += vals.Count()
 	}
 	if err := vals.Err(); err != nil {
 		w.Close()
@@ -500,22 +499,26 @@ func runMapOnlyTask(ctx context.Context, j *Job, taskID int, split Split, w Sink
 			return fmt.Errorf("map task %d setup: %w", taskID, err)
 		}
 	}
-	mapOutRecs := counters.Counter(CounterMapOutputRecords)
-	mapOutBytes := counters.Counter(CounterMapOutputBytes)
+	var inRecs, outRecs, outBytes int64
+	defer func() {
+		counters.Add(CounterMapInputRecords, inRecs)
+		counters.Add(CounterMapOutputRecords, outRecs)
+		counters.Add(CounterMapOutputBytes, outBytes)
+	}()
+	cancelled, release := armCancel(ctx)
+	defer release()
 	emit := Emit(func(key, value []byte) error {
-		mapOutRecs.Add(1)
-		mapOutBytes.Add(int64(len(key) + len(value)))
+		outRecs++
+		outBytes += int64(len(key) + len(value))
 		return w.Write(key, value)
 	})
-	var n int64
 	err := split.Records(func(key, value []byte) error {
-		if err := ctx.Err(); err != nil {
-			return err
+		if cancelled.Load() {
+			return ctx.Err()
 		}
-		n++
+		inRecs++
 		return mapper.Map(key, value, emit)
 	})
-	counters.Add(CounterMapInputRecords, n)
 	if err != nil {
 		return fmt.Errorf("map task %d: %w", taskID, err)
 	}

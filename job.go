@@ -44,8 +44,9 @@ type JobProgress struct {
 	// completions across every job started so far. TasksTotal grows as
 	// new jobs announce their task counts.
 	TasksDone, TasksTotal int
-	// Records is the number of map-output records emitted so far, live
-	// within the running job.
+	// Records is the number of map-output records emitted so far. Within
+	// the running job it advances as each map task finishes: a task
+	// counts privately and hands its tally over when it ends.
 	Records int64
 	// ShuffleBytes is the encoded shuffle bytes written so far (the
 	// measured transfer counter), live within the running job.
