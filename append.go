@@ -56,8 +56,11 @@ type AppendStats struct {
 
 // AppendDelta extends the saved index at dir with new documents
 // without recomputing anything over the old ones: the exact job runs
-// over just docs (cost O(new documents)) and its result is linked as a
-// delta generation. On the first append the plain index is adopted in
+// over just docs — O(new documents) — and its result is linked as a
+// delta generation. Besides the job, an append makes one pass over the
+// chain's vocabulary: the newest generation's cumulative dictionary is
+// parsed once, extended in place with the new terms and written out as
+// the delta's. On the first append the plain index is adopted in
 // place as the chain's base — it must have been computed with τ = 1
 // and no maximal/closed selection, the invariants under which
 // per-generation counts merge losslessly.
@@ -90,7 +93,9 @@ func AppendDelta(ctx context.Context, dir string, docs []Document, opts AppendOp
 
 	// Seed the delta's dictionary from the newest generation: inherited
 	// identifiers stay stable (encoded keys remain comparable across
-	// generations) and frequencies continue cumulatively.
+	// generations) and frequencies continue cumulatively. The builder
+	// takes the loaded tables over; this parse is the append's one pass
+	// over the chain vocabulary.
 	newest := man.Base.Dir
 	if n := len(man.Deltas); n > 0 {
 		newest = man.Deltas[n-1].Dir
@@ -248,6 +253,7 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	// identifiers were assigned incrementally).
 	sorter := extsort.NewSorter(extsort.Options{TempDir: opts.TempDir})
 	defer sorter.Discard()
+	sorter.Reserve(int(v.Records()))
 	var keyBuf []byte
 	err = v.ScanChain(func(chainKey, value []byte) error {
 		keyBuf, err = v.AppendCanonicalKey(keyBuf, chainKey)

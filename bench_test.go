@@ -758,3 +758,141 @@ func BenchmarkCompact(b *testing.B) {
 	}
 	b.ReportMetric(float64(records), "records/op")
 }
+
+// lsmVocabBatches generates the documents of the append benchmarks: a
+// 600-document base and five 10-document batches of Zipf text over a
+// vocabulary of more than 20 000 distinct terms — the serve-chain
+// write phase's shape. lsmBatches draws on 300 terms, which makes the
+// per-append dictionary work these benchmarks measure vanish.
+func lsmVocabBatches() [][]Document {
+	cfg := synth.CWLike(650, 7)
+	cfg.Patterns, cfg.ZipfS = nil, 0.7
+	col := synth.Generate(cfg)
+	docs := make([]Document, len(col.Docs))
+	for i, d := range col.Docs {
+		var sb strings.Builder
+		for _, s := range d.Sentences {
+			sb.WriteString(col.Dict.Format(s))
+			sb.WriteString(". ")
+		}
+		docs[i] = Document{Text: sb.String(), Year: d.Year}
+	}
+	batches := [][]Document{docs[:600]}
+	for lo := 600; lo < len(docs); lo += 10 {
+		batches = append(batches, docs[lo:lo+10])
+	}
+	return batches
+}
+
+// lsmVocabChain builds lsmVocabBatches' base plus four deltas and
+// returns the chain's directory with the batch the next append takes.
+func lsmVocabChain(tb testing.TB) (dir string, next []Document) {
+	tb.Helper()
+	batches := lsmVocabBatches()
+	dir = lsmChain(tb, batches[:5])
+	ix, err := OpenIndex(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ix.Close()
+	if v := ix.b.Dictionary().Len(); v < 20000 {
+		tb.Fatalf("the chain's vocabulary is %d terms, want ≥ 20000", v)
+	}
+	return dir, batches[5]
+}
+
+// copyChain copies a pristine chain into a fresh directory under
+// scratch.
+func copyChain(b *testing.B, pristine, scratch, name string) string {
+	b.Helper()
+	dir := filepath.Join(scratch, name)
+	if err := os.CopyFS(dir, os.DirFS(pristine)); err != nil {
+		b.Fatal(err)
+	}
+	return dir
+}
+
+// BenchmarkAppendVisible measures what makes an append visible to a
+// reader that already holds the chain open: a 10-document AppendDelta
+// onto a chain of 1 base + 4 deltas, a Reopen of the open handle, and
+// one Lookup through the new one — the library half of the pipeline
+// benchmark's append_visible_s. Each iteration works on a pristine
+// copy of the chain.
+func BenchmarkAppendVisible(b *testing.B) {
+	pristine, next := lsmVocabChain(b)
+	scratch := b.TempDir()
+	probe := strings.Fields(next[0].Text)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := copyChain(b, pristine, scratch, fmt.Sprintf("run-%d", i))
+		old, err := OpenIndex(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := AppendDelta(context.Background(), dir, next, AppendOptions{
+			Count: Options{Combiner: true, TempDir: scratch},
+		}); err != nil {
+			b.Fatal(err)
+		}
+		cur, err := old.Reopen()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := cur.Lookup(probe); err != nil || !ok {
+			b.Fatalf("Lookup(%q) after the append: found=%v, %v", probe, ok, err)
+		}
+		b.StopTimer()
+		cur.Close()
+		old.Close()
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+}
+
+// BenchmarkChainReopen measures Index.Reopen on a handle holding 1 base
+// + 4 deltas over the 20 000-term vocabulary, by what the manifest did
+// since: nothing (every generation and the canonical dictionary are
+// shared), one append (one delta opened and its dictionary parsed and
+// ranked, five generations shared), or a compaction (one base opened,
+// nothing shared, its ranked dictionary taken as canonical).
+func BenchmarkChainReopen(b *testing.B) {
+	pristine, next := lsmVocabChain(b)
+	for _, bc := range []struct {
+		name   string
+		mutate func(dir string) error
+	}{
+		{"unchanged", func(string) error { return nil }},
+		{"one-new-delta", func(dir string) error {
+			_, err := AppendDelta(context.Background(), dir, next, AppendOptions{Count: Options{Combiner: true, TempDir: b.TempDir()}})
+			return err
+		}},
+		{"after-compaction", func(dir string) error {
+			_, err := CompactIndex(dir, CompactOptions{TempDir: b.TempDir()})
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			dir := copyChain(b, pristine, b.TempDir(), "chain")
+			old, err := OpenIndex(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer old.Close()
+			if err := bc.mutate(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur, err := old.Reopen()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cur.Close()
+			}
+		})
+	}
+}

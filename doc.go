@@ -121,7 +121,10 @@
 // plus point gets rather than a scan (Index.TopKStats counts which
 // answered), and Prefix merges one block-cache-served cursor per
 // generation, keeping only the limit answers it returns
-// (Index.PrefixStats counts the records read). CompactIndex merges base + deltas back into a single
+// (Index.PrefixStats counts the records read). A reader that holds the
+// chain open follows it with Index.Reopen, which opens only the
+// generations the manifest added and shares the rest, warm block caches
+// included. CompactIndex merges base + deltas back into a single
 // base that is byte-identical — dictionary, shard files, precomputed
 // top records — to that rebuild, committing via an atomic manifest
 // swap (a crash leaves the previous chain intact and queryable).

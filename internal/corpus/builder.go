@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"ngramstats/internal/dictionary"
 	"ngramstats/internal/encoding"
@@ -42,10 +41,10 @@ func (o BuilderOptions) withDefaults() BuilderOptions {
 // sentences against provisional identifiers assigned in first-seen
 // order, buffers the provisionally-encoded documents within a memory
 // budget (spilling them to a temporary shard file past it), and at
-// Finish builds the final frequency-ranked dictionary and remaps every
-// buffered and spilled document through a provisional→final identifier
-// table. The result is identical to a batch build over the same
-// documents in the same order.
+// Finish ranks the provisional tables into the final dictionary and
+// remaps every buffered and spilled document through a provisional→final
+// identifier table. The result is identical to a batch build over the
+// same documents in the same order.
 type Builder struct {
 	name string
 	opts BuilderOptions
@@ -105,19 +104,13 @@ func NewBuilder(name string, opts BuilderOptions) *Builder {
 // identifier, once assigned, never moves, and the newest generation's
 // (term, cumulative cf) table alone reconstructs the dictionary a batch
 // rebuild over all documents would produce.
+//
+// The builder adopts seed's tables and its term map instead of copying
+// them — one append costs one pass over the chain vocabulary, the
+// parse that produced seed — so seed must not be used afterwards.
 func NewSeededBuilder(name string, opts BuilderOptions, seed *dictionary.Dictionary) *Builder {
-	b := NewBuilder(name, opts)
-	n := seed.Len()
-	b.seed = n
-	b.terms = make([]string, n)
-	b.counts = make([]int64, n)
-	for i := 0; i < n; i++ {
-		id := sequence.Term(i)
-		term := seed.Term(id)
-		b.terms[i] = term
-		b.counts[i] = seed.CF(id)
-		b.ids[term] = id
-	}
+	b := &Builder{name: name, opts: opts.withDefaults(), seed: seed.Len()}
+	b.terms, b.counts, b.ids = seed.Tables()
 	return b
 }
 
@@ -242,22 +235,7 @@ func (b *Builder) Finish() (*Collection, error) {
 	b.finished = true
 	defer b.cleanup()
 
-	// Final dictionary: identical construction to the batch path, so a
-	// streamed build yields byte-identical encodings.
-	dict, err := b.buildDict()
-	if err != nil {
-		return nil, err
-	}
-
-	// Provisional → final identifier table.
-	remap := make([]sequence.Term, len(b.terms))
-	for i, term := range b.terms {
-		id, ok := dict.ID(term)
-		if !ok {
-			return nil, fmt.Errorf("corpus: builder: term %q lost in dictionary build", term)
-		}
-		remap[i] = id
-	}
+	dict, remap := b.freezeDict()
 
 	c := &Collection{Name: b.name, Dict: dict}
 	c.Docs = make([]Document, 0, b.spilledDocs+len(b.docs))
@@ -304,40 +282,31 @@ func (b *Builder) Finish() (*Collection, error) {
 	return c, nil
 }
 
-// buildDict freezes the final dictionary. Unseeded builds rank every
-// term by frequency (the batch construction); seeded builds keep the
-// inherited identifiers 0..seed-1 in place with their cumulative
-// frequencies and append this build's new terms ranked among
-// themselves.
-func (b *Builder) buildDict() (*dictionary.Dictionary, error) {
-	if b.seed == 0 {
-		db := dictionary.NewBuilder()
-		for i, term := range b.terms {
-			db.AddN(term, b.counts[i])
-		}
-		return db.Build(), nil
+// freezeDict turns the provisional tables into the final dictionary,
+// in place, and returns it with the provisional → final identifier
+// table. The terms first seen by this builder — all of them unless it
+// was seeded — are ranked among themselves by frequency and keep the
+// identifiers after the inherited ones; inherited identifiers 0..seed-1
+// stay where they are, with their cumulative frequencies, and remap to
+// themselves. An unseeded build is thus the batch construction, so a
+// streamed build yields byte-identical encodings.
+func (b *Builder) freezeDict() (*dictionary.Dictionary, []sequence.Term) {
+	seed, n := b.seed, len(b.terms)
+	order := dictionary.RankOrder(b.terms, b.counts, seed)
+	remap := make([]sequence.Term, n)
+	for i := range remap[:seed] {
+		remap[i] = sequence.Term(i)
 	}
-	type tc struct {
-		term string
-		cf   int64
+	terms, cfs := make([]string, n-seed), make([]int64, n-seed)
+	for rank, old := range order {
+		id := sequence.Term(seed + rank)
+		remap[old] = id
+		terms[rank], cfs[rank] = b.terms[old], b.counts[old]
+		b.ids[terms[rank]] = id
 	}
-	fresh := make([]tc, 0, len(b.terms)-b.seed)
-	for i := b.seed; i < len(b.terms); i++ {
-		fresh = append(fresh, tc{b.terms[i], b.counts[i]})
-	}
-	sort.Slice(fresh, func(i, j int) bool {
-		if fresh[i].cf != fresh[j].cf {
-			return fresh[i].cf > fresh[j].cf
-		}
-		return fresh[i].term < fresh[j].term
-	})
-	terms := append([]string(nil), b.terms[:b.seed]...)
-	cfs := append([]int64(nil), b.counts[:b.seed]...)
-	for _, e := range fresh {
-		terms = append(terms, e.term)
-		cfs = append(cfs, e.cf)
-	}
-	return dictionary.FromTable(terms, cfs)
+	copy(b.terms[seed:], terms)
+	copy(b.counts[seed:], cfs)
+	return dictionary.FromTables(b.terms, b.counts, b.ids), remap
 }
 
 // Discard releases the builder's resources without producing a

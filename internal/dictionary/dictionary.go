@@ -9,10 +9,11 @@ package dictionary
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,56 +52,83 @@ func (b *Builder) AddN(term string, n int64) { b.counts[term] += n }
 // Build freezes the builder into a Dictionary with identifiers in
 // descending collection-frequency order.
 func (b *Builder) Build() *Dictionary {
-	type tc struct {
-		term string
-		cf   int64
-	}
-	all := make([]tc, 0, len(b.counts))
+	terms := make([]string, 0, len(b.counts))
+	cfs := make([]int64, 0, len(b.counts))
 	for t, c := range b.counts {
-		all = append(all, tc{t, c})
+		terms = append(terms, t)
+		cfs = append(cfs, c)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].cf != all[j].cf {
-			return all[i].cf > all[j].cf
+	return reordered(terms, cfs, RankOrder(terms, cfs, 0))
+}
+
+// RankOrder returns the identifiers from..len(terms)-1 of the given
+// tables in the identifier order of Section V: descending collection
+// frequency, ties broken lexicographically by term.
+func RankOrder(terms []string, cfs []int64, from int) []sequence.Term {
+	order := make([]sequence.Term, len(terms)-from)
+	for i := range order {
+		order[i] = sequence.Term(from + i)
+	}
+	slices.SortFunc(order, func(a, b sequence.Term) int {
+		if c := cmp.Compare(cfs[b], cfs[a]); c != 0 {
+			return c
 		}
-		return all[i].term < all[j].term
+		return strings.Compare(terms[a], terms[b])
 	})
+	return order
+}
+
+// reordered builds the dictionary whose identifier i names entry
+// order[i] of the given tables.
+func reordered(terms []string, cfs []int64, order []sequence.Term) *Dictionary {
 	d := &Dictionary{
-		terms: make([]string, len(all)),
-		cfs:   make([]int64, len(all)),
-		ids:   make(map[string]sequence.Term, len(all)),
+		terms: make([]string, len(order)),
+		cfs:   make([]int64, len(order)),
+		ids:   make(map[string]sequence.Term, len(order)),
 	}
-	for i, e := range all {
-		d.terms[i] = e.term
-		d.cfs[i] = e.cf
-		d.ids[e.term] = sequence.Term(i)
+	for i, o := range order {
+		d.terms[i], d.cfs[i] = terms[o], cfs[o]
+		d.ids[terms[o]] = sequence.Term(i)
 	}
 	return d
 }
 
-// FromTable freezes an explicit (term, cf) table into a Dictionary,
-// assigning identifier i to the i-th entry as given — without the
-// frequency ranking Builder.Build performs. It is the constructor for
-// seeded dictionaries, whose identifier assignment must extend an
-// earlier generation's rather than re-rank: an LSM delta dictionary
-// keeps every inherited identifier stable and appends new terms after
-// them. Duplicate terms are rejected.
-func FromTable(terms []string, cfs []int64) (*Dictionary, error) {
-	if len(terms) != len(cfs) {
-		return nil, fmt.Errorf("dictionary: %d terms but %d frequencies", len(terms), len(cfs))
-	}
-	d := &Dictionary{
-		terms: append([]string(nil), terms...),
-		cfs:   append([]int64(nil), cfs...),
-		ids:   make(map[string]sequence.Term, len(terms)),
-	}
-	for i, t := range d.terms {
-		if _, dup := d.ids[t]; dup {
-			return nil, fmt.Errorf("dictionary: duplicate term %q", t)
+// Rank returns the frequency-ranked dictionary over d's terms — the one
+// Build produces from d's (term, frequency) table — and the permutation
+// between the two: identifier i of the result is d's order[i]. A d
+// already in rank order is returned itself, with the identity.
+//
+// It is how an LSM view reconstructs the canonical dictionary from the
+// newest generation's seeded one: one sort of the identifiers and one
+// map, with the duplicate check left where the bytes entered (Load).
+func (d *Dictionary) Rank() (ranked *Dictionary, order []sequence.Term) {
+	order = RankOrder(d.terms, d.cfs, 0)
+	for i, o := range order {
+		if o != sequence.Term(i) {
+			return reordered(d.terms, d.cfs, order), order
 		}
-		d.ids[t] = sequence.Term(i)
 	}
-	return d, nil
+	return d, order
+}
+
+// Tables hands out the dictionary's tables — terms and frequencies by
+// identifier, and the term → identifier map — for the caller to extend
+// in place; d must not be used afterwards. FromTables is the way back.
+// A seeded corpus build adopts the previous generation's dictionary
+// this way instead of copying it term by term.
+func (d *Dictionary) Tables() (terms []string, cfs []int64, ids map[string]sequence.Term) {
+	return d.terms, d.cfs, d.ids
+}
+
+// FromTables freezes tables the caller has built into a Dictionary
+// without copying or re-checking them, assigning identifier i to
+// terms[i] as given (no frequency ranking): ids must map every terms[i]
+// to i and hold nothing else. It is the constructor for seeded
+// dictionaries, whose identifier assignment extends an earlier
+// generation's rather than re-ranks: an LSM delta dictionary keeps
+// every inherited identifier stable and appends new terms after them.
+func FromTables(terms []string, cfs []int64, ids map[string]sequence.Term) *Dictionary {
+	return &Dictionary{terms: terms, cfs: cfs, ids: ids}
 }
 
 // Len returns the number of distinct terms.
@@ -109,7 +137,7 @@ func (d *Dictionary) Len() int { return len(d.terms) }
 // Ranked reports whether identifiers are in non-increasing collection-
 // frequency order — the invariant of a Builder-built dictionary, and
 // the property persistence records so Load can verify it. Seeded
-// dictionaries (FromTable) are generally unranked: inherited
+// dictionaries (FromTables) are generally unranked: inherited
 // identifiers keep their old positions while their frequencies grow.
 func (d *Dictionary) Ranked() bool {
 	for i := 1; i < len(d.cfs); i++ {
@@ -189,9 +217,13 @@ func (d *Dictionary) Format(s sequence.Seq) string {
 // Save writes the dictionary as one "term<TAB>cf" line per identifier,
 // in identifier order.
 func (d *Dictionary) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var num [20]byte
 	for i, t := range d.terms {
-		if _, err := fmt.Fprintf(bw, "%s\t%d\n", t, d.cfs[i]); err != nil {
+		bw.WriteString(t)
+		bw.WriteByte('\t')
+		bw.Write(strconv.AppendInt(num[:0], d.cfs[i], 10))
+		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
 	}
@@ -210,23 +242,37 @@ func Load(r io.Reader) (*Dictionary, error) { return load(r, true) }
 func LoadUnranked(r io.Reader) (*Dictionary, error) { return load(r, false) }
 
 func load(r io.Reader, ranked bool) (*Dictionary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	d := &Dictionary{ids: make(map[string]sequence.Term)}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	// One string holds the file and every term is a slice of it; the
+	// line count sizes the tables and the map once.
+	text := string(data)
+	n := strings.Count(text, "\n") + 1
+	d := &Dictionary{
+		terms: make([]string, 0, n),
+		cfs:   make([]int64, 0, n),
+		ids:   make(map[string]sequence.Term, n),
+	}
 	var prev int64 = -1
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
+	for line := 1; text != ""; line++ {
+		row := text
+		if nl := strings.IndexByte(text, '\n'); nl >= 0 {
+			row, text = text[:nl], text[nl+1:]
+		} else {
+			text = ""
+		}
+		row = strings.TrimSuffix(row, "\r")
+		if row == "" {
 			continue
 		}
-		tab := strings.LastIndexByte(text, '\t')
+		tab := strings.LastIndexByte(row, '\t')
 		if tab < 0 {
 			return nil, fmt.Errorf("dictionary: line %d: missing tab", line)
 		}
-		term := text[:tab]
-		cf, err := strconv.ParseInt(text[tab+1:], 10, 64)
+		term := row[:tab]
+		cf, err := strconv.ParseInt(row[tab+1:], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dictionary: line %d: bad frequency: %v", line, err)
 		}
@@ -234,15 +280,14 @@ func load(r io.Reader, ranked bool) (*Dictionary, error) {
 			return nil, fmt.Errorf("dictionary: line %d: frequencies not non-increasing", line)
 		}
 		prev = cf
-		if _, dup := d.ids[term]; dup {
-			return nil, fmt.Errorf("dictionary: line %d: duplicate term %q", line, term)
-		}
+		// A duplicate overwrites its first entry and leaves the map one
+		// short of the table: one map operation per term checks it.
 		d.ids[term] = sequence.Term(len(d.terms))
 		d.terms = append(d.terms, term)
 		d.cfs = append(d.cfs, cf)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		if len(d.ids) != len(d.terms) {
+			return nil, fmt.Errorf("dictionary: line %d: duplicate term %q", line, term)
+		}
 	}
 	return d, nil
 }

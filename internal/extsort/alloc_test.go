@@ -101,3 +101,40 @@ func TestSealRecyclesBuffers(t *testing.T) {
 			cap(next.arena), cap(next.recs), arenaCap, recsCap)
 	}
 }
+
+// TestReserveStopsGrowth: a sorter told its input up front — an index
+// save, a compaction — sizes its record table once, so the Adds that
+// follow never regrow it (on a warm arena they allocate nothing); an
+// input past the memory budget reserves only what the buffer holds
+// before it spills.
+func TestReserveStopsGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	for getArena() != nil || getRecs() != nil { // leftovers of earlier tests
+	}
+	const n = 50000
+	key, val := []byte("key-000000"), []byte("v")
+	s := NewSorter(Options{TempDir: t.TempDir()})
+	defer s.Discard()
+	s.arena = make([]byte, 0, n*(len(key)+len(val))) // as if recycled warm
+	s.Reserve(n)
+	recsCap := cap(s.recs)
+	// One warm-up call plus n-1 measured ones: n records in all.
+	avg := testing.AllocsPerRun(n-1, func() {
+		if err := s.Add(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 || cap(s.recs) != recsCap || s.Len() != n {
+		t.Fatalf("%d reserved Adds: %.2f allocs each, table cap %d → %d", s.Len(), avg, recsCap, cap(s.recs))
+	}
+
+	const budget = 1 << 20
+	big := NewSorter(Options{MemoryBudget: budget, TempDir: t.TempDir()})
+	defer big.Discard()
+	big.Reserve(1 << 30)
+	if got := cap(big.recs) * recordOverhead; got < budget || got > budget+budget/4 {
+		t.Fatalf("a billion records reserved a table of %d bytes under a budget of %d", got, budget)
+	}
+}

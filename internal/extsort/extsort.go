@@ -69,6 +69,10 @@ type record struct {
 	valOff, valLen int
 }
 
+// recordOverhead is what one buffered record is charged against the
+// memory budget beyond its key and value bytes: its record table entry.
+const recordOverhead = 32
+
 // Process-wide buffer pools. The shuffle creates one sorter per map
 // task per partition, so the record arenas and tables churn
 // constantly; recycling them removes the dominant allocation of the
@@ -164,11 +168,22 @@ func (s *Sorter) Add(key, value []byte) error {
 	s.arena = append(s.arena, value...)
 	s.recs = append(s.recs, record{ko, len(key), vo, len(value)})
 	s.n++
-	s.mem += len(key) + len(value) + 32
+	s.mem += len(key) + len(value) + recordOverhead
 	if s.mem >= s.opts.MemoryBudget {
 		return s.spill()
 	}
 	return nil
+}
+
+// Reserve sizes the record table once for a caller that knows about how
+// many more records it will add — an index save, a compaction — instead
+// of letting it grow by doubling as they arrive; an input past the
+// memory budget reserves what the buffer holds before it spills. The
+// figure is a hint: a low one costs some growth, a high one some memory.
+// The arena, a quarter of the table's size for n-gram records and
+// usually recycled warm, grows as before.
+func (s *Sorter) Reserve(records int) {
+	s.recs = slices.Grow(s.recs, max(0, min(records, s.opts.MemoryBudget/recordOverhead)))
 }
 
 func (s *Sorter) sortInMemory() {

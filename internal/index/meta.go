@@ -1,13 +1,6 @@
 package index
 
-import (
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-
-	"ngramstats/internal/dictionary"
-)
+import "ngramstats/internal/dictionary"
 
 // Meta is the checksum-verified manifest metadata of an index
 // directory, readable without opening its shards. LSM chain
@@ -54,22 +47,5 @@ func OpenDictionary(dir string) (*dictionary.Dictionary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if man.Dict.File == "" {
-		return nil, corruptf("manifest names no dictionary")
-	}
-	data, err := os.ReadFile(filepath.Join(dir, man.Dict.File))
-	if err != nil {
-		return nil, fmt.Errorf("index: read dictionary: %w", err)
-	}
-	if int64(len(data)) != man.Dict.Bytes {
-		return nil, corruptf("dictionary is %d bytes, manifest declares %d", len(data), man.Dict.Bytes)
-	}
-	if crc32.Checksum(data, crcTable) != man.Dict.CRC {
-		return nil, corruptf("dictionary checksum mismatch")
-	}
-	d, err := loadDict(data, man.DictUnranked)
-	if err != nil {
-		return nil, corruptf("parse dictionary: %v", err)
-	}
-	return d, nil
+	return readDictionary(dir, man, true)
 }

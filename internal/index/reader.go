@@ -23,6 +23,12 @@ type Options struct {
 	// CacheBlocks bounds the decoded-block LRU cache in blocks (a block
 	// decodes to ~64 KiB). Zero selects 128; negative disables caching.
 	CacheBlocks int
+	// NoDictionary verifies the dictionary file's size and checksum
+	// against the manifest without parsing it; Dictionary then returns
+	// nil. An LSM chain opens every generation but its newest this way:
+	// identifiers are chain-global, so only the newest generation's
+	// cumulative table is ever read.
+	NoDictionary bool
 }
 
 // Index is a read-only handle on a committed index directory. All state
@@ -34,7 +40,9 @@ type Options struct {
 // immediately (new queries fail with ErrClosed) and the shard files are
 // actually closed when the last in-flight query drains — so a serving
 // layer may retire an index generation under live traffic without
-// coordinating with its readers.
+// coordinating with its readers. Retain adds an owner, so that several
+// chain views can share one open generation: each owner closes once,
+// and the handle is closed when the last of them has.
 type Index struct {
 	dir     string
 	man     manifest
@@ -47,9 +55,11 @@ type Index struct {
 
 	// refs counts the handle's own base reference (1) plus one per
 	// in-flight query; the transition to 0 closes the shard files.
-	// closed flips on Close, failing new acquisitions immediately.
+	// owners counts the Closes still owed (1 after Open, one more per
+	// Retain); the last one drops the base reference, and from then on
+	// new acquisitions fail.
 	refs   atomic.Int64
-	closed atomic.Bool
+	owners atomic.Int64
 }
 
 // shard is one open sorted shard.
@@ -71,7 +81,8 @@ func Open(dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{dir: dir, man: man}
-	ix.refs.Store(1) // the handle's own base reference, dropped by Close
+	ix.refs.Store(1) // the handle's own base reference, dropped by the last Close
+	ix.owners.Store(1)
 	if st, err := os.Stat(filepath.Join(dir, ManifestFile)); err == nil {
 		ix.manTime = st.ModTime()
 	}
@@ -82,7 +93,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		ix.cache = kvstore.NewLRU(opts.CacheBlocks)
 	}
 
-	if err := ix.loadDictionary(); err != nil {
+	if ix.dict, err = readDictionary(dir, man, !opts.NoDictionary); err != nil {
 		return nil, err
 	}
 
@@ -164,37 +175,37 @@ func manifestCRCMatches(crcData []byte, crc uint32) bool {
 	return false
 }
 
-func (ix *Index) loadDictionary() error {
-	path := filepath.Join(ix.dir, ix.man.Dict.File)
-	if ix.man.Dict.File == "" {
-		return corruptf("manifest names no dictionary")
+// readDictionary reads the dictionary file the manifest names and
+// verifies its size and CRC-32C; with parse set it also parses it,
+// honoring the manifest's rank flag — unranked dictionaries (LSM delta
+// generations) skip the non-increasing frequency check that ranked ones
+// are verified against — and otherwise returns nil.
+func readDictionary(dir string, man manifest, parse bool) (*dictionary.Dictionary, error) {
+	if man.Dict.File == "" {
+		return nil, corruptf("manifest names no dictionary")
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dir, man.Dict.File))
 	if err != nil {
-		return fmt.Errorf("index: read dictionary: %w", err)
+		return nil, fmt.Errorf("index: read dictionary: %w", err)
 	}
-	if int64(len(data)) != ix.man.Dict.Bytes {
-		return corruptf("dictionary is %d bytes, manifest declares %d", len(data), ix.man.Dict.Bytes)
+	if int64(len(data)) != man.Dict.Bytes {
+		return nil, corruptf("dictionary is %d bytes, manifest declares %d", len(data), man.Dict.Bytes)
 	}
-	if crc32.Checksum(data, crcTable) != ix.man.Dict.CRC {
-		return corruptf("dictionary checksum mismatch")
+	if crc32.Checksum(data, crcTable) != man.Dict.CRC {
+		return nil, corruptf("dictionary checksum mismatch")
 	}
-	d, err := loadDict(data, ix.man.DictUnranked)
+	if !parse {
+		return nil, nil
+	}
+	load := dictionary.Load
+	if man.DictUnranked {
+		load = dictionary.LoadUnranked
+	}
+	d, err := load(bytes.NewReader(data))
 	if err != nil {
-		return corruptf("parse dictionary: %v", err)
+		return nil, corruptf("parse dictionary: %v", err)
 	}
-	ix.dict = d
-	return nil
-}
-
-// loadDict parses dictionary bytes, honoring the manifest's rank flag:
-// unranked dictionaries (LSM delta generations) skip the non-increasing
-// frequency check that ranked dictionaries are verified against.
-func loadDict(data []byte, unranked bool) (*dictionary.Dictionary, error) {
-	if unranked {
-		return dictionary.LoadUnranked(bytes.NewReader(data))
-	}
-	return dictionary.Load(bytes.NewReader(data))
+	return d, nil
 }
 
 func openShard(dir string, si shardInfo) (*shard, error) {
@@ -284,19 +295,30 @@ func (ix *Index) loadTop() error {
 // granted while the reference count is positive, which guarantees the
 // shard files cannot be closed before the matching release.
 func (ix *Index) acquire() error {
-	if ix.closed.Load() {
+	if ix.owners.Load() <= 0 {
 		return ErrClosed
 	}
+	return addIfPositive(&ix.refs)
+}
+
+// addIfPositive increments a reference count unless it has already
+// dropped to zero, in which case what it guarded is gone: ErrClosed.
+func addIfPositive(n *atomic.Int64) error {
 	for {
-		r := ix.refs.Load()
+		r := n.Load()
 		if r <= 0 {
 			return ErrClosed
 		}
-		if ix.refs.CompareAndSwap(r, r+1) {
+		if n.CompareAndSwap(r, r+1) {
 			return nil
 		}
 	}
 }
+
+// Retain adds an owner to an open index: it stays open until Close has
+// been called once more than before. It fails with ErrClosed once the
+// last owner has closed — a closed index is never resurrected.
+func (ix *Index) Retain() error { return addIfPositive(&ix.owners) }
 
 // release drops one pin; the last release after Close closes the shard
 // files.
@@ -317,16 +339,25 @@ func (ix *Index) closeFiles() error {
 	return first
 }
 
-// Close marks the index closed — subsequent queries fail with ErrClosed
-// — and drops the handle's base reference. The shard files are closed
-// now if no query is in flight, otherwise by the last query to drain;
-// in the latter case any file-close error is not reported. Close is
-// idempotent.
+// Close gives up one ownership of the index. The last owner's Close
+// marks the index closed — subsequent queries fail with ErrClosed — and
+// drops the handle's base reference: the shard files are closed now if
+// no query is in flight, otherwise by the last query to drain; in the
+// latter case any file-close error is not reported. Closing a closed
+// index does nothing.
 func (ix *Index) Close() error {
-	if ix.closed.Swap(true) {
-		return nil
+	for {
+		o := ix.owners.Load()
+		if o <= 0 {
+			return nil
+		}
+		if ix.owners.CompareAndSwap(o, o-1) {
+			if o == 1 {
+				return ix.release()
+			}
+			return nil
+		}
 	}
-	return ix.release()
 }
 
 // Records returns the number of indexed n-grams.
@@ -393,7 +424,8 @@ func (ix *Index) ShardRuns(stats *extsort.IOStats) []*extsort.Run {
 // compares against the on-disk manifest to detect a rewritten index.
 func (ix *Index) ManifestTime() time.Time { return ix.manTime }
 
-// Dictionary returns the term dictionary recorded at save time.
+// Dictionary returns the term dictionary recorded at save time, or nil
+// for an index opened with Options.NoDictionary.
 func (ix *Index) Dictionary() *dictionary.Dictionary { return ix.dict }
 
 // CacheStats returns the cumulative hit and miss counts of the decoded-

@@ -41,7 +41,11 @@
 // tree and the compactor treat generations as just more sorted runs.
 // The newest generation's dictionary alone carries the cumulative
 // (term, frequency) table from which the canonical frequency-ranked
-// dictionary of a full rebuild is reconstructed exactly.
+// dictionary of a full rebuild is reconstructed exactly, so it is the
+// only one ever parsed: an append parses it once to seed the next
+// delta, an open once to rank it; the older generations' dictionaries
+// are verified against their manifests' size and checksum and not read
+// further.
 //
 // # Crash safety
 //

@@ -50,7 +50,9 @@ type Options struct {
 //
 // Like index.Index, all state is immutable after OpenChain and Close
 // is refcounted against in-flight queries, so a serving layer can
-// retire a view under live traffic.
+// retire a view under live traffic. Views obtained from one another by
+// Reopen share the open generations their manifests have in common;
+// each generation closes with the last view that holds it.
 type View struct {
 	dir     string
 	man     *Manifest
@@ -69,6 +71,9 @@ type View struct {
 	toCanon []sequence.Term
 	toChain []sequence.Term
 
+	// open counts what opening this view cost.
+	open OpenStats
+
 	refs   atomic.Int64
 	closed atomic.Bool
 
@@ -80,24 +85,73 @@ type View struct {
 	prefixScans, prefixRecords atomic.Int64
 }
 
+// OpenStats counts the work one open of a chain did. The counts depend
+// only on the chain and on the view it was reopened from, never on
+// timing: an append onto a view of G generations reopens as 1 opened,
+// G shared, and as many terms as the new delta's dictionary holds; an
+// unchanged manifest as 0, G, 0.
+type OpenStats struct {
+	// Opened is the number of generations opened from their directories,
+	// with every check OpenChain makes.
+	Opened int
+	// Shared is the number of generations taken over, already open, from
+	// the view this one was reopened from.
+	Shared int
+	// Terms is the number of dictionary terms parsed.
+	Terms int64
+}
+
+// OpenStats returns what opening the view cost.
+func (v *View) OpenStats() OpenStats { return v.open }
+
+// StatsOf returns the OpenStats behind a root-package *ngramstats.Index
+// handle: its view's, or one generation opened for a plain index. The
+// root package installs it at init, so that the serving layer can export
+// the counts without a public accessor for them.
+var StatsOf func(handle any) OpenStats
+
 // OpenChain opens the chain at dir and builds its merged view. Every
 // generation is opened and cross-checked against the chain manifest
 // (corpus, kind, σ, appendability, record counts); any inconsistency
-// is reported wrapping ErrCorrupt. A generation that vanishes between
-// the manifest read and its open (a compaction committed in between)
-// is retried once against the fresh manifest.
+// is reported wrapping ErrCorrupt. Every generation's dictionary is
+// verified against its manifest's size and checksum; only the newest
+// one's is parsed. A generation that vanishes between the manifest read
+// and its open (a compaction committed in between) is retried once
+// against the fresh manifest.
 func OpenChain(dir string, opts Options) (*View, error) {
-	v, err := openChain(dir, opts)
+	return openChainRetrying(dir, opts, nil)
+}
+
+// Reopen opens the chain's current state as a new view, leaving v as it
+// is. Every generation of v that the manifest still lists unchanged —
+// same inventory entry, same MANIFEST.json time as v observed — is
+// shared: the new view holds a counted reference on the open
+// index.Index, with its file descriptors, its warm block cache and its
+// loaded top records, and closes it only if it is the last view to do
+// so. Only directories v does not hold are opened, checked exactly as
+// OpenChain checks them; when the newest generation is shared, so are
+// the canonical dictionary and the translation tables. Reopen on a
+// closed view fails with index.ErrClosed.
+func (v *View) Reopen() (*View, error) {
+	if err := v.acquire(); err != nil {
+		return nil, err
+	}
+	defer v.release() // pinned, v keeps its generations open to be retained
+	return openChainRetrying(v.dir, v.opts, v)
+}
+
+func openChainRetrying(dir string, opts Options, prev *View) (*View, error) {
+	v, err := openChain(dir, opts, prev)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
 		// The chain may have been compacted under us: the manifest we
 		// read referenced generations that are now retired. Re-read and
 		// retry once.
-		v, err = openChain(dir, opts)
+		v, err = openChain(dir, opts, prev)
 	}
 	return v, err
 }
 
-func openChain(dir string, opts Options) (*View, error) {
+func openChain(dir string, opts Options, prev *View) (*View, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -107,12 +161,22 @@ func openChain(dir string, opts Options) (*View, error) {
 	if st, err := os.Stat(filepath.Join(dir, ChainFile)); err == nil {
 		v.manTime = st.ModTime()
 	}
-	for _, g := range man.Gens() {
-		gdir := filepath.Join(dir, g.Dir)
-		ix, err := index.Open(gdir, index.Options{CacheBlocks: opts.CacheBlocks})
-		if err != nil {
-			v.Close()
-			return nil, fmt.Errorf("lsm: generation %s: %w", g.Dir, err)
+	gens := man.Gens()
+	for i, g := range gens {
+		newest := i == len(gens)-1
+		ix := prev.share(g, newest)
+		if ix != nil {
+			v.open.Shared++
+		} else {
+			ix, err = index.Open(filepath.Join(dir, g.Dir), index.Options{CacheBlocks: opts.CacheBlocks, NoDictionary: !newest})
+			if err != nil {
+				v.Close()
+				return nil, fmt.Errorf("lsm: generation %s: %w", g.Dir, err)
+			}
+			v.open.Opened++
+			if newest {
+				v.open.Terms += int64(ix.Dictionary().Len())
+			}
 		}
 		v.gens = append(v.gens, ix)
 		if ix.Records() != g.Records {
@@ -128,37 +192,53 @@ func openChain(dir string, opts Options) (*View, error) {
 			return nil, corruptf("generation %s: %v", g.Dir, err)
 		}
 	}
-	if err := v.buildCanonical(); err != nil {
-		v.Close()
-		return nil, err
+	if prev != nil && v.gens[len(v.gens)-1] == prev.gens[len(prev.gens)-1] {
+		// The same newest generation: the same cumulative table.
+		v.dict, v.toCanon, v.toChain = prev.dict, prev.toCanon, prev.toChain
+	} else {
+		v.buildCanonical()
 	}
 	return v, nil
 }
 
+// share returns v's open generation for the inventory entry g, retained
+// for another view, if nothing says it changed since v opened it: v
+// lists the same entry, and the directory's MANIFEST.json still has the
+// time v observed. The chain's newest generation must also have its
+// dictionary parsed. A nil v shares nothing.
+func (v *View) share(g GenInfo, newest bool) *index.Index {
+	if v == nil {
+		return nil
+	}
+	i := slices.Index(v.man.Gens(), g)
+	if i < 0 {
+		return nil
+	}
+	ix := v.gens[i]
+	st, err := os.Stat(filepath.Join(v.dir, g.Dir, index.ManifestFile))
+	if err != nil || !st.ModTime().Equal(ix.ManifestTime()) || newest && ix.Dictionary() == nil || ix.Retain() != nil {
+		return nil
+	}
+	return ix
+}
+
 // buildCanonical reconstructs the canonical frequency-ranked
 // dictionary from the newest generation's cumulative table and the
-// translation maps between the two identifier spaces.
-func (v *View) buildCanonical() error {
+// translation maps between the two identifier spaces. A table already
+// in rank order — a chain whose only generation is a freshly compacted
+// or never appended-to base — is the canonical dictionary, under
+// identity maps.
+func (v *View) buildCanonical() {
 	chainDict := v.gens[len(v.gens)-1].Dictionary()
-	n := chainDict.Len()
-	db := dictionary.NewBuilder()
-	for i := 0; i < n; i++ {
-		id := sequence.Term(i)
-		db.AddN(chainDict.Term(id), chainDict.CF(id))
+	v.dict, v.toChain = chainDict.Rank()
+	if v.dict == chainDict {
+		v.toCanon = v.toChain
+		return
 	}
-	v.dict = db.Build()
-	v.toCanon = make([]sequence.Term, n)
-	v.toChain = make([]sequence.Term, n)
-	for i := 0; i < n; i++ {
-		id := sequence.Term(i)
-		canon, ok := v.dict.ID(chainDict.Term(id))
-		if !ok {
-			return corruptf("term %q lost in canonical dictionary build", chainDict.Term(id))
-		}
-		v.toCanon[id] = canon
-		v.toChain[canon] = id
+	v.toCanon = make([]sequence.Term, len(v.toChain))
+	for canon, chain := range v.toChain {
+		v.toCanon[chain] = sequence.Term(canon)
 	}
-	return nil
 }
 
 // acquire/release mirror index.Index: queries pin the view, and the

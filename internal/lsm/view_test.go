@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -91,130 +92,184 @@ func countNGrams(into map[string]cell, docs []testDoc, sigma int, kind core.Aggr
 	}
 }
 
+// chainWriter grows a chain at dir one generation at a time, keeping
+// the dictionary contract and the brute-force counts as it goes.
+type chainWriter struct {
+	t     *testing.T
+	dir   string
+	kind  core.AggregationKind
+	sigma int
+	// single says the chain will stay a chain of one: its base's stored
+	// list is then the answer and must be in report order.
+	single bool
+
+	all   map[string]cell  // brute-force counts over every document so far
+	docs  []testDoc        // every document so far
+	terms []string         // chain-global identifier order
+	cfs   map[string]int64 // cumulative term frequencies
+	man   *Manifest
+}
+
+func newChainWriter(t *testing.T, dir string, kind core.AggregationKind, sigma int, single bool) *chainWriter {
+	return &chainWriter{t: t, dir: dir, kind: kind, sigma: sigma, single: single, all: map[string]cell{}, cfs: map[string]int64{}}
+}
+
 // writeChain writes gens as a chain at dir (gens[0] the base, adopted
 // flat) and returns the brute-force counts over all documents.
 func writeChain(t *testing.T, dir string, kind core.AggregationKind, sigma int, gens []testGen) map[string]cell {
 	t.Helper()
-	all := map[string]cell{}
-	var terms []string // chain-global identifier order
-	cfs := map[string]int64{}
-	var man *Manifest
-	for g, gen := range gens {
-		counts := map[string]cell{}
-		countNGrams(counts, gen.docs, sigma, kind)
-		countNGrams(all, gen.docs, sigma, kind)
+	w := newChainWriter(t, dir, kind, sigma, len(gens) == 1)
+	for _, gen := range gens {
+		w.append(gen)
+	}
+	return w.all
+}
 
-		// The dictionary contract: the base ranks its terms; a delta
-		// inherits every identifier, appends its new terms, and carries
-		// cumulative frequencies.
-		var fresh []string
-		for _, d := range gen.docs {
-			for _, s := range d.sents {
-				for _, w := range s {
-					if _, ok := cfs[w]; !ok {
-						fresh = append(fresh, w)
-					}
-					cfs[w]++
+// append writes gen as the chain's next generation: the base, adopted
+// flat, if there is none yet, else a delta.
+func (w *chainWriter) append(gen testGen) {
+	t := w.t
+	t.Helper()
+	countNGrams(w.all, gen.docs, w.sigma, w.kind)
+	w.docs = append(w.docs, gen.docs...)
+
+	// The dictionary contract: the base ranks its terms; a delta
+	// inherits every identifier, appends its new terms, and carries
+	// cumulative frequencies.
+	var fresh []string
+	for _, d := range gen.docs {
+		for _, s := range d.sents {
+			for _, word := range s {
+				if _, ok := w.cfs[word]; !ok {
+					fresh = append(fresh, word)
 				}
+				w.cfs[word]++
 			}
 		}
-		sort.Strings(fresh)
-		var dict *dictionary.Dictionary
-		if g == 0 {
-			db := dictionary.NewBuilder()
-			for w, n := range cfs {
-				db.AddN(w, n)
-			}
-			dict = db.Build()
-			for i := 0; i < dict.Len(); i++ {
-				terms = append(terms, dict.Term(sequence.Term(i)))
-			}
-		} else {
-			terms = append(terms, fresh...)
-			table := make([]int64, len(terms))
-			for i, w := range terms {
-				table[i] = cfs[w]
-			}
-			var err error
-			if dict, err = dictionary.FromTable(terms, table); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		type rec struct {
-			key, value []byte
-			cf         int64
-			text       string
-		}
-		recs := make([]rec, 0, len(counts))
-		for text, c := range counts {
-			seq, err := dict.Encode(strings.Fields(text))
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, rec{encoding.EncodeSeq(seq), c.encode(kind), c.freq(), text})
-		}
-		sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
-
-		sub := "."
-		if g > 0 {
-			sub = man.NextDeltaDir()
-		}
-		w, err := index.NewWriter(filepath.Join(dir, sub), index.WriterOptions{
-			Corpus: "t", Kind: int(kind), Records: int64(len(recs)), Shards: 1,
-			Docs: int64(len(gen.docs)), MaxLength: sigma, MinFrequency: 1, DictUnranked: g > 0,
-		})
+	}
+	sort.Strings(fresh)
+	if w.man == nil {
+		w.writeGen(".", gen, w.rankedDict(), w.single)
+		man, err := Adopt(w.dir, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.SetDictionary(dict.Save); err != nil {
+		if err := WriteManifest(w.dir, man); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range recs {
-			if err := w.Append(r.key, r.value); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// A chain of one serves its base's list as the answer, so that
-		// list is in report order, as Save writes it. Lists that get
-		// merged need only descend by frequency: their ties sit in key
-		// order, which the merge must not depend on.
-		sort.SliceStable(recs, func(i, j int) bool {
-			a, b := recs[i], recs[j]
-			if a.cf != b.cf || len(gens) > 1 {
-				return a.cf > b.cf
-			}
-			if len(a.key) != len(b.key) { // one byte per term at this vocabulary size
-				return len(a.key) > len(b.key)
-			}
-			return a.text < b.text
-		})
-		depth := gen.depth
-		if depth < 0 || depth > len(recs) {
-			depth = len(recs)
-		}
-		for _, r := range recs[:depth] {
-			if err := w.AppendTop(r.key, r.value); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		w.man = man
+		return
+	}
+	w.terms = append(w.terms, fresh...)
+	table := make([]int64, len(w.terms))
+	ids := make(map[string]sequence.Term, len(w.terms))
+	for i, word := range w.terms {
+		table[i], ids[word] = w.cfs[word], sequence.Term(i)
+	}
+	sub := w.man.NextDeltaDir()
+	records := w.writeGen(sub, gen, dictionary.FromTables(slices.Clone(w.terms), table, ids), false)
+	if err := AppendGen(w.dir, w.man, GenInfo{Dir: sub, Records: records, Docs: int64(len(gen.docs))}); err != nil {
+		t.Fatal(err)
+	}
+}
 
-		if g == 0 {
-			if man, err = Adopt(dir, false); err != nil {
-				t.Fatal(err)
-			}
-			err = WriteManifest(dir, man)
-		} else {
-			err = AppendGen(dir, man, GenInfo{Dir: sub, Records: int64(len(recs)), Docs: int64(len(gen.docs))})
-		}
+// compact replaces the chain's generations by one base over every
+// document so far, as a compaction would write it: ranked dictionary,
+// every record stored as a top record, in report order.
+func (w *chainWriter) compact() {
+	w.t.Helper()
+	prev := *w.man
+	sub := w.man.NextBaseDir()
+	records := w.writeGen(sub, testGen{docs: w.docs, depth: -1}, w.rankedDict(), true)
+	man, err := SwapBase(w.dir, &prev, GenInfo{Dir: sub, Records: records, Docs: int64(len(w.docs))})
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if prev.Base.Dir == "." {
+		RemoveFlatBase(w.dir)
+	}
+	w.man = man
+}
+
+// rankedDict ranks the cumulative frequencies into a dictionary and
+// restarts the chain's identifier order from it.
+func (w *chainWriter) rankedDict() *dictionary.Dictionary {
+	db := dictionary.NewBuilder()
+	for word, n := range w.cfs {
+		db.AddN(word, n)
+	}
+	dict := db.Build()
+	w.terms = w.terms[:0]
+	for i := 0; i < dict.Len(); i++ {
+		w.terms = append(w.terms, dict.Term(sequence.Term(i)))
+	}
+	return dict
+}
+
+// writeGen writes the index directory sub from the brute-force counts
+// of gen.docs under dict, storing gen.depth top records (negative:
+// all), and returns its record count. A list that is an answer by
+// itself (reportOrder) is in report order, as Save writes it. Lists
+// that get merged need only descend by frequency: their ties sit in
+// key order, which the merge must not depend on.
+func (w *chainWriter) writeGen(sub string, gen testGen, dict *dictionary.Dictionary, reportOrder bool) int64 {
+	t := w.t
+	t.Helper()
+	counts := map[string]cell{}
+	countNGrams(counts, gen.docs, w.sigma, w.kind)
+	type rec struct {
+		key, value []byte
+		cf         int64
+		text       string
+	}
+	recs := make([]rec, 0, len(counts))
+	for text, c := range counts {
+		seq, err := dict.Encode(strings.Fields(text))
 		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec{encoding.EncodeSeq(seq), c.encode(w.kind), c.freq(), text})
+	}
+	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
+
+	iw, err := index.NewWriter(filepath.Join(w.dir, sub), index.WriterOptions{
+		Corpus: "t", Kind: int(w.kind), Records: int64(len(recs)), Shards: 1,
+		Docs: int64(len(gen.docs)), MaxLength: w.sigma, MinFrequency: 1, DictUnranked: !dict.Ranked(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := iw.SetDictionary(dict.Save); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := iw.Append(r.key, r.value); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return all
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.cf != b.cf || !reportOrder {
+			return a.cf > b.cf
+		}
+		if len(a.key) != len(b.key) { // one byte per term at this vocabulary size
+			return len(a.key) > len(b.key)
+		}
+		return a.text < b.text
+	})
+	depth := gen.depth
+	if depth < 0 || depth > len(recs) {
+		depth = len(recs)
+	}
+	for _, r := range recs[:depth] {
+		if err := iw.AppendTop(r.key, r.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := iw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(recs))
 }
 
 func openTestChain(t *testing.T, dir string) *View {
@@ -326,7 +381,11 @@ type randomChain struct {
 
 // forRandomChains draws the 150 random small chains the property tests
 // share — every aggregation kind, σ ∈ {1,2,3}, 0–5 deltas, complete,
-// truncated and missing stored lists — and calls fn on each.
+// truncated and missing stored lists — and calls fn on each. A chain
+// grows one append at a time under an open view that follows it by
+// Reopen, so the view fn gets shares all but its newest generation with
+// its predecessors; at every append it is checked against a fresh
+// OpenChain and the brute-force counts so far (checkReopened).
 func forRandomChains(t *testing.T, fn func(c randomChain)) {
 	rng := rand.New(rand.NewSource(20240915))
 	vocab := []string{"a", "b", "c", "d", "e", "f"}
@@ -347,9 +406,73 @@ func forRandomChains(t *testing.T, fn func(c randomChain)) {
 			}
 		}
 		dir := filepath.Join(t.TempDir(), "chain")
-		c.truth = writeChain(t, dir, c.kind, sigma, c.gens)
-		c.v = openTestChain(t, dir)
+		w := newChainWriter(t, dir, c.kind, sigma, len(c.gens) == 1)
+		for g, gen := range c.gens {
+			w.append(gen)
+			if g == 0 {
+				c.v = openTestChain(t, dir)
+				continue
+			}
+			next, err := c.v.Reopen()
+			if err != nil {
+				t.Fatalf("iter %d: Reopen after append %d: %v", iter, g, err)
+			}
+			t.Cleanup(func() { next.Close() })
+			if st := next.OpenStats(); st.Opened != 1 || st.Shared != g {
+				t.Fatalf("iter %d: Reopen after append %d opened %d generations and shared %d, want 1 and %d", iter, g, st.Opened, st.Shared, g)
+			}
+			checkReopened(t, next, openTestChain(t, dir), w.all)
+			c.v = next
+		}
+		c.truth = w.all
 		fn(c)
+	}
+}
+
+// checkReopened requires a view obtained by Reopen to answer exactly as
+// a freshly opened one — full scan, point gets, stored-list top-k and
+// prefix scans, byte for byte — and both to hold the brute-force counts.
+func checkReopened(t *testing.T, got, fresh *View, truth map[string]cell) {
+	t.Helper()
+	kind := core.AggregationKind(got.Kind())
+	ranked, want := scanRanked(t, got), scanRanked(t, fresh)
+	if len(ranked) != len(truth) || len(want) != len(truth) {
+		t.Fatalf("scans yield %d (reopened) and %d (fresh) n-grams, brute force %d", len(ranked), len(want), len(truth))
+	}
+	for i, r := range ranked {
+		if c := truth[r.text]; !bytes.Equal(r.key, want[i].key) || !bytes.Equal(r.value, want[i].value) || !bytes.Equal(r.value, c.encode(kind)) {
+			t.Fatalf("record %d: reopened %q (%x → %x), fresh %q (%x → %x), brute force %x",
+				i, r.text, r.key, r.value, want[i].text, want[i].key, want[i].value, c.encode(kind))
+		}
+		for _, v := range []*View{got, fresh} {
+			if val, ok, err := v.Get(r.key); err != nil || !ok || !bytes.Equal(val, r.value) {
+				t.Fatalf("Get(%q) = %x, %v, %v; the scan has %x", r.text, val, ok, err, r.value)
+			}
+		}
+	}
+	for _, k := range []int{1, 3, len(ranked)} {
+		gk, gv, gok := got.TopRecords(k)
+		fk, fv, fok := fresh.TopRecords(k)
+		if gok != fok || !slices.EqualFunc(gk, fk, bytes.Equal) || !slices.EqualFunc(gv, fv, bytes.Equal) {
+			t.Fatalf("TopRecords(%d): reopened answers %v with %d records, fresh %v with %d", k, gok, len(gk), fok, len(fk))
+		}
+		if gok != checkMerge(t, got, ranked, k) {
+			t.Fatalf("TopRecords(%d) changed its mind", k)
+		}
+	}
+	for _, r := range ranked[:min(3, len(ranked))] {
+		var out [2][]kv
+		for i, v := range []*View{got, fresh} {
+			if err := v.ScanPrefix(r.key[:1], 5, func(k, val []byte) error {
+				out[i] = append(out[i], kv{k, val})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.EqualFunc(out[0], out[1], func(a, b kv) bool { return bytes.Equal(a.key, b.key) && bytes.Equal(a.value, b.value) }) {
+			t.Fatalf("ScanPrefix(%x, 5): reopened %d records, fresh %d", r.key[:1], len(out[0]), len(out[1]))
+		}
 	}
 }
 

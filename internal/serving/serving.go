@@ -31,10 +31,13 @@
 // the active one is published through an atomic pointer, and every
 // request pins its generation with a reference count for the duration
 // of the request. Reload — triggered by POST /v1/admin/reload or the
-// manifest Watch loop — opens the index directory anew, swaps the
-// pointer, and drops the retiring generation's base reference: its
-// files close when the last in-flight request drains. Requests never
-// observe a half-swapped index and never fail because of a swap.
+// manifest Watch loop — reopens the index directory (Index.Reopen: an
+// LSM chain opens only the generation directories its manifest added
+// and shares the rest, open files and warm block caches included, with
+// the retiring generation), swaps the pointer, and drops the retiring
+// generation's base reference: files no newer generation shares close
+// when the last in-flight request drains. Requests never observe a
+// half-swapped index and never fail because of a swap.
 //
 // # Load shedding
 //
@@ -261,7 +264,18 @@ type handle struct {
 	mu     sync.Mutex // serializes Reload
 	closed bool       // set by Close, under mu
 	gen    atomic.Pointer[generation]
-	swaps  atomic.Int64
+
+	// statsMu orders swaps against metric scrapes, so that the counters
+	// below and the active generation are read as of one moment.
+	statsMu sync.Mutex
+	// retired holds what the retired generations counted that the active
+	// one cannot see: per-index counters never restart at a swap.
+	retired indexCounters
+	// reloads counts the swaps and accumulates what they cost.
+	reloads struct {
+		count, opened, shared, terms int64
+		seconds                      float64
+	}
 
 	// chainMu serializes chain mutations on the directory — delta
 	// appends (incremental reconciliation) and compactions — which
@@ -270,6 +284,53 @@ type handle struct {
 	// compacting guards against overlapping compactions of one handle
 	// without making admin requests wait behind a running one.
 	compacting atomic.Bool
+}
+
+// indexCounters are the cumulative per-index counters an open index
+// keeps, in the order of indexCounterNames.
+type indexCounters [6]int64
+
+// indexCounterNames are the counters' metric names, less the ngramsd_
+// prefix and the _total suffix: block-cache hits and misses, how chain
+// top-k queries were answered, and the work of chain prefix scans.
+var indexCounterNames = [6]string{
+	"block_cache_hits", "block_cache_misses", "topk_merged", "topk_scans", "prefix_scans", "prefix_records_folded",
+}
+
+func countersOf(ix *ngramstats.Index) (c indexCounters) {
+	c[0], c[1] = ix.CacheStats()
+	c[2], c[3] = ix.TopKStats()
+	c[4], c[5] = ix.PrefixStats()
+	return c
+}
+
+// plus returns c + sign·d.
+func (c indexCounters) plus(d indexCounters, sign int64) indexCounters {
+	for i := range c {
+		c[i] += sign * d[i]
+	}
+	return c
+}
+
+// swap publishes g as the active generation and returns the one it
+// replaces. What old counted moves into retired, less what g already
+// counts — a chain generation both share keeps counting in one block
+// cache that both report — so that retired + the active generation's
+// counters is continuous across the swap and monotonic ever after.
+func (h *handle) swap(g *generation, st lsm.OpenStats, took time.Duration) (old *generation) {
+	h.statsMu.Lock()
+	defer h.statsMu.Unlock()
+	old = h.gen.Load()
+	if old != nil {
+		h.retired = h.retired.plus(countersOf(old.ix), 1).plus(countersOf(g.ix), -1)
+	}
+	h.reloads.opened += int64(st.Opened)
+	h.reloads.shared += int64(st.Shared)
+	h.reloads.terms += st.Terms
+	h.reloads.seconds += took.Seconds()
+	h.reloads.count++
+	h.gen.Store(g)
+	return old
 }
 
 // acquire pins the active generation, or returns nil after Close.
@@ -469,7 +530,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	for _, name := range s.names {
 		h := &handle{name: name, cfg: opts.Indexes[name]}
 		h.live = s.live != nil && s.live.cfg.Index == name
-		g, err := s.openGeneration(h.cfg, 1)
+		g, err := s.openGeneration(h.cfg, nil)
 		switch {
 		case err == nil:
 			h.gen.Store(g)
@@ -533,8 +594,19 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) openGeneration(cfg IndexConfig, num int64) (*generation, error) {
-	ix, err := ngramstats.OpenIndexWith(cfg.Dir, ngramstats.IndexOptions{CacheBlocks: cfg.CacheBlocks})
+// openGeneration opens the successor of prev — reopening prev's index,
+// so that an LSM chain opens only what its manifest added — or the first
+// generation when prev is nil.
+func (s *Server) openGeneration(cfg IndexConfig, prev *generation) (*generation, error) {
+	var ix *ngramstats.Index
+	var err error
+	num := int64(1)
+	if prev != nil {
+		num = prev.num + 1
+		ix, err = prev.ix.Reopen()
+	} else {
+		ix, err = ngramstats.OpenIndexWith(cfg.Dir, ngramstats.IndexOptions{CacheBlocks: cfg.CacheBlocks})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -551,10 +623,10 @@ func (s *Server) openGeneration(cfg IndexConfig, num int64) (*generation, error)
 	return g, nil
 }
 
-// Reload opens the index directory anew and atomically swaps the fresh
+// Reload reopens the index directory and atomically swaps the fresh
 // generation in. In-flight requests finish on the generation they
-// started on; its files close when the last of them drains. Returns
-// the new generation number.
+// started on; the files it does not share with the new one close when
+// the last of them drains. Returns the new generation number.
 func (s *Server) Reload(name string) (int64, error) {
 	h, ok := s.handles[name]
 	if !ok {
@@ -565,22 +637,17 @@ func (s *Server) Reload(name string) (int64, error) {
 	if h.closed {
 		return 0, fmt.Errorf("serving: server closed")
 	}
-	old := h.gen.Load()
-	num := int64(1)
-	if old != nil {
-		num = old.num + 1
-	}
-	g, err := s.openGeneration(h.cfg, num)
+	start := time.Now()
+	g, err := s.openGeneration(h.cfg, h.gen.Load())
 	if err != nil {
 		return 0, fmt.Errorf("serving: reload %q: %w", name, err)
 	}
-	h.gen.Store(g)
-	h.swaps.Add(1)
-	if old != nil {
+	took, st := time.Since(start), lsm.StatsOf(g.ix)
+	if old := h.swap(g, st, took); old != nil {
 		old.release()
 	}
-	s.logf("serving: index %q swapped to generation %d (manifest %s)",
-		name, g.num, g.ix.ManifestTime().UTC().Format(time.RFC3339))
+	s.logf("serving: index %q swapped to generation %d (manifest %s; %d generations opened, %d shared, %s)",
+		name, g.num, g.ix.ManifestTime().UTC().Format(time.RFC3339), st.Opened, st.Shared, took.Round(time.Microsecond))
 	return g.num, nil
 }
 
@@ -1137,23 +1204,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, name := range s.names {
 		h := s.handles[name]
-		fmt.Fprintf(w, "ngramsd_index_swaps_total{index=%q} %d\n", name, h.swaps.Load())
+		// Under statsMu the active generation cannot be swapped out, so it
+		// and the retired counts are of one moment.
+		h.statsMu.Lock()
+		reloads, c := h.reloads, h.retired
 		g := h.acquire()
+		if g != nil {
+			c = c.plus(countersOf(g.ix), 1)
+		}
+		h.statsMu.Unlock()
+		fmt.Fprintf(w, "ngramsd_index_swaps_total{index=%q} %d\n", name, reloads.count)
+		fmt.Fprintf(w, "ngramsd_reload_generations_opened_total{index=%q} %d\n", name, reloads.opened)
+		fmt.Fprintf(w, "ngramsd_reload_generations_shared_total{index=%q} %d\n", name, reloads.shared)
+		fmt.Fprintf(w, "ngramsd_reload_dictionary_terms_total{index=%q} %d\n", name, reloads.terms)
+		fmt.Fprintf(w, "ngramsd_reload_seconds_sum{index=%q} %.6f\n", name, reloads.seconds)
+		fmt.Fprintf(w, "ngramsd_reload_seconds_count{index=%q} %d\n", name, reloads.count)
 		if g == nil {
 			continue
 		}
-		hits, misses := g.ix.CacheStats()
 		fmt.Fprintf(w, "ngramsd_index_generation{index=%q} %d\n", name, g.num)
 		fmt.Fprintf(w, "ngramsd_index_records{index=%q} %d\n", name, g.ix.Len())
 		fmt.Fprintf(w, "ngramsd_index_shards{index=%q} %d\n", name, g.ix.Shards())
-		fmt.Fprintf(w, "ngramsd_block_cache_hits_total{index=%q} %d\n", name, hits)
-		fmt.Fprintf(w, "ngramsd_block_cache_misses_total{index=%q} %d\n", name, misses)
-		merged, scans := g.ix.TopKStats()
-		fmt.Fprintf(w, "ngramsd_topk_merged_total{index=%q} %d\n", name, merged)
-		fmt.Fprintf(w, "ngramsd_topk_scans_total{index=%q} %d\n", name, scans)
-		prefixScans, prefixRecords := g.ix.PrefixStats()
-		fmt.Fprintf(w, "ngramsd_prefix_scans_total{index=%q} %d\n", name, prefixScans)
-		fmt.Fprintf(w, "ngramsd_prefix_records_folded_total{index=%q} %d\n", name, prefixRecords)
+		for i, metric := range indexCounterNames {
+			fmt.Fprintf(w, "ngramsd_%s_total{index=%q} %d\n", metric, name, c[i])
+		}
 		g.release()
 	}
 }

@@ -61,10 +61,19 @@ func saveFullIndex(t *testing.T, agg Aggregation, n int, dir string) {
 
 // buildChain saves a base over lsmDocs[:2] and appends lsmDocs[2:3]
 // and lsmDocs[3:5] as two delta generations, asserting each append's
-// MAP_INPUT_RECORDS shows only the new documents were processed.
+// MAP_INPUT_RECORDS shows only the new documents were processed. A
+// handle opened on the base follows the chain by Reopen — plain index
+// to chain at the first append, sharing generations at the second — and
+// after each append answers exactly as a fresh OpenIndex and as a
+// from-scratch rebuild over the documents so far.
 func buildChain(t *testing.T, agg Aggregation, dir string) {
 	t.Helper()
 	saveFullIndex(t, agg, 2, dir)
+	follow, err := OpenIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { follow.Close() }()
 	for i, bounds := range [][2]int{{2, 3}, {3, 5}} {
 		batch := lsmBatch(bounds[0], bounds[1])
 		stats, err := AppendDelta(context.Background(), dir, batch, AppendOptions{
@@ -85,6 +94,22 @@ func buildChain(t *testing.T, agg Aggregation, dir string) {
 		}
 		if want := int64(bounds[1]); stats.ChainDocs != want {
 			t.Fatalf("append %d: ChainDocs = %d, want %d", i, stats.ChainDocs, want)
+		}
+		next, err := follow.Reopen()
+		if err != nil {
+			t.Fatalf("Reopen after append %d: %v", i, err)
+		}
+		follow.Close()
+		follow = next
+		rebuildDir := filepath.Join(t.TempDir(), "rebuild")
+		saveFullIndex(t, agg, bounds[1], rebuildDir)
+		for _, d := range []string{dir, rebuildDir} {
+			want, err := OpenIndex(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIndexesEqual(t, follow, want)
+			want.Close()
 		}
 	}
 }
@@ -202,7 +227,6 @@ func TestAppendCompactGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertIndexesEqual(t, chain, full)
-			chain.Close()
 
 			// Compaction: byte-identical to the rebuild's data files.
 			stats, err := CompactIndex(chainDir, CompactOptions{TempDir: t.TempDir()})
@@ -249,7 +273,18 @@ func TestAppendCompactGolden(t *testing.T) {
 				t.Fatalf("delta generation survived compaction (err=%v)", err)
 			}
 
-			// The compacted chain still answers identically.
+			// The compacted chain still answers identically, to a handle
+			// that follows it across the compaction and to a fresh one; the
+			// handle opened before it keeps answering from the retired
+			// generations.
+			compacted, err := chain.Reopen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer compacted.Close()
+			assertIndexesEqual(t, compacted, full)
+			assertIndexesEqual(t, chain, full)
+			chain.Close()
 			chain, err = OpenIndex(chainDir)
 			if err != nil {
 				t.Fatal(err)

@@ -71,6 +71,7 @@ func (r *Result) SaveWith(dir string, opts SaveOptions) error {
 	// one total bytewise order for shard and block binary search.
 	sorter := extsort.NewSorter(extsort.Options{TempDir: opts.TempDir})
 	defer sorter.Discard()
+	sorter.Reserve(int(r.Len()))
 	ds := r.run.Result.Dataset()
 	for p := 0; p < ds.NumPartitions(); p++ {
 		err := ds.Scan(p, func(k, v []byte) error { return sorter.Add(k, v) })
@@ -203,20 +204,23 @@ func OpenIndex(dir string) (*Index, error) { return OpenIndexWith(dir, IndexOpti
 
 // OpenIndexWith is OpenIndex with explicit options.
 func OpenIndexWith(dir string, opts IndexOptions) (*Index, error) {
-	var b indexBackend
 	if lsm.Exists(dir) {
 		v, err := lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks, TempDir: opts.TempDir})
 		if err != nil {
 			return nil, err
 		}
-		b = v
-	} else {
-		ix, err := index.Open(dir, index.Options{CacheBlocks: opts.CacheBlocks})
-		if err != nil {
-			return nil, err
-		}
-		b = plainBackend{ix}
+		return newIndex(v, dir, opts)
 	}
+	ix, err := index.Open(dir, index.Options{CacheBlocks: opts.CacheBlocks})
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(plainBackend{ix}, dir, opts)
+}
+
+// newIndex wraps an open backend, closing it if its aggregation kind is
+// not one this build can decode.
+func newIndex(b indexBackend, dir string, opts IndexOptions) (*Index, error) {
 	kind := core.AggregationKind(b.Kind())
 	switch kind {
 	case core.AggCount, core.AggTimeSeries, core.AggDocIndex:
@@ -224,7 +228,40 @@ func OpenIndexWith(dir string, opts IndexOptions) (*Index, error) {
 		b.Close()
 		return nil, fmt.Errorf("ngramstats: index %s has unknown aggregation kind %d", dir, b.Kind())
 	}
-	return &Index{b: b, kind: kind}, nil
+	return &Index{b: b, kind: kind, dir: dir, opts: opts}, nil
+}
+
+// Reopen opens the directory's current state as a new handle, with the
+// options x was opened with, and leaves x open: the way to follow a
+// directory that is appended to, compacted or replaced while it is
+// served. For a chain it costs what the manifest added — every
+// generation x already holds and the manifest still lists is shared
+// with the new handle (same file descriptors, same warm block cache) and
+// only new generation directories are opened and checked; a plain index
+// is simply opened again. Both handles must be closed; a shared
+// generation's files close with the last handle that holds it. Reopen
+// on a closed chain handle fails with ErrIndexClosed.
+func (x *Index) Reopen() (*Index, error) {
+	v, ok := x.b.(*lsm.View)
+	if !ok || !lsm.Exists(x.dir) {
+		return OpenIndexWith(x.dir, x.opts)
+	}
+	nv, err := v.Reopen()
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(nv, x.dir, x.opts)
+}
+
+func init() {
+	lsm.StatsOf = func(handle any) lsm.OpenStats {
+		switch b := handle.(*Index).b.(type) {
+		case *lsm.View:
+			return b.OpenStats()
+		default:
+			return lsm.OpenStats{Opened: 1, Terms: int64(b.Dictionary().Len())}
+		}
+	}
 }
 
 // indexBackend is what a queryable on-disk artifact must provide: a
@@ -299,6 +336,9 @@ func (p plainBackend) TopRecords(k int) ([][]byte, [][]byte, bool) {
 type Index struct {
 	b    indexBackend
 	kind core.AggregationKind
+	// dir and opts are what the handle was opened with, for Reopen.
+	dir  string
+	opts IndexOptions
 }
 
 // resolver returns the shared decoder rendering terms through the
