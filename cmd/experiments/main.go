@@ -15,7 +15,7 @@
 // Parameters are scaled-down counterparts of the paper's: corpus sizes
 // shrink by ~3 orders of magnitude, and τ values shrink accordingly so
 // that the output-size regimes (and therefore the method trade-offs)
-// match. See EXPERIMENTS.md for the mapping and recorded results.
+// match.
 //
 // Usage:
 //

@@ -23,11 +23,11 @@
 //     elsewhere.
 //
 // The MapReduce substrate is a runtime faithful to Hadoop's
-// programming model (mappers, combiners, partitioners, sort
-// comparators, reducers, counters, slot-bounded parallelism, spill-to-
-// disk shuffle), so the same algorithm structure, data movement, and
-// measures the paper reports are observable locally via Result
-// counters. Execution is pluggable: jobs compile into a declarative
+// programming model (mappers, combiners, partitioners, ascending or
+// descending byte-order sorts, reducers, counters, slot-bounded
+// parallelism, spill-to-disk shuffle), so the same algorithm structure,
+// data movement, and measures the paper reports are observable locally
+// via Result counters. Execution is pluggable: jobs compile into a declarative
 // plan handed to an execution backend, either in-process goroutine
 // tasks (the default) or worker OS processes leased tasks by an HTTP
 // coordinator, with per-task retry ("process" spawns them on this

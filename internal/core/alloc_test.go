@@ -41,7 +41,7 @@ func groupLoopMallocs(t *testing.T, kind AggregationKind, combine bool, groups i
 				}
 				var key []byte
 				for i := 0; i < groups; i++ {
-					key = encoding.AppendSeq(key[:0], sequence.Seq{1, sequence.Term(2 + i/10), sequence.Term(2 + i%10)})
+					key = encoding.AppendKey(key[:0], sequence.Seq{1, sequence.Term(2 + i/10), sequence.Term(2 + i%10)})
 					for occ := 0; occ < 2; occ++ {
 						if err := emit(key, vals[(i+occ)%len(vals)]); err != nil {
 							return err
@@ -55,7 +55,7 @@ func groupLoopMallocs(t *testing.T, kind AggregationKind, combine bool, groups i
 			return mapreduce.ReducerFunc(func([]byte, *mapreduce.Values, mapreduce.Emit) error { return nil })
 		},
 		Partition:   FirstTermPartitioner,
-		Compare:     encoding.CompareSeqBytesReverse,
+		Descending:  true,
 		NumReducers: 1,
 		Sink:        func(int) (mapreduce.Sink, error) { return discardSink{}, nil },
 		TempDir:     t.TempDir(),

@@ -29,7 +29,8 @@ func suffixFilterJob(ctx context.Context, drv *mapreduce.Driver, p Params, in ma
 	return res.Output, nil
 }
 
-// reverseMapper reverses the n-gram key, keeping the value.
+// reverseMapper reverses the n-gram key into the key encoding, keeping
+// the value.
 type reverseMapper struct {
 	cur    sequence.Seq
 	keyBuf []byte
@@ -43,7 +44,7 @@ func (m *reverseMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 		return err
 	}
 	reverseInPlace(m.cur)
-	m.keyBuf = encoding.AppendSeq(m.keyBuf[:0], m.cur)
+	m.keyBuf = encoding.AppendKey(m.keyBuf[:0], m.cur)
 	return emit(m.keyBuf, value)
 }
 
@@ -72,7 +73,7 @@ type prefixFilterReducer struct {
 // Reduce implements mapreduce.Reducer.
 func (r *prefixFilterReducer) Reduce(key []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
 	var err error
-	r.cur, err = encoding.DecodeSeqInto(r.cur, key)
+	r.cur, err = encoding.DecodeKeyInto(r.cur, key)
 	if err != nil {
 		return err
 	}

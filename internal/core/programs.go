@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"ngramstats/internal/encoding"
 	"ngramstats/internal/mapreduce"
 )
 
@@ -86,7 +85,7 @@ func buildCoreJob(config []byte) (*mapreduce.Job, error) {
 			return &suffixMapper{sigma: s.Sigma, kind: s.Agg}
 		}
 		job.Partition = FirstTermPartitioner
-		job.Compare = encoding.CompareSeqBytesReverse
+		job.Descending = true
 		job.NewReducer = func() mapreduce.Reducer {
 			return &suffixSigmaReducer{tau: s.Tau, kind: s.Agg, mode: s.Select}
 		}
@@ -105,7 +104,7 @@ func buildCoreJob(config []byte) (*mapreduce.Job, error) {
 	case kindSuffixFilter:
 		job.NewMapper = func() mapreduce.Mapper { return &reverseMapper{} }
 		job.Partition = FirstTermPartitioner
-		job.Compare = encoding.CompareSeqBytesReverse
+		job.Descending = true
 		job.NewReducer = func() mapreduce.Reducer {
 			return &prefixFilterReducer{mode: s.Select, kind: s.Agg}
 		}
@@ -139,8 +138,7 @@ func (p Params) specJob(name string, s jobSpec) *mapreduce.Job {
 	job.NewCombiner = built.NewCombiner
 	job.NewReducer = built.NewReducer
 	job.Partition = built.Partition
-	job.Compare = built.Compare
-	job.GroupCompare = built.GroupCompare
+	job.Descending = built.Descending
 	job.Spec = &mapreduce.Spec{Program: coreProgram, Config: config}
 	return job
 }

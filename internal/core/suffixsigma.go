@@ -61,7 +61,7 @@ func computeSuffixSigma(ctx context.Context, col *corpus.Collection, p Params) (
 	}, nil
 }
 
-// FirstTermPartitioner assigns an encoded sequence key to a reducer
+// FirstTermPartitioner assigns a key-encoded sequence to a reducer
 // based on its first term only (the partition-function of Algorithm 4),
 // guaranteeing that a single reducer receives all suffixes that begin
 // with the same term. A key whose first term does not parse is
@@ -89,8 +89,10 @@ func mix32(x uint32) uint32 {
 }
 
 // suffixMapper emits at every position of every sentence the suffix
-// starting there, truncated to σ terms, with the aggregation's
-// per-occurrence value (a unit count by default).
+// starting there, truncated to σ terms and in the key encoding, with
+// the aggregation's per-occurrence value (a unit count by default).
+// Descending byte order of those keys is the reverse lexicographic
+// order of Section IV.
 type suffixMapper struct {
 	sigma  int
 	kind   AggregationKind
@@ -110,13 +112,13 @@ func (m *suffixMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 	}
 	val := mapValue(m.kind, &docMeta{docID: docID, year: year})
 	return corpus.VisitSentences(value, func(s sequence.Seq) error {
-		// Encode the sentence once, remembering each term's byte offset,
-		// so every truncated suffix is a subslice.
+		// Key-encode the sentence once, remembering each term's byte
+		// offset, so every truncated suffix is a subslice.
 		m.encBuf = m.encBuf[:0]
 		m.offs = m.offs[:0]
 		for _, t := range s {
 			m.offs = append(m.offs, len(m.encBuf))
-			m.encBuf = encoding.AppendUvarint(m.encBuf, uint64(t))
+			m.encBuf = encoding.AppendKeyTerm(m.encBuf, t)
 		}
 		m.offs = append(m.offs, len(m.encBuf))
 		for b := 0; b < len(s); b++ {
@@ -199,7 +201,7 @@ func (r *suffixSigmaReducer) newCell() Aggregate {
 // Reduce implements mapreduce.Reducer.
 func (r *suffixSigmaReducer) Reduce(key []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
 	var err error
-	r.cur, err = encoding.DecodeSeqInto(r.cur, key)
+	r.cur, err = encoding.DecodeKeyInto(r.cur, key)
 	if err != nil {
 		return err
 	}
@@ -328,12 +330,13 @@ func computeSuffixSigmaHashmap(ctx context.Context, col *corpus.Collection, p Pa
 }
 
 // suffixHashmapReducer aggregates every prefix of every received suffix
-// in a hashmap and emits the frequent ones on cleanup.
+// in a hashmap, keyed by its result encoding, and emits the frequent
+// ones on cleanup.
 type suffixHashmapReducer struct {
-	tau    int64
-	counts map[string]int64
-	cur    sequence.Seq
-	valBuf []byte
+	tau            int64
+	counts         map[string]int64
+	cur            sequence.Seq
+	keyBuf, valBuf []byte
 }
 
 // Setup implements mapreduce.TaskSetup.
@@ -353,16 +356,14 @@ func (r *suffixHashmapReducer) Reduce(key []byte, values *mapreduce.Values, emit
 		total += int64(v)
 	}
 	// Every prefix of the suffix is an n-gram it represents.
-	rest := key
-	prefixLen := 0
-	for len(rest) > 0 {
-		_, n := encoding.Uvarint(rest)
-		if n <= 0 {
-			return encoding.ErrCorrupt
-		}
-		prefixLen += n
-		rest = rest[n:]
-		r.counts[string(key[:prefixLen])] += total
+	var err error
+	if r.cur, err = encoding.DecodeKeyInto(r.cur, key); err != nil {
+		return err
+	}
+	r.keyBuf = r.keyBuf[:0]
+	for _, t := range r.cur {
+		r.keyBuf = encoding.AppendUvarint(r.keyBuf, uint64(t))
+		r.counts[string(r.keyBuf)] += total
 	}
 	return nil
 }

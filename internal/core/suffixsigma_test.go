@@ -258,7 +258,7 @@ func TestFirstTermPartitionerConsistency(t *testing.T) {
 				for i := 1; i < l; i++ {
 					s = append(s, sequence.Term(i*13))
 				}
-				p := FirstTermPartitioner(encoding.EncodeSeq(s), r)
+				p := FirstTermPartitioner(encoding.AppendKey(nil, s), r)
 				if p < 0 || p >= r {
 					t.Fatalf("partition %d out of range for r=%d", p, r)
 				}

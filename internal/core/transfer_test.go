@@ -117,7 +117,7 @@ func TestMalformedKeyFailsJob(t *testing.T) {
 		Input: mapreduce.SliceInput([]mapreduce.KV{{Key: []byte("k"), Value: []byte("v")}}, 1),
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(key, value []byte, emit mapreduce.Emit) error {
-				// 0x80 is a truncated varint: no valid first term.
+				// 0x80 and 0x81 are truncated key terms: no valid first term.
 				if err := emit([]byte{0x80}, []byte{1}); err != nil {
 					return err
 				}

@@ -43,19 +43,6 @@ func BenchmarkDecodeSeqInto(b *testing.B) {
 	}
 }
 
-// BenchmarkCompareSeqBytesReverse measures the SUFFIX-σ shuffle
-// comparator, the hottest function of the sort phase.
-func BenchmarkCompareSeqBytesReverse(b *testing.B) {
-	seqs := benchSeqs(1024, 8, 5000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := seqs[i%len(seqs)]
-		c := seqs[(i*7+1)%len(seqs)]
-		CompareSeqBytesReverse(a, c)
-	}
-}
-
 func BenchmarkCompareSeqBytes(b *testing.B) {
 	seqs := benchSeqs(1024, 8, 5000)
 	b.ResetTimer()

@@ -1,12 +1,16 @@
 // Package encoding provides the byte-level codecs shared by all methods:
 // variable-byte (varint) integer encoding [Witten et al., "Managing
-// Gigabytes"], length-framed records for spill files, sequence key
-// codecs, and raw comparators that order encoded sequences without
-// materializing them — the Go equivalent of the Hadoop raw comparators
-// the paper recommends in Section V.
+// Gigabytes"], length-framed records for spill files, and two sequence
+// key codecs. Results and saved indexes store sequences as LEB128
+// varints (AppendSeq). Shuffle keys that must sort in term order use
+// the key encoding (AppendKey), whose plain byte order is term order:
+// the shuffle then sorts, merges and groups with bytes.Compare alone,
+// which answers the paper's Section V call for raw comparators without
+// decoding a single term.
 package encoding
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -103,16 +107,6 @@ func SeqLen(b []byte) int {
 	return n
 }
 
-// FirstTerm decodes the first term of an encoded sequence. The SUFFIX-σ
-// partitioner assigns reducers based on it alone (Algorithm 4).
-func FirstTerm(b []byte) (sequence.Term, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || v > 0xFFFFFFFF {
-		return 0, fmt.Errorf("%w: bad first term", ErrCorrupt)
-	}
-	return sequence.Term(v), nil
-}
-
 // CompareSeqBytes orders two encoded sequences in standard lexicographic
 // term order without materializing them: terms are decoded one varint at
 // a time and compared numerically; a shorter sequence that is a prefix
@@ -152,7 +146,7 @@ func CompareSeqBytes(a, b []byte) int {
 		if na <= 0 || nb <= 0 {
 			// Malformed input cannot occur for keys we produced; order
 			// arbitrarily but deterministically by raw bytes.
-			return rawCompare(a, b)
+			return bytes.Compare(a, b)
 		}
 		switch {
 		case va < vb:
@@ -164,73 +158,101 @@ func CompareSeqBytes(a, b []byte) int {
 	}
 }
 
-// CompareSeqBytesReverse orders two encoded sequences in the reverse
-// lexicographic order of Section IV: terms compare in descending
-// identifier order and a sequence sorts before its own proper prefixes.
-// This is the raw-bytes form of sequence.CompareReverseLex and is used
-// as the SUFFIX-σ shuffle comparator.
-func CompareSeqBytesReverse(a, b []byte) int {
-	// Same single-byte fast path as CompareSeqBytes, with the comparison
-	// inverted (descending term order). The prefix rule only matters once
-	// one side is exhausted, which the general loop below handles.
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i]|b[i] < 0x80 {
-		if a[i] != b[i] {
-			if a[i] > b[i] {
-				return -1
-			}
-			return 1
-		}
-		i++
-	}
-	a, b = a[i:], b[i:]
-	for {
-		switch {
-		case len(a) == 0 && len(b) == 0:
-			return 0
-		case len(a) == 0:
-			return 1 // a is a proper prefix of b: b (longer) sorts first
-		case len(b) == 0:
-			return -1
-		}
-		va, na := binary.Uvarint(a)
-		vb, nb := binary.Uvarint(b)
-		if na <= 0 || nb <= 0 {
-			return rawCompare(a, b)
-		}
-		switch {
-		case va > vb:
-			return -1
-		case va < vb:
-			return 1
-		}
-		a, b = a[na:], b[nb:]
+// The key encoding is a prefix varint whose lead byte gives its length,
+// each length class starting where the previous one ends:
+//
+//	0xxxxxxx                          ids [0, 128)
+//	10xxxxxx + 1 byte                 the next 2^14 ids
+//	110xxxxx + 2 bytes                the next 2^21 ids
+//	1110xxxx + 3 bytes                the next 2^28 ids
+//	0xF0     + 4 bytes                the rest of uint32
+//
+// Bytewise order of encoded terms is their numeric order, and no
+// encoding is a prefix of another, so bytewise order of encoded
+// sequences is sequence.Compare and descending bytewise order is
+// sequence.CompareReverseLex (Section IV): a sequence's bytes are a
+// prefix of its extensions' bytes, so the extensions sort before it.
+// No encoding is longer than LEB128's for the same id.
+const (
+	keyBase2 = 1 << 7
+	keyBase3 = keyBase2 + 1<<14
+	keyBase4 = keyBase3 + 1<<21
+	keyBase5 = keyBase4 + 1<<28
+)
+
+// AppendKeyTerm appends the key encoding of t to dst.
+func AppendKeyTerm(dst []byte, t sequence.Term) []byte {
+	switch v := uint32(t); {
+	case v < keyBase2:
+		return append(dst, byte(v))
+	case v < keyBase3:
+		v -= keyBase2
+		return append(dst, 0x80|byte(v>>8), byte(v))
+	case v < keyBase4:
+		v -= keyBase3
+		return append(dst, 0xC0|byte(v>>16), byte(v>>8), byte(v))
+	case v < keyBase5:
+		v -= keyBase4
+		return append(dst, 0xE0|byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	default:
+		return binary.BigEndian.AppendUint32(append(dst, 0xF0), v-keyBase5)
 	}
 }
 
-func rawCompare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// AppendKey appends the key encoding of every term of s to dst.
+func AppendKey(dst []byte, s sequence.Seq) []byte {
+	for _, t := range s {
+		dst = AppendKeyTerm(dst, t)
 	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return len(a) - len(b)
+	return dst
 }
 
-// CompareBytes orders raw byte slices lexicographically. It is the
-// default shuffle comparator for jobs whose keys are not sequences.
-func CompareBytes(a, b []byte) int { return rawCompare(a, b) }
+// keyTerm decodes the key-encoded term at the start of b and its
+// width; width 0 means b is truncated or its lead byte is invalid.
+func keyTerm(b []byte) (uint32, int) {
+	switch {
+	case len(b) == 0:
+		return 0, 0
+	case b[0] < 0x80:
+		return uint32(b[0]), 1
+	case b[0] < 0xC0 && len(b) >= 2:
+		return keyBase2 + (uint32(b[0]&0x3F)<<8 | uint32(b[1])), 2
+	case b[0] < 0xE0 && b[0] >= 0xC0 && len(b) >= 3:
+		return keyBase3 + (uint32(b[0]&0x1F)<<16 | uint32(b[1])<<8 | uint32(b[2])), 3
+	case b[0] < 0xF0 && b[0] >= 0xE0 && len(b) >= 4:
+		return keyBase4 + binary.BigEndian.Uint32(b)&0x0FFFFFFF, 4
+	case b[0] == 0xF0 && len(b) >= 5:
+		if v := binary.BigEndian.Uint32(b[1:]); v <= 0xFFFFFFFF-keyBase5 {
+			return keyBase5 + v, 5
+		}
+	}
+	return 0, 0
+}
+
+// DecodeKeyInto decodes a key-encoded sequence into dst, reusing its
+// capacity.
+func DecodeKeyInto(dst sequence.Seq, b []byte) (sequence.Seq, error) {
+	dst = dst[:0]
+	for len(b) > 0 {
+		v, n := keyTerm(b)
+		if n == 0 {
+			return dst, fmt.Errorf("%w: bad key term", ErrCorrupt)
+		}
+		dst = append(dst, sequence.Term(v))
+		b = b[n:]
+	}
+	return dst, nil
+}
+
+// FirstTerm decodes the first term of a key-encoded sequence. The
+// SUFFIX-σ partitioner assigns reducers based on it alone (Algorithm 4).
+func FirstTerm(b []byte) (sequence.Term, error) {
+	v, n := keyTerm(b)
+	if n == 0 {
+		return 0, fmt.Errorf("%w: bad first key term", ErrCorrupt)
+	}
+	return sequence.Term(v), nil
+}
 
 // WriteRecord writes a length-framed (key, value) record:
 // uvarint(len(key)) ‖ key ‖ uvarint(len(value)) ‖ value.

@@ -2,7 +2,9 @@ package encoding
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -79,7 +81,7 @@ func TestDecodeSeqCorrupt(t *testing.T) {
 
 func TestFirstTerm(t *testing.T) {
 	s := sequence.Seq{300, 2, 1}
-	ft, err := FirstTerm(EncodeSeq(s))
+	ft, err := FirstTerm(AppendKey(nil, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,26 +110,79 @@ func TestCompareSeqBytesMatchesDecoded(t *testing.T) {
 		if sign(CompareSeqBytes(ea, eb)) != sign(sequence.Compare(a, b)) {
 			t.Fatalf("CompareSeqBytes(%v, %v) disagrees with sequence.Compare", a, b)
 		}
-		if sign(CompareSeqBytesReverse(ea, eb)) != sign(sequence.CompareReverseLex(a, b)) {
-			t.Fatalf("CompareSeqBytesReverse(%v, %v) disagrees with sequence.CompareReverseLex", a, b)
-		}
 	}
 }
 
-func TestCompareBytes(t *testing.T) {
-	cases := []struct {
-		a, b []byte
-		want int
-	}{
-		{nil, nil, 0},
-		{[]byte{1}, nil, 1},
-		{[]byte{1}, []byte{2}, -1},
-		{[]byte{1, 2}, []byte{1}, 1},
-		{[]byte{1, 2}, []byte{1, 2}, 0},
+// keyBoundaries are the first and last ids of every key length class.
+var keyBoundaries = []uint32{
+	0, 127, 128, 16511, 16512, 2113663, 2113664, 270549119, 270549120, math.MaxUint32,
+}
+
+// TestKeyEncoding pins the key encoding at every class boundary: it
+// round-trips, it is never longer than LEB128, its width steps exactly
+// at the boundaries, and byte order is numeric order.
+func TestKeyEncoding(t *testing.T) {
+	wantLen := []int{1, 1, 2, 2, 3, 3, 4, 4, 5, 5}
+	var prev []byte
+	for i, v := range keyBoundaries {
+		enc := AppendKeyTerm(nil, sequence.Term(v))
+		if len(enc) != wantLen[i] {
+			t.Errorf("id %d encodes in %d bytes, want %d", v, len(enc), wantLen[i])
+		}
+		if len(enc) > UvarintLen(uint64(v)) {
+			t.Errorf("id %d: key encoding %d bytes, LEB128 %d", v, len(enc), UvarintLen(uint64(v)))
+		}
+		got, err := DecodeKeyInto(nil, enc)
+		if err != nil || len(got) != 1 || uint32(got[0]) != v {
+			t.Errorf("id %d: decoded %v, %v", v, got, err)
+		}
+		if prev != nil && bytes.Compare(prev, enc) >= 0 {
+			t.Errorf("id %d encodes to %x, not after %x", v, enc, prev)
+		}
+		prev = enc
 	}
-	for _, c := range cases {
-		if got := CompareBytes(c.a, c.b); sign(got) != sign(c.want) {
-			t.Errorf("CompareBytes(%v, %v) = %d", c.a, c.b, got)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		v := rng.Uint32() >> rng.Intn(32)
+		if n, want := len(AppendKeyTerm(nil, sequence.Term(v))), UvarintLen(uint64(v)); n > want {
+			t.Fatalf("id %d: key encoding %d bytes, LEB128 %d", v, n, want)
+		}
+	}
+	for _, bad := range [][]byte{
+		{0x80}, {0xC0, 0}, {0xE0, 0, 0}, {0xF0, 0, 0, 0}, // truncated
+		{0xF1, 0, 0, 0, 0}, {0xFF}, // invalid lead byte
+		{0xF0, 0xFF, 0xFF, 0xFF, 0xFF}, // past uint32
+		{1, 0x80},                      // truncated after a good term
+	} {
+		if _, err := DecodeKeyInto(nil, bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeKeyInto(%x) = %v, want ErrCorrupt", bad, err)
+		}
+	}
+	if _, err := FirstTerm(nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("FirstTerm(empty) = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestKeyOrderMatchesSequenceOrder: ascending bytes are
+// sequence.Compare and descending bytes are the Section IV reverse
+// lexicographic order, over terms drawn from every length class.
+func TestKeyOrderMatchesSequenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	gen := func() sequence.Seq {
+		s := make(sequence.Seq, rng.Intn(5))
+		for i := range s {
+			s[i] = sequence.Term(keyBoundaries[rng.Intn(len(keyBoundaries))] - uint32(rng.Intn(2)))
+		}
+		return s
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a, b := gen(), gen()
+		ea, eb := AppendKey(nil, a), AppendKey(nil, b)
+		if sign(bytes.Compare(ea, eb)) != sign(sequence.Compare(a, b)) {
+			t.Fatalf("bytes of %v and %v disagree with sequence.Compare", a, b)
+		}
+		if sign(bytes.Compare(eb, ea)) != sign(sequence.CompareReverseLex(a, b)) {
+			t.Fatalf("descending bytes of %v and %v disagree with sequence.CompareReverseLex", a, b)
 		}
 	}
 }

@@ -2,7 +2,11 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
+
+	"ngramstats/internal/sequence"
 )
 
 // FuzzDecodeSeq: arbitrary bytes either decode to a sequence that
@@ -63,7 +67,7 @@ func FuzzRecordReader(f *testing.F) {
 }
 
 // FuzzComparatorsAgree: on arbitrary valid encodings, the raw
-// comparators are antisymmetric and agree on equality.
+// comparator is antisymmetric and agrees with bytes on equality.
 func FuzzComparatorsAgree(f *testing.F) {
 	f.Add([]byte{0x01, 0x02}, []byte{0x01, 0x03})
 	f.Add([]byte{}, []byte{0x00})
@@ -79,13 +83,57 @@ func FuzzComparatorsAgree(f *testing.F) {
 		if (fwd < 0) != (rev > 0) || (fwd == 0) != (rev == 0) {
 			t.Fatalf("CompareSeqBytes not antisymmetric: %d vs %d", fwd, rev)
 		}
-		rfwd := CompareSeqBytesReverse(a, b)
-		rrev := CompareSeqBytesReverse(b, a)
-		if (rfwd < 0) != (rrev > 0) || (rfwd == 0) != (rrev == 0) {
-			t.Fatalf("CompareSeqBytesReverse not antisymmetric: %d vs %d", rfwd, rrev)
+		if (fwd == 0) != bytes.Equal(a, b) {
+			t.Fatalf("CompareSeqBytes and bytes disagree on equality")
 		}
-		if (fwd == 0) != (rfwd == 0) {
-			t.Fatalf("comparators disagree on equality")
+	})
+}
+
+// FuzzKeyEncoding: any byte string either fails to decode as a key with
+// ErrCorrupt or is the one canonical encoding of what it decodes to;
+// and for two sequences built from the input, byte order of their key
+// encodings is sequence.Compare, descending byte order is
+// sequence.CompareReverseLex, and neither is longer than LEB128.
+func FuzzKeyEncoding(f *testing.F) {
+	f.Add([]byte{0x7F, 0x80, 0x00}, []byte{0x80, 0x00, 0x00, 0x00})
+	f.Add([]byte{0xF0, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
+	f.Add([]byte{0xBF, 0xFF, 0xC0}, []byte{0xDF, 0xFF, 0xFF, 0xE0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		for _, raw := range [][]byte{a, b} {
+			s, err := DecodeKeyInto(nil, raw)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("DecodeKeyInto(%x): %v", raw, err)
+				}
+				continue
+			}
+			if re := AppendKey(nil, s); !bytes.Equal(re, raw) {
+				t.Fatalf("%x decodes to %v, which encodes to %x", raw, s, re)
+			}
+		}
+		// Read each input as little-endian uint32 words, shifted by
+		// their low bits so every length class is reached.
+		seq := func(raw []byte) sequence.Seq {
+			var s sequence.Seq
+			for ; len(raw) >= 4; raw = raw[4:] {
+				w := binary.LittleEndian.Uint32(raw)
+				s = append(s, sequence.Term(w>>(w&31)))
+			}
+			return s
+		}
+		sa, sb := seq(a), seq(b)
+		ka, kb := AppendKey(nil, sa), AppendKey(nil, sb)
+		if len(ka) > len(AppendSeq(nil, sa)) {
+			t.Fatalf("%v: key encoding %d bytes, LEB128 %d", sa, len(ka), len(AppendSeq(nil, sa)))
+		}
+		if got, err := DecodeKeyInto(nil, ka); err != nil || !sequence.Equal(got, sa) {
+			t.Fatalf("%v round-trips to %v, %v", sa, got, err)
+		}
+		if sign(bytes.Compare(ka, kb)) != sign(sequence.Compare(sa, sb)) {
+			t.Fatalf("bytes of %v and %v disagree with sequence.Compare", sa, sb)
+		}
+		if sign(bytes.Compare(kb, ka)) != sign(sequence.CompareReverseLex(sa, sb)) {
+			t.Fatalf("descending bytes of %v and %v disagree with sequence.CompareReverseLex", sa, sb)
 		}
 	})
 }

@@ -1,10 +1,11 @@
 // Package extsort implements a bounded-memory external sorter for
 // (key, value) byte records. It is the storage engine behind the
 // MapReduce shuffle: map tasks append records to a Sorter, which keeps
-// an in-memory run up to a configurable budget, spills sorted runs to
-// varint-framed files, and finally exposes its sorted records one of
+// an in-memory run up to a configurable budget, radix-sorts it in
+// ascending or descending byte order, spills sorted runs to
+// block-framed files, and finally exposes its sorted records one of
 // two ways: Sort merges the sorter's own runs (in-memory and on-disk)
-// into a single iterator with a k-way heap merge, while Seal hands the
+// into a single iterator with a k-way loser-tree merge, while Seal hands the
 // runs themselves off as immutable Run values that any number of
 // sorters can contribute to one MergeRuns call.
 //
@@ -20,6 +21,7 @@ package extsort
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -30,8 +32,14 @@ import (
 // Compare orders two keys. Negative means a sorts before b.
 type Compare func(a, b []byte) int
 
-// defaultCompare is the order used when Options.Compare is nil.
-var defaultCompare Compare = bytes.Compare
+// Order returns the key order of a sorter or merge: bytewise, or its
+// reverse.
+func Order(descending bool) Compare {
+	if descending {
+		return func(a, b []byte) int { return bytes.Compare(b, a) }
+	}
+	return bytes.Compare
+}
 
 // Options configures a Sorter.
 type Options struct {
@@ -40,8 +48,9 @@ type Options struct {
 	MemoryBudget int
 	// TempDir is the directory for spill files. Empty selects os.TempDir.
 	TempDir string
-	// Compare orders keys. Nil selects bytewise lexicographic order.
-	Compare Compare
+	// Descending sorts keys in reverse bytewise order instead of
+	// bytewise order.
+	Descending bool
 	// OnSpill, if non-nil, is invoked with the number of records in each
 	// spilled run (for SPILLED_RECORDS-style counters).
 	OnSpill func(records int)
@@ -82,6 +91,7 @@ const recordOverhead = 32
 var (
 	arenaPool sync.Pool // *[]byte
 	recsPool  sync.Pool // *[]record
+	radixPool sync.Pool // *radixScratch
 )
 
 func getArena() []byte {
@@ -133,6 +143,8 @@ type Sorter struct {
 	mem     int
 	closed  bool
 	spillID int
+
+	keyCompares int // full-key comparisons made by sortInMemory
 }
 
 // NewSorter returns a Sorter with the given options.
@@ -140,11 +152,7 @@ func NewSorter(opts Options) *Sorter {
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = 32 << 20
 	}
-	cmp := opts.Compare
-	if cmp == nil {
-		cmp = defaultCompare
-	}
-	return &Sorter{opts: opts, cmp: cmp, arena: getArena(), recs: getRecs()}
+	return &Sorter{opts: opts, cmp: Order(opts.Descending), arena: getArena(), recs: getRecs()}
 }
 
 // Len returns the total number of records added so far.
@@ -186,20 +194,127 @@ func (s *Sorter) Reserve(records int) {
 	s.recs = slices.Grow(s.recs, max(0, min(records, s.opts.MemoryBudget/recordOverhead)))
 }
 
+// abbrKey is a record's abbreviated key: the first 8 bytes of the key,
+// big-endian and zero-padded, and its length capped at 9, both
+// complemented for a descending sort. Ordering by (prefix, length)
+// orders any two keys that differ in their first 8 bytes or are not
+// both longer than 8: a key of at most 8 bytes whose padded prefix
+// equals another's is a prefix of it.
+type abbrKey struct {
+	prefix uint64
+	rec    uint32
+	length uint8
+}
+
+// digit returns radix digit d of the abbreviated key, least
+// significant first: the length, then the prefix bytes.
+func (k abbrKey) digit(d int) int {
+	if d == 0 {
+		return int(k.length)
+	}
+	return int(byte(k.prefix >> (8 * (d - 1))))
+}
+
+// radixScratch is the working memory of one in-memory sort.
+type radixScratch struct {
+	keys, tmp []abbrKey
+	recs      []record
+}
+
+// prefix8 returns the first 8 bytes of the key at arena[off:off+n],
+// big-endian and zero-padded.
+func prefix8(arena []byte, off, n int) uint64 {
+	if n >= 8 {
+		return binary.BigEndian.Uint64(arena[off:])
+	}
+	if off+8 <= len(arena) {
+		return binary.BigEndian.Uint64(arena[off:]) &^ (^uint64(0) >> (8 * n))
+	}
+	var p uint64
+	for i, b := range arena[off : off+n] {
+		p |= uint64(b) << (56 - 8*i)
+	}
+	return p
+}
+
+// sortInMemory sorts the record table by key with a stable LSD radix
+// sort over abbreviated keys, skipping digits every key shares. Runs
+// of longer keys whose abbreviations tie are settled by full-key
+// comparison, and only when they are not already in order. Stability
+// keeps equal keys in insertion order, so a sort is a function of the
+// records added.
 func (s *Sorter) sortInMemory() {
-	// Records are appended in arrival order, so keyOff strictly
-	// increases with insertion index: tie-breaking equal keys on it
-	// reproduces a stable sort while keeping the unstable (pdqsort,
-	// non-reflective) slices.SortFunc — the stable sort.SliceStable it
-	// replaces spent a quarter of the fig7 profile in reflection-based
-	// swaps and symmerge rotations.
-	arena, cmp := s.arena, s.cmp
-	slices.SortFunc(s.recs, func(a, b record) int {
-		if c := cmp(arena[a.keyOff:a.keyOff+a.keyLen], arena[b.keyOff:b.keyOff+b.keyLen]); c != 0 {
-			return c
+	n := len(s.recs)
+	if n < 2 {
+		return
+	}
+	sc, _ := radixPool.Get().(*radixScratch)
+	if sc == nil {
+		sc = new(radixScratch)
+	}
+	defer radixPool.Put(sc)
+	sc.keys = slices.Grow(sc.keys[:0], n)[:n]
+	sc.tmp = slices.Grow(sc.tmp[:0], n)[:n]
+	var flip uint64
+	if s.opts.Descending {
+		flip = ^uint64(0)
+	}
+	var counts [9][256]int
+	for i, r := range s.recs {
+		k := abbrKey{prefix8(s.arena, r.keyOff, r.keyLen) ^ flip, uint32(i), uint8(min(r.keyLen, 9)) ^ uint8(flip)}
+		sc.keys[i] = k
+		for d := range counts {
+			counts[d][k.digit(d)]++
 		}
-		return a.keyOff - b.keyOff
-	})
+	}
+	src, dst := sc.keys, sc.tmp
+	for d := range counts {
+		c := &counts[d]
+		if c[src[0].digit(d)] == n {
+			continue
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b], sum = sum, sum+cnt
+		}
+		for _, k := range src {
+			b := k.digit(d)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && src[j].prefix == src[i].prefix && src[j].length == src[i].length {
+			j++
+		}
+		if j-i > 1 && s.recs[src[i].rec].keyLen > 8 {
+			s.settle(src[i:j])
+		}
+		i = j
+	}
+	sc.recs = slices.Grow(sc.recs[:0], n)[:n]
+	for i, k := range src {
+		sc.recs[i] = s.recs[k.rec]
+	}
+	copy(s.recs, sc.recs)
+}
+
+// settle orders a run of records whose abbreviated keys tie, in
+// insertion order on entry, by their full keys.
+func (s *Sorter) settle(run []abbrKey) {
+	compare := func(a, b abbrKey) int {
+		s.keyCompares++
+		ra, rb := s.recs[a.rec], s.recs[b.rec]
+		return s.cmp(s.arena[ra.keyOff:ra.keyOff+ra.keyLen], s.arena[rb.keyOff:rb.keyOff+rb.keyLen])
+	}
+	for i := 1; i < len(run); i++ {
+		if compare(run[i-1], run[i]) > 0 {
+			slices.SortStableFunc(run, compare)
+			return
+		}
+	}
 }
 
 // encodeRun sorts the in-memory buffer and encodes it into w in the
@@ -312,7 +427,7 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	}
 	s.arena, s.recs = nil, nil
 	for _, sp := range s.spills {
-		fs, err := openFileRunSource(sp.path, s.opts.Stats, s.cmp, nil, nil)
+		fs, err := openFileRunSource(sp.path, s.opts.Stats)
 		if err != nil {
 			for _, src := range srcs {
 				src.close()
@@ -403,7 +518,7 @@ func (m *memSource) close() {
 
 // openFileRunSource opens a block source over a run file. The source
 // owns the file: close() both closes and unlinks it.
-func openFileRunSource(path string, stats *IOStats, cmp Compare, lo, hi []byte) (source, error) {
+func openFileRunSource(path string, stats *IOStats) (source, error) {
 	remove := func() { os.Remove(path) }
 	f, err := os.Open(path)
 	if err != nil {
@@ -423,7 +538,7 @@ func openFileRunSource(path string, stats *IOStats, cmp Compare, lo, hi []byte) 
 		}
 		return buf, nil
 	}
-	src, err := newBlockSource(st.Size(), readAt, &fileFetcher{f: f}, stats, cmp, lo, hi, remove)
+	src, err := newBlockSource(st.Size(), readAt, &fileFetcher{f: f}, stats, remove)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run %s: %w", path, err)
 	}
@@ -431,14 +546,14 @@ func openFileRunSource(path string, stats *IOStats, cmp Compare, lo, hi []byte) 
 }
 
 // openMemRunSource opens a block source over an encoded in-memory run.
-func openMemRunSource(data []byte, stats *IOStats, cmp Compare, lo, hi []byte) (source, error) {
+func openMemRunSource(data []byte, stats *IOStats) (source, error) {
 	readAt := func(off int64, n int) ([]byte, error) {
 		if off < 0 || off+int64(n) > int64(len(data)) {
 			return nil, corruptf("region [%d,+%d) outside run of %d bytes", off, n, len(data))
 		}
 		return data[off : off+int64(n) : off+int64(n)], nil
 	}
-	src, err := newBlockSource(int64(len(data)), readAt, &memFetcher{data: data}, stats, cmp, lo, hi, nil)
+	src, err := newBlockSource(int64(len(data)), readAt, &memFetcher{data: data}, stats, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open in-memory run: %w", err)
 	}

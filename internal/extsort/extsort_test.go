@@ -124,18 +124,19 @@ func TestSortEmpty(t *testing.T) {
 }
 
 func TestSortCustomComparator(t *testing.T) {
-	// Sort encoded term sequences in reverse lexicographic order, as the
-	// SUFFIX-σ shuffle does.
+	// Sort key-encoded term sequences in descending byte order, which is
+	// the reverse lexicographic order of the SUFFIX-σ shuffle.
 	s := NewSorter(Options{
-		MemoryBudget: 128, // force spills so merge also uses the comparator
+		MemoryBudget: 128, // force spills so merge also uses the order
 		TempDir:      t.TempDir(),
-		Compare:      encoding.CompareSeqBytesReverse,
+		Descending:   true,
 	})
 	seqs := []sequence.Seq{
 		{1, 0, 0}, {1, 0}, {1, 2, 0}, {1}, {2}, {0, 5}, {1, 2},
+		{300}, {300, 0}, {20000, 1}, {127, 20000}, {128},
 	}
 	for _, q := range seqs {
-		if err := s.Add(encoding.EncodeSeq(q), nil); err != nil {
+		if err := s.Add(encoding.AppendKey(nil, q), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +146,7 @@ func TestSortCustomComparator(t *testing.T) {
 	}
 	var got []sequence.Seq
 	for it.Next() {
-		q, err := encoding.DecodeSeq(it.Key())
+		q, err := encoding.DecodeKeyInto(nil, it.Key())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,10 +34,10 @@ package extsort
 // prefix, repeating the previous value — costs exactly one byte of
 // framing.
 //
-// The per-run index maps each block to its first key, letting a merge
-// reader positioned by MergeRunsRange skip whole blocks outside its
-// key range, and letting sequential readers stream block-at-a-time
-// with readahead instead of record-at-a-time buffered reads. Every
+// The per-run index maps each block to its first key, letting a
+// RunReader find the one block that can hold a key, and letting
+// sequential readers stream block-at-a-time with readahead instead of
+// record-at-a-time buffered reads. Every
 // block and the index carry CRC-32C checksums; truncation or
 // corruption anywhere — payload, index, trailer — surfaces as an
 // error wrapping ErrCorruptRun, never as silently missing records.
@@ -647,30 +647,23 @@ func (ff *fileFetcher) fetch(start, end uint64) ([]byte, error) {
 
 func (ff *fileFetcher) close() { ff.f.Close() }
 
-// blockSource streams the records of one sealed run, optionally
-// restricted to the key range [lo, hi) under cmp using the footer
-// index to skip whole blocks. It implements source.
+// blockSource streams the records of one sealed run block by block. It
+// implements source.
 type blockSource struct {
 	footer  *runFooter
 	fetcher blockFetcher
 	dec     blockDecoder
 	stats   *IOStats
 
-	cmp    Compare
-	lo, hi []byte // nil = unbounded; lo inclusive, hi exclusive
-
 	next_   int // index of the next block to decode
-	end     int // one past the last candidate block
 	inBlock bool
-	skipLo  bool // still discarding records < lo in the first block
-	done    bool
 	cleanup func() // removes the backing file, if any
 }
 
 // newBlockSource opens a source over an encoded run. The footer is
 // parsed via readAt; records then stream through the fetcher.
 func newBlockSource(size int64, readAt func(off int64, n int) ([]byte, error),
-	fetcher blockFetcher, stats *IOStats, cmp Compare, lo, hi []byte, cleanup func()) (*blockSource, error) {
+	fetcher blockFetcher, stats *IOStats, cleanup func()) (*blockSource, error) {
 	footer, err := parseRunFooter(size, readAt)
 	if err != nil {
 		fetcher.close()
@@ -681,39 +674,13 @@ func newBlockSource(size int64, readAt func(off int64, n int) ([]byte, error),
 	}
 	// Footer and trailer were really read: account them.
 	stats.addRead(int64(size) - int64(footer.indexOff))
-	if cmp == nil {
-		cmp = defaultCompare
-	}
-	s := &blockSource{
-		footer: footer, fetcher: fetcher, stats: stats,
-		cmp: cmp, lo: lo, hi: hi,
-		end: len(footer.blocks), cleanup: cleanup,
-	}
-	if lo != nil {
-		// Block i is fully below lo iff the next block's first key is
-		// still below lo (its last key can equal the next first key).
-		for s.next_+1 < len(footer.blocks) && cmp(footer.blocks[s.next_+1].firstKey, lo) < 0 {
-			s.next_++
-		}
-		s.skipLo = true
-	}
-	if hi != nil {
-		// Block j is fully at-or-above hi iff its first key is ≥ hi.
-		for s.end > s.next_ && cmp(footer.blocks[s.end-1].firstKey, hi) >= 0 {
-			s.end--
-		}
-	}
-	return s, nil
+	return &blockSource{footer: footer, fetcher: fetcher, stats: stats, cleanup: cleanup}, nil
 }
 
 func (s *blockSource) next() (bool, error) {
 	for {
-		if s.done {
-			return false, nil
-		}
 		if !s.inBlock {
-			if s.next_ >= s.end {
-				s.done = true
+			if s.next_ >= len(s.footer.blocks) {
 				return false, nil
 			}
 			start := s.footer.blocks[s.next_].offset
@@ -736,17 +703,6 @@ func (s *blockSource) next() (bool, error) {
 		if !ok {
 			s.inBlock = false
 			continue
-		}
-		if s.skipLo {
-			if s.cmp(s.dec.key, s.lo) < 0 {
-				continue
-			}
-			s.skipLo = false
-		}
-		if s.hi != nil && s.cmp(s.dec.key, s.hi) >= 0 {
-			// Keys are sorted: nothing at or past hi is wanted.
-			s.done = true
-			return false, nil
 		}
 		return true, nil
 	}

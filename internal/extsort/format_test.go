@@ -2,8 +2,8 @@ package extsort
 
 // Durability and correctness tests for the block-framed run format:
 // round-trips with and without the block codec across block
-// boundaries, exact IOStats accounting, block skipping via
-// MergeRunsRange, and — the part that matters when a disk misbehaves —
+// boundaries, exact IOStats accounting, and — the part that matters
+// when a disk misbehaves —
 // the guarantee that truncated or corrupted runs surface
 // ErrCorruptRun instead of silently dropping records.
 
@@ -37,10 +37,9 @@ func encodeRun(t *testing.T, codec Codec, blockSize int, recs []kv) []byte {
 	return buf.Bytes()
 }
 
-// decodeRun reads an encoded run back into records via a bounded or
-// unbounded block source.
-func decodeRun(data []byte, stats *IOStats, lo, hi []byte) ([]kv, error) {
-	src, err := openMemRunSource(data, stats, nil, lo, hi)
+// decodeRun reads an encoded run back into records via a block source.
+func decodeRun(data []byte, stats *IOStats) ([]kv, error) {
+	src, err := openMemRunSource(data, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +76,7 @@ func TestRunFormatRoundTrip(t *testing.T) {
 			t.Run(fmt.Sprintf("codec=%s/block=%d", codec, blockSize), func(t *testing.T) {
 				recs := sortedRecords(500)
 				data := encodeRun(t, codec, blockSize, recs)
-				got, err := decodeRun(data, nil, nil, nil)
+				got, err := decodeRun(data, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +90,7 @@ func TestRunFormatRoundTrip(t *testing.T) {
 
 func TestRunFormatEmptyRun(t *testing.T) {
 	data := encodeRun(t, CodecRaw, 0, nil)
-	got, err := decodeRun(data, nil, nil, nil)
+	got, err := decodeRun(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestRunFormatEmptyRun(t *testing.T) {
 func TestRunFormatZeroLengthKeysAndValues(t *testing.T) {
 	recs := []kv{{"", ""}, {"", "x"}, {"a", ""}, {"a", ""}, {"ab", "y"}}
 	data := encodeRun(t, CodecRaw, 0, recs)
-	got, err := decodeRun(data, nil, nil, nil)
+	got, err := decodeRun(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestRunFormatTruncation(t *testing.T) {
 	recs := sortedRecords(300)
 	data := encodeRun(t, CodecRaw, 512, recs)
 	for cut := 0; cut < len(data); cut++ {
-		got, err := decodeRun(data[:cut], nil, nil, nil)
+		got, err := decodeRun(data[:cut], nil)
 		if err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded silently (%d records)", cut, len(data), len(got))
 		}
@@ -155,7 +154,7 @@ func TestRunFormatCorruption(t *testing.T) {
 	for i := 0; i < len(data); i++ {
 		corrupt := append([]byte(nil), data...)
 		corrupt[i] ^= 0x40
-		got, err := decodeRun(corrupt, nil, nil, nil)
+		got, err := decodeRun(corrupt, nil)
 		if err == nil && fmt.Sprint(got) != want {
 			t.Fatalf("flipping byte %d of %d silently changed the decoded records", i, len(data))
 		}
@@ -258,79 +257,6 @@ func TestRunFormatIOStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestMergeRunsRange(t *testing.T) {
-	var all []*Run
-	var want []kv
-	for task := 0; task < 3; task++ {
-		s := NewSorter(Options{MemoryBudget: 512, TempDir: t.TempDir()})
-		for i := task; i < 900; i += 3 {
-			k := fmt.Sprintf("key-%04d", i)
-			v := fmt.Sprintf("t%d", task)
-			if err := s.Add([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			if k >= "key-0300" && k < "key-0600" {
-				want = append(want, kv{k, v})
-			}
-		}
-		runs, err := s.Seal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, runs...)
-	}
-	it, err := MergeRunsRange(nil, all, []byte("key-0300"), []byte("key-0600"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []kv
-	for it.Next() {
-		got = append(got, kv{string(it.Key()), string(it.Value())})
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	it.Close()
-	if len(got) != len(want) {
-		t.Fatalf("range merge produced %d records, want %d", len(got), len(want))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].k > got[i].k {
-			t.Fatalf("out of order at %d", i)
-		}
-	}
-	for _, r := range got {
-		if r.k < "key-0300" || r.k >= "key-0600" {
-			t.Fatalf("record %q outside [key-0300, key-0600)", r.k)
-		}
-	}
-}
-
-// TestMergeRunsRangeSkipsBlocks: a bounded read of a many-block run
-// must fetch fewer bytes than a full scan — the point of the footer
-// index.
-func TestMergeRunsRangeSkipsBlocks(t *testing.T) {
-	recs := sortedRecords(5000)
-	data := encodeRun(t, CodecRaw, 1024, recs)
-
-	full := &IOStats{}
-	if _, err := decodeRun(data, full, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	bounded := &IOStats{}
-	got, err := decodeRun(data, bounded, []byte(recs[2400].k), []byte(recs[2600].k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("bounded read returned %d records, want 200", len(got))
-	}
-	if bounded.BytesRead() >= full.BytesRead()/2 {
-		t.Fatalf("bounded read fetched %d of %d bytes: block skipping is not working",
-			bounded.BytesRead(), full.BytesRead())
-	}
-}
-
 // TestRunFormatHugeCompressibleRecord: a single record far larger
 // than the block target — highly compressible, so flate shrinks it —
 // must round-trip; the reader's decompression-bomb guard scales with
@@ -342,7 +268,7 @@ func TestRunFormatHugeCompressibleRecord(t *testing.T) {
 			big := bytes.Repeat([]byte("compressible "), 1<<18) // ~3.4 MiB
 			recs := []kv{{"a", "x"}, {"big", string(big)}, {"c", "y"}}
 			data := encodeRun(t, codec, 0, recs)
-			got, err := decodeRun(data, nil, nil, nil)
+			got, err := decodeRun(data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +286,7 @@ func TestRunFormatValueElision(t *testing.T) {
 		{"f", ""}, {"g", ""}, {"h", "1"},
 	}
 	data := encodeRun(t, CodecRaw, 0, recs)
-	got, err := decodeRun(data, nil, nil, nil)
+	got, err := decodeRun(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

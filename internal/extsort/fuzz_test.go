@@ -34,7 +34,7 @@ func FuzzRunFormat(f *testing.F) {
 	f.Add(seed(CodecFlate, 32, []kv{{"key-0001", "v"}, {"key-0002", "v"}, {"key-0003", "w"}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, err := openMemRunSource(data, nil, nil, nil, nil)
+		src, err := openMemRunSource(data, nil)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptRun) {
 				t.Fatalf("open error %v does not wrap ErrCorruptRun", err)
@@ -92,7 +92,7 @@ func FuzzRunFormatRoundTrip(f *testing.F) {
 		if _, err := rw.finish(); err != nil {
 			t.Fatal(err)
 		}
-		src, err := openMemRunSource(buf.Bytes(), nil, nil, nil, nil)
+		src, err := openMemRunSource(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("reopen own encoding: %v", err)
 		}

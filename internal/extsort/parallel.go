@@ -139,9 +139,9 @@ func (g *groupSource) close() {
 // runGroupProducer merges one contiguous range of runs and streams the
 // result to its groupSource in batches. It owns the runs and releases
 // them on every exit path; it always closes out before returning.
-func runGroupProducer(cmp Compare, runs []*Run, lo, hi []byte, gs *groupSource) {
+func runGroupProducer(cmp Compare, runs []*Run, gs *groupSource) {
 	defer close(gs.out)
-	it, err := mergeRunsSequential(cmp, runs, lo, hi)
+	it, err := mergeRunsSequential(cmp, runs)
 	if err != nil {
 		select {
 		case gs.out <- &mergeBatch{err: err}:
@@ -191,7 +191,7 @@ func nextBatch(free chan *mergeBatch) *mergeBatch {
 // streams. The caller's Run values are emptied synchronously, so the
 // MergeRuns ownership contract (a later Discard is a no-op) holds
 // without racing the producers.
-func mergeRunsParallel(cmp Compare, runs []*Run, lo, hi []byte, g int) (*Iterator, error) {
+func mergeRunsParallel(cmp Compare, runs []*Run, g int) (*Iterator, error) {
 	owned := make([]Run, len(runs))
 	for i, r := range runs {
 		owned[i] = *r
@@ -216,7 +216,7 @@ func mergeRunsParallel(cmp Compare, runs []*Run, lo, hi []byte, g int) (*Iterato
 			done: make(chan struct{}),
 		}
 		groups = append(groups, gs)
-		go runGroupProducer(cmp, sub, lo, hi, gs)
+		go runGroupProducer(cmp, sub, gs)
 	}
 
 	it := &Iterator{cmp: cmp}

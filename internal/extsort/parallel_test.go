@@ -66,39 +66,6 @@ func TestParallelMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelMergeRange checks block-skipping bounds still hold when
-// the merge fans out across goroutines.
-func TestParallelMergeRange(t *testing.T) {
-	SetMergeParallelism(1)
-	seqRuns := buildShuffleRuns(t, t.TempDir(), 10, 7)
-	seqIt, err := MergeRunsRange(nil, seqRuns, []byte("key-010"), []byte("key-040"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := drain(t, seqIt)
-
-	SetMergeParallelism(3)
-	defer SetMergeParallelism(0)
-	parRuns := buildShuffleRuns(t, t.TempDir(), 10, 7)
-	parIt, err := MergeRunsRange(nil, parRuns, []byte("key-010"), []byte("key-040"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := drain(t, parIt)
-
-	if len(seq) == 0 {
-		t.Fatal("range selected no records; test is vacuous")
-	}
-	if fmt.Sprint(seq) != fmt.Sprint(par) {
-		t.Fatalf("range merge differs:\nsequential %v\nparallel   %v", seq, par)
-	}
-	for _, r := range seq {
-		if r.k < "key-010" || r.k >= "key-040" {
-			t.Fatalf("record %q outside [key-010, key-040)", r.k)
-		}
-	}
-}
-
 // TestParallelMergeEarlyClose abandons a parallel merge mid-stream and
 // checks the producer goroutines release every spill file.
 func TestParallelMergeEarlyClose(t *testing.T) {

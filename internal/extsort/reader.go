@@ -14,6 +14,7 @@ package extsort
 // open shard.
 
 import (
+	"bytes"
 	"io"
 	"sort"
 	"sync"
@@ -100,7 +101,7 @@ func (r *RunReader) FirstKey(i int) []byte { return r.footer.blocks[i].firstKey 
 // key, i.e. cannot be present at all.
 func (r *RunReader) FindBlock(key []byte, cmp Compare) int {
 	if cmp == nil {
-		cmp = defaultCompare
+		cmp = bytes.Compare
 	}
 	// First block whose firstKey > key, minus one.
 	i := sort.Search(len(r.footer.blocks), func(i int) bool {
@@ -249,7 +250,7 @@ func (b *DecodedBlock) Value(i int) []byte {
 // record's key equals the target.
 func (b *DecodedBlock) Search(key []byte, cmp Compare) (int, bool) {
 	if cmp == nil {
-		cmp = defaultCompare
+		cmp = bytes.Compare
 	}
 	i := sort.Search(len(b.recs), func(i int) bool {
 		return cmp(b.Key(i), key) >= 0

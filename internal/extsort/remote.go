@@ -40,8 +40,8 @@ func (f *remoteFetcher) fetch(start, end uint64) ([]byte, error) {
 func (f *remoteFetcher) close() {}
 
 // openRemoteRunSource opens a block source over a remote encoded run.
-func openRemoteRunSource(size int64, readAt ReadAtFunc, stats *IOStats, cmp Compare, lo, hi []byte) (source, error) {
-	src, err := newBlockSource(size, readAt, &remoteFetcher{readAt: readAt, size: size}, stats, cmp, lo, hi, nil)
+func openRemoteRunSource(size int64, readAt ReadAtFunc, stats *IOStats) (source, error) {
+	src, err := newBlockSource(size, readAt, &remoteFetcher{readAt: readAt, size: size}, stats, nil)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open remote run: %w", err)
 	}

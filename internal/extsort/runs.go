@@ -57,17 +57,15 @@ func (r *Run) Discard() {
 	r.remote = nil
 }
 
-// source returns a stream over the run's records in sorted order,
-// restricted to [lo, hi) under cmp when bounds are given (nil bounds
-// stream everything).
-func (r *Run) source(cmp Compare, lo, hi []byte) (source, error) {
+// source returns a stream over the run's records in sorted order.
+func (r *Run) source() (source, error) {
 	if r.remote != nil {
-		return openRemoteRunSource(r.size, r.remote, r.stats, cmp, lo, hi)
+		return openRemoteRunSource(r.size, r.remote, r.stats)
 	}
 	if r.path == "" {
-		return openMemRunSource(r.data, r.stats, cmp, lo, hi)
+		return openMemRunSource(r.data, r.stats)
 	}
-	return openFileRunSource(r.path, r.stats, cmp, lo, hi)
+	return openFileRunSource(r.path, r.stats)
 }
 
 // Seal finalizes the sorter into its sealed sorted runs without merging
@@ -126,35 +124,26 @@ func (s *Sorter) Seal() ([]*Run, error) {
 // resources are released as the merge drains or when the iterator is
 // closed; the Run values themselves are emptied, so a later Discard on
 // them is a no-op. Zero runs yield an empty iterator.
-func MergeRuns(cmp Compare, runs []*Run) (*Iterator, error) {
-	return MergeRunsRange(cmp, runs, nil, nil)
-}
-
-// MergeRunsRange is MergeRuns restricted to keys in [lo, hi) under cmp
-// (a nil bound is unbounded). Each run's footer index is consulted to
-// skip whole blocks outside the range, so a reader that needs one key
-// range of a large spilled run decodes only the blocks that can
-// contain it.
 //
 // When the fan-in is large and more than one CPU is available, the
 // merge splits its inputs across goroutines (see parallel.go); the
 // record stream is byte-identical either way.
-func MergeRunsRange(cmp Compare, runs []*Run, lo, hi []byte) (*Iterator, error) {
+func MergeRuns(cmp Compare, runs []*Run) (*Iterator, error) {
 	if cmp == nil {
-		cmp = defaultCompare
+		cmp = bytes.Compare
 	}
 	if g := mergeGroups(len(runs)); g > 1 {
-		return mergeRunsParallel(cmp, runs, lo, hi, g)
+		return mergeRunsParallel(cmp, runs, g)
 	}
-	return mergeRunsSequential(cmp, runs, lo, hi)
+	return mergeRunsSequential(cmp, runs)
 }
 
 // mergeRunsSequential opens every run in the calling goroutine and
 // merges them through one loser tree.
-func mergeRunsSequential(cmp Compare, runs []*Run, lo, hi []byte) (*Iterator, error) {
+func mergeRunsSequential(cmp Compare, runs []*Run) (*Iterator, error) {
 	it := &Iterator{cmp: cmp}
 	for i, r := range runs {
-		src, err := r.source(cmp, lo, hi)
+		src, err := r.source()
 		if err != nil {
 			it.Close()
 			// The failed run's resources were already released by the

@@ -173,10 +173,9 @@ func TestMergeRunsFromManySorters(t *testing.T) {
 }
 
 func TestMergeRunsCustomComparator(t *testing.T) {
-	desc := func(a, b []byte) int { return bytes.Compare(b, a) }
 	var all []*Run
 	for task := 0; task < 3; task++ {
-		s := NewSorter(Options{MemoryBudget: 1 << 20, TempDir: t.TempDir(), Compare: desc})
+		s := NewSorter(Options{MemoryBudget: 1 << 20, TempDir: t.TempDir(), Descending: true})
 		for i := 0; i < 10; i++ {
 			if err := s.Add([]byte(fmt.Sprintf("k%d-%d", i, task)), nil); err != nil {
 				t.Fatal(err)
@@ -188,7 +187,7 @@ func TestMergeRunsCustomComparator(t *testing.T) {
 		}
 		all = append(all, runs...)
 	}
-	got := drainRuns(t, desc, all)
+	got := drainRuns(t, Order(true), all)
 	if len(got) != 30 {
 		t.Fatalf("got %d records", len(got))
 	}

@@ -116,15 +116,6 @@ func (c *Counters) Add(name string, delta int64) {
 	c.counter(name).Add(delta)
 }
 
-// Counter returns the atomic cell backing the named counter, creating
-// it if needed, for callers that mind Add's name lookup and mutex. The
-// runtime's task loops do not use it: they count into task-local
-// integers and Add once per task, since even a pre-resolved cell is a
-// cache line every slot writes.
-func (c *Counters) Counter(name string) *atomic.Int64 {
-	return c.counter(name)
-}
-
 // Get returns the value of the named counter (zero if absent).
 func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()

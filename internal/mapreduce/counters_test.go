@@ -52,9 +52,9 @@ func TestCountersMergeConcurrentWithAdd(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cell := dst.Counter(fmt.Sprintf("ADD_%d", g))
+			name := fmt.Sprintf("ADD_%d", g)
 			for i := 0; i < addsEach; i++ {
-				cell.Add(1)
+				dst.Add(name, 1)
 				dst.Add("SHARED", 1)
 			}
 		}(g)

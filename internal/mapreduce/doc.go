@@ -3,10 +3,11 @@
 // programming model of Dean & Ghemawat — map(k1,v1) → list<(k2,v2)>,
 // sort/group, reduce(k2, list<v2>) → list<(k3,v3)> — together with the
 // Hadoop facilities the paper's implementation section (Section V)
-// depends on: custom partitioners and sort comparators, combiners for
-// local aggregation, job counters (MAP_OUTPUT_BYTES, MAP_OUTPUT_RECORDS,
-// …), side data in the style of the distributed cache, configurable
-// map/reduce slot pools, and a driver for multi-job workflows.
+// depends on: custom partitioners, an ascending or descending byte
+// order for sorting keys, combiners for local aggregation, job counters
+// (MAP_OUTPUT_BYTES, MAP_OUTPUT_RECORDS, …), side data in the style of
+// the distributed cache, configurable map/reduce slot pools, and a
+// driver for multi-job workflows.
 //
 // # Plan and Runner
 //
@@ -60,7 +61,7 @@
 // them over the wire; instead a job carries a Spec — the name of a
 // program registered with RegisterProgram plus a serialized
 // configuration — from which the worker rebuilds the mapper, combiner,
-// reducer, partitioner, and comparators. A job may even be Spec-only:
+// reducer, partitioner, and sort order. A job may even be Spec-only:
 // Compile materializes the callbacks from the registry, so the local
 // and worker construction paths are one and the same. Jobs without a
 // Spec (ad-hoc closures in tests) silently fall back to in-process
@@ -97,8 +98,7 @@
 // whose sorted keys are front-coded (shared-prefix length + differing
 // suffix), each block carries a CRC-32C checksum, and a per-run footer
 // index maps every block to its first key so merge readers stream
-// block-at-a-time with readahead and can skip blocks outside a key
-// range (extsort.MergeRunsRange). Front-coding is what makes SUFFIX-σ
+// block-at-a-time with readahead. Front-coding is what makes SUFFIX-σ
 // suffix keys — long sorted stretches sharing leading terms — much
 // smaller in flight than flat framing. Job.ShuffleCodec optionally
 // adds per-block DEFLATE on top for jobs whose values compress well.

@@ -20,7 +20,7 @@ type Mapper interface {
 }
 
 // Reducer consumes one group of intermediate records that share a key
-// (under the job's group comparator) and emits output records. A fresh
+// and emits output records. A fresh
 // Reducer is created per reduce task via Job.NewReducer (and per map
 // task for combiners via Job.NewCombiner).
 type Reducer interface {
@@ -118,12 +118,11 @@ type Job struct {
 	// to DefaultPartitioner. SUFFIX-σ overrides it to partition by first
 	// term only.
 	Partition Partitioner
-	// Compare is the shuffle sort order. Defaults to bytewise comparison.
-	// SUFFIX-σ overrides it with the reverse lexicographic comparator.
-	Compare extsort.Compare
-	// GroupCompare decides which consecutive sorted keys form one reduce
-	// group. Defaults to Compare.
-	GroupCompare extsort.Compare
+	// Descending sorts the shuffle in reverse bytewise key order instead
+	// of bytewise order. SUFFIX-σ sets it: over its order-preserving key
+	// encoding that is the reverse lexicographic order of Section IV.
+	// Either way a reduce group is a run of equal keys.
+	Descending bool
 	// NumReducers is the number of reduce partitions R. Defaults to
 	// 2×GOMAXPROCS.
 	NumReducers int
@@ -189,12 +188,6 @@ func (j *Job) withDefaults() *Job {
 	if cp.Partition == nil {
 		cp.Partition = DefaultPartitioner
 	}
-	if cp.Compare == nil {
-		cp.Compare = extsort.Compare(compareBytes)
-	}
-	if cp.GroupCompare == nil {
-		cp.GroupCompare = cp.Compare
-	}
 	if cp.NumReducers <= 0 {
 		cp.NumReducers = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -227,22 +220,6 @@ func (nopProgress) JobStart(JobInfo)          {}
 func (nopProgress) PhaseStart(string, string) {}
 func (nopProgress) TaskDone(string, string)   {}
 func (nopProgress) JobDone(JobSummary)        {}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return len(a) - len(b)
-}
 
 // Run executes the job to completion and returns its result: the job
 // is compiled into its Plan, and the plan is handed to the job's

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -163,7 +162,7 @@ func TestCustomComparatorControlsReduceOrder(t *testing.T) {
 				return nil
 			})
 		},
-		Compare: func(a, b []byte) int { return bytes.Compare(b, a) },
+		Descending: true,
 		// Single partition so order is total.
 		NumReducers: 1,
 		TempDir:     t.TempDir(),
@@ -211,51 +210,6 @@ func TestCustomPartitioner(t *testing.T) {
 	}
 	if len(firstByteToPart) != 3 {
 		t.Fatalf("expected keys with 3 distinct first bytes, got %v", firstByteToPart)
-	}
-}
-
-func TestGroupComparatorCoarserThanSort(t *testing.T) {
-	// Sort by whole key but group by first byte: reducer should see one
-	// group per first byte with values ordered by full key.
-	var mu sync.Mutex
-	groups := make(map[string][]string)
-	_, err := Run(context.Background(), &Job{
-		Name:  "grouping",
-		Input: SliceInput([]KV{{[]byte("d"), []byte("b2 a2 a1 b1")}}, 1),
-		NewMapper: func() Mapper {
-			return MapperFunc(func(key, value []byte, emit Emit) error {
-				for _, w := range strings.Fields(string(value)) {
-					if err := emit([]byte(w), []byte(w)); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		NewReducer: func() Reducer {
-			return ReducerFunc(func(key []byte, values *Values, emit Emit) error {
-				var vs []string
-				for values.Next() {
-					vs = append(vs, string(values.Value()))
-				}
-				mu.Lock()
-				groups[string(key[:1])] = vs
-				mu.Unlock()
-				return nil
-			})
-		},
-		GroupCompare: func(a, b []byte) int { return bytes.Compare(a[:1], b[:1]) },
-		NumReducers:  1,
-		TempDir:      t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(groups["a"]) != fmt.Sprint([]string{"a1", "a2"}) {
-		t.Fatalf("group a = %v", groups["a"])
-	}
-	if fmt.Sprint(groups["b"]) != fmt.Sprint([]string{"b1", "b2"}) {
-		t.Fatalf("group b = %v", groups["b"])
 	}
 }
 

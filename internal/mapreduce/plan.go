@@ -13,7 +13,7 @@ import (
 // data — everything a Runner needs to schedule the job's tasks,
 // detached from how (and where) those tasks execute. Compile produces
 // it; a Runner consumes it. The task-level callbacks (mapper, reducer,
-// comparators) stay reachable two ways: in-process through the
+// partitioner) stay reachable two ways: in-process through the
 // compiled job (LocalRunner), and by reconstruction from Spec in a
 // separate worker process (NetRunner).
 type Plan struct {
@@ -64,7 +64,7 @@ func (p *Plan) Tasks() (maps, reduces int) {
 
 // Job returns the defaulted job the plan was compiled from, giving
 // runners in-process access to the task callbacks (NewMapper,
-// NewReducer, Partition, Compare, …).
+// NewReducer, Partition, Descending, …).
 func (p *Plan) Job() *Job { return p.job }
 
 // ShuffleIO returns the live instrument measuring the plan's encoded
@@ -94,13 +94,7 @@ func (j *Job) Compile() (*Plan, error) {
 		if built.Partition != nil {
 			d.Partition = built.Partition
 		}
-		if built.Compare != nil {
-			d.Compare = built.Compare
-			d.GroupCompare = built.Compare
-		}
-		if built.GroupCompare != nil {
-			d.GroupCompare = built.GroupCompare
-		}
+		d.Descending = built.Descending
 	}
 	if d.NewMapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", d.Name)
@@ -133,7 +127,7 @@ func (j *Job) Compile() (*Plan, error) {
 // Spec names a registered program together with its serialized
 // configuration. It is the portable identity of a job's task
 // callbacks: a worker process rebuilds the mapper, combiner, reducer,
-// partitioner, and comparators by handing Config to the program
+// partitioner, and sort order by handing Config to the program
 // registered under Program. Jobs whose callbacks are ad-hoc closures
 // leave Spec nil and are confined to in-process execution.
 type Spec struct {
@@ -153,7 +147,7 @@ var (
 
 // RegisterProgram registers a program: a builder that reconstructs a
 // job's task-level callbacks (NewMapper, NewCombiner, NewReducer,
-// Partition, Compare, GroupCompare) from a serialized configuration.
+// Partition, Descending) from a serialized configuration.
 // The runtime fields of the returned job (input, sink, slots, memory
 // budgets, side data) are ignored — the executing runner supplies
 // them. Registering the same name twice panics: programs are process-

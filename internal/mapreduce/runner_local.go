@@ -211,7 +211,7 @@ func runMapTask(ctx context.Context, j *Job, taskID int, split Split, sealKeep i
 		opts := extsort.Options{
 			MemoryBudget: j.ShuffleMemory,
 			TempDir:      j.TempDir,
-			Compare:      j.Compare,
+			Descending:   j.Descending,
 			OnSpill:      func(n int) { t.spilled += int64(n) },
 			Codec:        j.ShuffleCodec,
 			Stats:        shuffleIO,
@@ -365,7 +365,7 @@ func combineRun(ctx context.Context, cancelled *atomic.Bool, j *Job, mapTC *Task
 		t.shuffleBytes += int64(len(key) + len(value))
 		return write(key, value)
 	})
-	vals := newValues(sorted, j.GroupCompare)
+	vals := newValues(sorted)
 	for vals.nextGroup() {
 		if cancelled.Load() {
 			return ctx.Err()
@@ -421,7 +421,7 @@ func runReduceTask(ctx context.Context, j *Job, p int, runs []*extsort.Run, sink
 	})
 	mergeStart := time.Now()
 	counters.Add(CounterMergeFanIn, int64(len(runs)))
-	it, err := extsort.MergeRuns(j.Compare, runs) // takes ownership of runs
+	it, err := extsort.MergeRuns(extsort.Order(j.Descending), runs) // takes ownership of runs
 	if err != nil {
 		w.Close()
 		return fmt.Errorf("reduce task %d: open merge: %w", p, err)
@@ -429,7 +429,7 @@ func runReduceTask(ctx context.Context, j *Job, p int, runs []*extsort.Run, sink
 	counters.Add(CounterShuffleMicros, time.Since(mergeStart).Microseconds())
 	defer it.Close()
 
-	vals := newValues(it, j.GroupCompare)
+	vals := newValues(it)
 	for vals.nextGroup() {
 		if cancelled.Load() {
 			w.Close()

@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"bytes"
+
 	"ngramstats/internal/extsort"
 )
 
@@ -8,8 +10,7 @@ import (
 // style of Hadoop's reduce(key, Iterable<value>). The slice returned by
 // Value is only valid until the next call to Next.
 type Values struct {
-	it       *extsort.Iterator
-	groupCmp extsort.Compare
+	it *extsort.Iterator
 
 	groupKey []byte
 	cur      []byte
@@ -19,8 +20,8 @@ type Values struct {
 	count    int64
 }
 
-func newValues(it *extsort.Iterator, groupCmp extsort.Compare) *Values {
-	v := &Values{it: it, groupCmp: groupCmp}
+func newValues(it *extsort.Iterator) *Values {
+	v := &Values{it: it}
 	v.pending = it.Next()
 	v.eof = !v.pending
 	v.done = true // no current group until nextGroup is called
@@ -62,7 +63,7 @@ func (v *Values) Next() bool {
 		v.done = true
 		return false
 	}
-	if v.groupCmp(v.it.Key(), v.groupKey) != 0 {
+	if !bytes.Equal(v.it.Key(), v.groupKey) {
 		// Start of the next group: buffer it.
 		v.pending = true
 		v.done = true
