@@ -206,6 +206,14 @@ func BenchmarkFig7ScalingSlots(b *testing.B) {
 	}
 }
 
+// BenchmarkAprioriIndexJob measures one APRIORI-INDEX count of the
+// web-like corpus at τ=5, σ=5: the posting-list scan jobs (k ≤ K) and
+// the join jobs after them. Run it with -benchmem.
+func BenchmarkAprioriIndexJob(b *testing.B) {
+	_, cw := benchCorpora()
+	runMethod(b, cw, core.AprioriIndex, benchParams(b, 5, 5))
+}
+
 // BenchmarkAblationStackVsHashmap compares the reverse-lexicographic
 // two-stack reducer against the in-memory hashmap strawman of
 // Section IV at the analytics setting.

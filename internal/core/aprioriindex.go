@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"ngramstats/internal/corpus"
 	"ngramstats/internal/encoding"
@@ -80,16 +83,22 @@ func aprioriIndexDatasets(ctx context.Context, col *corpus.Collection, p Params)
 }
 
 // indexScanMapper (Mapper #1 of Algorithm 3) computes, per document,
-// the positions of every k-gram using a local hashmap (the paper's
-// in-mapper local aggregation) and emits one posting per k-gram and
-// document. Positions are document-global with a gap of one between
-// sentences so that position adjacency never crosses a sentence
-// barrier.
+// the positions of every k-gram — sorting the document's occurrences by
+// (k-gram bytes, position), the paper's in-mapper local aggregation —
+// and emits one posting per k-gram and document. Positions are
+// document-global with a gap of one between sentences so that position
+// adjacency never crosses a sentence barrier.
 type indexScanMapper struct {
 	k      int
+	seq    sequence.Seq
 	encBuf []byte
 	offs   []int
+	grams  []gramAt
+	valBuf []byte
 }
+
+// gramAt is one k-gram occurrence: the k-gram is encBuf[start:end].
+type gramAt struct{ start, end, pos uint32 }
 
 // Map implements mapreduce.Mapper.
 func (m *indexScanMapper) Map(key, value []byte, emit mapreduce.Emit) error {
@@ -97,11 +106,10 @@ func (m *indexScanMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 	if err != nil {
 		return err
 	}
-	pos := make(map[string][]uint32)
+	m.encBuf, m.grams = m.encBuf[:0], m.grams[:0]
 	base := uint32(0)
-	err = corpus.VisitSentences(value, func(s sequence.Seq) error {
+	m.seq, err = corpus.VisitSentencesInto(m.seq, value, func(s sequence.Seq) error {
 		if len(s) >= m.k {
-			m.encBuf = m.encBuf[:0]
 			m.offs = m.offs[:0]
 			for _, t := range s {
 				m.offs = append(m.offs, len(m.encBuf))
@@ -109,8 +117,7 @@ func (m *indexScanMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 			}
 			m.offs = append(m.offs, len(m.encBuf))
 			for b := 0; b+m.k <= len(s); b++ {
-				g := string(m.encBuf[m.offs[b]:m.offs[b+m.k]])
-				pos[g] = append(pos[g], base+uint32(b))
+				m.grams = append(m.grams, gramAt{uint32(m.offs[b]), uint32(m.offs[b+m.k]), base + uint32(b)})
 			}
 		}
 		base += uint32(len(s)) + 1 // sentence barrier gap
@@ -119,36 +126,70 @@ func (m *indexScanMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 	if err != nil {
 		return err
 	}
-	for g, positions := range pos {
-		l := postings.List{{DocID: docID, Positions: positions}}
-		if err := emit([]byte(g), postings.Encode(l)); err != nil {
+	buf := m.encBuf
+	slices.SortFunc(m.grams, func(a, b gramAt) int {
+		return cmp.Or(bytes.Compare(buf[a.start:a.end], buf[b.start:b.end]), cmp.Compare(a.pos, b.pos))
+	})
+	for i := 0; i < len(m.grams); {
+		g := buf[m.grams[i].start:m.grams[i].end]
+		j := i + 1
+		for j < len(m.grams) && bytes.Equal(buf[m.grams[j].start:m.grams[j].end], g) {
+			j++
+		}
+		// postings.Encode of the one-posting list {docID: positions}.
+		m.valBuf = encoding.AppendUvarint(m.valBuf[:0], 1)
+		m.valBuf = encoding.AppendUvarint(m.valBuf, uint64(docID))
+		m.valBuf = encoding.AppendUvarint(m.valBuf, uint64(j-i))
+		prev := uint32(0)
+		for _, o := range m.grams[i:j] {
+			m.valBuf = encoding.AppendUvarint(m.valBuf, uint64(o.pos-prev))
+			prev = o.pos
+		}
+		if err := emit(g, m.valBuf); err != nil {
 			return err
 		}
+		i = j
 	}
 	return nil
 }
 
 // indexMergeReducer (Reducer #1) merges per-document postings into the
-// k-gram's posting list and keeps it when cf ≥ τ.
+// k-gram's posting list and keeps it when cf ≥ τ. The values are copied
+// into a reused arena while their cf is summed, so a group below τ is
+// dropped without decoding a posting and a frequent one is merged in its
+// encoded form.
 type indexMergeReducer struct {
-	tau int64
+	tau   int64
+	arena []byte
+	parts [][]byte // values in the arena (or in the one it outgrew)
+	out   []byte
 }
 
 // Reduce implements mapreduce.Reducer.
 func (r *indexMergeReducer) Reduce(key []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	var parts []postings.List
+	r.arena, r.parts = r.arena[:0], r.parts[:0]
+	var cf int64
 	for values.Next() {
-		l, err := postings.Decode(values.Value())
+		v := values.Value()
+		c, err := postings.EncodedCF(v)
 		if err != nil {
 			return err
 		}
-		parts = append(parts, l)
+		cf += c
+		r.arena = append(r.arena, v...)
+		r.parts = append(r.parts, r.arena[len(r.arena)-len(v):])
 	}
-	merged := postings.Merge(parts...)
-	if merged.CF() >= r.tau {
-		return emit(key, postings.Encode(merged))
+	if cf < r.tau {
+		return nil // merging can only lower cf, by unioning equal positions
 	}
-	return nil
+	var err error
+	if r.out, err = postings.MergeEncoded(r.out[:0], r.parts); err != nil {
+		return err
+	}
+	if cf, err = postings.EncodedCF(r.out); err != nil || cf < r.tau {
+		return err
+	}
+	return emit(key, r.out)
 }
 
 // joinTag distinguishes whether a (k−1)-gram reached the reducer under

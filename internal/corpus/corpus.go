@@ -186,37 +186,44 @@ func DocYear(b []byte) (int, error) {
 // sequence passed to fn is freshly decoded per call but reused
 // internally; callers must not retain it.
 func VisitSentences(b []byte, fn func(s sequence.Seq) error) error {
+	_, err := VisitSentencesInto(nil, b, fn)
+	return err
+}
+
+// VisitSentencesInto is VisitSentences decoding into scratch, which it
+// returns, grown, for the caller to pass with the next document.
+func VisitSentencesInto(scratch sequence.Seq, b []byte, fn func(s sequence.Seq) error) (sequence.Seq, error) {
+	s := scratch[:0]
 	_, n := encoding.Uvarint(b) // year
 	if n <= 0 {
-		return fmt.Errorf("corpus: %w: year", encoding.ErrCorrupt)
+		return s, fmt.Errorf("corpus: %w: year", encoding.ErrCorrupt)
 	}
 	b = b[n:]
 	nSent, n := encoding.Uvarint(b)
 	if n <= 0 {
-		return fmt.Errorf("corpus: %w: sentence count", encoding.ErrCorrupt)
+		return s, fmt.Errorf("corpus: %w: sentence count", encoding.ErrCorrupt)
 	}
 	b = b[n:]
-	var s sequence.Seq
 	for i := uint64(0); i < nSent; i++ {
 		l, n := encoding.Uvarint(b)
 		if n <= 0 {
-			return fmt.Errorf("corpus: %w: sentence length", encoding.ErrCorrupt)
+			return s, fmt.Errorf("corpus: %w: sentence length", encoding.ErrCorrupt)
 		}
 		b = b[n:]
 		s = s[:0]
 		for j := uint64(0); j < l; j++ {
 			t, n := encoding.Uvarint(b)
 			if n <= 0 || t > 0xFFFFFFFF {
-				return fmt.Errorf("corpus: %w: term", encoding.ErrCorrupt)
+				return s, fmt.Errorf("corpus: %w: term", encoding.ErrCorrupt)
 			}
 			b = b[n:]
 			s = append(s, sequence.Term(t))
 		}
 		if err := fn(s); err != nil {
-			return err
+			return s, err
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // Input exposes the collection as a MapReduce input of

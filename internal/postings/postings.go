@@ -6,10 +6,15 @@
 // Lists are kept in a compact varint encoding: document identifiers are
 // delta-encoded across postings and positions are delta-encoded within a
 // posting, following the compression advice of Section V.
+//
+// MergeEncoded merges encoded lists with output byte-identical to
+// Encode(Merge(Decode(part)…)), failing with encoding.ErrCorrupt exactly
+// where Decode does.
 package postings
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ngramstats/internal/encoding"
@@ -171,10 +176,12 @@ func Encode(l List) []byte {
 	return buf
 }
 
-// Decode deserializes a list produced by Encode.
+// Decode deserializes a list produced by Encode. A posting takes at least
+// three bytes and a position one, so larger counts (and empty postings)
+// are rejected before anything is allocated.
 func Decode(b []byte) (List, error) {
 	nPostings, n := encoding.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || nPostings > uint64(len(b)-n)/3 {
 		return nil, fmt.Errorf("postings: %w: posting count", encoding.ErrCorrupt)
 	}
 	b = b[n:]
@@ -189,7 +196,7 @@ func Decode(b []byte) (List, error) {
 		doc := prevDoc + int64(delta)
 		prevDoc = doc
 		nPos, n := encoding.Uvarint(b)
-		if n <= 0 {
+		if n <= 0 || nPos == 0 || nPos > uint64(len(b)-n) {
 			return nil, fmt.Errorf("postings: %w: position count", encoding.ErrCorrupt)
 		}
 		b = b[n:]
@@ -216,34 +223,104 @@ func Decode(b []byte) (List, error) {
 	return out, nil
 }
 
-// EncodedCF returns the collection frequency of an encoded list without
-// fully materializing it.
-func EncodedCF(b []byte) (int64, error) {
-	nPostings, n := encoding.Uvarint(b)
-	if n <= 0 {
-		return 0, fmt.Errorf("postings: %w: posting count", encoding.ErrCorrupt)
+// MergeEncoded appends to dst the encoding of the merge of the encoded
+// lists parts. If documents strictly ascend across the parts in order,
+// it copies the postings back to back, re-basing only each part's first
+// document delta on the previous part's last document; otherwise, or if
+// a varint is longer than Encode writes it, it decodes, merges, encodes.
+func MergeEncoded(dst []byte, parts [][]byte) ([]byte, error) {
+	base := len(dst)
+	var total uint64
+	for _, p := range parts {
+		c, _ := encoding.Uvarint(p) // checked by scan
+		total += c
 	}
-	b = b[n:]
-	var cf int64
-	for k := uint64(0); k < nPostings; k++ {
-		_, n := encoding.Uvarint(b) // doc delta
-		if n <= 0 {
-			return 0, fmt.Errorf("postings: %w: doc delta", encoding.ErrCorrupt)
+	dst = encoding.AppendUvarint(dst, total)
+	var last int64 // the last document written, once written is set
+	written := false
+	for _, p := range parts {
+		s, err := scan(p, last, written)
+		if err != nil {
+			return dst[:base], err
 		}
-		b = b[n:]
-		nPos, n := encoding.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("postings: %w: position count", encoding.ErrCorrupt)
-		}
-		b = b[n:]
-		cf += int64(nPos)
-		for i := uint64(0); i < nPos; i++ {
-			_, n := encoding.Uvarint(b)
-			if n <= 0 {
-				return 0, fmt.Errorf("postings: %w: position delta", encoding.ErrCorrupt)
+		if !s.copyable {
+			lists := make([]List, len(parts))
+			for i, p := range parts {
+				if lists[i], err = Decode(p); err != nil {
+					return dst[:base], err
+				}
 			}
-			b = b[n:]
+			return append(dst[:base], Encode(Merge(lists...))...), nil
+		}
+		if s.body < len(p) {
+			dst = encoding.AppendUvarint(dst, uint64(s.first-last))
+			dst = append(dst, p[s.body:]...)
+			last, written = s.last, true
 		}
 	}
-	return cf, nil
+	return dst, nil
 }
+
+// EncodedCF returns the collection frequency of an encoded list without
+// materializing it, checking it as Decode does.
+func EncodedCF(b []byte) (int64, error) {
+	s, err := scan(b, 0, false)
+	return s.cf, err
+}
+
+// span is what scan finds out about an encoded list.
+type span struct {
+	cf          int64
+	first, last int64 // documents
+	body        int   // offset just past the first document delta
+	copyable    bool  // see scan
+}
+
+// scan walks an encoded list with Decode's checks. The list is copyable
+// after document last (if written) when its varints are in shortest form
+// and its positions fit 32 bits, so that Encode would write them as they
+// stand, and its documents strictly ascend after last.
+func scan(b []byte, last int64, written bool) (s span, err error) {
+	c, off := encoding.Uvarint(b)
+	if off <= 0 || c > uint64(len(b)-off)/3 {
+		return s, fmt.Errorf("postings: %w: posting count", encoding.ErrCorrupt)
+	}
+	s.body, s.copyable = len(b), true
+	for k := uint64(0); k < c; k++ {
+		d, n := encoding.Uvarint(b[off:])
+		if n <= 0 {
+			return s, fmt.Errorf("postings: %w: doc delta", encoding.ErrCorrupt)
+		}
+		s.copyable = s.copyable && shortest(b[off:], n)
+		off += n
+		s.last += int64(d)
+		if k == 0 {
+			s.first, s.body = s.last, off
+		}
+		s.copyable = s.copyable && (s.last > last || k == 0 && !written)
+		last, written = s.last, true
+		nPos, n := encoding.Uvarint(b[off:])
+		if n <= 0 || nPos == 0 || nPos > uint64(len(b)-off-n) {
+			return s, fmt.Errorf("postings: %w: position count", encoding.ErrCorrupt)
+		}
+		s.copyable = s.copyable && shortest(b[off:], n)
+		off += n
+		s.cf += int64(nPos)
+		for ; nPos > 0; nPos-- {
+			d, n := encoding.Uvarint(b[off:])
+			if n <= 0 {
+				return s, fmt.Errorf("postings: %w: position delta", encoding.ErrCorrupt)
+			}
+			s.copyable = s.copyable && d <= math.MaxUint32 && shortest(b[off:], n)
+			off += n
+		}
+	}
+	if off != len(b) {
+		return s, fmt.Errorf("postings: %w: %d trailing bytes", encoding.ErrCorrupt, len(b)-off)
+	}
+	return s, nil
+}
+
+// shortest reports whether the n-byte varint at b's start is as short as
+// Encode would write it: one byte, or a last byte that is not zero.
+func shortest(b []byte, n int) bool { return n == 1 || b[n-1] != 0 }

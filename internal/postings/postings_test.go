@@ -1,11 +1,14 @@
 package postings
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"ngramstats/internal/encoding"
 	"ngramstats/internal/sequence"
 )
 
@@ -229,5 +232,156 @@ func TestEncodedSizeIsCompact(t *testing.T) {
 	b := Encode(l)
 	if len(b) > 100*3+2 {
 		t.Fatalf("encoding too large: %d bytes for 100 postings", len(b))
+	}
+}
+
+// TestDecodeRejectsImpossibleCounts holds Decode to the bounds the
+// encoding implies: a posting takes at least three bytes and a position
+// at least one, so larger counts are corrupt and allocate nothing.
+func TestDecodeRejectsImpossibleCounts(t *testing.T) {
+	for _, b := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // 2⁶³−1 postings
+		{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f},             // 2³²−1 positions
+		{0x02, 0x01, 0x01, 0x05},                               // two postings in three bytes
+		{0x01, 0x01, 0x00, 0x00},                               // an empty posting
+	} {
+		if _, err := Decode(b); !errors.Is(err, encoding.ErrCorrupt) {
+			t.Errorf("Decode(%x) = %v, want ErrCorrupt", b, err)
+		}
+		if _, err := MergeEncoded(nil, [][]byte{b}); !errors.Is(err, encoding.ErrCorrupt) {
+			t.Errorf("MergeEncoded(%x) = %v, want ErrCorrupt", b, err)
+		}
+	}
+}
+
+// mergeDecodePath is what MergeEncoded must reproduce: decode every part,
+// Merge, Encode.
+func mergeDecodePath(parts [][]byte) ([]byte, error) {
+	lists := make([]List, len(parts))
+	for i, p := range parts {
+		l, err := Decode(p)
+		if err != nil {
+			return nil, err
+		}
+		lists[i] = l
+	}
+	return Encode(Merge(lists...)), nil
+}
+
+// concatenates reports whether MergeEncoded takes its copying path on
+// parts.
+func concatenates(parts [][]byte) bool {
+	var last int64
+	written := false
+	for _, p := range parts {
+		s, err := scan(p, last, written)
+		if err != nil || !s.copyable {
+			return false
+		}
+		if s.body < len(p) {
+			last, written = s.last, true
+		}
+	}
+	return true
+}
+
+// checkMergeEncoded holds MergeEncoded to the decode path byte for byte,
+// appending after a prefix that must survive.
+func checkMergeEncoded(t *testing.T, name string, parts [][]byte) {
+	t.Helper()
+	want, err := mergeDecodePath(parts)
+	if err != nil {
+		t.Fatalf("%s: decode path: %v", name, err)
+	}
+	prefix := []byte("prefix")
+	got, err := MergeEncoded(append([]byte(nil), prefix...), parts)
+	if err != nil {
+		t.Fatalf("%s: MergeEncoded: %v", name, err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s: MergeEncoded = %x, decode path %x", name, got, want)
+	}
+}
+
+// randomList draws a list of up to maxDocs postings, documents ascending
+// from first.
+func randomList(rng *rand.Rand, first int64, maxDocs int) List {
+	var l List
+	doc := first
+	for d := rng.Intn(maxDocs + 1); d > 0; d-- {
+		var pos []uint32
+		p := uint32(rng.Intn(3))
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			pos = append(pos, p)
+			p += 1 + uint32(rng.Intn(300))
+		}
+		l = append(l, Posting{DocID: doc, Positions: pos})
+		doc += 1 + int64(rng.Intn(200))
+	}
+	return l
+}
+
+func TestMergeEncodedMatchesDecodePath(t *testing.T) {
+	enc := func(ls ...List) [][]byte {
+		var parts [][]byte
+		for _, l := range ls {
+			parts = append(parts, Encode(l))
+		}
+		return parts
+	}
+	p := func(doc int64, pos ...uint32) Posting { return Posting{DocID: doc, Positions: pos} }
+	for _, c := range []struct {
+		name   string
+		parts  [][]byte
+		concat bool
+	}{
+		{"no parts", nil, true},
+		{"one part", enc(List{p(3, 1, 4), p(9, 0)}), true},
+		{"in order", enc(List{p(1, 2)}, List{p(4, 0, 7)}, List{p(200, 5)}), true},
+		{"doc 0 first", enc(List{p(0, 0)}, List{p(1, 3)}), true},
+		{"empty parts", enc(nil, List{p(2, 1)}, nil, List{p(5, 5)}, nil), true},
+		{"only empty parts", enc(nil, nil), true},
+		{"out of order", enc(List{p(7, 1)}, List{p(2, 3)}), false},
+		{"overlapping", enc(List{p(1, 1), p(8, 2)}, List{p(4, 3), p(9, 9)}), false},
+		{"same doc twice", enc(List{p(1, 1), p(5, 2, 6)}, List{p(5, 2, 4), p(6, 0)}), false},
+		{"overlong count", [][]byte{{0x81, 0x00, 0x05, 0x01, 0x03}, Encode(List{p(6, 0)})}, true},
+		{"overlong doc delta", [][]byte{Encode(List{p(1, 0)}), {0x01, 0x85, 0x00, 0x01, 0x03}}, false},
+		{"overlong position count", [][]byte{{0x01, 0x05, 0x81, 0x00, 0x03}}, false},
+		{"overlong position", [][]byte{{0x01, 0x05, 0x02, 0x03, 0x81, 0x00}}, false},
+		{"position past 32 bits", [][]byte{{0x01, 0x05, 0x01, 0x81, 0x80, 0x80, 0x80, 0x10}}, false},
+	} {
+		checkMergeEncoded(t, c.name, c.parts)
+		if got := concatenates(c.parts); got != c.concat {
+			t.Errorf("%s: copying path %v, want %v", c.name, got, c.concat)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 2000; trial++ {
+		// An in-order split of one list into 1–8 contiguous parts, empty
+		// ones included, must take the copying path.
+		l := randomList(rng, int64(rng.Intn(2)), 12)
+		var parts [][]byte
+		rest := l
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			cut := len(rest)
+			if n > 1 {
+				cut = rng.Intn(len(rest) + 1)
+			}
+			parts = append(parts, Encode(rest[:cut]))
+			rest = rest[cut:]
+		}
+		name := fmt.Sprintf("trial %d split", trial)
+		checkMergeEncoded(t, name, parts)
+		if !concatenates(parts) {
+			t.Fatalf("%s: in-order split did not take the copying path", name)
+		}
+		// Independent lists over a small doc range overlap, share
+		// documents and arrive out of order.
+		parts = parts[:0]
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			parts = append(parts, Encode(randomList(rng, int64(rng.Intn(4)), 3)))
+		}
+		checkMergeEncoded(t, fmt.Sprintf("trial %d independent", trial), parts)
 	}
 }
