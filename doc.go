@@ -217,9 +217,10 @@
 //   - Options.MapSlots and Options.ReduceSlots set task parallelism
 //     (default GOMAXPROCS). More reduce slots also mean more
 //     partitions, so each reducer merges and aggregates less data.
-//     When reduce fan-in (runs per partition) reaches 8 and spare CPUs
-//     exist, the k-way merge itself additionally fans out across
-//     goroutines — automatic, byte-identical output.
+//     When reduce fan-in (runs per partition) reaches 8 and fewer
+//     reduce tasks run at once than there are CPUs, each k-way merge
+//     additionally fans out across the CPUs they leave idle —
+//     automatic, byte-identical output.
 //   - Options.Codec selects the run-file compression. The default raw
 //     front-coding already removes most redundancy from sorted
 //     SUFFIX-σ keys; CodecFlate trades CPU for bytes and pays off

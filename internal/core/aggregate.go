@@ -67,28 +67,28 @@ func newAggregate(kind AggregationKind) Aggregate {
 	}
 }
 
-// mapValue encodes the map-output value SUFFIX-σ emits for one suffix
-// occurrence under the given aggregation: the per-occurrence singleton
-// cell. All kinds share the property that the value of a combiner
+// appendMapValue appends to dst the map-output value SUFFIX-σ emits for
+// one suffix occurrence under the given aggregation: the per-occurrence
+// singleton cell. All kinds share the property that the value of a combiner
 // output (a merged cell) is decodable by Add, so combiners work
 // uniformly.
-func mapValue(kind AggregationKind, doc *docMeta) []byte {
+func appendMapValue(dst []byte, kind AggregationKind, doc *docMeta) []byte {
 	switch kind {
 	case AggTimeSeries:
 		// Singleton time series: one (year, count) pair.
-		b := encoding.AppendUvarint(nil, 1)
-		b = encoding.AppendUvarint(b, uint64(doc.year))
-		return encoding.AppendUvarint(b, 1)
+		dst = encoding.AppendUvarint(dst, 1)
+		dst = encoding.AppendUvarint(dst, uint64(doc.year))
+		return encoding.AppendUvarint(dst, 1)
 	case AggDocIndex:
-		b := encoding.AppendUvarint(nil, 1)
-		b = encoding.AppendUvarint(b, uint64(doc.docID))
-		return encoding.AppendUvarint(b, 1)
+		dst = encoding.AppendUvarint(dst, 1)
+		dst = encoding.AppendUvarint(dst, uint64(doc.docID))
+		return encoding.AppendUvarint(dst, 1)
 	default:
-		return encoding.AppendUvarint(nil, 1)
+		return encoding.AppendUvarint(dst, 1)
 	}
 }
 
-// docMeta carries the per-document metadata available to mapValue.
+// docMeta carries the per-document metadata available to appendMapValue.
 type docMeta struct {
 	docID int64
 	year  int

@@ -17,7 +17,7 @@ func randomCell(t *testing.T, kind AggregationKind, rng *rand.Rand, n int) (Aggr
 	var singletons [][]byte
 	for i := 0; i < n; i++ {
 		meta := &docMeta{docID: int64(rng.Intn(5)), year: 1990 + rng.Intn(5)}
-		v := mapValue(kind, meta)
+		v := appendMapValue(nil, kind, meta)
 		singletons = append(singletons, v)
 		if err := cell.Add(v); err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestCellResetAndAppendEncode(t *testing.T) {
 			fresh, singles := randomCell(t, kind, rng, 1+rng.Intn(10))
 			if trial%10 == 0 { // a large group first
 				for doc := 0; doc < 100; doc++ {
-					if err := reused.Add(mapValue(kind, &docMeta{docID: int64(doc), year: 1900 + doc})); err != nil {
+					if err := reused.Add(appendMapValue(nil, kind, &docMeta{docID: int64(doc), year: 1900 + doc})); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -147,12 +147,12 @@ func TestCellCorruptInputs(t *testing.T) {
 	}
 	// Trailing bytes.
 	ts := newAggregate(AggTimeSeries)
-	good := mapValue(AggTimeSeries, &docMeta{year: 2000})
+	good := appendMapValue(nil, AggTimeSeries, &docMeta{year: 2000})
 	if err := ts.Add(append(append([]byte(nil), good...), 1)); err == nil {
 		t.Error("time series accepted trailing bytes")
 	}
 	di := newAggregate(AggDocIndex)
-	goodDI := mapValue(AggDocIndex, &docMeta{docID: 3})
+	goodDI := appendMapValue(nil, AggDocIndex, &docMeta{docID: 3})
 	if err := di.Add(append(append([]byte(nil), goodDI...), 1)); err == nil {
 		t.Error("doc index accepted trailing bytes")
 	}

@@ -40,7 +40,7 @@ func groupLoopMallocs(t *testing.T, kind AggregationKind, combine bool, groups i
 			return mapreduce.MapperFunc(func(_, _ []byte, emit mapreduce.Emit) error {
 				var vals [35][]byte // built up front: the mapper is not what is gated
 				for i := range vals {
-					vals[i] = mapValue(kind, &docMeta{docID: int64(i % 7), year: 1990 + i%5})
+					vals[i] = appendMapValue(nil, kind, &docMeta{docID: int64(i % 7), year: 1990 + i%5})
 				}
 				var key []byte
 				for i := 0; i < groups; i++ {
@@ -158,9 +158,9 @@ func TestSpillingSuffixSigmaMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// indexMapMallocs reports the heap allocations of m.Map over docs, its
+// mapMallocs reports the heap allocations of m.Map over docs, its
 // output dropped.
-func indexMapMallocs(t *testing.T, m *indexScanMapper, docs []mapreduce.KV) uint64 {
+func mapMallocs(t *testing.T, m mapreduce.Mapper, docs []mapreduce.KV) uint64 {
 	t.Helper()
 	drop := func(_, _ []byte) error { return nil }
 	var before, after runtime.MemStats
@@ -223,28 +223,39 @@ func indexReduceMallocs(t *testing.T, groups int) uint64 {
 // buffers instead of building a map of position slices, and
 // indexMergeReducer sums cf over a reused arena and merges survivors in
 // their encoded form, so each may add at most one allocation per added
-// document or group.
+// document or group. The other methods' mappers are held to the same
+// bound: each decodes sentences into its own reused scratch.
 func TestIndexLoopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	t.Run("map", func(t *testing.T) {
-		col := synth.Generate(synth.NYTLike(400, 17))
-		var docs []mapreduce.KV
-		for i := range col.Docs {
-			docs = append(docs, mapreduce.KV{Key: corpus.EncodeDocKey(col.Docs[i].ID), Value: corpus.EncodeDocValue(&col.Docs[i])})
-		}
-		half := len(docs) / 2
-		m := &indexScanMapper{k: 2}
-		indexMapMallocs(t, m, docs) // grow the buffers
-		small := indexMapMallocs(t, m, docs[:half])
-		large := indexMapMallocs(t, m, docs)
-		perDoc := (float64(large) - float64(small)) / float64(len(docs)-half)
-		t.Logf("%d allocations at %d documents, %d at %d: %.3f per added document", small, half, large, len(docs), perDoc)
-		if perDoc > 1 {
-			t.Fatalf("map loop allocates %.2f times per document, want <= 1", perDoc)
-		}
-	})
+	col := synth.Generate(synth.NYTLike(400, 17))
+	var docs []mapreduce.KV
+	for i := range col.Docs {
+		docs = append(docs, mapreduce.KV{Key: corpus.EncodeDocKey(col.Docs[i].ID), Value: corpus.EncodeDocValue(&col.Docs[i])})
+	}
+	half := len(docs) / 2
+	for _, tc := range []struct {
+		name string
+		m    mapreduce.Mapper
+	}{
+		{"map", &indexScanMapper{k: 2}},
+		{"naive-map", &naiveMapper{sigma: 5}},
+		{"apriori-scan-map", &scanMapper{k: 1}},
+		{"suffix-sigma-map", &suffixMapper{sigma: 5, kind: AggDocIndex}},
+		{"unigram-map", &unigramMapper{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mapMallocs(t, tc.m, docs) // grow the buffers
+			small := mapMallocs(t, tc.m, docs[:half])
+			large := mapMallocs(t, tc.m, docs)
+			perDoc := (float64(large) - float64(small)) / float64(len(docs)-half)
+			t.Logf("%d allocations at %d documents, %d at %d: %.3f per added document", small, half, large, len(docs), perDoc)
+			if perDoc > 1 {
+				t.Fatalf("map loop allocates %.2f times per document, want <= 1", perDoc)
+			}
+		})
+	}
 	t.Run("reduce", func(t *testing.T) {
 		const groups = 4000
 		indexReduceMallocs(t, groups) // warm the buffer pools

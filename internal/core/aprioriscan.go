@@ -142,6 +142,7 @@ type scanMapper struct {
 	memoryBudget int
 	tempDir      string
 	dict         ngramDict
+	seq          sequence.Seq
 	encBuf       []byte
 	offs         []int
 }
@@ -173,8 +174,8 @@ func (m *scanMapper) Cleanup(emit mapreduce.Emit) error {
 }
 
 // Map implements mapreduce.Mapper.
-func (m *scanMapper) Map(key, value []byte, emit mapreduce.Emit) error {
-	return corpus.VisitSentences(value, func(s sequence.Seq) error {
+func (m *scanMapper) Map(key, value []byte, emit mapreduce.Emit) (err error) {
+	m.seq, err = corpus.VisitSentencesInto(m.seq, value, func(s sequence.Seq) error {
 		if len(s) < m.k {
 			return nil
 		}
@@ -212,4 +213,5 @@ func (m *scanMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 		}
 		return nil
 	})
+	return err
 }

@@ -55,12 +55,13 @@ func documentSplitInput(ctx context.Context, col *corpus.Collection, p Params, d
 
 // unigramMapper emits every term occurrence with a unit count.
 type unigramMapper struct {
+	seq    sequence.Seq
 	keyBuf []byte
 }
 
 // Map implements mapreduce.Mapper.
-func (m *unigramMapper) Map(key, value []byte, emit mapreduce.Emit) error {
-	return corpus.VisitSentences(value, func(s sequence.Seq) error {
+func (m *unigramMapper) Map(key, value []byte, emit mapreduce.Emit) (err error) {
+	m.seq, err = corpus.VisitSentencesInto(m.seq, value, func(s sequence.Seq) error {
 		for _, t := range s {
 			m.keyBuf = encoding.AppendUvarint(m.keyBuf[:0], uint64(t))
 			if err := emit(m.keyBuf, unitCount); err != nil {
@@ -69,6 +70,7 @@ func (m *unigramMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 		}
 		return nil
 	})
+	return err
 }
 
 // splitRewriteMapper rewrites documents by splitting sentences at terms

@@ -41,14 +41,15 @@ func computeNaive(ctx context.Context, col *corpus.Collection, p Params) (*Run, 
 // key-value pair per occurrence.
 type naiveMapper struct {
 	sigma  int
+	seq    sequence.Seq
 	keyBuf []byte
 }
 
 var unitCount = encoding.AppendUvarint(nil, 1)
 
 // Map implements mapreduce.Mapper.
-func (m *naiveMapper) Map(key, value []byte, emit mapreduce.Emit) error {
-	return corpus.VisitSentences(value, func(s sequence.Seq) error {
+func (m *naiveMapper) Map(key, value []byte, emit mapreduce.Emit) (err error) {
+	m.seq, err = corpus.VisitSentencesInto(m.seq, value, func(s sequence.Seq) error {
 		// Enumerate n-grams by begin offset, extending the encoded key
 		// incrementally so each n-gram costs one varint append.
 		for b := 0; b < len(s); b++ {
@@ -66,6 +67,7 @@ func (m *naiveMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 		}
 		return nil
 	})
+	return err
 }
 
 // countReducer sums unit (or pre-combined) counts and emits the n-gram

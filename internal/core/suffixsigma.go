@@ -96,8 +96,10 @@ func mix32(x uint32) uint32 {
 type suffixMapper struct {
 	sigma  int
 	kind   AggregationKind
+	seq    sequence.Seq
 	encBuf []byte
 	offs   []int
+	valBuf []byte
 }
 
 // Map implements mapreduce.Mapper.
@@ -110,8 +112,8 @@ func (m *suffixMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 	if err != nil {
 		return err
 	}
-	val := mapValue(m.kind, &docMeta{docID: docID, year: year})
-	return corpus.VisitSentences(value, func(s sequence.Seq) error {
+	m.valBuf = appendMapValue(m.valBuf[:0], m.kind, &docMeta{docID: docID, year: year})
+	m.seq, err = corpus.VisitSentencesInto(m.seq, value, func(s sequence.Seq) error {
 		// Key-encode the sentence once, remembering each term's byte
 		// offset, so every truncated suffix is a subslice.
 		m.encBuf = m.encBuf[:0]
@@ -126,12 +128,13 @@ func (m *suffixMapper) Map(key, value []byte, emit mapreduce.Emit) error {
 			if end > len(s) || end < 0 { // < 0 guards σ = Unbounded overflow
 				end = len(s)
 			}
-			if err := emit(m.encBuf[m.offs[b]:m.offs[end]], val); err != nil {
+			if err := emit(m.encBuf[m.offs[b]:m.offs[end]], m.valBuf); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+	return err
 }
 
 // aggregateCombiner merges the aggregate cells of equal suffixes

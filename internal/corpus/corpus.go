@@ -181,17 +181,10 @@ func DocYear(b []byte) (int, error) {
 	return int(year), nil
 }
 
-// VisitSentences decodes only the sentences of an encoded payload,
-// calling fn for each without materializing the whole document. The
-// sequence passed to fn is freshly decoded per call but reused
-// internally; callers must not retain it.
-func VisitSentences(b []byte, fn func(s sequence.Seq) error) error {
-	_, err := VisitSentencesInto(nil, b, fn)
-	return err
-}
-
-// VisitSentencesInto is VisitSentences decoding into scratch, which it
-// returns, grown, for the caller to pass with the next document.
+// VisitSentencesInto decodes only the sentences of an encoded payload,
+// calling fn for each without materializing the whole document. Every
+// sentence is decoded into scratch, which it returns, grown, for the
+// caller to pass with the next document; fn must not retain it.
 func VisitSentencesInto(scratch sequence.Seq, b []byte, fn func(s sequence.Seq) error) (sequence.Seq, error) {
 	s := scratch[:0]
 	_, n := encoding.Uvarint(b) // year

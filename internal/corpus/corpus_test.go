@@ -189,7 +189,7 @@ func TestVisitSentences(t *testing.T) {
 	d := &Document{ID: 1, Year: 2000, Sentences: []sequence.Seq{{5, 6}, {7}}}
 	v := EncodeDocValue(d)
 	var got []sequence.Seq
-	err := VisitSentences(v, func(s sequence.Seq) error {
+	scratch, err := VisitSentencesInto(nil, v, func(s sequence.Seq) error {
 		got = append(got, sequence.Clone(s))
 		return nil
 	})
@@ -197,7 +197,10 @@ func TestVisitSentences(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || !sequence.Equal(got[0], sequence.Seq{5, 6}) || !sequence.Equal(got[1], sequence.Seq{7}) {
-		t.Fatalf("VisitSentences = %v", got)
+		t.Fatalf("VisitSentencesInto = %v", got)
+	}
+	if cap(scratch) < 2 {
+		t.Fatalf("VisitSentencesInto returned scratch of capacity %d, want room for the longest sentence", cap(scratch))
 	}
 }
 
@@ -221,7 +224,7 @@ func TestCollectionInputFeedsMapReduce(t *testing.T) {
 		Input: in,
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(key, value []byte, emit mapreduce.Emit) error {
-				return VisitSentences(value, func(s sequence.Seq) error {
+				_, err := VisitSentencesInto(nil, value, func(s sequence.Seq) error {
 					for range s {
 						if err := emit([]byte("n"), []byte{1}); err != nil {
 							return err
@@ -229,6 +232,7 @@ func TestCollectionInputFeedsMapReduce(t *testing.T) {
 					}
 					return nil
 				})
+				return err
 			})
 		},
 		NewReducer: func() mapreduce.Reducer {

@@ -25,17 +25,17 @@ func FuzzDecodeDocValue(f *testing.F) {
 		if d2.Year != d.Year || len(d2.Sentences) != len(d.Sentences) {
 			t.Fatal("round trip changed document")
 		}
-		// VisitSentences agrees with the full decode.
+		// VisitSentencesInto agrees with the full decode.
 		i := 0
-		err = VisitSentences(data, func(s sequence.Seq) error {
+		_, err = VisitSentencesInto(nil, data, func(s sequence.Seq) error {
 			if !sequence.Equal(s, d.Sentences[i]) {
-				t.Fatalf("VisitSentences sentence %d differs", i)
+				t.Fatalf("VisitSentencesInto sentence %d differs", i)
 			}
 			i++
 			return nil
 		})
 		if err != nil || i != len(d.Sentences) {
-			t.Fatalf("VisitSentences saw %d sentences, err %v", i, err)
+			t.Fatalf("VisitSentencesInto saw %d sentences, err %v", i, err)
 		}
 	})
 }

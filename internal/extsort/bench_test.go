@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -42,6 +43,37 @@ func BenchmarkSortInMemory(b *testing.B) {
 		if n != len(recs) {
 			b.Fatalf("lost records: %d", n)
 		}
+	}
+}
+
+// BenchmarkMergeRuns measures the reduce-side merge of 16 sealed runs of
+// NAIVE-shaped records (a reduce task's fan-in over 16 map tasks),
+// sequential and fanned out across two goroutines.
+func BenchmarkMergeRuns(b *testing.B) {
+	runs := naiveShapedRuns(b, 16, 4000)
+	records := 0
+	for _, r := range runs {
+		records += r.Len()
+	}
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it, err := MergeRunsParallel(nil, cloneRuns(runs), width)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for it.Next() {
+					n++
+				}
+				if err := it.Err(); err != nil || n != records {
+					b.Fatalf("merged %d of %d records: %v", n, records, err)
+				}
+				it.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
 	}
 }
 

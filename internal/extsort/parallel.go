@@ -2,15 +2,19 @@ package extsort
 
 // Parallel reduce-side merge. A reduce task's fan-in is one sealed run
 // per map task (more when maps spilled), so wide jobs hand a single
-// reduce merge dozens of runs; merging them in one goroutine leaves
-// every other core idle during the reduce phase. When the fan-in is
-// large enough and more than one CPU is available, the merge splits
-// the runs into contiguous groups, each merged by its own goroutine
-// through the same loser tree the sequential path uses, and the group
-// winners are merged by a final loser tree in the consuming
-// goroutine. Group records travel in recycled arena batches over
-// bounded channels, so the hand-off stays allocation-light and the
-// resident overhead per group is a couple of batches.
+// reduce merge dozens of runs; when fewer reduce tasks run at once than
+// there are CPUs, merging them in one goroutine leaves the other cores
+// idle during the reduce phase. MergeRunsParallel then splits the runs
+// into contiguous groups, each merged by its own goroutine through the
+// same loser tree the sequential path uses, and the group winners are
+// merged by a final loser tree in the consuming goroutine. Group records
+// travel in pooled arena batches over bounded channels, so the hand-off
+// stays allocation-light and the resident overhead per group is a
+// couple of batches.
+//
+// How wide to go is the caller's decision, not this package's: only the
+// caller knows how many merges run at once. The MapReduce runners give
+// a reduce task the CPUs its concurrently running siblings leave idle.
 //
 // Determinism: groups are contiguous run ranges and the final merge
 // tie-breaks equal keys by group index, while each group preserves
@@ -21,8 +25,8 @@ package extsort
 // matrix).
 
 import (
-	"runtime"
-	"sync/atomic"
+	"bytes"
+	"sync"
 )
 
 const (
@@ -34,40 +38,36 @@ const (
 	parallelMergeSubFanIn = 4
 	// mergeBatchTarget is the record-byte size of one hand-off batch.
 	mergeBatchTarget = 64 << 10
+	// mergeBatchRecords caps the records of one hand-off batch, so short
+	// records fill a batch's table to a fixed size instead of growing it
+	// toward mergeBatchTarget of them.
+	mergeBatchRecords = 2048
 )
 
-// mergeParallelism overrides the merge goroutine cap when positive.
-var mergeParallelism atomic.Int32
-
-// SetMergeParallelism caps the number of goroutines one reduce-side
-// merge may fan its inputs across. n <= 0 restores the default (the
-// number of CPUs); 1 disables parallel merging. The setting is
-// process-wide; the merged record stream is identical at every value.
-func SetMergeParallelism(n int) {
-	if n < 0 {
-		n = 0
+// MergeRunsParallel is MergeRuns spread across at most width
+// goroutines: the runs are split into contiguous groups of about
+// parallelMergeSubFanIn, each merged by its own goroutine, and the
+// group streams are merged in the caller's. A fan-in below
+// parallelMergeMinFanIn, or a width below 2, merges sequentially. The
+// ownership contract and the record stream are those of MergeRuns at
+// every width.
+func MergeRunsParallel(cmp Compare, runs []*Run, width int) (*Iterator, error) {
+	if cmp == nil {
+		cmp = bytes.Compare
 	}
-	mergeParallelism.Store(int32(n))
+	if g := mergeGroups(len(runs), width); g > 1 {
+		return mergeRunsParallel(cmp, runs, g)
+	}
+	return MergeRuns(cmp, runs)
 }
 
-// mergeGroups returns how many sub-merge goroutines to use for a merge
-// over n runs (1 = merge sequentially in the caller).
-func mergeGroups(n int) int {
-	p := int(mergeParallelism.Load())
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p <= 1 || n < parallelMergeMinFanIn {
+// mergeGroups returns how many sub-merge goroutines a merge over n runs
+// uses at the given width (1 = merge sequentially in the caller).
+func mergeGroups(n, width int) int {
+	if width <= 1 || n < parallelMergeMinFanIn {
 		return 1
 	}
-	g := (n + parallelMergeSubFanIn - 1) / parallelMergeSubFanIn
-	if g > p {
-		g = p
-	}
-	if g < 2 {
-		return 1
-	}
-	return g
+	return min(width, (n+parallelMergeSubFanIn-1)/parallelMergeSubFanIn)
 }
 
 // mergeBatch is one hand-off unit of a group's pre-merged records:
@@ -79,11 +79,35 @@ type mergeBatch struct {
 	err   error
 }
 
+// full reports whether the batch is due for hand-off.
+func (b *mergeBatch) full() bool {
+	return len(b.arena) >= mergeBatchTarget || len(b.recs) >= mergeBatchRecords
+}
+
+// batchPool recycles hand-off batches across merges, as the sorters'
+// arenas are recycled across map tasks: a merge starts on batches whose
+// arena and table are already sized.
+var batchPool sync.Pool // *mergeBatch
+
+func getBatch() *mergeBatch {
+	if b, _ := batchPool.Get().(*mergeBatch); b != nil {
+		return b
+	}
+	return &mergeBatch{
+		arena: make([]byte, 0, mergeBatchTarget),
+		recs:  make([]record, 0, mergeBatchRecords),
+	}
+}
+
+func putBatch(b *mergeBatch) {
+	b.arena, b.recs, b.err = b.arena[:0], b.recs[:0], nil
+	batchPool.Put(b)
+}
+
 // groupSource adapts one sub-merge's batch stream to the source
 // interface consumed by the final loser tree.
 type groupSource struct {
 	out  chan *mergeBatch // producer → consumer
-	free chan *mergeBatch // recycled batches back to the producer
 	done chan struct{}    // closed to cancel the producer
 
 	cur    *mergeBatch
@@ -102,15 +126,10 @@ func (g *groupSource) next() (bool, error) {
 			return true, nil
 		}
 		if g.cur != nil {
-			if g.cur.err != nil {
-				return false, g.cur.err
+			if err := g.cur.err; err != nil {
+				return false, err
 			}
-			g.cur.arena = g.cur.arena[:0]
-			g.cur.recs = g.cur.recs[:0]
-			select {
-			case g.free <- g.cur:
-			default:
-			}
+			putBatch(g.cur)
 			g.cur = nil
 		}
 		b, ok := <-g.out
@@ -132,7 +151,12 @@ func (g *groupSource) close() {
 	close(g.done)
 	// Unblock a producer parked on a full out channel and wait for it
 	// to finish releasing its runs (it closes out on exit).
-	for range g.out {
+	for b := range g.out {
+		putBatch(b)
+	}
+	if g.cur != nil {
+		putBatch(g.cur)
+		g.cur, g.k, g.v = nil, nil, nil
 	}
 }
 
@@ -141,16 +165,24 @@ func (g *groupSource) close() {
 // them on every exit path; it always closes out before returning.
 func runGroupProducer(cmp Compare, runs []*Run, gs *groupSource) {
 	defer close(gs.out)
-	it, err := mergeRunsSequential(cmp, runs)
-	if err != nil {
+	send := func(b *mergeBatch) bool {
 		select {
-		case gs.out <- &mergeBatch{err: err}:
+		case gs.out <- b:
+			return true
 		case <-gs.done:
+			putBatch(b)
+			return false
 		}
+	}
+	it, err := MergeRuns(cmp, runs)
+	if err != nil {
+		b := getBatch()
+		b.err = err
+		send(b)
 		return
 	}
 	defer it.Close()
-	batch := nextBatch(gs.free)
+	batch := getBatch()
 	for it.Next() {
 		k, v := it.Key(), it.Value()
 		ko := len(batch.arena)
@@ -158,31 +190,18 @@ func runGroupProducer(cmp Compare, runs []*Run, gs *groupSource) {
 		vo := len(batch.arena)
 		batch.arena = append(batch.arena, v...)
 		batch.recs = append(batch.recs, record{ko, len(k), vo, len(v)})
-		if len(batch.arena) >= mergeBatchTarget {
-			select {
-			case gs.out <- batch:
-			case <-gs.done:
+		if batch.full() {
+			if !send(batch) {
 				return
 			}
-			batch = nextBatch(gs.free)
+			batch = getBatch()
 		}
 	}
 	batch.err = it.Err()
 	if len(batch.recs) > 0 || batch.err != nil {
-		select {
-		case gs.out <- batch:
-		case <-gs.done:
-		}
-	}
-}
-
-// nextBatch reuses a recycled batch when one is available.
-func nextBatch(free chan *mergeBatch) *mergeBatch {
-	select {
-	case b := <-free:
-		return b
-	default:
-		return &mergeBatch{}
+		send(batch)
+	} else {
+		putBatch(batch)
 	}
 }
 
@@ -202,17 +221,13 @@ func mergeRunsParallel(cmp Compare, runs []*Run, g int) (*Iterator, error) {
 	groups := make([]*groupSource, 0, g)
 	per := (len(owned) + g - 1) / g
 	for start := 0; start < len(owned); start += per {
-		end := start + per
-		if end > len(owned) {
-			end = len(owned)
-		}
+		end := min(start+per, len(owned))
 		sub := make([]*Run, end-start)
 		for i := range sub {
 			sub[i] = &owned[start+i]
 		}
 		gs := &groupSource{
 			out:  make(chan *mergeBatch, 1),
-			free: make(chan *mergeBatch, 2),
 			done: make(chan struct{}),
 		}
 		groups = append(groups, gs)

@@ -125,22 +125,14 @@ func (s *Sorter) Seal() ([]*Run, error) {
 // closed; the Run values themselves are emptied, so a later Discard on
 // them is a no-op. Zero runs yield an empty iterator.
 //
-// When the fan-in is large and more than one CPU is available, the
-// merge splits its inputs across goroutines (see parallel.go); the
-// record stream is byte-identical either way.
+// The merge runs in the calling goroutine, through one loser tree.
+// MergeRunsParallel spreads a wide merge across goroutines for a caller
+// that knows it has CPUs to spare; the record stream is byte-identical
+// either way.
 func MergeRuns(cmp Compare, runs []*Run) (*Iterator, error) {
 	if cmp == nil {
 		cmp = bytes.Compare
 	}
-	if g := mergeGroups(len(runs)); g > 1 {
-		return mergeRunsParallel(cmp, runs, g)
-	}
-	return mergeRunsSequential(cmp, runs)
-}
-
-// mergeRunsSequential opens every run in the calling goroutine and
-// merges them through one loser tree.
-func mergeRunsSequential(cmp Compare, runs []*Run) (*Iterator, error) {
 	it := &Iterator{cmp: cmp}
 	for i, r := range runs {
 		src, err := r.source()

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -384,6 +385,16 @@ func combineRun(ctx context.Context, cancelled *atomic.Bool, j *Job, mapTC *Task
 	return nil
 }
 
+// mergeWidth is how many goroutines one reduce task's merge may use: the
+// CPUs left to it once min(reduceSlots, numReducers) reduce tasks run at
+// once. Slots come first, as on a Hadoop cluster where every reducer
+// merges in one thread: when the reduce tasks already occupy every CPU
+// the width is 1 and each merge runs sequentially, and only a job with
+// fewer concurrent reduce tasks than CPUs fans its merges out.
+func mergeWidth(procs, reduceSlots, numReducers int) int {
+	return max(1, procs/min(reduceSlots, numReducers))
+}
+
 // runReduceTask multi-way merges every map task's sealed runs for
 // partition p and feeds the merged groups to the reducer. It takes
 // ownership of runs. Like a map task it counts into its own integers.
@@ -421,7 +432,8 @@ func runReduceTask(ctx context.Context, j *Job, p int, runs []*extsort.Run, sink
 	})
 	mergeStart := time.Now()
 	counters.Add(CounterMergeFanIn, int64(len(runs)))
-	it, err := extsort.MergeRuns(extsort.Order(j.Descending), runs) // takes ownership of runs
+	width := mergeWidth(runtime.GOMAXPROCS(0), j.ReduceSlots, j.NumReducers)
+	it, err := extsort.MergeRunsParallel(extsort.Order(j.Descending), runs, width) // takes ownership of runs
 	if err != nil {
 		w.Close()
 		return fmt.Errorf("reduce task %d: open merge: %w", p, err)

@@ -224,6 +224,27 @@ func TestShuffleMatchesSequentialReference(t *testing.T) {
 	}
 }
 
+// TestMergeWidth pins the rule that sizes a reduce task's merge: the
+// CPUs divided among the reduce tasks that run at once.
+func TestMergeWidth(t *testing.T) {
+	for _, tc := range []struct{ procs, slots, reducers, want int }{
+		{2, 2, 4, 1},  // the slots fill the CPUs: every merge sequential
+		{1, 1, 4, 1},  // one CPU
+		{8, 1, 16, 8}, // one slot: its merge takes every CPU
+		{8, 2, 16, 4}, // two slots share the CPUs
+		{8, 3, 16, 2}, // a remainder is left idle rather than oversubscribed
+		{4, 8, 16, 1}, // more slots than CPUs
+		{8, 8, 2, 4},  // fewer reducers than slots: only two merges run
+		{8, 8, 1, 8},  // a single reducer
+		{4, 4, 8, 1},  // the net worker's default: slots = GOMAXPROCS ≤ R
+	} {
+		if got := mergeWidth(tc.procs, tc.slots, tc.reducers); got != tc.want {
+			t.Errorf("mergeWidth(GOMAXPROCS %d, ReduceSlots %d, NumReducers %d) = %d, want %d",
+				tc.procs, tc.slots, tc.reducers, got, tc.want)
+		}
+	}
+}
+
 func TestShuffleMicrosCounterPopulated(t *testing.T) {
 	// SHUFFLE_MICROS exists after any shuffle job (it may round to zero
 	// on very fast runs, so only presence in the snapshot is asserted).
