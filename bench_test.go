@@ -803,7 +803,7 @@ func lsmVocabChain(tb testing.TB) (dir string, next []Document) {
 		tb.Fatal(err)
 	}
 	defer ix.Close()
-	if v := ix.b.Dictionary().Len(); v < 20000 {
+	if v := ix.v.Dictionary().Len(); v < 20000 {
 		tb.Fatalf("the chain's vocabulary is %d terms, want ≥ 20000", v)
 	}
 	return dir, batches[5]

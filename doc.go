@@ -116,15 +116,18 @@
 // the previous generation so term identifiers stay stable, and
 // OpenIndex serves the chain transparently through a merge-on-read
 // view whose every answer equals a from-scratch rebuild over all
-// documents. Each delta stores its own top records, so TopK over a
-// chain is an exact threshold merge of the generations' stored lists
-// plus point gets rather than a scan (Index.TopKStats counts which
-// answered), and Prefix merges one block-cache-served cursor per
-// generation, keeping only the limit answers it returns
-// (Index.PrefixStats counts the records read). A reader that holds the
-// chain open follows it with Index.Reopen, which opens only the
-// generations the manifest added and shares the rest, warm block caches
-// included. CompactIndex merges base + deltas back into a single
+// documents. There is one reader: a plain index is a chain of one
+// generation, whose identifiers are already canonical, so it reads
+// with no fold and no identifier translation. Each delta stores its
+// own top records, so TopK over a chain is an exact threshold merge of
+// the generations' stored lists plus point gets rather than a scan
+// (Index.TopKStats counts which answered), and Prefix merges one
+// block-cache-served cursor per generation, keeping only the limit
+// answers it returns (Index.PrefixStats counts the records read). A
+// reader that holds the directory open follows it with Index.Reopen,
+// which opens only the generations the manifest added and shares the
+// rest, warm block caches included (Index.OpenStats counts both).
+// CompactIndex merges base + deltas back into a single
 // base that is byte-identical — dictionary, shard files, precomputed
 // top records — to that rebuild, committing via an atomic manifest
 // swap (a crash leaves the previous chain intact and queryable).

@@ -96,19 +96,20 @@ func reordered(terms []string, cfs []int64, order []sequence.Term) *Dictionary {
 // Rank returns the frequency-ranked dictionary over d's terms — the one
 // Build produces from d's (term, frequency) table — and the permutation
 // between the two: identifier i of the result is d's order[i]. A d
-// already in rank order is returned itself, with the identity.
+// already in rank order is returned itself, with a nil order, after one
+// linear pass.
 //
 // It is how an LSM view reconstructs the canonical dictionary from the
 // newest generation's seeded one: one sort of the identifiers and one
 // map, with the duplicate check left where the bytes entered (Load).
 func (d *Dictionary) Rank() (ranked *Dictionary, order []sequence.Term) {
-	order = RankOrder(d.terms, d.cfs, 0)
-	for i, o := range order {
-		if o != sequence.Term(i) {
+	for i := 1; i < len(d.terms); i++ {
+		if c := cmp.Compare(d.cfs[i-1], d.cfs[i]); c < 0 || c == 0 && d.terms[i-1] > d.terms[i] {
+			order = RankOrder(d.terms, d.cfs, 0)
 			return reordered(d.terms, d.cfs, order), order
 		}
 	}
-	return d, order
+	return d, nil
 }
 
 // Tables hands out the dictionary's tables — terms and frequencies by

@@ -140,7 +140,8 @@ func TestIndexRoundTrip(t *testing.T) {
 
 	// Prefix scan.
 	var got []string
-	err = ix.ScanPrefix([]byte("key-00012"), func(k, v []byte) error {
+	prefix := []byte("key-00012")
+	err = ix.Scan(prefix, PrefixSuccessor(prefix), func(k, v []byte) error {
 		got = append(got, string(k))
 		return nil
 	})
@@ -289,14 +290,14 @@ func TestScanPrefixAllFF(t *testing.T) {
 	}
 	defer ix.Close()
 	var got int
-	if err := ix.ScanPrefix([]byte{0xFF}, func(k, v []byte) error {
+	if err := ix.Scan([]byte{0xFF}, PrefixSuccessor([]byte{0xFF}), func(k, v []byte) error {
 		got++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
-		t.Fatalf("ScanPrefix(0xFF) saw %d records, want 1", got)
+		t.Fatalf("prefix scan of 0xFF saw %d records, want 1", got)
 	}
 }
 

@@ -388,10 +388,6 @@ func (ix *Index) Counters() map[string]int64 {
 // Shards returns the number of shard files.
 func (ix *Index) Shards() int { return len(ix.shards) }
 
-// Docs returns the number of documents the index was computed over, or
-// 0 for indexes written before this was recorded.
-func (ix *Index) Docs() int64 { return ix.man.Docs }
-
 // MaxLength returns the maximum n-gram length (σ) of the producing
 // computation, or 0 when unrecorded.
 func (ix *Index) MaxLength() int { return ix.man.MaxLength }
@@ -691,15 +687,6 @@ func (ix *Index) scanAll(fn func(key, value []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// ScanPrefix calls fn for every record whose key starts with the given
-// byte prefix, in ascending key order. An empty prefix scans everything.
-func (ix *Index) ScanPrefix(prefix []byte, fn func(key, value []byte) error) error {
-	if len(prefix) == 0 {
-		return ix.Scan(nil, nil, fn)
-	}
-	return ix.Scan(prefix, PrefixSuccessor(prefix), fn)
 }
 
 // PrefixSuccessor returns the smallest key greater than every key with

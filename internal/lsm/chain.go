@@ -32,6 +32,13 @@ func Adopt(dir string, compress bool) (*Manifest, error) {
 	if err := appendable(meta); err != nil {
 		return nil, fmt.Errorf("lsm: cannot adopt %s as a chain base: %w", dir, err)
 	}
+	return adopted(meta, compress), nil
+}
+
+// adopted is the one-generation manifest of the plain index meta
+// describes, with base ".": what Adopt links the first delta onto, and
+// what OpenChain serves a directory without a chain manifest as.
+func adopted(meta index.Meta, compress bool) *Manifest {
 	return &Manifest{
 		Version:   FormatVersion,
 		Corpus:    meta.Corpus,
@@ -41,7 +48,7 @@ func Adopt(dir string, compress bool) (*Manifest, error) {
 		Docs:      meta.Docs,
 		Seq:       0,
 		Base:      GenInfo{Dir: ".", Records: meta.Records, Docs: meta.Docs},
-	}, nil
+	}
 }
 
 // appendable reports why an index's recorded computation cannot be a

@@ -73,6 +73,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
+
+	"ngramstats/internal/index"
 )
 
 // FormatVersion identifies the chain manifest layout. ReadManifest
@@ -154,10 +157,27 @@ func (m *Manifest) Records() int64 {
 	return n
 }
 
+// ManifestTime returns the modification time of the manifest that
+// governs dir, and whether it is a chain manifest: CHAIN.json when dir
+// holds a chain, else the plain index's MANIFEST.json. This is the one
+// place that rule lives. OpenChain reads the manifest it names, and a
+// serving layer compares the time with View.ManifestTime to tell that
+// the directory was rewritten (replaced, appended to, or compacted).
+func ManifestTime(dir string) (mtime time.Time, chain bool, err error) {
+	st, err := os.Stat(filepath.Join(dir, ChainFile))
+	if err == nil {
+		return st.ModTime(), true, nil
+	}
+	if st, err = os.Stat(filepath.Join(dir, index.ManifestFile)); err != nil {
+		return time.Time{}, false, err
+	}
+	return st.ModTime(), false, nil
+}
+
 // Exists reports whether dir holds a chain (has a CHAIN.json).
 func Exists(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ChainFile))
-	return err == nil
+	_, chain, _ := ManifestTime(dir)
+	return chain
 }
 
 // ReadManifest reads, checksum-verifies, and validates the chain

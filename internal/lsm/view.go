@@ -33,7 +33,8 @@ type Options struct {
 
 // View is a read-only merged view over a chain: one base plus its
 // deltas answer queries as if they were a single index, with aggregate
-// cells folded across generations on the fly.
+// cells folded across generations on the fly. A plain index directory
+// is a chain of one generation, and serves through a View too.
 //
 // Queries speak the canonical identifier space — the frequency-ranked
 // dictionary a full rebuild over all documents would produce,
@@ -56,7 +57,7 @@ type Options struct {
 type View struct {
 	dir     string
 	man     *Manifest
-	manTime time.Time // CHAIN.json mtime observed at open
+	manTime time.Time // the governing manifest's mtime observed at open
 	opts    Options
 
 	// gens holds the open generations in merge order: base first, then
@@ -66,7 +67,10 @@ type View struct {
 	// dict is the canonical dictionary; toCanon and toChain translate
 	// between the chain's stable identifiers and canonical ones (a
 	// bijection — both spaces rank exactly the terms of the newest
-	// generation's dictionary).
+	// generation's dictionary). Both are nil when dict is the newest
+	// generation's own dictionary, as for every saved or compacted base:
+	// chain keys are then canonical keys, and chain order canonical
+	// order, so no key needs translating and no scan re-sorting.
 	dict    *dictionary.Dictionary
 	toCanon []sequence.Term
 	toChain []sequence.Term
@@ -104,20 +108,17 @@ type OpenStats struct {
 // OpenStats returns what opening the view cost.
 func (v *View) OpenStats() OpenStats { return v.open }
 
-// StatsOf returns the OpenStats behind a root-package *ngramstats.Index
-// handle: its view's, or one generation opened for a plain index. The
-// root package installs it at init, so that the serving layer can export
-// the counts without a public accessor for them.
-var StatsOf func(handle any) OpenStats
-
 // OpenChain opens the chain at dir and builds its merged view. Every
 // generation is opened and cross-checked against the chain manifest
 // (corpus, kind, σ, appendability, record counts); any inconsistency
-// is reported wrapping ErrCorrupt. Every generation's dictionary is
-// verified against its manifest's size and checksum; only the newest
-// one's is parsed. A generation that vanishes between the manifest read
-// and its open (a compaction committed in between) is retried once
-// against the fresh manifest.
+// is reported wrapping ErrCorrupt. A directory without a chain manifest
+// is a plain index, opened as a chain of one: its manifest is built in
+// memory (nothing is written) and, as nothing is appended to it, it
+// need not be appendable — any τ or selection mode opens. Every
+// generation's dictionary is verified against its manifest's size and
+// checksum; only the newest one's is parsed. A generation that vanishes
+// between the manifest read and its open (a compaction committed in
+// between) is retried once against the fresh manifest.
 func OpenChain(dir string, opts Options) (*View, error) {
 	return openChainRetrying(dir, opts, nil)
 }
@@ -152,15 +153,31 @@ func openChainRetrying(dir string, opts Options, prev *View) (*View, error) {
 }
 
 func openChain(dir string, opts Options, prev *View) (*View, error) {
-	man, err := ReadManifest(dir)
+	// A missing manifest fails the read below.
+	manTime, chain, _ := ManifestTime(dir)
+	var man *Manifest
+	var err error
+	if chain {
+		man, err = ReadManifest(dir)
+	} else {
+		var meta index.Meta
+		meta, err = index.ReadMeta(dir)
+		man = adopted(meta, false)
+	}
 	if err != nil {
 		return nil, err
 	}
-	v := &View{dir: dir, man: man, opts: opts}
-	v.refs.Store(1)
-	if st, err := os.Stat(filepath.Join(dir, ChainFile)); err == nil {
-		v.manTime = st.ModTime()
+	// A generation that disagrees with a chain manifest is corrupt; one
+	// that disagrees with a plain index's in-memory manifest was replaced
+	// after its metadata was read, which the retry reads afresh.
+	mismatch := corruptf
+	if !chain {
+		mismatch = func(format string, args ...any) error {
+			return fmt.Errorf("lsm: %s replaced while opening: %s", dir, fmt.Sprintf(format, args...))
+		}
 	}
+	v := &View{dir: dir, man: man, manTime: manTime, opts: opts}
+	v.refs.Store(1)
 	gens := man.Gens()
 	for i, g := range gens {
 		newest := i == len(gens)-1
@@ -181,11 +198,14 @@ func openChain(dir string, opts Options, prev *View) (*View, error) {
 		v.gens = append(v.gens, ix)
 		if ix.Records() != g.Records {
 			v.Close()
-			return nil, corruptf("generation %s holds %d records, chain declares %d", g.Dir, ix.Records(), g.Records)
+			return nil, mismatch("generation %s holds %d records, chain declares %d", g.Dir, ix.Records(), g.Records)
 		}
 		if ix.Corpus() != man.Corpus || ix.Kind() != man.Kind || ix.MaxLength() != man.MaxLength {
 			v.Close()
-			return nil, corruptf("generation %s does not match the chain invariants", g.Dir)
+			return nil, mismatch("generation %s does not match the chain invariants", g.Dir)
+		}
+		if !chain {
+			continue
 		}
 		if err := appendable(index.Meta{MinFrequency: ix.MinFrequency(), Selection: ix.Selection()}); err != nil {
 			v.Close()
@@ -225,14 +245,12 @@ func (v *View) share(g GenInfo, newest bool) *index.Index {
 // buildCanonical reconstructs the canonical frequency-ranked
 // dictionary from the newest generation's cumulative table and the
 // translation maps between the two identifier spaces. A table already
-// in rank order — a chain whose only generation is a freshly compacted
-// or never appended-to base — is the canonical dictionary, under
-// identity maps.
+// in rank order — a plain index, or a chain whose newest generation is a
+// compacted base — is the canonical dictionary, under identity maps
+// that need no tables.
 func (v *View) buildCanonical() {
-	chainDict := v.gens[len(v.gens)-1].Dictionary()
-	v.dict, v.toChain = chainDict.Rank()
-	if v.dict == chainDict {
-		v.toCanon = v.toChain
+	v.dict, v.toChain = v.gens[len(v.gens)-1].Dictionary().Rank()
+	if v.Identity() {
 		return
 	}
 	v.toCanon = make([]sequence.Term, len(v.toChain))
@@ -240,6 +258,11 @@ func (v *View) buildCanonical() {
 		v.toCanon[chain] = sequence.Term(canon)
 	}
 }
+
+// Identity reports whether the chain's identifiers are the canonical
+// ones, so that the view keeps no translation tables and translates no
+// key: true for a plain index and a chain just compacted.
+func (v *View) Identity() bool { return v.toChain == nil }
 
 // acquire/release mirror index.Index: queries pin the view, and the
 // generations close when the last pin after Close drains.
@@ -299,9 +322,6 @@ func (v *View) Manifest() Manifest {
 // generation. Exact cardinality would require a full merge.
 func (v *View) Records() int64 { return v.man.Records() }
 
-// Docs returns the cumulative document count across generations.
-func (v *View) Docs() int64 { return v.man.Docs }
-
 // Generations returns the number of generations (base + deltas).
 func (v *View) Generations() int { return len(v.gens) }
 
@@ -310,9 +330,6 @@ func (v *View) Corpus() string { return v.man.Corpus }
 
 // Kind returns the chain's aggregation kind.
 func (v *View) Kind() int { return v.man.Kind }
-
-// MaxLength returns the chain's σ.
-func (v *View) MaxLength() int { return v.man.MaxLength }
 
 // Shards returns the total shard count across generations.
 func (v *View) Shards() int {
@@ -346,8 +363,9 @@ func (v *View) CacheStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// ManifestTime returns the modification time of CHAIN.json observed at
-// open — the freshness anchor for serving-layer reload checks.
+// ManifestTime returns the modification time of the governing manifest
+// (see ManifestTime) observed at open — the freshness anchor for
+// serving-layer reload checks.
 func (v *View) ManifestTime() time.Time { return v.manTime }
 
 // Dictionary returns the canonical dictionary: term identifiers ranked
@@ -454,6 +472,9 @@ func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 			k = min(k, int(base.Records()))
 		}
 		keys, values, ok = base.TopRecords(k)
+		if v.Identity() {
+			return keys, values, ok
+		}
 		for i, key := range keys {
 			var err error
 			if keys[i], _, err = remapKey(nil, key, v.toCanon, nil); err != nil {
@@ -550,13 +571,17 @@ func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 
 // remap rewrites an encoded key through the given identifier table
 // into dst (reusing scratch for the decoded sequence) — chain→canon
-// with v.toCanon, canon→chain with v.toChain.
+// with v.toCanon, canon→chain with v.toChain. A nil table is the
+// identity: the key is copied.
 func remapKey(dst []byte, key []byte, m []sequence.Term, scratch sequence.Seq) ([]byte, sequence.Seq, error) {
 	seq, err := encoding.DecodeSeqInto(scratch, key)
 	if err != nil {
 		return dst, scratch, err
 	}
 	for i, t := range seq {
+		if m == nil {
+			break
+		}
 		if int(t) >= len(m) {
 			return dst, seq, corruptf("key holds term id %d outside dictionary of %d", t, len(m))
 		}
@@ -582,6 +607,9 @@ func (v *View) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	defer v.release()
+	if v.Identity() {
+		return v.getChain(key)
+	}
 	chainKey, _, err := remapKey(nil, key, v.toChain, nil)
 	if err != nil {
 		// A key naming identifiers outside the dictionary cannot be
@@ -644,13 +672,17 @@ func (v *View) fold(cells [][]byte) ([]byte, error) {
 // compactor: it streams every generation's sorted shards through one
 // merge tree (the extsort loser tree over the generations' open file
 // descriptors, batched reads, no block cache), so its cost is O(total
-// records) however they are spread across generations. Bounded reads
-// take scanRange instead.
+// records) however they are spread across generations. A single
+// generation has nothing to merge or fold and streams its own batched
+// scan. Bounded reads take scanRange instead.
 func (v *View) ScanChain(fn func(chainKey, value []byte) error) error {
 	if err := v.acquire(); err != nil {
 		return err
 	}
 	defer v.release()
+	if len(v.gens) == 1 {
+		return v.gens[0].Scan(nil, nil, fn)
+	}
 	var runs []*extsort.Run
 	for _, g := range v.gens {
 		runs = append(runs, g.ShardRuns(nil)...)
@@ -775,6 +807,9 @@ func (v *View) scanRange(lo, hi []byte, fn func(chainKey []byte, cells [][]byte)
 // cheap full pass for order-independent consumers such as top-k
 // selection.
 func (v *View) ScanUnordered(fn func(key, value []byte) error) error {
+	if v.Identity() {
+		return v.ScanChain(fn)
+	}
 	var keyBuf []byte
 	var scratch sequence.Seq
 	return v.ScanChain(func(chainKey, value []byte) error {
@@ -791,8 +826,12 @@ func (v *View) ScanUnordered(fn func(key, value []byte) error) error {
 // order — the order the rebuilt index would enumerate. Chain order and
 // canonical order differ (identifiers were assigned at different
 // times), so the merged stream is re-sorted through an external
-// sorter; prefer ScanUnordered when order does not matter.
+// sorter; prefer ScanUnordered when order does not matter. Under
+// identity maps the orders agree and nothing is re-sorted.
 func (v *View) ScanAll(fn func(key, value []byte) error) error {
+	if v.Identity() {
+		return v.ScanChain(fn)
+	}
 	sorter := extsort.NewSorter(extsort.Options{TempDir: v.opts.TempDir})
 	defer sorter.Discard()
 	err := v.ScanUnordered(func(key, value []byte) error {
@@ -823,14 +862,19 @@ func (v *View) ScanAll(fn func(key, value []byte) error) error {
 // One scanRange pass over that range translates each chain key back
 // into reused scratch and keeps the limit smallest canonical keys in a
 // bounded max-heap; only the survivors are folded, sorted and emitted,
-// so a warm query costs O(range) comparisons and O(limit) memory. The
-// slices passed to fn must not be modified. An empty prefix matches
-// every record; ScanAll is the full pass that does not hold them all.
+// so a warm query costs O(range) comparisons and O(limit) memory. Under
+// identity maps the merge already runs in canonical order, and stops
+// after the first limit records. The slices passed to fn must not be
+// modified. An empty prefix matches every record; ScanAll is the full
+// pass that does not hold them all.
 func (v *View) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error {
 	if err := v.acquire(); err != nil {
 		return err
 	}
 	defer v.release()
+	if v.Identity() {
+		return v.scanPrefixIdentity(prefix, limit, fn)
+	}
 	chainPrefix, _, err := remapKey(nil, prefix, v.toChain, nil)
 	if err != nil {
 		// Identifiers outside the dictionary match nothing.
@@ -865,6 +909,30 @@ func (v *View) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) e
 		}
 	}
 	return nil
+}
+
+// scanPrefixIdentity is ScanPrefix under identity maps, on a pinned
+// view: the merged records are emitted as they come.
+func (v *View) scanPrefixIdentity(prefix []byte, limit int, fn func(key, value []byte) error) error {
+	var records int64
+	n := 0
+	err := v.scanRange(prefix, index.PrefixSuccessor(prefix), func(key []byte, cells [][]byte) error {
+		records += int64(len(cells))
+		val, err := v.fold(cells)
+		if err != nil {
+			return err
+		}
+		if err := fn(key, val); err != nil {
+			return err
+		}
+		if n++; n == limit {
+			return index.StopScan()
+		}
+		return nil
+	})
+	v.prefixScans.Add(1)
+	v.prefixRecords.Add(records)
+	return stopIsNil(err)
 }
 
 // smallestKeys selects the limit records with the smallest keys of a

@@ -90,10 +90,7 @@ func (s *Server) CompactNow(name string) (*ngramstats.CompactStats, int64, error
 // idle chains.
 func (s *Server) shouldCompact(h *handle) bool {
 	cc := s.opts.Compact
-	if !lsm.Exists(h.cfg.Dir) {
-		return false
-	}
-	man, err := lsm.ReadManifest(h.cfg.Dir)
+	man, err := lsm.ReadManifest(h.cfg.Dir) // fails on a plain index
 	if err != nil || len(man.Deltas) == 0 {
 		return false
 	}

@@ -90,7 +90,7 @@ func TestIncrementalReconcile(t *testing.T) {
 	if !rec.Applied || rec.Incremental || rec.Docs != int64(len(first)) {
 		t.Fatalf("first reconcile = %+v, want full (non-incremental) over %d docs", rec, len(first))
 	}
-	if lsm.Exists(dir) {
+	if _, chain, _ := lsm.ManifestTime(dir); chain {
 		t.Fatal("first reconciliation must save a plain base, not a chain")
 	}
 
@@ -111,7 +111,7 @@ func TestIncrementalReconcile(t *testing.T) {
 	if rec.Docs != int64(len(first)+len(second)) {
 		t.Fatalf("reconciled docs = %d, want %d", rec.Docs, len(first)+len(second))
 	}
-	if !lsm.Exists(dir) {
+	if _, chain, _ := lsm.ManifestTime(dir); !chain {
 		t.Fatal("incremental reconciliation must leave an LSM chain")
 	}
 	man, err := lsm.ReadManifest(dir)

@@ -88,8 +88,6 @@ import (
 	"io/fs"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,7 +96,6 @@ import (
 	"time"
 
 	"ngramstats"
-	"ngramstats/internal/index"
 	"ngramstats/internal/lsm"
 )
 
@@ -317,16 +314,17 @@ func (c indexCounters) plus(d indexCounters, sign int64) indexCounters {
 // counts — a chain generation both share keeps counting in one block
 // cache that both report — so that retired + the active generation's
 // counters is continuous across the swap and monotonic ever after.
-func (h *handle) swap(g *generation, st lsm.OpenStats, took time.Duration) (old *generation) {
+func (h *handle) swap(g *generation, took time.Duration) (old *generation) {
+	opened, shared, terms := g.ix.OpenStats()
 	h.statsMu.Lock()
 	defer h.statsMu.Unlock()
 	old = h.gen.Load()
 	if old != nil {
 		h.retired = h.retired.plus(countersOf(old.ix), 1).plus(countersOf(g.ix), -1)
 	}
-	h.reloads.opened += int64(st.Opened)
-	h.reloads.shared += int64(st.Shared)
-	h.reloads.terms += st.Terms
+	h.reloads.opened += int64(opened)
+	h.reloads.shared += int64(shared)
+	h.reloads.terms += terms
 	h.reloads.seconds += took.Seconds()
 	h.reloads.count++
 	h.gen.Store(g)
@@ -642,12 +640,13 @@ func (s *Server) Reload(name string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("serving: reload %q: %w", name, err)
 	}
-	took, st := time.Since(start), lsm.StatsOf(g.ix)
-	if old := h.swap(g, st, took); old != nil {
+	took := time.Since(start)
+	if old := h.swap(g, took); old != nil {
 		old.release()
 	}
+	opened, shared, _ := g.ix.OpenStats()
 	s.logf("serving: index %q swapped to generation %d (manifest %s; %d generations opened, %d shared, %s)",
-		name, g.num, g.ix.ManifestTime().UTC().Format(time.RFC3339), st.Opened, st.Shared, took.Round(time.Microsecond))
+		name, g.num, g.ix.ManifestTime().UTC().Format(time.RFC3339), opened, shared, took.Round(time.Microsecond))
 	return g.num, nil
 }
 
@@ -699,17 +698,11 @@ func (s *Server) checkReload(h *handle) {
 	if g == nil && !h.live {
 		return // shut down
 	}
-	// An LSM chain advances through its chain manifest (appends and
-	// compactions rewrite CHAIN.json); a plain index through its index
-	// manifest.
-	st, err := os.Stat(filepath.Join(h.cfg.Dir, lsm.ChainFile))
-	if err != nil {
-		st, err = os.Stat(filepath.Join(h.cfg.Dir, index.ManifestFile))
-	}
+	mtime, _, err := lsm.ManifestTime(h.cfg.Dir)
 	if err != nil {
 		return // not yet materialized, mid-replacement, or transient
 	}
-	if g != nil && st.ModTime().Equal(g.ix.ManifestTime()) {
+	if g != nil && mtime.Equal(g.ix.ManifestTime()) {
 		return
 	}
 	if _, err := s.Reload(h.name); err != nil {

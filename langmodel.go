@@ -71,7 +71,7 @@ func NewLanguageModelFromIndex(x *Index, order int) (*LanguageModel, error) {
 		return nil, fmt.Errorf("ngramstats: language model from index: %w", err)
 	}
 	m.Finish()
-	dict := x.b.Dictionary()
+	dict := x.v.Dictionary()
 	return &LanguageModel{
 		termID: dict.ID,
 		term:   dict.Term,

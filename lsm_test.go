@@ -396,14 +396,18 @@ func TestChainTopKPaths(t *testing.T) {
 			t.Fatalf("TopK(%d): TopKStats = %d merged, %d scans; want %d, %d", tc.k, m1, s1, m0, s0)
 		}
 	}
-	if merged, scans := full.TopKStats(); merged != 0 || scans != 0 {
-		t.Fatalf("a plain index reports TopKStats %d, %d", merged, scans)
+	// A plain index is a chain of one and counts its calls like any
+	// chain: k = 10 and 100 came from its stored records, the two beyond
+	// the stored depth from the scan.
+	if merged, scans := full.TopKStats(); merged != 2 || scans != 2 {
+		t.Fatalf("the plain index reports TopKStats %d, %d; want 2, 2", merged, scans)
 	}
 	if _, err := full.Prefix("w000", 5); err != nil {
 		t.Fatal(err)
 	}
-	if scans, records := full.PrefixStats(); scans != 0 || records != 0 {
-		t.Fatalf("a plain index reports PrefixStats %d, %d", scans, records)
+	// Its one cursor runs in canonical order and stops at the limit.
+	if scans, records := full.PrefixStats(); scans != 1 || records != 5 {
+		t.Fatalf("the plain index reports PrefixStats %d, %d; want 1, 5", scans, records)
 	}
 }
 

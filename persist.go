@@ -204,170 +204,77 @@ func OpenIndex(dir string) (*Index, error) { return OpenIndexWith(dir, IndexOpti
 
 // OpenIndexWith is OpenIndex with explicit options.
 func OpenIndexWith(dir string, opts IndexOptions) (*Index, error) {
-	if lsm.Exists(dir) {
-		v, err := lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks, TempDir: opts.TempDir})
-		if err != nil {
-			return nil, err
-		}
-		return newIndex(v, dir, opts)
-	}
-	ix, err := index.Open(dir, index.Options{CacheBlocks: opts.CacheBlocks})
+	return newIndex(lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks, TempDir: opts.TempDir}))
+}
+
+// newIndex wraps an open view, closing it if its aggregation kind is
+// not one this build can decode.
+func newIndex(v *lsm.View, err error) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(plainBackend{ix}, dir, opts)
-}
-
-// newIndex wraps an open backend, closing it if its aggregation kind is
-// not one this build can decode.
-func newIndex(b indexBackend, dir string, opts IndexOptions) (*Index, error) {
-	kind := core.AggregationKind(b.Kind())
+	kind := core.AggregationKind(v.Kind())
 	switch kind {
 	case core.AggCount, core.AggTimeSeries, core.AggDocIndex:
 	default:
-		b.Close()
-		return nil, fmt.Errorf("ngramstats: index %s has unknown aggregation kind %d", dir, b.Kind())
+		v.Close()
+		return nil, fmt.Errorf("ngramstats: index has unknown aggregation kind %d", v.Kind())
 	}
-	return &Index{b: b, kind: kind, dir: dir, opts: opts}, nil
+	return &Index{v: v, kind: kind}, nil
 }
 
 // Reopen opens the directory's current state as a new handle, with the
 // options x was opened with, and leaves x open: the way to follow a
 // directory that is appended to, compacted or replaced while it is
-// served. For a chain it costs what the manifest added — every
-// generation x already holds and the manifest still lists is shared
-// with the new handle (same file descriptors, same warm block cache) and
-// only new generation directories are opened and checked; a plain index
-// is simply opened again. Both handles must be closed; a shared
-// generation's files close with the last handle that holds it. Reopen
-// on a closed chain handle fails with ErrIndexClosed.
-func (x *Index) Reopen() (*Index, error) {
-	v, ok := x.b.(*lsm.View)
-	if !ok || !lsm.Exists(x.dir) {
-		return OpenIndexWith(x.dir, x.opts)
-	}
-	nv, err := v.Reopen()
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(nv, x.dir, x.opts)
-}
+// served. It costs what the manifest added — every generation x already
+// holds and the manifest still lists unchanged is shared with the new
+// handle (same file descriptors, same warm block cache), and only new
+// generation directories are opened and checked. A plain index is a
+// chain of one: reopened unchanged it shares its one generation, and
+// reopened after a replacing Save it opens the new one. Both handles
+// must be closed; a shared generation's files close with the last
+// handle that holds it. Reopen on a closed handle fails with
+// ErrIndexClosed.
+func (x *Index) Reopen() (*Index, error) { return newIndex(x.v.Reopen()) }
 
-func init() {
-	lsm.StatsOf = func(handle any) lsm.OpenStats {
-		switch b := handle.(*Index).b.(type) {
-		case *lsm.View:
-			return b.OpenStats()
-		default:
-			return lsm.OpenStats{Opened: 1, Terms: int64(b.Dictionary().Len())}
-		}
-	}
-}
-
-// indexBackend is what a queryable on-disk artifact must provide: a
-// plain index directory satisfies it directly, and an LSM chain's
-// merged view satisfies it by folding its generations on the fly.
-// ScanAll enumerates in ascending encoded-key order; ScanUnordered
-// may use any order (the cheap variant for order-independent
-// consumers like top-k selection). ScanPrefix yields the first limit
-// records of the prefix's range in ascending encoded-key order (all of
-// them for limit ≤ 0): a plain index stops its cursor there, a chain
-// selects them while merging one cursor per generation.
-type indexBackend interface {
-	Records() int64
-	Corpus() string
-	Kind() int
-	Shards() int
-	Counters() map[string]int64
-	CacheStats() (hits, misses int64)
-	ManifestTime() time.Time
-	Close() error
-	Dictionary() *dictionary.Dictionary
-	Get(key []byte) ([]byte, bool, error)
-	ScanAll(fn func(key, value []byte) error) error
-	ScanUnordered(fn func(key, value []byte) error) error
-	ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error
-	TopRecords(k int) (keys, values [][]byte, ok bool)
-}
-
-// plainBackend adapts *index.Index to indexBackend (its scans are
-// already ordered, so both scan variants are the same full scan).
-type plainBackend struct{ ix *index.Index }
-
-func (p plainBackend) Records() int64                     { return p.ix.Records() }
-func (p plainBackend) Corpus() string                     { return p.ix.Corpus() }
-func (p plainBackend) Kind() int                          { return p.ix.Kind() }
-func (p plainBackend) Shards() int                        { return p.ix.Shards() }
-func (p plainBackend) Counters() map[string]int64         { return p.ix.Counters() }
-func (p plainBackend) CacheStats() (int64, int64)         { return p.ix.CacheStats() }
-func (p plainBackend) ManifestTime() time.Time            { return p.ix.ManifestTime() }
-func (p plainBackend) Close() error                       { return p.ix.Close() }
-func (p plainBackend) Dictionary() *dictionary.Dictionary { return p.ix.Dictionary() }
-func (p plainBackend) Get(key []byte) ([]byte, bool, error) {
-	return p.ix.Get(key)
-}
-func (p plainBackend) ScanAll(fn func(key, value []byte) error) error {
-	return p.ix.Scan(nil, nil, fn)
-}
-func (p plainBackend) ScanUnordered(fn func(key, value []byte) error) error {
-	return p.ix.Scan(nil, nil, fn)
-}
-func (p plainBackend) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error {
-	n := 0
-	return p.ix.ScanPrefix(prefix, func(k, v []byte) error {
-		if err := fn(k, v); err != nil {
-			return err
-		}
-		if n++; n == limit {
-			return index.StopScan()
-		}
-		return nil
-	})
-}
-func (p plainBackend) TopRecords(k int) ([][]byte, [][]byte, bool) {
-	return p.ix.TopRecords(k)
-}
-
-// Index is a read-only handle on a persisted result — a plain index
-// directory or an LSM chain's merged view. All query methods are safe
-// for concurrent use without locking: the underlying state is
-// immutable, shard reads use positioned reads, and the only shared
-// mutable structure is the internal block cache.
+// Index is a read-only handle on a persisted result: the merged view
+// of an LSM chain, of which a plain index directory is the chain of one
+// generation. All query methods are safe for concurrent use without
+// locking: the underlying state is immutable, shard reads use
+// positioned reads, and the only shared mutable structure is the
+// internal block cache.
 type Index struct {
-	b    indexBackend
+	v    *lsm.View
 	kind core.AggregationKind
-	// dir and opts are what the handle was opened with, for Reopen.
-	dir  string
-	opts IndexOptions
 }
 
 // resolver returns the shared decoder rendering terms through the
 // persisted dictionary.
 func (x *Index) resolver() resolver {
-	return resolver{term: x.b.Dictionary().Term}
+	return resolver{term: x.v.Dictionary().Term}
 }
 
 // Len returns the number of indexed n-grams. For a chain view this is
 // an upper bound: an n-gram present in several generations is counted
 // once per generation until the next compaction.
-func (x *Index) Len() int64 { return x.b.Records() }
+func (x *Index) Len() int64 { return x.v.Records() }
 
 // Corpus returns the name of the corpus the statistics were computed
 // over.
-func (x *Index) Corpus() string { return x.b.Corpus() }
+func (x *Index) Corpus() string { return x.v.Corpus() }
 
 // Shards returns the number of on-disk shard files.
-func (x *Index) Shards() int { return x.b.Shards() }
+func (x *Index) Shards() int { return x.v.Shards() }
 
 // Counters returns the counter snapshot of the run that produced the
 // index (MAP_OUTPUT_RECORDS, SHUFFLE_BYTES_WRITTEN, …); for a chain,
 // the counters summed across its generations' runs.
-func (x *Index) Counters() map[string]int64 { return x.b.Counters() }
+func (x *Index) Counters() map[string]int64 { return x.v.Counters() }
 
 // CacheStats returns the cumulative hit and miss counts of the
 // decoded-block cache, measuring how often queries were served without
 // re-reading and re-decoding a shard block.
-func (x *Index) CacheStats() (hits, misses int64) { return x.b.CacheStats() }
+func (x *Index) CacheStats() (hits, misses int64) { return x.v.CacheStats() }
 
 // ErrIndexClosed is reported by queries issued against a closed Index.
 var ErrIndexClosed = index.ErrClosed
@@ -376,26 +283,26 @@ var ErrIndexClosed = index.ErrClosed
 // traffic: queries in flight on other goroutines complete normally and
 // the files are closed when the last one drains, while queries started
 // after Close fail with ErrIndexClosed. Close is idempotent.
-func (x *Index) Close() error { return x.b.Close() }
+func (x *Index) Close() error { return x.v.Close() }
 
 // ManifestTime returns the modification time of the index manifest
 // (CHAIN.json for a chain) observed when the index was opened. A
 // serving layer compares it against the on-disk manifest to detect
 // that the directory has been rewritten — replaced, appended to, or
 // compacted — and a newer generation is available.
-func (x *Index) ManifestTime() time.Time { return x.b.ManifestTime() }
+func (x *Index) ManifestTime() time.Time { return x.v.ManifestTime() }
 
 // eachAggregate streams every indexed record in ascending encoded-key
 // order through the shared iteration seam.
 func (x *Index) eachAggregate(fn func(s sequence.Seq, agg core.Aggregate) error) error {
-	return x.decodeScan(x.b.ScanAll, fn)
+	return x.decodeScan(x.v.ScanAll, fn)
 }
 
 // eachAggregateUnordered is eachAggregate without the order guarantee
 // — what order-independent consumers (top-k, longest-k selection) use,
 // sparing a chain view the external re-sort into canonical order.
 func (x *Index) eachAggregateUnordered(fn func(s sequence.Seq, agg core.Aggregate) error) error {
-	return x.decodeScan(x.b.ScanUnordered, fn)
+	return x.decodeScan(x.v.ScanUnordered, fn)
 }
 
 func (x *Index) decodeScan(scan func(func(k, v []byte) error) error, fn func(s sequence.Seq, agg core.Aggregate) error) error {
@@ -453,7 +360,7 @@ func (x *Index) TopK(k int) ([]NGram, error) {
 		k = int(x.Len())
 	}
 	rv := x.resolver()
-	if keys, vals, ok := x.b.TopRecords(k); ok {
+	if keys, vals, ok := x.v.TopRecords(k); ok {
 		// A chain's Len is an upper bound, so fewer than k may come back.
 		out := make([]NGram, len(keys))
 		for i := range keys {
@@ -472,24 +379,25 @@ func (x *Index) TopK(k int) ([]NGram, error) {
 	return rv.selectTop(x.eachAggregateUnordered, x.Len(), k, rv.topKBetter)
 }
 
-// TopKStats reports how a chain's TopK calls were answered since the
-// index was opened: by the threshold merge, or by the scanning
-// fallback. Both are zero for a plain index.
-func (x *Index) TopKStats() (merged, scans int64) {
-	if v, ok := x.b.(*lsm.View); ok {
-		return v.TopKStats()
-	}
-	return 0, 0
-}
+// TopKStats reports how TopK calls were answered since the index was
+// opened: from the stored top records (for a chain of several
+// generations, by the threshold merge over them), or by the scanning
+// fallback.
+func (x *Index) TopKStats() (merged, scans int64) { return x.v.TopKStats() }
 
-// PrefixStats reports the work a chain's Prefix calls did since the
-// index was opened: the bounded scans served and the generation
-// records their merges read. Both are zero for a plain index.
-func (x *Index) PrefixStats() (scans, records int64) {
-	if v, ok := x.b.(*lsm.View); ok {
-		return v.PrefixStats()
-	}
-	return 0, 0
+// PrefixStats reports the work Prefix calls did since the index was
+// opened: the bounded scans served and the generation records they
+// read.
+func (x *Index) PrefixStats() (scans, records int64) { return x.v.PrefixStats() }
+
+// OpenStats reports what opening the handle cost: the generations
+// opened from their directories, the generations shared, already open,
+// with the handle it was reopened from, and the dictionary terms
+// parsed. An unchanged Reopen of a chain of G generations costs 0, G
+// and 0.
+func (x *Index) OpenStats() (opened, shared int, terms int64) {
+	st := x.v.OpenStats()
+	return st.Opened, st.Shared, st.Terms
 }
 
 // Longest returns the k longest indexed n-grams in the same order as
@@ -508,7 +416,7 @@ func (x *Index) encodePhrase(phrase string) ([]byte, bool) {
 	}
 	ids := make(sequence.Seq, len(words))
 	for i, w := range words {
-		id, ok := x.b.Dictionary().ID(strings.ToLower(w))
+		id, ok := x.v.Dictionary().ID(strings.ToLower(w))
 		if !ok {
 			return nil, false
 		}
@@ -526,7 +434,7 @@ func (x *Index) Lookup(phrase string) (NGram, bool, error) {
 	if !ok {
 		return NGram{}, false, nil
 	}
-	val, found, err := x.b.Get(key)
+	val, found, err := x.v.Get(key)
 	if err != nil || !found {
 		return NGram{}, false, err
 	}
@@ -545,8 +453,10 @@ func (x *Index) Lookup(phrase string) (NGram, bool, error) {
 // phrase (including the phrase itself, if indexed), in ascending
 // encoded-key order. limit <= 0 returns all. The scan touches only the
 // blocks whose key range intersects the prefix, through the block
-// cache, and stops at limit; on a chain it walks that range in every
-// generation and keeps the limit smallest merged keys.
+// cache, merging one cursor per generation. It stops at limit when the
+// chain's identifiers are already canonical (a plain index, a chain
+// just compacted); otherwise it walks the whole range and keeps the limit
+// smallest merged keys.
 func (x *Index) Prefix(phrase string, limit int) ([]NGram, error) {
 	key, ok := x.encodePhrase(phrase)
 	if !ok {
@@ -554,7 +464,7 @@ func (x *Index) Prefix(phrase string, limit int) ([]NGram, error) {
 	}
 	rv := x.resolver()
 	var out []NGram
-	err := x.b.ScanPrefix(key, limit, func(k, v []byte) error {
+	err := x.v.ScanPrefix(key, limit, func(k, v []byte) error {
 		s, err := encoding.DecodeSeq(k)
 		if err != nil {
 			return err

@@ -425,3 +425,206 @@ func TestLanguageModelFromIndexEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// plainFixtures are plain indexes no chain could be appended to: τ = 3,
+// and a maximal selection. lookupAllocs is what a Lookup of the top
+// n-gram allocated through the plain-index reader, before a plain index
+// became a chain of one.
+var plainFixtures = []struct {
+	name         string
+	opts         Options
+	lookupAllocs float64
+}{
+	{"tau=3", Options{MinFrequency: 3, MaxLength: 5}, 8},
+	{"maximal", Options{MinFrequency: 2, MaxLength: 5, Selection: SelectMaximal}, 9},
+}
+
+// savePlainFixture counts saveTestCorpus under opts and saves it into
+// dir with a small top depth, so TopK takes both the stored and the
+// scanning path.
+func savePlainFixture(t *testing.T, opts Options, dir string, replace bool) *Result {
+	t.Helper()
+	opts.TempDir = t.TempDir()
+	res, err := Count(context.Background(), saveTestCorpus(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { res.Release() })
+	if err := res.SaveWith(dir, SaveOptions{Shards: 2, TopDepth: 3, Replace: replace}); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPlainIsChainOfOne: a plain index opens as a chain of one
+// generation under identity maps, whatever its τ and selection mode;
+// answers every query as the Result it was saved from; and follows its
+// directory through Reopen like any chain — unchanged, it shares its
+// one generation; replaced, it opens the new one. Its point lookups
+// allocate no more than they did through the plain-index reader.
+func TestPlainIsChainOfOne(t *testing.T) {
+	for _, fx := range plainFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "idx")
+			res := savePlainFixture(t, fx.opts, dir, false)
+			ix, err := OpenIndex(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if !ix.v.Identity() {
+				t.Fatal("a plain index opened with translation tables")
+			}
+			vocab := int64(ix.v.Dictionary().Len())
+			if opened, shared, terms := ix.OpenStats(); opened != 1 || shared != 0 || terms != vocab {
+				t.Fatalf("OpenStats = %d opened, %d shared, %d terms; want 1, 0, %d", opened, shared, terms, vocab)
+			}
+			assertIndexMatchesResult(t, ix, res)
+
+			same, err := ix.Reopen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer same.Close()
+			if opened, shared, terms := same.OpenStats(); opened != 0 || shared != 1 || terms != 0 {
+				t.Fatalf("unchanged Reopen: OpenStats = %d, %d, %d; want 0, 1, 0", opened, shared, terms)
+			}
+			assertIndexMatchesResult(t, same, res)
+
+			savePlainFixture(t, fx.opts, dir, true)
+			next, err := same.Reopen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer next.Close()
+			if opened, shared, terms := next.OpenStats(); opened != 1 || shared != 0 || terms != vocab {
+				t.Fatalf("Reopen after a replacing Save: OpenStats = %d, %d, %d; want 1, 0, %d", opened, shared, terms, vocab)
+			}
+			assertIndexMatchesResult(t, next, res)
+
+			top, err := res.TopK(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, ok, err := ix.Lookup(top[0].Text); !ok || err != nil {
+					t.Fatalf("Lookup(%q) = %v, %v", top[0].Text, ok, err)
+				}
+			})
+			if allocs > fx.lookupAllocs {
+				t.Fatalf("Lookup(%q) allocates %.0f times, want ≤ %.0f", top[0].Text, allocs, fx.lookupAllocs)
+			}
+		})
+	}
+}
+
+// assertIndexMatchesResult checks that ix answers NGrams, TopK,
+// Longest, Lookup and Prefix as res does. Prefix, which Result lacks,
+// must return the n-grams extending the phrase in NGrams order, cut at
+// the limit.
+func assertIndexMatchesResult(t *testing.T, ix *Index, res *Result) {
+	t.Helper()
+	want := collect(t, res.NGrams())
+	var ordered []NGram
+	for ng, err := range ix.NGrams() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered = append(ordered, ng)
+		if w, ok := want[ngramKey(ng)]; !ok || !reflect.DeepEqual(ng, w) {
+			t.Fatalf("index n-gram %+v, result %+v", ng, w)
+		}
+	}
+	if len(ordered) != len(want) || ix.Len() != res.Len() {
+		t.Fatalf("index holds %d n-grams (Len %d), result %d", len(ordered), ix.Len(), len(want))
+	}
+	for _, k := range []int{0, 1, 3, 4, len(want), len(want) + 2} {
+		got, err := ix.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := res.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("TopK(%d): index %v, result %v", k, texts(got), texts(exp))
+		}
+	}
+	got, err := ix.Longest(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp, err := res.Longest(3); err != nil || !reflect.DeepEqual(got, exp) {
+		t.Fatalf("Longest(3): index %v, result %v (%v)", texts(got), texts(exp), err)
+	}
+	phrases := []string{"the the the", "xylophone quick", ""}
+	for _, ng := range ordered {
+		phrases = append(phrases, ng.Text)
+	}
+	for _, p := range phrases {
+		got, gok, err := ix.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, eok, err := res.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gok != eok || !reflect.DeepEqual(got, exp) {
+			t.Fatalf("Lookup(%q): index (%+v, %v), result (%+v, %v)", p, got, gok, exp, eok)
+		}
+	}
+	for _, p := range []string{"the", "quick", "quick brown", "to be", "zebra"} {
+		var ext []NGram
+		for _, ng := range ordered {
+			if ng.Text == p || strings.HasPrefix(ng.Text, p+" ") {
+				ext = append(ext, ng)
+			}
+		}
+		for _, limit := range []int{1, 2, 0} {
+			got, err := ix.Prefix(p, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp := ext
+			if limit > 0 && limit < len(ext) {
+				exp = ext[:limit]
+			}
+			if !reflect.DeepEqual(got, exp) {
+				t.Fatalf("Prefix(%q, %d): got %v, want %v", p, limit, texts(got), texts(exp))
+			}
+		}
+	}
+}
+
+// TestReopenClosedHandle: Reopen on a closed handle fails with
+// ErrIndexClosed, for a plain index as for a chain.
+func TestReopenClosedHandle(t *testing.T) {
+	for _, chain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chain=%v", chain), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "idx")
+			saveFullIndex(t, Counts, 2, dir)
+			if chain {
+				if _, err := AppendDelta(context.Background(), dir, lsmBatch(2, 3), AppendOptions{
+					Count: Options{TempDir: t.TempDir()},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix, err := OpenIndex(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if next, err := ix.Reopen(); !errors.Is(err, ErrIndexClosed) {
+				if next != nil {
+					next.Close()
+				}
+				t.Fatalf("Reopen on a closed handle: err = %v, want ErrIndexClosed", err)
+			}
+		})
+	}
+}
