@@ -10,7 +10,9 @@ package ngramstats
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"time"
 
@@ -79,11 +81,8 @@ func AppendDelta(ctx context.Context, dir string, docs []Document, opts AppendOp
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("ngramstats: append to %s: no documents", dir)
 	}
-	var man *lsm.Manifest
-	var err error
-	if lsm.Exists(dir) {
-		man, err = lsm.ReadManifest(dir)
-	} else {
+	man, err := lsm.ReadManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
 		man, err = lsm.Adopt(dir, opts.Compress)
 	}
 	if err != nil {
@@ -227,10 +226,10 @@ type CompactStats struct {
 // compacted chain.
 func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	start := time.Now()
-	if !lsm.Exists(dir) {
-		return &CompactStats{}, nil
-	}
 	peek, err := lsm.ReadManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return &CompactStats{}, nil // a plain index
+	}
 	if err != nil {
 		return nil, err
 	}

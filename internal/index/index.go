@@ -8,10 +8,11 @@
 // the canonical downstream for exactly this data). This package is that
 // hand-off: an index directory holds
 //
-//	MANIFEST.json    format version, corpus name, aggregation kind,
-//	                 record/shard inventory (with byte sizes, first/last
-//	                 keys, and a CRC for the dictionary), plus a snapshot
-//	                 of the producing run's counters
+//	MANIFEST.json    its own CRC-32C, format version, corpus name,
+//	                 aggregation kind, record/shard inventory (with byte
+//	                 sizes, first/last keys, and a CRC for the
+//	                 dictionary), plus a snapshot of the producing run's
+//	                 counters
 //	dictionary.tsv   the frequency-ranked term dictionary (term \t cf)
 //	shard-NNNNN.run  the records, globally sorted by encoded key and cut
 //	                 into roughly equal shards, each in the block-framed,
@@ -39,16 +40,17 @@ import (
 	"hash/crc32"
 )
 
-// FormatVersion identifies the index directory layout. Open rejects
-// indexes written by a different version.
-const FormatVersion = 1
+// FormatVersion identifies the index directory layout. Writers produce
+// only this version; Open also reads format 1, which kept the
+// manifest's CRC in a sidecar file (see WriteManifest), and rejects any
+// other.
+const FormatVersion = 2
 
 // File names within an index directory.
 const (
-	ManifestFile    = "MANIFEST.json"
-	ManifestCRCFile = "MANIFEST.crc32c"
-	DictionaryFile  = "dictionary.tsv"
-	TopFile         = "top.run"
+	ManifestFile   = "MANIFEST.json"
+	DictionaryFile = "dictionary.tsv"
+	TopFile        = "top.run"
 )
 
 // ErrCorrupt is wrapped by every error reported for a malformed,

@@ -345,14 +345,17 @@ func TestManifestHumanReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"\"version\": 1", "test-corpus", "shard-00000.run", "shard-00001.run", DictionaryFile} {
+	for _, want := range []string{"\"version\": 2", "test-corpus", "shard-00000.run", "shard-00001.run", DictionaryFile} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("manifest missing %q:\n%s", want, data)
 		}
 	}
-	for _, f := range []string{"shard-00000.run", "shard-00001.run", DictionaryFile, TopFile, ManifestCRCFile} {
+	for _, f := range []string{"shard-00000.run", "shard-00001.run", DictionaryFile, TopFile} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("expected file %s: %v", f, err)
 		}
+	}
+	if _, err := os.Stat(V1Sidecar(filepath.Join(dir, ManifestFile))); !os.IsNotExist(err) {
+		t.Fatalf("a checksum sidecar beside the manifest (stat: %v)", err)
 	}
 }

@@ -1,40 +1,49 @@
 package index
 
-import "ngramstats/internal/dictionary"
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"time"
 
-// Meta is the checksum-verified manifest metadata of an index
-// directory, readable without opening its shards. LSM chain
-// maintenance uses it to validate that an index qualifies as a chain
-// generation (τ = 1, no selection, recorded document count) before
-// adopting or extending it.
+	"ngramstats/internal/dictionary"
+)
+
+// Meta is the checksum-verified manifest of an index directory,
+// readable without opening its shards. LSM chain maintenance uses it to
+// validate that an index qualifies as a chain generation (τ = 1, no
+// selection, recorded document count) before adopting or extending
+// it; Meta.Open opens the index from it without reading the manifest
+// again.
 type Meta struct {
-	Corpus       string
-	Kind         int
-	Records      int64
-	Docs         int64
-	MaxLength    int
-	MinFrequency int64
-	Selection    int
-	DictUnranked bool
+	manifest
+	// ModTime is the modification time of the MANIFEST.json read, taken
+	// from the handle its bytes were read through.
+	ModTime time.Time
+	dir     string
 }
 
-// ReadMeta reads an index directory's manifest metadata. The manifest
-// checksum is verified; the shard files are not touched.
+// ReadMeta reads an index directory's manifest. Its checksum is
+// verified; the shard files are not touched. A directory without a
+// manifest fails with an error wrapping fs.ErrNotExist.
 func ReadMeta(dir string) (Meta, error) {
-	man, err := readManifest(dir)
+	m := Meta{dir: dir}
+	v1, mtime, err := ReadManifest(filepath.Join(dir, ManifestFile), &m.manifest, ErrCorrupt)
 	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			err = fmt.Errorf("index: open %s: %w", dir, err)
+		}
 		return Meta{}, err
 	}
-	return Meta{
-		Corpus:       man.Corpus,
-		Kind:         man.Kind,
-		Records:      man.Records,
-		Docs:         man.Docs,
-		MaxLength:    man.MaxLength,
-		MinFrequency: man.MinFrequency,
-		Selection:    man.Selection,
-		DictUnranked: man.DictUnranked,
-	}, nil
+	want := FormatVersion
+	if v1 {
+		want = 1
+	}
+	if m.Version != want {
+		return Meta{}, corruptf("unsupported index format version %d", m.Version)
+	}
+	m.ModTime = mtime
+	return m, nil
 }
 
 // OpenDictionary loads only the dictionary of an index directory,
@@ -43,9 +52,9 @@ func ReadMeta(dir string) (Meta, error) {
 // the next generation's dictionary from the newest one without opening
 // the full index.
 func OpenDictionary(dir string) (*dictionary.Dictionary, error) {
-	man, err := readManifest(dir)
+	m, err := ReadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	return readDictionary(dir, man, true)
+	return readDictionary(dir, m.manifest, true)
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,7 +45,7 @@ type Options struct {
 type Index struct {
 	dir     string
 	man     manifest
-	manTime time.Time // MANIFEST.json mtime observed at Open
+	manTime time.Time // mtime of the MANIFEST.json read at Open
 	dict    *dictionary.Dictionary
 	shards  []*shard
 	top     *extsort.DecodedBlock // nil when absent; rank order
@@ -76,16 +75,20 @@ type shard struct {
 // query that touches it — in both cases with an error wrapping
 // ErrCorrupt or extsort.ErrCorruptRun, never wrong answers.
 func Open(dir string, opts Options) (*Index, error) {
-	man, err := readManifest(dir)
+	m, err := ReadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{dir: dir, man: man}
+	return m.Open(opts)
+}
+
+// Open opens the index directory m was read from, as Open does, from
+// the manifest already read: the handle and m describe the same bytes.
+func (m Meta) Open(opts Options) (*Index, error) {
+	dir, man := m.dir, m.manifest
+	ix := &Index{dir: dir, man: man, manTime: m.ModTime}
 	ix.refs.Store(1) // the handle's own base reference, dropped by the last Close
 	ix.owners.Store(1)
-	if st, err := os.Stat(filepath.Join(dir, ManifestFile)); err == nil {
-		ix.manTime = st.ModTime()
-	}
 	if opts.CacheBlocks == 0 {
 		opts.CacheBlocks = 128
 	}
@@ -93,6 +96,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		ix.cache = kvstore.NewLRU(opts.CacheBlocks)
 	}
 
+	var err error
 	if ix.dict, err = readDictionary(dir, man, !opts.NoDictionary); err != nil {
 		return nil, err
 	}
@@ -129,50 +133,6 @@ func Open(dir string, opts Options) (*Index, error) {
 		}
 	}
 	return ix, nil
-}
-
-// readManifest reads, checksum-verifies, and parses the directory's
-// MANIFEST.json.
-func readManifest(dir string) (manifest, error) {
-	var man manifest
-	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-	if err != nil {
-		return man, fmt.Errorf("index: open %s: %w", dir, err)
-	}
-	crcData, err := os.ReadFile(filepath.Join(dir, ManifestCRCFile))
-	if err != nil {
-		return man, fmt.Errorf("index: read manifest checksum: %w", err)
-	}
-	// The checksum file holds one CRC line per manifest it vouches for:
-	// exactly one for a committed index, transiently two while Commit
-	// replaces an existing index (old and new manifest are both valid
-	// during the swap, so a crash between the renames never leaves the
-	// directory unopenable). Any line must match exactly.
-	if !manifestCRCMatches(crcData, crc32.Checksum(data, crcTable)) {
-		return man, corruptf("manifest checksum mismatch")
-	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		return man, corruptf("parse manifest: %v", err)
-	}
-	if man.Version != FormatVersion {
-		return man, corruptf("unsupported index format version %d", man.Version)
-	}
-	return man, nil
-}
-
-// manifestCRCMatches reports whether any complete (newline-terminated)
-// line of the checksum file is exactly the %08x rendering of crc. A
-// final unterminated fragment never matches, so truncation anywhere in
-// the file is detected.
-func manifestCRCMatches(crcData []byte, crc uint32) bool {
-	want := fmt.Sprintf("%08x", crc)
-	lines := bytes.Split(crcData, []byte("\n"))
-	for _, line := range lines[:len(lines)-1] {
-		if string(line) == want {
-			return true
-		}
-	}
-	return false
 }
 
 // readDictionary reads the dictionary file the manifest names and
@@ -415,9 +375,10 @@ func (ix *Index) ShardRuns(stats *extsort.IOStats) []*extsort.Run {
 	return runs
 }
 
-// ManifestTime returns the modification time of MANIFEST.json observed
-// when the index was opened — the freshness anchor a serving layer
-// compares against the on-disk manifest to detect a rewritten index.
+// ManifestTime returns the modification time of the MANIFEST.json the
+// index was opened from, taken from the handle its bytes were read
+// through — the freshness anchor a serving layer compares against the
+// on-disk manifest to detect a rewritten index.
 func (ix *Index) ManifestTime() time.Time { return ix.manTime }
 
 // Dictionary returns the term dictionary recorded at save time, or nil

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,7 +92,8 @@ func TestReplaceRewriteUnderOpenReader(t *testing.T) {
 	}
 
 	// The old generation's flat data files are unlinked; only the
-	// manifest pair and generation directories remain at the top level.
+	// manifest and generation directories remain at the top level — no
+	// checksum sidecar: the manifest carries its own.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -105,18 +105,9 @@ func TestReplaceRewriteUnderOpenReader(t *testing.T) {
 			}
 			continue
 		}
-		if e.Name() != ManifestFile && e.Name() != ManifestCRCFile {
+		if e.Name() != ManifestFile {
 			t.Fatalf("stale file %q survived the replace", e.Name())
 		}
-	}
-
-	// The transitional two-line CRC collapsed back to a single line.
-	crc, err := os.ReadFile(filepath.Join(dir, ManifestCRCFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(crc), "\n"); lines != 1 {
-		t.Fatalf("CRC file has %d lines after replace, want 1: %q", lines, crc)
 	}
 }
 

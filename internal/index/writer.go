@@ -297,8 +297,9 @@ func (w *Writer) AppendTop(key, value []byte) error {
 }
 
 // Commit finalizes the index: the open shard and top files are
-// completed and the manifest is written atomically. The writer must not
-// be used afterwards.
+// completed, then the manifest, carrying its own checksum, is written
+// to a temp file and renamed into place — one rename commits the index
+// (see WriteManifest). The writer must not be used afterwards.
 func (w *Writer) Commit() error {
 	if w.appended != w.opts.Records {
 		w.Abort()
@@ -326,64 +327,19 @@ func (w *Writer) Commit() error {
 	if w.man.Shards == nil {
 		w.man.Shards = []shardInfo{}
 	}
-	data, err := json.MarshalIndent(&w.man, "", "  ")
-	if err != nil {
-		w.Abort()
-		return fmt.Errorf("index: encode manifest: %w", err)
-	}
-	data = append(data, '\n')
-	// The checksum lands before the manifest rename: a crash in between
-	// leaves no MANIFEST.json (fresh build) or the old index's manifest
-	// (replacement), so the directory is never mistaken for a complete
-	// new index, and a manifest without its checksum fails Open. When
-	// replacing, the old manifest's CRC line is kept alongside the new
-	// one through the swap — whichever manifest a crash leaves behind,
-	// the directory stays openable — and the file is shrunk back to one
-	// line once the new manifest is in place.
-	crcPath := filepath.Join(w.dir, ManifestCRCFile)
-	crcLine := fmt.Sprintf("%08x\n", crc32.Checksum(data, crcTable))
-	crcData := []byte(crcLine)
-	if w.sub != "" {
-		if old, err := os.ReadFile(crcPath); err == nil {
-			crcData = append(old, crcLine...)
-		}
-	}
-	if err := writeFileAtomic(crcPath, crcData); err != nil {
-		w.Abort()
-		return fmt.Errorf("index: write manifest checksum: %w", err)
-	}
-	tmp := filepath.Join(w.dir, ManifestFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		w.Abort()
-		return fmt.Errorf("index: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, ManifestFile)); err != nil {
-		os.Remove(tmp)
+	// The manifest rename is the commit point: a crash before it leaves
+	// no MANIFEST.json (fresh build) or the old index's (replacement),
+	// so the directory is never mistaken for a complete new index.
+	if err := WriteManifest(filepath.Join(w.dir, ManifestFile), &w.man); err != nil {
 		w.Abort()
 		return fmt.Errorf("index: commit manifest: %w", err)
 	}
 	w.committed = true
 	if w.sub != "" {
-		// Post-swap, best-effort: retire the transitional CRC line and
-		// unlink the replaced generation's files (open readers keep
-		// serving them through their file descriptors).
-		writeFileAtomic(crcPath, []byte(crcLine))
+		// Post-swap, best-effort: unlink the replaced generation's files
+		// (open readers keep serving them through their file
+		// descriptors).
 		w.cleanupStale()
-	}
-	return nil
-}
-
-// writeFileAtomic writes data under path via a temp file and rename, so
-// concurrent readers see either the old or the new content, never a
-// partial write.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
 	}
 	return nil
 }
@@ -473,7 +429,4 @@ func (w *Writer) Abort() {
 	}
 	os.Remove(filepath.Join(w.dir, DictionaryFile))
 	os.Remove(filepath.Join(w.dir, TopFile))
-	os.Remove(filepath.Join(w.dir, ManifestFile+".tmp"))
-	os.Remove(filepath.Join(w.dir, ManifestCRCFile))
-	os.Remove(filepath.Join(w.dir, ManifestCRCFile+".tmp"))
 }

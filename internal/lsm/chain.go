@@ -29,7 +29,7 @@ func Adopt(dir string, compress bool) (*Manifest, error) {
 	if meta.MinFrequency == 0 {
 		return nil, fmt.Errorf("lsm: %s predates appendable metadata; rebuild it before appending", dir)
 	}
-	if err := appendable(meta); err != nil {
+	if err := appendable(meta.MinFrequency, meta.Selection); err != nil {
 		return nil, fmt.Errorf("lsm: cannot adopt %s as a chain base: %w", dir, err)
 	}
 	return adopted(meta, compress), nil
@@ -48,17 +48,18 @@ func adopted(meta index.Meta, compress bool) *Manifest {
 		Docs:      meta.Docs,
 		Seq:       0,
 		Base:      GenInfo{Dir: ".", Records: meta.Records, Docs: meta.Docs},
+		mtime:     meta.ModTime,
 	}
 }
 
-// appendable reports why an index's recorded computation cannot be a
-// chain generation, or nil.
-func appendable(meta index.Meta) error {
-	if meta.MinFrequency != 1 {
-		return fmt.Errorf("computed with τ = %d, need τ = 1", meta.MinFrequency)
+// appendable reports why an index computed with τ = minFreq and the
+// given selection mode cannot be a chain generation, or nil.
+func appendable(minFreq int64, selection int) error {
+	if minFreq != 1 {
+		return fmt.Errorf("computed with τ = %d, need τ = 1", minFreq)
 	}
-	if meta.Selection != 0 {
-		return fmt.Errorf("computed with selection mode %d, need none", meta.Selection)
+	if selection != 0 {
+		return fmt.Errorf("computed with selection mode %d, need none", selection)
 	}
 	return nil
 }
@@ -90,7 +91,7 @@ func AppendGen(dir string, man *Manifest, gen GenInfo) error {
 	if err != nil {
 		return err
 	}
-	if err := appendable(meta); err != nil {
+	if err := appendable(meta.MinFrequency, meta.Selection); err != nil {
 		return fmt.Errorf("lsm: delta %s: %w", gen.Dir, err)
 	}
 	if meta.Kind != man.Kind || meta.MaxLength != man.MaxLength || meta.Corpus != man.Corpus {
@@ -156,11 +157,12 @@ func SwapBase(dir string, prev *Manifest, base GenInfo) (*Manifest, error) {
 
 // RemoveFlatBase unlinks the root-level files of a replaced adopted
 // base (the plain index that lived flat in the chain directory before
-// the first compaction). Best-effort; only the canonical index file
-// names are touched.
+// the first compaction), with a format-1 base's MANIFEST.crc32c.
+// Best-effort; only the canonical index file names are touched.
 func RemoveFlatBase(dir string) {
-	os.Remove(filepath.Join(dir, index.ManifestFile))
-	os.Remove(filepath.Join(dir, index.ManifestCRCFile))
+	man := filepath.Join(dir, index.ManifestFile)
+	os.Remove(man)
+	os.Remove(index.V1Sidecar(man))
 	os.Remove(filepath.Join(dir, index.DictionaryFile))
 	os.Remove(filepath.Join(dir, index.TopFile))
 	if shards, err := filepath.Glob(filepath.Join(dir, "shard-*.run")); err == nil {

@@ -14,12 +14,10 @@
 //
 // A chain directory looks like
 //
-//	CHAIN.json       the chain manifest: format version, corpus,
-//	                 aggregation kind, σ, cumulative document count,
-//	                 and the ordered generation inventory
-//	CHAIN.crc32c     CRC-32C of CHAIN.json (two lines transiently
-//	                 during a manifest replacement, as with index
-//	                 manifests)
+//	CHAIN.json       the chain manifest: its own CRC-32C, format
+//	                 version, corpus, aggregation kind, σ, cumulative
+//	                 document count, and the ordered generation
+//	                 inventory
 //	<base dir>       a complete plain index directory: "." for a chain
 //	                 that adopted a pre-existing flat index in place,
 //	                 base-NNNNNN for a compacted base
@@ -49,17 +47,17 @@
 //
 // # Crash safety
 //
-// Every mutation of the chain is committed by atomically replacing
-// CHAIN.json (checksum first, then rename — the same protocol as index
-// manifest replacement). An append builds the delta index completely,
-// commits it, and only then links it; a compaction builds the new base
+// Every mutation of the chain is committed by one rename: CHAIN.json,
+// which carries its own checksum, is written to a temp file and renamed
+// into place (index.WriteManifest, the same commit as an index
+// manifest's). An append builds the delta index completely, commits
+// it, and only then links it; a compaction builds the new base
 // completely and only then swaps the manifest. A crash at any point
 // leaves the previous manifest in place, referencing only complete
 // generations; unreferenced generation directories are swept by the
-// next mutation. Corruption anywhere — the chain manifest, its
-// checksum, or any generation — surfaces as an error wrapping
-// ErrCorrupt (or the index package's own corruption errors), never as
-// wrong counts.
+// next mutation. Corruption anywhere — the chain manifest or any
+// generation — surfaces as an error wrapping ErrCorrupt (or the index
+// package's own corruption errors), never as wrong counts.
 //
 // Mutations assume a single writer per chain (the serving layer
 // serializes appends and compactions per index); readers need no
@@ -67,10 +65,9 @@
 package lsm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -78,16 +75,16 @@ import (
 	"ngramstats/internal/index"
 )
 
-// FormatVersion identifies the chain manifest layout. ReadManifest
-// rejects chains written by a different version.
-const FormatVersion = 1
+// FormatVersion identifies the chain manifest layout. Writers produce
+// only this version; ReadManifest also reads format 1, whose checksum
+// lived in a CHAIN.crc32c sidecar, and rejects any other.
+const FormatVersion = 2
 
 // File and directory names within a chain directory.
 const (
-	ChainFile    = "CHAIN.json"
-	ChainCRCFile = "CHAIN.crc32c"
-	DeltaDirFmt  = "delta-%06d"
-	BaseDirFmt   = "base-%06d"
+	ChainFile   = "CHAIN.json"
+	DeltaDirFmt = "delta-%06d"
+	BaseDirFmt  = "base-%06d"
 )
 
 // ErrCorrupt is wrapped by every error reported for a malformed,
@@ -99,8 +96,6 @@ var ErrCorrupt = errors.New("lsm: corrupt chain")
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // GenInfo inventories one generation of the chain.
 type GenInfo struct {
@@ -138,6 +133,10 @@ type Manifest struct {
 	Seq    int       `json:"seq"`
 	Base   GenInfo   `json:"base"`
 	Deltas []GenInfo `json:"deltas"`
+
+	// mtime is the modification time of the CHAIN.json the manifest was
+	// read from, taken from the handle its bytes were read through.
+	mtime time.Time
 }
 
 // Gens returns the generations in merge order: base first, then deltas
@@ -158,47 +157,38 @@ func (m *Manifest) Records() int64 {
 }
 
 // ManifestTime returns the modification time of the manifest that
-// governs dir, and whether it is a chain manifest: CHAIN.json when dir
-// holds a chain, else the plain index's MANIFEST.json. This is the one
-// place that rule lives. OpenChain reads the manifest it names, and a
-// serving layer compares the time with View.ManifestTime to tell that
-// the directory was rewritten (replaced, appended to, or compacted).
-func ManifestTime(dir string) (mtime time.Time, chain bool, err error) {
+// governs dir: CHAIN.json when dir holds a chain, else the plain
+// index's MANIFEST.json. A serving layer compares it with
+// View.ManifestTime to tell that the directory was rewritten
+// (replaced, appended to, or compacted).
+func ManifestTime(dir string) (time.Time, error) {
 	st, err := os.Stat(filepath.Join(dir, ChainFile))
-	if err == nil {
-		return st.ModTime(), true, nil
+	if errors.Is(err, fs.ErrNotExist) {
+		st, err = os.Stat(filepath.Join(dir, index.ManifestFile))
 	}
-	if st, err = os.Stat(filepath.Join(dir, index.ManifestFile)); err != nil {
-		return time.Time{}, false, err
+	if err != nil {
+		return time.Time{}, err
 	}
-	return st.ModTime(), false, nil
-}
-
-// Exists reports whether dir holds a chain (has a CHAIN.json).
-func Exists(dir string) bool {
-	_, chain, _ := ManifestTime(dir)
-	return chain
+	return st.ModTime(), nil
 }
 
 // ReadManifest reads, checksum-verifies, and validates the chain
-// manifest of dir.
+// manifest of dir. A directory without one fails with an error
+// wrapping fs.ErrNotExist.
 func ReadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ChainFile))
-	if err != nil {
-		return nil, fmt.Errorf("lsm: open chain %s: %w", dir, err)
-	}
-	crcData, err := os.ReadFile(filepath.Join(dir, ChainCRCFile))
-	if err != nil {
-		return nil, fmt.Errorf("lsm: read chain checksum: %w", err)
-	}
-	if !crcMatches(crcData, crc32.Checksum(data, crcTable)) {
-		return nil, corruptf("chain manifest checksum mismatch")
-	}
 	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, corruptf("parse chain manifest: %v", err)
+	v1, mtime, err := index.ReadManifest(filepath.Join(dir, ChainFile), &man, ErrCorrupt)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			err = fmt.Errorf("lsm: open chain %s: %w", dir, err)
+		}
+		return nil, err
 	}
-	if man.Version != FormatVersion {
+	want := FormatVersion
+	if v1 {
+		want = 1
+	}
+	if man.Version != want {
 		return nil, corruptf("unsupported chain format version %d", man.Version)
 	}
 	if err := validGenDir(man.Base.Dir); err != nil {
@@ -212,6 +202,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 			return nil, corruptf("delta generation claims the chain root")
 		}
 	}
+	man.mtime = mtime
 	return &man, nil
 }
 
@@ -228,66 +219,13 @@ func validGenDir(d string) error {
 	return nil
 }
 
-// crcMatches reports whether any complete (newline-terminated) line of
-// the checksum file is exactly the %08x rendering of crc, mirroring
-// the index manifest's transitional two-line protocol.
-func crcMatches(crcData []byte, crc uint32) bool {
-	want := fmt.Sprintf("%08x", crc)
-	for {
-		nl := -1
-		for i, b := range crcData {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			return false
-		}
-		if string(crcData[:nl]) == want {
-			return true
-		}
-		crcData = crcData[nl+1:]
-	}
-}
-
-// WriteManifest atomically replaces (or creates) the chain manifest:
-// the checksum file gains the new manifest's line first — alongside
-// the old one when replacing, so a crash between the two renames
-// leaves a readable chain either way — then CHAIN.json is swapped in,
-// then the checksum file is shrunk back to one line.
+// WriteManifest atomically replaces (or creates) the chain manifest
+// with one rename (see index.WriteManifest); a format-1 chain's
+// CHAIN.crc32c goes once the new manifest is in place.
 func WriteManifest(dir string, man *Manifest) error {
 	man.Version = FormatVersion
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("lsm: encode chain manifest: %w", err)
-	}
-	data = append(data, '\n')
-	crcPath := filepath.Join(dir, ChainCRCFile)
-	crcLine := fmt.Sprintf("%08x\n", crc32.Checksum(data, crcTable))
-	crcData := []byte(crcLine)
-	if old, err := os.ReadFile(crcPath); err == nil {
-		crcData = append(old, crcLine...)
-	}
-	if err := writeFileAtomic(crcPath, crcData); err != nil {
-		return fmt.Errorf("lsm: write chain checksum: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(dir, ChainFile), data); err != nil {
+	if err := index.WriteManifest(filepath.Join(dir, ChainFile), man); err != nil {
 		return fmt.Errorf("lsm: write chain manifest: %w", err)
-	}
-	// Post-swap, best-effort: retire the transitional checksum line.
-	writeFileAtomic(crcPath, []byte(crcLine))
-	return nil
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
 	}
 	return nil
 }

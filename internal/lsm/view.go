@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -55,10 +56,9 @@ type Options struct {
 // Reopen share the open generations their manifests have in common;
 // each generation closes with the last view that holds it.
 type View struct {
-	dir     string
-	man     *Manifest
-	manTime time.Time // the governing manifest's mtime observed at open
-	opts    Options
+	dir  string
+	man  *Manifest
+	opts Options
 
 	// gens holds the open generations in merge order: base first, then
 	// deltas oldest to newest.
@@ -113,12 +113,13 @@ func (v *View) OpenStats() OpenStats { return v.open }
 // (corpus, kind, σ, appendability, record counts); any inconsistency
 // is reported wrapping ErrCorrupt. A directory without a chain manifest
 // is a plain index, opened as a chain of one: its manifest is built in
-// memory (nothing is written) and, as nothing is appended to it, it
-// need not be appendable — any τ or selection mode opens. Every
-// generation's dictionary is verified against its manifest's size and
-// checksum; only the newest one's is parsed. A generation that vanishes
-// between the manifest read and its open (a compaction committed in
-// between) is retried once against the fresh manifest.
+// memory from the one read of its MANIFEST.json (nothing is written)
+// and, as nothing is appended to it, it need not be appendable — any τ
+// or selection mode opens. Every generation's dictionary is verified
+// against its manifest's size and checksum; only the newest one's is
+// parsed. A generation that vanishes between the manifest read and its
+// open (a compaction committed in between) is retried once against the
+// fresh manifest.
 func OpenChain(dir string, opts Options) (*View, error) {
 	return openChainRetrying(dir, opts, nil)
 }
@@ -153,30 +154,20 @@ func openChainRetrying(dir string, opts Options, prev *View) (*View, error) {
 }
 
 func openChain(dir string, opts Options, prev *View) (*View, error) {
-	// A missing manifest fails the read below.
-	manTime, chain, _ := ManifestTime(dir)
-	var man *Manifest
-	var err error
-	if chain {
-		man, err = ReadManifest(dir)
-	} else {
-		var meta index.Meta
-		meta, err = index.ReadMeta(dir)
-		man = adopted(meta, false)
+	man, err := ReadManifest(dir)
+	chain := err == nil
+	var plain index.Meta
+	if errors.Is(err, fs.ErrNotExist) {
+		// A plain index: its one generation opens from this one read of
+		// its manifest, so the two cannot disagree.
+		if plain, err = index.ReadMeta(dir); err == nil {
+			man = adopted(plain, false)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	// A generation that disagrees with a chain manifest is corrupt; one
-	// that disagrees with a plain index's in-memory manifest was replaced
-	// after its metadata was read, which the retry reads afresh.
-	mismatch := corruptf
-	if !chain {
-		mismatch = func(format string, args ...any) error {
-			return fmt.Errorf("lsm: %s replaced while opening: %s", dir, fmt.Sprintf(format, args...))
-		}
-	}
-	v := &View{dir: dir, man: man, manTime: manTime, opts: opts}
+	v := &View{dir: dir, man: man, opts: opts}
 	v.refs.Store(1)
 	gens := man.Gens()
 	for i, g := range gens {
@@ -185,7 +176,12 @@ func openChain(dir string, opts Options, prev *View) (*View, error) {
 		if ix != nil {
 			v.open.Shared++
 		} else {
-			ix, err = index.Open(filepath.Join(dir, g.Dir), index.Options{CacheBlocks: opts.CacheBlocks, NoDictionary: !newest})
+			iopts := index.Options{CacheBlocks: opts.CacheBlocks, NoDictionary: !newest}
+			if chain {
+				ix, err = index.Open(filepath.Join(dir, g.Dir), iopts)
+			} else {
+				ix, err = plain.Open(iopts)
+			}
 			if err != nil {
 				v.Close()
 				return nil, fmt.Errorf("lsm: generation %s: %w", g.Dir, err)
@@ -196,18 +192,18 @@ func openChain(dir string, opts Options, prev *View) (*View, error) {
 			}
 		}
 		v.gens = append(v.gens, ix)
-		if ix.Records() != g.Records {
-			v.Close()
-			return nil, mismatch("generation %s holds %d records, chain declares %d", g.Dir, ix.Records(), g.Records)
-		}
-		if ix.Corpus() != man.Corpus || ix.Kind() != man.Kind || ix.MaxLength() != man.MaxLength {
-			v.Close()
-			return nil, mismatch("generation %s does not match the chain invariants", g.Dir)
-		}
 		if !chain {
 			continue
 		}
-		if err := appendable(index.Meta{MinFrequency: ix.MinFrequency(), Selection: ix.Selection()}); err != nil {
+		if ix.Records() != g.Records {
+			v.Close()
+			return nil, corruptf("generation %s holds %d records, chain declares %d", g.Dir, ix.Records(), g.Records)
+		}
+		if ix.Corpus() != man.Corpus || ix.Kind() != man.Kind || ix.MaxLength() != man.MaxLength {
+			v.Close()
+			return nil, corruptf("generation %s does not match the chain invariants", g.Dir)
+		}
+		if err := appendable(ix.MinFrequency(), ix.Selection()); err != nil {
 			v.Close()
 			return nil, corruptf("generation %s: %v", g.Dir, err)
 		}
@@ -364,9 +360,10 @@ func (v *View) CacheStats() (hits, misses int64) {
 }
 
 // ManifestTime returns the modification time of the governing manifest
-// (see ManifestTime) observed at open — the freshness anchor for
-// serving-layer reload checks.
-func (v *View) ManifestTime() time.Time { return v.manTime }
+// (see ManifestTime) the view was opened from, taken from the handle
+// its bytes were read through — the freshness anchor for serving-layer
+// reload checks.
+func (v *View) ManifestTime() time.Time { return v.man.mtime }
 
 // Dictionary returns the canonical dictionary: term identifiers ranked
 // by cumulative frequency across all generations, exactly as a full

@@ -2,8 +2,10 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -90,8 +92,8 @@ func TestIncrementalReconcile(t *testing.T) {
 	if !rec.Applied || rec.Incremental || rec.Docs != int64(len(first)) {
 		t.Fatalf("first reconcile = %+v, want full (non-incremental) over %d docs", rec, len(first))
 	}
-	if _, chain, _ := lsm.ManifestTime(dir); chain {
-		t.Fatal("first reconciliation must save a plain base, not a chain")
+	if _, err := lsm.ReadManifest(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("first reconciliation must save a plain base, not a chain (ReadManifest: %v)", err)
 	}
 
 	// Second reconcile: incremental, appending exactly the new docs.
@@ -111,12 +113,9 @@ func TestIncrementalReconcile(t *testing.T) {
 	if rec.Docs != int64(len(first)+len(second)) {
 		t.Fatalf("reconciled docs = %d, want %d", rec.Docs, len(first)+len(second))
 	}
-	if _, chain, _ := lsm.ManifestTime(dir); !chain {
-		t.Fatal("incremental reconciliation must leave an LSM chain")
-	}
 	man, err := lsm.ReadManifest(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("incremental reconciliation must leave an LSM chain: %v", err)
 	}
 	if len(man.Deltas) != 1 || man.Docs != int64(len(first)+len(second)) {
 		t.Fatalf("chain manifest: %d deltas over %d docs", len(man.Deltas), man.Docs)

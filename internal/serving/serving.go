@@ -698,7 +698,7 @@ func (s *Server) checkReload(h *handle) {
 	if g == nil && !h.live {
 		return // shut down
 	}
-	mtime, _, err := lsm.ManifestTime(h.cfg.Dir)
+	mtime, err := lsm.ManifestTime(h.cfg.Dir)
 	if err != nil {
 		return // not yet materialized, mid-replacement, or transient
 	}

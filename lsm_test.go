@@ -43,6 +43,12 @@ func lsmBatch(lo, hi int) []Document {
 // same policy CompactIndex reproduces.
 func saveFullIndex(t *testing.T, agg Aggregation, n int, dir string) {
 	t.Helper()
+	saveFullIndexWith(t, agg, n, dir, SaveOptions{})
+}
+
+// saveFullIndexWith is saveFullIndex under explicit save options.
+func saveFullIndexWith(t *testing.T, agg Aggregation, n int, dir string, opts SaveOptions) {
+	t.Helper()
 	c, err := FromText("persist-test", lsmDocs[:n], lsmYears[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +60,8 @@ func saveFullIndex(t *testing.T, agg Aggregation, n int, dir string) {
 		t.Fatal(err)
 	}
 	defer res.Release()
-	if err := res.SaveWith(dir, SaveOptions{TempDir: t.TempDir()}); err != nil {
+	opts.TempDir = t.TempDir()
+	if err := res.SaveWith(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -246,25 +253,7 @@ func TestAppendCompactGolden(t *testing.T) {
 			if len(man.Deltas) != 0 || man.Base.Dir == "." {
 				t.Fatalf("post-compaction manifest: base %q, %d deltas", man.Base.Dir, len(man.Deltas))
 			}
-			baseDir := filepath.Join(chainDir, man.Base.Dir)
-			names, err := filepath.Glob(filepath.Join(fullDir, "shard-*.run"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range append([]string{"dictionary.tsv", "top.run"}, names...) {
-				name := filepath.Base(f)
-				wantBytes, err := os.ReadFile(filepath.Join(fullDir, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotBytes, err := os.ReadFile(filepath.Join(baseDir, name))
-				if err != nil {
-					t.Fatalf("compacted base is missing %s: %v", name, err)
-				}
-				if !reflect.DeepEqual(gotBytes, wantBytes) {
-					t.Fatalf("%s differs between compacted base and full rebuild", name)
-				}
-			}
+			assertSameDataFiles(t, filepath.Join(chainDir, man.Base.Dir), fullDir)
 			// The adopted flat base and the delta directories are retired.
 			if _, err := os.Stat(filepath.Join(chainDir, "dictionary.tsv")); !os.IsNotExist(err) {
 				t.Fatalf("flat base files survived compaction (err=%v)", err)
@@ -301,6 +290,30 @@ func TestAppendCompactGolden(t *testing.T) {
 				t.Fatal("compacting a delta-free chain must be a no-op")
 			}
 		})
+	}
+}
+
+// assertSameDataFiles checks that the compacted base in baseDir holds
+// data files byte-identical to the full rebuild's in fullDir.
+func assertSameDataFiles(t *testing.T, baseDir, fullDir string) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(fullDir, "shard-*.run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append([]string{"dictionary.tsv", "top.run"}, names...) {
+		name := filepath.Base(f)
+		wantBytes, err := os.ReadFile(filepath.Join(fullDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := os.ReadFile(filepath.Join(baseDir, name))
+		if err != nil {
+			t.Fatalf("compacted base is missing %s: %v", name, err)
+		}
+		if !reflect.DeepEqual(gotBytes, wantBytes) {
+			t.Fatalf("%s differs between compacted base and full rebuild", name)
+		}
 	}
 }
 
@@ -474,8 +487,9 @@ func TestAppendDocumentIDMixing(t *testing.T) {
 
 // TestChainManifestCorruption is the corruption sweep: every single
 // byte flip and every truncation of the chain manifest, and every flip
-// of its checksum file, must surface as ErrCorrupt — never as wrong
-// counts — and removing a referenced delta must fail the open.
+// of a format-1 chain's checksum file, must surface as ErrCorrupt —
+// never as wrong counts — and removing a referenced delta must fail the
+// open.
 func TestChainManifestCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
 	saveFullIndex(t, Counts, 2, dir)
@@ -484,17 +498,12 @@ func TestChainManifestCorruption(t *testing.T) {
 	}
 
 	manPath := filepath.Join(dir, lsm.ChainFile)
-	crcPath := filepath.Join(dir, lsm.ChainCRCFile)
 	manData, err := os.ReadFile(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crcData, err := os.ReadFile(crcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	mustCorrupt := func(what string) {
+	mustCorrupt := func(dir, what string) {
 		t.Helper()
 		ix, err := OpenIndex(dir)
 		if err == nil {
@@ -507,9 +516,6 @@ func TestChainManifestCorruption(t *testing.T) {
 	}
 	restore := func() {
 		if err := os.WriteFile(manPath, manData, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(crcPath, crcData, 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -527,25 +533,30 @@ func TestChainManifestCorruption(t *testing.T) {
 		if err := os.WriteFile(manPath, bad, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		mustCorrupt(fmt.Sprintf("manifest byte %d flipped", i))
+		mustCorrupt(dir, fmt.Sprintf("manifest byte %d flipped", i))
 	}
-	restore()
 	for n := range manData {
 		if err := os.WriteFile(manPath, manData[:n], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		mustCorrupt(fmt.Sprintf("manifest truncated to %d bytes", n))
+		mustCorrupt(dir, fmt.Sprintf("manifest truncated to %d bytes", n))
 	}
 	restore()
+
+	v1 := copyV1Fixture(t, "chain")
+	crcPath := filepath.Join(v1, "CHAIN.crc32c")
+	crcData, err := os.ReadFile(crcPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range crcData {
 		bad := append([]byte(nil), crcData...)
 		bad[i] ^= 0xff
 		if err := os.WriteFile(crcPath, bad, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		mustCorrupt(fmt.Sprintf("checksum byte %d flipped", i))
+		mustCorrupt(v1, fmt.Sprintf("format-1 checksum byte %d flipped", i))
 	}
-	restore()
 
 	// A manifest that references a missing generation must fail the
 	// open (with the filesystem's error, not wrong counts).

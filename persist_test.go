@@ -461,8 +461,24 @@ func savePlainFixture(t *testing.T, opts Options, dir string, replace bool) *Res
 // answers every query as the Result it was saved from; and follows its
 // directory through Reopen like any chain — unchanged, it shares its
 // one generation; replaced, it opens the new one. Its point lookups
-// allocate no more than they did through the plain-index reader.
+// allocate no more than they did through the plain-index reader, and
+// its open reads the manifest once.
 func TestPlainIsChainOfOne(t *testing.T) {
+	t.Run("open allocs", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "idx")
+		saveFullIndex(t, Counts, len(lsmDocs), dir)
+		allocs := testing.AllocsPerRun(200, func() {
+			ix, err := OpenIndex(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Close()
+		})
+		// 235 when the open read the manifest twice, 148 reading it once.
+		if allocs > 160 {
+			t.Fatalf("OpenIndex allocates %.0f times, want ≤ 160", allocs)
+		}
+	})
 	for _, fx := range plainFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "idx")
