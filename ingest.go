@@ -261,21 +261,34 @@ func (si *StreamIngester) Pending() int64 {
 	return si.base + int64(len(si.docs)) - si.covered
 }
 
-// N returns the total number of n-gram occurrences of the given order
-// currently held in the sketch delta (the N of the ε·N bound).
-func (si *StreamIngester) N(order int) int64 {
-	cur, drain := si.groups()
-	n := cur.N(order)
-	if drain != nil {
-		n += drain.N(order)
-	}
-	return n
+// SketchSnapshot is the ingester's pair of sketch deltas — the live
+// one and, while a reconciliation is in flight, the draining one — as
+// captured at one instant. Documents ingested after the capture may or
+// may not show in it; documents ingested before it always do, even
+// after a reconciliation commits and drops the draining delta.
+type SketchSnapshot struct {
+	si         *StreamIngester
+	cur, drain *sketch.Group
 }
 
-// ErrorBound returns ceil(ε·N) for the given order.
-func (si *StreamIngester) ErrorBound(order int) int64 {
-	return int64(math.Ceil(si.params.Epsilon * float64(si.N(order))))
+// Sketch captures the current sketch deltas. A caller that adds the
+// estimates to counts from an exact index must capture the snapshot
+// before it pins the index generation: reconciliation swaps the new
+// generation in before it commits (drops the drained delta), so a
+// generation pinned after the capture covers every document the
+// captured deltas lost. The other order can miss the reconciled
+// documents in both places.
+func (si *StreamIngester) Sketch() SketchSnapshot {
+	cur, drain := si.groups()
+	return SketchSnapshot{si: si, cur: cur, drain: drain}
 }
+
+// N returns the total number of n-gram occurrences of the given order
+// currently held in the sketch delta (the N of the ε·N bound).
+func (si *StreamIngester) N(order int) int64 { return si.Sketch().n(order) }
+
+// ErrorBound returns ceil(ε·N) for the given order.
+func (si *StreamIngester) ErrorBound(order int) int64 { return si.Sketch().bound(order) }
 
 // Bytes returns the resident counter memory of the sketches.
 func (si *StreamIngester) Bytes() int64 {
@@ -293,6 +306,39 @@ func (si *StreamIngester) Bytes() int64 {
 // ok reports whether the phrase length is within the sketched orders;
 // phrases containing never-ingested words report a zero estimate.
 func (si *StreamIngester) Estimate(phrase string) (ApproxCount, bool) {
+	return si.Sketch().Estimate(phrase)
+}
+
+// TopK returns up to k heavy hitters across all sketched orders,
+// largest estimate first. k <= 0 returns every tracked heavy hitter.
+func (si *StreamIngester) TopK(k int) []ApproxCount { return si.Sketch().TopK(k) }
+
+func (sn SketchSnapshot) n(order int) int64 {
+	n := sn.cur.N(order)
+	if sn.drain != nil {
+		n += sn.drain.N(order)
+	}
+	return n
+}
+
+func (sn SketchSnapshot) bound(order int) int64 {
+	return int64(math.Ceil(sn.si.params.Epsilon * float64(sn.n(order))))
+}
+
+// estimate sums the one-sided estimates of both deltas, which stays
+// one-sided for the union of the two streams.
+func (sn SketchSnapshot) estimate(order int, key []byte) int64 {
+	est, _ := sn.cur.Estimate(order, key)
+	if sn.drain != nil {
+		d, _ := sn.drain.Estimate(order, key)
+		est += d
+	}
+	return est
+}
+
+// Estimate is StreamIngester.Estimate over the snapshot.
+func (sn SketchSnapshot) Estimate(phrase string) (ApproxCount, bool) {
+	si := sn.si
 	toks := corpus.Tokenize(phrase)
 	order := len(toks)
 	if order < 1 || order > si.opts.MaxLength {
@@ -301,33 +347,20 @@ func (si *StreamIngester) Estimate(phrase string) (ApproxCount, bool) {
 	out := ApproxCount{
 		Phrase: strings.Join(toks, " "),
 		Order:  order,
-		Bound:  si.ErrorBound(order),
+		Bound:  sn.bound(order),
 	}
 	ids, known := si.termIDs(toks, false)
 	if !known {
 		return out, true
 	}
-	key := encoding.EncodeSeq(ids)
-	cur, drain := si.groups()
-	// Summing per-delta one-sided estimates stays one-sided for the
-	// union of the two streams.
-	if est, ok := cur.Estimate(order, key); ok {
-		out.Estimate += est
-	}
-	if drain != nil {
-		if est, ok := drain.Estimate(order, key); ok {
-			out.Estimate += est
-		}
-	}
+	out.Estimate = sn.estimate(order, encoding.EncodeSeq(ids))
 	return out, true
 }
 
-// TopK returns up to k heavy hitters across all sketched orders,
-// largest estimate first. k <= 0 returns every tracked heavy hitter.
-func (si *StreamIngester) TopK(k int) []ApproxCount {
-	cur, drain := si.groups()
+// TopK is StreamIngester.TopK over the snapshot.
+func (sn SketchSnapshot) TopK(k int) []ApproxCount {
 	seen := make(map[string]sketch.Entry)
-	for _, g := range []*sketch.Group{cur, drain} {
+	for _, g := range []*sketch.Group{sn.cur, sn.drain} {
 		if g == nil {
 			continue
 		}
@@ -335,16 +368,7 @@ func (si *StreamIngester) TopK(k int) []ApproxCount {
 			if _, dup := seen[string(e.Key)]; dup {
 				continue
 			}
-			est, ok := cur.Estimate(e.Order, e.Key)
-			if !ok {
-				continue
-			}
-			if drain != nil {
-				if d, ok := drain.Estimate(e.Order, e.Key); ok {
-					est += d
-				}
-			}
-			seen[string(e.Key)] = sketch.Entry{Key: e.Key, Order: e.Order, Estimate: est}
+			seen[string(e.Key)] = sketch.Entry{Key: e.Key, Order: e.Order, Estimate: sn.estimate(e.Order, e.Key)}
 		}
 	}
 	entries := make([]sketch.Entry, 0, len(seen))
@@ -369,14 +393,14 @@ func (si *StreamIngester) TopK(k int) []ApproxCount {
 			if n <= 0 {
 				break
 			}
-			words = append(words, si.word(sequence.Term(id)))
+			words = append(words, sn.si.word(sequence.Term(id)))
 			rest = rest[n:]
 		}
 		out[i] = ApproxCount{
 			Phrase:   strings.Join(words, " "),
 			Order:    e.Order,
 			Estimate: e.Estimate,
-			Bound:    si.ErrorBound(e.Order),
+			Bound:    sn.bound(e.Order),
 		}
 	}
 	return out

@@ -291,7 +291,7 @@ func (r *indexJoinReducer) Reduce(key []byte, values *mapreduce.Values, emit map
 			return fmt.Errorf("core: %w: join tag %q", encoding.ErrCorrupt, v[0])
 		}
 	}
-	return lefts.Each(func(_ int, mrec []byte) error {
+	return lefts.Each(func(mrec []byte) error {
 		mSeq, mList, err := splitJoinRecord(mrec)
 		if err != nil {
 			return err
@@ -301,7 +301,7 @@ func (r *indexJoinReducer) Reduce(key []byte, values *mapreduce.Values, emit map
 			return err
 		}
 		mSeqCopy := append([]byte(nil), mSeq...)
-		return rights.Each(func(_ int, nrec []byte) error {
+		return rights.Each(func(nrec []byte) error {
 			nSeq, nList, err := splitJoinRecord(nrec)
 			if err != nil {
 				return err

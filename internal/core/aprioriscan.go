@@ -96,7 +96,10 @@ type storeDict struct {
 	store *kvstore.Store
 }
 
-func (d *storeDict) contains(key []byte) (bool, error) { return d.store.Contains(key) }
+func (d *storeDict) contains(key []byte) (bool, error) {
+	_, ok, err := d.store.Get(key)
+	return ok, err
+}
 
 func (d *storeDict) close() error { return d.store.Close() }
 

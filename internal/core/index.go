@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"ngramstats/internal/corpus"
 	"ngramstats/internal/encoding"
@@ -137,25 +136,4 @@ func (ix *Index) Each(fn func(s sequence.Seq, l postings.List) error) error {
 		}
 	}
 	return nil
-}
-
-// NGramsSorted returns all indexed n-grams in lexicographic order —
-// handy for deterministic listings.
-func (ix *Index) NGramsSorted() ([]sequence.Seq, error) {
-	keys := make([]string, 0, len(ix.lists))
-	for k := range ix.lists {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return encoding.CompareSeqBytes([]byte(keys[i]), []byte(keys[j])) < 0
-	})
-	out := make([]sequence.Seq, len(keys))
-	for i, k := range keys {
-		s, err := encoding.DecodeSeq([]byte(k))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ngramstats/internal/postings"
@@ -76,10 +77,14 @@ func TestIndexLocationsMatchDocuments(t *testing.T) {
 		flat[d.ID] = arr
 	}
 	checked := 0
-	ngrams, err := idx.NGramsSorted()
-	if err != nil {
+	var ngrams []sequence.Seq
+	if err := idx.Each(func(s sequence.Seq, _ postings.List) error {
+		ngrams = append(ngrams, s)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	slices.SortFunc(ngrams, sequence.Compare)
 	for _, s := range ngrams {
 		locs, err := idx.Locations(s)
 		if err != nil {

@@ -42,11 +42,3 @@ func BenchmarkDecodeSeqInto(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCompareSeqBytes(b *testing.B) {
-	seqs := benchSeqs(1024, 8, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CompareSeqBytes(seqs[i%len(seqs)], seqs[(i*7+1)%len(seqs)])
-	}
-}

@@ -10,7 +10,6 @@
 package encoding
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -105,57 +104,6 @@ func SeqLen(b []byte) int {
 		n++
 	}
 	return n
-}
-
-// CompareSeqBytes orders two encoded sequences in standard lexicographic
-// term order without materializing them: terms are decoded one varint at
-// a time and compared numerically; a shorter sequence that is a prefix
-// of the other sorts first.
-func CompareSeqBytes(a, b []byte) int {
-	// Fast path: term identifiers are frequency-ranked, so the vast
-	// majority encode as single-byte varints (< 0x80), which compare
-	// numerically exactly as raw bytes. Walk those without the varint
-	// decode; both slices stay aligned on varint starts, so the general
-	// loop below picks up correctly at the first multi-byte lead.
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i]|b[i] < 0x80 {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-		i++
-	}
-	a, b = a[i:], b[i:]
-	for {
-		switch {
-		case len(a) == 0 && len(b) == 0:
-			return 0
-		case len(a) == 0:
-			return -1
-		case len(b) == 0:
-			return 1
-		}
-		va, na := binary.Uvarint(a)
-		vb, nb := binary.Uvarint(b)
-		if na <= 0 || nb <= 0 {
-			// Malformed input cannot occur for keys we produced; order
-			// arbitrarily but deterministically by raw bytes.
-			return bytes.Compare(a, b)
-		}
-		switch {
-		case va < vb:
-			return -1
-		case va > vb:
-			return 1
-		}
-		a, b = a[na:], b[nb:]
-	}
 }
 
 // The key encoding is a prefix varint whose lead byte gives its length,

@@ -90,29 +90,6 @@ func TestFirstTerm(t *testing.T) {
 	}
 }
 
-// TestCompareSeqBytesMatchesDecoded verifies that the raw comparators
-// agree with their decoded counterparts on random sequences — the
-// correctness condition for using raw comparators in the shuffle.
-func TestCompareSeqBytesMatchesDecoded(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	gen := func() sequence.Seq {
-		n := rng.Intn(6)
-		s := make(sequence.Seq, n)
-		for i := range s {
-			// Mix of 1-byte and multi-byte varints.
-			s[i] = sequence.Term(rng.Intn(1000))
-		}
-		return s
-	}
-	for trial := 0; trial < 20000; trial++ {
-		a, b := gen(), gen()
-		ea, eb := EncodeSeq(a), EncodeSeq(b)
-		if sign(CompareSeqBytes(ea, eb)) != sign(sequence.Compare(a, b)) {
-			t.Fatalf("CompareSeqBytes(%v, %v) disagrees with sequence.Compare", a, b)
-		}
-	}
-}
-
 // keyBoundaries are the first and last ids of every key length class.
 var keyBoundaries = []uint32{
 	0, 127, 128, 16511, 16512, 2113663, 2113664, 270549119, 270549120, math.MaxUint32,

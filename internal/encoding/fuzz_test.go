@@ -66,29 +66,6 @@ func FuzzRecordReader(f *testing.F) {
 	})
 }
 
-// FuzzComparatorsAgree: on arbitrary valid encodings, the raw
-// comparator is antisymmetric and agrees with bytes on equality.
-func FuzzComparatorsAgree(f *testing.F) {
-	f.Add([]byte{0x01, 0x02}, []byte{0x01, 0x03})
-	f.Add([]byte{}, []byte{0x00})
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		if _, err := DecodeSeq(a); err != nil {
-			return
-		}
-		if _, err := DecodeSeq(b); err != nil {
-			return
-		}
-		fwd := CompareSeqBytes(a, b)
-		rev := CompareSeqBytes(b, a)
-		if (fwd < 0) != (rev > 0) || (fwd == 0) != (rev == 0) {
-			t.Fatalf("CompareSeqBytes not antisymmetric: %d vs %d", fwd, rev)
-		}
-		if (fwd == 0) != bytes.Equal(a, b) {
-			t.Fatalf("CompareSeqBytes and bytes disagree on equality")
-		}
-	})
-}
-
 // FuzzKeyEncoding: any byte string either fails to decode as a key with
 // ErrCorrupt or is the one canonical encoding of what it decodes to;
 // and for two sequences built from the input, byte order of their key

@@ -16,6 +16,7 @@ package extsort
 import (
 	"bytes"
 	"io"
+	"os"
 	"sort"
 	"sync"
 )
@@ -58,6 +59,18 @@ func (w *RunWriter) Finish() (int64, error) { return w.rw.finish() }
 // and in-memory slicing both are).
 type ReadAtFunc func(off int64, n int) ([]byte, error)
 
+// FileReadAt returns a ReadAtFunc that reads f with ReadAt into a fresh
+// buffer per call.
+func FileReadAt(f *os.File) ReadAtFunc {
+	return func(off int64, n int) ([]byte, error) {
+		buf := make([]byte, n)
+		if _, err := f.ReadAt(buf, off); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+}
+
 // RunReader provides validated random access to the blocks of one
 // encoded run: the footer index is parsed and checksum-verified at open,
 // after which individual blocks decode on demand. It is safe for
@@ -95,17 +108,14 @@ func (r *RunReader) Records() int64 { return r.records }
 // not be modified.
 func (r *RunReader) FirstKey(i int) []byte { return r.footer.blocks[i].firstKey }
 
-// FindBlock returns the index of the only block that can contain key
-// under cmp (nil selects bytewise order): the last block whose first
-// key is ≤ key. It returns -1 when key sorts before the run's first
-// key, i.e. cannot be present at all.
-func (r *RunReader) FindBlock(key []byte, cmp Compare) int {
-	if cmp == nil {
-		cmp = bytes.Compare
-	}
+// FindBlock returns the index of the only block that can contain key:
+// the last block whose first key is ≤ key in bytewise order. It returns
+// -1 when key sorts before the run's first key, i.e. cannot be present
+// at all.
+func (r *RunReader) FindBlock(key []byte) int {
 	// First block whose firstKey > key, minus one.
 	i := sort.Search(len(r.footer.blocks), func(i int) bool {
-		return cmp(r.footer.blocks[i].firstKey, key) > 0
+		return bytes.Compare(r.footer.blocks[i].firstKey, key) > 0
 	})
 	return i - 1
 }
@@ -245,15 +255,12 @@ func (b *DecodedBlock) Value(i int) []byte {
 }
 
 // Search locates key among the block's records, which must be sorted
-// ascending under cmp (nil selects bytewise order). It returns the
-// index of the first record with key ≥ the target, and whether that
-// record's key equals the target.
-func (b *DecodedBlock) Search(key []byte, cmp Compare) (int, bool) {
-	if cmp == nil {
-		cmp = bytes.Compare
-	}
+// in ascending bytewise order. It returns the index of the first record
+// with key ≥ the target, and whether that record's key equals the
+// target.
+func (b *DecodedBlock) Search(key []byte) (int, bool) {
 	i := sort.Search(len(b.recs), func(i int) bool {
-		return cmp(b.Key(i), key) >= 0
+		return bytes.Compare(b.Key(i), key) >= 0
 	})
-	return i, i < len(b.recs) && cmp(b.Key(i), key) == 0
+	return i, i < len(b.recs) && bytes.Equal(b.Key(i), key)
 }

@@ -74,10 +74,10 @@ func TestRunReaderRoundTrip(t *testing.T) {
 						t.Fatalf("record %d mismatch: got (%q,%q) want (%q,%q)",
 							i, blk.Key(j), blk.Value(j), recs[i][0], recs[i][1])
 					}
-					if fb := r.FindBlock(recs[i][0], nil); fb != b {
+					if fb := r.FindBlock(recs[i][0]); fb != b {
 						t.Fatalf("FindBlock(%q) = %d, want %d", recs[i][0], fb, b)
 					}
-					if pos, ok := blk.Search(recs[i][0], nil); !ok || pos != j {
+					if pos, ok := blk.Search(recs[i][0]); !ok || pos != j {
 						t.Fatalf("Search(%q) = (%d,%v), want (%d,true)", recs[i][0], pos, ok, j)
 					}
 					i++
@@ -87,14 +87,14 @@ func TestRunReaderRoundTrip(t *testing.T) {
 				t.Fatalf("decoded %d records, want %d", i, n)
 			}
 			// Absent keys: before the first block, and between records.
-			if fb := r.FindBlock([]byte("a"), nil); fb != -1 {
+			if fb := r.FindBlock([]byte("a")); fb != -1 {
 				t.Fatalf("FindBlock(before first) = %d, want -1", fb)
 			}
 			blk, err := r.ReadBlock(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := blk.Search([]byte("key-000000x"), nil); ok {
+			if _, ok := blk.Search([]byte("key-000000x")); ok {
 				t.Fatal("Search found a key that was never written")
 			}
 		})
@@ -121,7 +121,7 @@ func TestRunReaderConcurrentReadBlock(t *testing.T) {
 					}
 					// Spot-check one record of the block via Search.
 					j := (g + pass) % blk.Len()
-					if _, ok := blk.Search(blk.Key(j), nil); !ok {
+					if _, ok := blk.Search(blk.Key(j)); !ok {
 						t.Errorf("goroutine %d: block %d key %d not found by Search", g, b, j)
 						return
 					}

@@ -130,7 +130,7 @@ func TestCursorDamagedBlock(t *testing.T) {
 			t.Fatalf("the error does not stick: %v", c.Err())
 		}
 		sh := ix.shards[1]
-		if b := sh.rr.FindBlock(keys[got], nil); ix.findShard(keys[got]) != 1 || b < 1 || !bytes.Equal(sh.rr.FirstKey(b), keys[got]) {
+		if b := sh.rr.FindBlock(keys[got]); ix.findShard(keys[got]) != 1 || b < 1 || !bytes.Equal(sh.rr.FirstKey(b), keys[got]) {
 			t.Fatalf("cursor stopped at %s, not at the start of a later block of shard 1", keys[got])
 		}
 		scanned := from

@@ -183,7 +183,7 @@ func openShard(dir string, si shardInfo) (*shard, error) {
 		f.Close()
 		return nil, corruptf("shard %s is %d bytes, manifest declares %d", si.File, st.Size(), si.Bytes)
 	}
-	rr, err := extsort.OpenRunReader(st.Size(), fileReadAt(f))
+	rr, err := extsort.OpenRunReader(st.Size(), extsort.FileReadAt(f))
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("index: open shard %s: %w", si.File, err)
@@ -197,16 +197,6 @@ func openShard(dir string, si shardInfo) (*shard, error) {
 		return nil, corruptf("shard %s first key disagrees with manifest", si.File)
 	}
 	return &shard{f: f, rr: rr, info: si}, nil
-}
-
-func fileReadAt(f *os.File) extsort.ReadAtFunc {
-	return func(off int64, n int) ([]byte, error) {
-		buf := make([]byte, n)
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
 }
 
 // loadTop eagerly decodes the precomputed top records (a handful of
@@ -226,7 +216,7 @@ func (ix *Index) loadTop() error {
 	if st.Size() != ti.Bytes {
 		return corruptf("top records file is %d bytes, manifest declares %d", st.Size(), ti.Bytes)
 	}
-	rr, err := extsort.OpenRunReader(st.Size(), fileReadAt(f))
+	rr, err := extsort.OpenRunReader(st.Size(), extsort.FileReadAt(f))
 	if err != nil {
 		return fmt.Errorf("index: open top records: %w", err)
 	}
@@ -370,7 +360,7 @@ func (ix *Index) Selection() int { return ix.man.Selection }
 func (ix *Index) ShardRuns(stats *extsort.IOStats) []*extsort.Run {
 	runs := make([]*extsort.Run, len(ix.shards))
 	for i, sh := range ix.shards {
-		runs[i] = extsort.OpenRemoteRun(sh.info.Bytes, int(sh.info.Records), fileReadAt(sh.f), stats)
+		runs[i] = extsort.OpenRemoteRun(sh.info.Bytes, int(sh.info.Records), extsort.FileReadAt(sh.f), stats)
 	}
 	return runs
 }
@@ -466,7 +456,7 @@ func (ix *Index) Get(key []byte) ([]byte, bool, error) {
 	if s < 0 {
 		return nil, false, nil
 	}
-	b := ix.shards[s].rr.FindBlock(key, nil)
+	b := ix.shards[s].rr.FindBlock(key)
 	if b < 0 {
 		return nil, false, nil
 	}
@@ -474,7 +464,7 @@ func (ix *Index) Get(key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if i, ok := blk.Search(key, nil); ok {
+	if i, ok := blk.Search(key); ok {
 		return blk.Value(i), true, nil
 	}
 	return nil, false, nil
@@ -526,7 +516,7 @@ func (ix *Index) Seek(lo, hi []byte) *Cursor {
 			return bytes.Compare(ix.shards[i].info.LastKey, lo) >= 0
 		})
 		if c.s < len(ix.shards) {
-			c.b = max(0, ix.shards[c.s].rr.FindBlock(lo, nil))
+			c.b = max(0, ix.shards[c.s].rr.FindBlock(lo))
 		}
 	}
 	return c
@@ -554,11 +544,11 @@ func (c *Cursor) Next() bool {
 		c.i, c.end = 0, c.blk.Len()
 		if c.lo != nil {
 			// Only the first block can hold keys below lo.
-			c.i, _ = c.blk.Search(c.lo, nil)
+			c.i, _ = c.blk.Search(c.lo)
 			c.lo = nil
 		}
 		if c.hi != nil && c.end > 0 && bytes.Compare(c.blk.Key(c.end-1), c.hi) >= 0 {
-			c.end, _ = c.blk.Search(c.hi, nil)
+			c.end, _ = c.blk.Search(c.hi)
 			c.last = true
 		}
 		if c.i < c.end {

@@ -1,67 +1,56 @@
-// Package kvstore provides a disk-resident key-value store with an
-// in-memory write buffer and lookup cache. It stands in for the Berkeley
-// DB Java Edition store the paper's implementation uses (Section V) to
-// hold data that exceeds main memory at cluster nodes: the dictionary of
-// frequent (k−1)-grams in APRIORI-SCAN and the buffered posting lists in
-// APRIORI-INDEX.
+// Package kvstore provides the disk-resident key-value structures that
+// stand in for the Berkeley DB Java Edition store the paper's
+// implementation uses (Section V) to hold data that exceeds main memory
+// at cluster nodes: the dictionary of frequent (k−1)-grams in
+// APRIORI-SCAN (Store) and the buffered posting lists in APRIORI-INDEX
+// (List).
 //
-// The design is a miniature LSM: writes go to a memtable; when the
-// memtable exceeds its budget it is flushed to an immutable sorted
-// segment file with a sparse in-memory index; reads consult the
-// memtable, then segments from newest to oldest, with a small cache in
-// front ("most main memory is then used for caching, which helps
-// APRIORI-SCAN in particular, since lookups of frequent (k−1)-grams
-// typically hit the cache").
+// A Store is written once and then read: Put feeds an extsort.Sorter,
+// whose own spills bound memory, and Freeze writes the sorted records
+// as one extsort run, the format the shuffle and the persistent index
+// use, with its CRC-32C blocks and footer index. Get finds the one
+// block that can hold a key and keeps decoded blocks in an LRU ("most
+// main memory is then used for caching, which helps APRIORI-SCAN in
+// particular, since lookups of frequent (k−1)-grams typically hit the
+// cache").
 package kvstore
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"ngramstats/internal/encoding"
+	"ngramstats/internal/extsort"
 )
+
+// cacheBlocks is the number of decoded blocks a frozen Store keeps.
+const cacheBlocks = 32
 
 // Options configures a Store.
 type Options struct {
-	// MemoryBudget bounds the memtable size in bytes. Zero selects 16 MiB.
+	// MemoryBudget bounds the records buffered by Put in bytes. Zero
+	// selects 16 MiB.
 	MemoryBudget int
-	// TempDir is the directory for segment files. Empty selects the
+	// TempDir is the directory for the store's files. Empty selects the
 	// system default.
 	TempDir string
-	// CacheEntries bounds the read-through cache. Zero selects 4096;
-	// negative disables the cache.
-	CacheEntries int
-	// SparseEvery controls the sparse index granularity: every n-th key
-	// of a segment is indexed. Zero selects 16.
-	SparseEvery int
 }
 
-// Store is a disk-resident key-value store. It is safe for concurrent
-// readers once writing is finished (after Freeze); mixed concurrent
-// reads and writes require external synchronization.
+// Store is a write-once disk-resident key-value store: Put every
+// record, Freeze, then Get. It is safe for concurrent use.
 type Store struct {
-	opts     Options
-	mu       sync.RWMutex
-	mem      map[string][]byte
-	memBytes int
-	segments []*segment // newest last
-	cache    *LRU
-	frozen   bool
-	closed   bool
-}
-
-// cached is one read-through cache entry. The presence flag makes keys
-// stored with empty values distinguishable from negative (cached-miss)
-// entries.
-type cached struct {
-	val     []byte
-	present bool
+	tempDir string
+	mu      sync.RWMutex
+	sorter  *extsort.Sorter
+	f       *os.File // the frozen run
+	rr      *extsort.RunReader
+	blocks  *LRU
+	closed  bool
 }
 
 // Open creates an empty store.
@@ -69,177 +58,108 @@ func Open(opts Options) *Store {
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = 16 << 20
 	}
-	if opts.CacheEntries == 0 {
-		opts.CacheEntries = 4096
-	}
-	if opts.SparseEvery <= 0 {
-		opts.SparseEvery = 16
-	}
-	s := &Store{opts: opts, mem: make(map[string][]byte)}
-	if opts.CacheEntries > 0 {
-		s.cache = NewLRU(opts.CacheEntries)
-	}
-	return s
+	return &Store{tempDir: opts.TempDir, sorter: extsort.NewSorter(extsort.Options{
+		MemoryBudget: opts.MemoryBudget,
+		TempDir:      opts.TempDir,
+	})}
 }
 
-// Put stores value under key, replacing any previous value in the
-// memtable. Values written in an older, already-flushed segment are
-// shadowed (newest wins on Get).
+var errFrozen = errors.New("kvstore: store is frozen or closed")
+
+// Put adds a record. Each key may be put once; Freeze rejects a
+// duplicate.
 func (s *Store) Put(key, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("kvstore: Put on closed store")
+	if s.sorter == nil {
+		return errFrozen
 	}
-	k := string(key)
-	old, existed := s.mem[k]
-	s.mem[k] = append([]byte(nil), value...)
-	if existed {
-		s.memBytes += len(value) - len(old)
-	} else {
-		s.memBytes += len(k) + len(value) + 48
+	return s.sorter.Add(key, value)
+}
+
+// Freeze sorts the records into one run file and makes the store
+// read-only.
+func (s *Store) Freeze() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sorter == nil {
+		return errFrozen
 	}
-	if s.cache != nil {
-		s.cache.Remove(k)
+	it, err := s.sorter.Sort()
+	s.sorter = nil
+	if err != nil {
+		return fmt.Errorf("kvstore: %w", err)
 	}
-	if s.memBytes >= s.opts.MemoryBudget {
-		return s.flushLocked()
+	defer it.Close()
+	f, err := os.CreateTemp(s.tempDir, "kvstore-*.run")
+	if err != nil {
+		return fmt.Errorf("kvstore: create run: %w", err)
 	}
+	s.f = f
+	bw := bufio.NewWriter(f)
+	w := extsort.NewRunWriter(bw, extsort.CodecRaw)
+	var prev []byte
+	for it.Next() {
+		if w.Records() > 0 && bytes.Equal(it.Key(), prev) {
+			return fmt.Errorf("kvstore: key %q put twice", prev)
+		}
+		if err := w.Append(it.Key(), it.Value()); err != nil {
+			return fmt.Errorf("kvstore: write run: %w", err)
+		}
+		prev = append(prev[:0], it.Key()...)
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("kvstore: %w", err)
+	}
+	size, err := w.Finish()
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: write run: %w", err)
+	}
+	if s.rr, err = extsort.OpenRunReader(size, extsort.FileReadAt(f)); err != nil {
+		return fmt.Errorf("kvstore: %w", err)
+	}
+	s.blocks = NewLRU(cacheBlocks)
 	return nil
 }
 
 // Get returns the value stored under key and whether it exists. The
-// returned slice must not be modified.
+// returned slice must not be modified. Get fails before Freeze.
 func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, false, fmt.Errorf("kvstore: Get on closed store")
+	if s.rr == nil || s.closed {
+		return nil, false, fmt.Errorf("kvstore: Get on a store that is not frozen or is closed")
 	}
-	k := string(key)
-	if v, ok := s.mem[k]; ok {
-		return v, true, nil
+	b := s.rr.FindBlock(key)
+	if b < 0 {
+		return nil, false, nil
 	}
-	if s.cache != nil {
-		if e, ok := s.cache.Get(k); ok {
-			c := e.(cached)
-			if !c.present {
-				return nil, false, nil // cached miss
-			}
-			return c.val, true, nil
-		}
+	blk, err := s.block(b)
+	if err != nil {
+		return nil, false, fmt.Errorf("kvstore: %w", err)
 	}
-	// Newest segment first: last write wins.
-	for i := len(s.segments) - 1; i >= 0; i-- {
-		v, ok, err := s.segments[i].get(key)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if s.cache != nil {
-				s.cache.Put(k, cached{val: v, present: true})
-			}
-			return v, true, nil
-		}
-	}
-	if s.cache != nil {
-		s.cache.Put(k, cached{}) // negative cache entry
+	if i, ok := blk.Search(key); ok {
+		return blk.Value(i), true, nil
 	}
 	return nil, false, nil
 }
 
-// CacheStats returns the cumulative hit and miss counts of the
-// read-through lookup cache (both zero when the cache is disabled).
-// Memtable hits never consult the cache and are not counted; the
-// ratio therefore measures how often a disk lookup was avoided.
-func (s *Store) CacheStats() (hits, misses int64) {
-	if s.cache == nil {
-		return 0, 0
+// block returns decoded block b of the run through the cache.
+func (s *Store) block(b int) (*extsort.DecodedBlock, error) {
+	var kb [4]byte
+	binary.LittleEndian.PutUint32(kb[:], uint32(b))
+	if v, ok := s.blocks.Get(string(kb[:])); ok {
+		return v.(*extsort.DecodedBlock), nil
 	}
-	return s.cache.Stats()
-}
-
-// Contains reports whether key is present.
-func (s *Store) Contains(key []byte) (bool, error) {
-	_, ok, err := s.Get(key)
-	return ok, err
-}
-
-// Len returns the approximate number of live entries (distinct keys are
-// counted once per segment they appear in plus the memtable, so after
-// overwrites the value is an upper bound).
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.mem)
-	for _, seg := range s.segments {
-		n += seg.count
-	}
-	return n
-}
-
-// Segments returns the number of on-disk segments (for tests and
-// instrumentation).
-func (s *Store) Segments() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.segments)
-}
-
-// Freeze flushes the memtable and marks the store read-only; concurrent
-// Gets are afterwards safe without external locking.
-func (s *Store) Freeze() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	s.frozen = true
-	return nil
-}
-
-func (s *Store) flushLocked() error {
-	if len(s.mem) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	f, err := os.CreateTemp(s.opts.TempDir, "kvstore-seg-*.seg")
+	blk, err := s.rr.ReadBlock(b)
 	if err != nil {
-		return fmt.Errorf("kvstore: create segment: %w", err)
+		return nil, err
 	}
-	w := bufio.NewWriterSize(f, 256<<10)
-	seg := &segment{path: f.Name(), count: len(keys)}
-	var off int64
-	for i, k := range keys {
-		v := s.mem[k]
-		if i%s.opts.SparseEvery == 0 {
-			seg.index = append(seg.index, indexEntry{key: []byte(k), off: off})
-		}
-		if err := encoding.WriteRecord(w, []byte(k), v); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return fmt.Errorf("kvstore: write segment: %w", err)
-		}
-		off += int64(encoding.RecordLen(len(k), len(v)))
-	}
-	seg.size = off
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("kvstore: flush segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("kvstore: close segment: %w", err)
-	}
-	s.segments = append(s.segments, seg)
-	s.mem = make(map[string][]byte)
-	s.memBytes = 0
-	return nil
+	s.blocks.Put(string(kb[:]), blk)
+	return blk, nil
 }
 
 // Close releases all on-disk resources.
@@ -250,76 +170,24 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var first error
-	for _, seg := range s.segments {
-		if err := os.Remove(seg.path); err != nil && first == nil {
-			first = err
-		}
+	if s.sorter != nil {
+		s.sorter.Discard()
+		s.sorter = nil
 	}
-	s.segments = nil
-	s.mem = nil
-	return first
-}
-
-type indexEntry struct {
-	key []byte
-	off int64
-}
-
-// segment is an immutable sorted run on disk with a sparse index.
-type segment struct {
-	path  string
-	index []indexEntry
-	count int
-	size  int64
-}
-
-func (seg *segment) get(key []byte) ([]byte, bool, error) {
-	if len(seg.index) == 0 {
-		return nil, false, nil
+	if s.f == nil {
+		return nil
 	}
-	// Find the last sparse entry with key <= target.
-	i := sort.Search(len(seg.index), func(i int) bool {
-		return bytes.Compare(seg.index[i].key, key) > 0
-	}) - 1
-	if i < 0 {
-		return nil, false, nil // key precedes the first entry
+	err := s.f.Close()
+	if rerr := os.Remove(s.f.Name()); err == nil {
+		err = rerr
 	}
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return nil, false, fmt.Errorf("kvstore: open segment: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(seg.index[i].off, io.SeekStart); err != nil {
-		return nil, false, fmt.Errorf("kvstore: seek segment: %w", err)
-	}
-	end := seg.size
-	if i+1 < len(seg.index) {
-		end = seg.index[i+1].off
-	}
-	rr := encoding.NewRecordReader(bufio.NewReaderSize(io.LimitReader(f, end-seg.index[i].off), 32<<10))
-	for {
-		k, v, err := rr.Next()
-		if err == io.EOF {
-			return nil, false, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		switch bytes.Compare(k, key) {
-		case 0:
-			return append([]byte(nil), v...), true, nil
-		case 1:
-			return nil, false, nil // past the target in sorted order
-		}
-	}
+	return err
 }
 
 // LRU is a bounded least-recently-used cache with measured
 // effectiveness: Get and Put are safe for concurrent use, and the
-// Stats counters report how often lookups hit. Store uses it as the
-// read-through lookup cache; the persistent n-gram index uses it as
-// the decoded-block cache on its serving path.
+// Stats counters report how often lookups hit. Store and the persistent
+// n-gram index use it as their decoded-block cache.
 type LRU struct {
 	mu   sync.Mutex
 	cap  int
@@ -382,23 +250,6 @@ func (c *LRU) Put(k string, v any) {
 		c.unlink(lru)
 		delete(c.m, lru.key)
 	}
-}
-
-// Remove evicts k if cached.
-func (c *LRU) Remove(k string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[k]; ok {
-		c.unlink(e)
-		delete(c.m, k)
-	}
-}
-
-// Len returns the number of cached entries.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // Stats returns the cumulative hit and miss counts of Get.

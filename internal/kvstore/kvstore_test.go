@@ -2,17 +2,30 @@ package kvstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"ngramstats/internal/extsort"
 )
 
 func TestPutGetInMemory(t *testing.T) {
 	s := Open(Options{MemoryBudget: 1 << 20, TempDir: t.TempDir()})
 	defer s.Close()
 	if err := s.Put([]byte("k1"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if s.sorter.Spills() != 0 {
+		t.Fatalf("unexpected spills: %d", s.sorter.Spills())
+	}
+	if _, _, err := s.Get([]byte("k1")); err == nil {
+		t.Fatal("Get before Freeze should fail")
+	}
+	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := s.Get([]byte("k1"))
@@ -23,14 +36,14 @@ func TestPutGetInMemory(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("absent key found")
 	}
-	if s.Segments() != 0 {
-		t.Fatalf("unexpected segments: %d", s.Segments())
+	if err := s.Put([]byte("k2"), nil); err == nil {
+		t.Fatal("Put after Freeze should fail")
 	}
 }
 
 func TestSpillToSegmentsAndGet(t *testing.T) {
 	dir := t.TempDir()
-	s := Open(Options{MemoryBudget: 512, TempDir: dir, SparseEvery: 4})
+	s := Open(Options{MemoryBudget: 512, TempDir: dir})
 	defer s.Close()
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -40,8 +53,11 @@ func TestSpillToSegmentsAndGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Segments() == 0 {
-		t.Fatal("expected on-disk segments")
+	if s.sorter.Spills() == 0 {
+		t.Fatal("expected on-disk spills")
+	}
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%04d", i))
@@ -54,7 +70,7 @@ func TestSpillToSegmentsAndGet(t *testing.T) {
 			t.Fatalf("Get(%s) = %q, %v; want %q", k, v, ok, want)
 		}
 	}
-	// Misses before, between, and after segment key ranges.
+	// Misses before, between, and after the keys.
 	for _, k := range []string{"a", "key-0250x", "zzz"} {
 		if _, ok, err := s.Get([]byte(k)); err != nil || ok {
 			t.Fatalf("unexpected hit for %q", k)
@@ -62,45 +78,47 @@ func TestSpillToSegmentsAndGet(t *testing.T) {
 	}
 }
 
-func TestNewestValueWins(t *testing.T) {
-	s := Open(Options{MemoryBudget: 256, TempDir: t.TempDir()})
-	defer s.Close()
-	// Write the key, force it to a segment, then overwrite.
-	if err := s.Put([]byte("k"), []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	// Freeze marks read-only semantics for concurrency, but this store
-	// is reopened for writing in the same test via direct Put; emulate a
-	// second generation with a fresh store sharing segments is not
-	// supported, so just verify overwrite before freeze instead.
-	s2 := Open(Options{MemoryBudget: 1 << 10, TempDir: t.TempDir(), CacheEntries: -1})
-	defer s2.Close()
-	if err := s2.Put([]byte("k"), []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	// Force flush by exceeding the budget.
-	for i := 0; i < 64; i++ {
-		if err := s2.Put([]byte(fmt.Sprintf("pad-%d", i)), bytes.Repeat([]byte("x"), 32)); err != nil {
+// TestFreezeRejectsDuplicates: a store is written once, so a key put
+// twice is an error at Freeze, whether both copies are still buffered
+// or one was spilled — and the failed store still cleans up.
+func TestFreezeRejectsDuplicates(t *testing.T) {
+	for _, spill := range []bool{false, true} {
+		dir := t.TempDir()
+		s := Open(Options{MemoryBudget: 1 << 10, TempDir: dir})
+		if err := s.Put([]byte("k"), []byte("old")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s2.Segments() == 0 {
-		t.Fatal("expected a flush")
-	}
-	if err := s2.Put([]byte("k"), []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s2.Get([]byte("k"))
-	if err != nil || !ok || string(v) != "new" {
-		t.Fatalf("Get after overwrite = %q, %v, %v", v, ok, err)
+		if spill {
+			for i := 0; i < 64; i++ {
+				if err := s.Put([]byte(fmt.Sprintf("pad-%d", i)), bytes.Repeat([]byte("x"), 32)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.sorter.Spills() == 0 {
+				t.Fatal("expected a spill")
+			}
+		}
+		if err := s.Put([]byte("k"), []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Freeze(); err == nil {
+			t.Fatalf("spill=%v: Freeze accepted a duplicate key", spill)
+		}
+		if _, _, err := s.Get([]byte("k")); err == nil {
+			t.Fatalf("spill=%v: Get after a failed Freeze should fail", spill)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Fatalf("spill=%v: files remain after Close: %v", spill, ents)
+		}
 	}
 }
 
 func TestFreezeFlushesAndAllowsConcurrentReads(t *testing.T) {
-	s := Open(Options{MemoryBudget: 1 << 20, TempDir: t.TempDir()})
+	dir := t.TempDir()
+	s := Open(Options{MemoryBudget: 1 << 20, TempDir: dir})
 	defer s.Close()
 	for i := 0; i < 100; i++ {
 		if err := s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprint(i))); err != nil {
@@ -110,8 +128,8 @@ func TestFreezeFlushesAndAllowsConcurrentReads(t *testing.T) {
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Segments() != 1 {
-		t.Fatalf("segments = %d, want 1", s.Segments())
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("files after Freeze = %d, want 1", len(ents))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -130,101 +148,180 @@ func TestFreezeFlushesAndAllowsConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-func TestContainsAndLen(t *testing.T) {
-	s := Open(Options{TempDir: t.TempDir()})
-	defer s.Close()
-	if err := s.Put([]byte("a"), nil); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := s.Contains([]byte("a"))
-	if err != nil || !ok {
-		t.Fatalf("Contains(a) = %v, %v", ok, err)
-	}
-	ok, err = s.Contains([]byte("b"))
-	if err != nil || ok {
-		t.Fatalf("Contains(b) = %v, %v", ok, err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+func TestCloseRemovesSegments(t *testing.T) {
+	for _, freeze := range []bool{false, true} {
+		dir := t.TempDir()
+		s := Open(Options{MemoryBudget: 128, TempDir: dir})
+		for i := 0; i < 100; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("key-%d", i)), bytes.Repeat([]byte("v"), 20)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.sorter.Spills() == 0 {
+			t.Fatal("expected spills")
+		}
+		if freeze {
+			if err := s.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 0 {
+			t.Fatalf("freeze=%v: files remain: %v", freeze, ents)
+		}
+		if _, _, err := s.Get([]byte("key-1")); err == nil {
+			t.Fatal("Get after Close should fail")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("double Close: %v", err)
+		}
 	}
 }
 
-func TestCloseRemovesSegments(t *testing.T) {
+// TestRandomizedAgainstMap checks a write-once store against a map:
+// distinct random keys (the empty key among them), values that are
+// often empty, and misses, at budgets that make Put spill zero times,
+// once, and many times.
+func TestRandomizedAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	randBytes := func(max int) []byte {
+		b := make([]byte, rng.Intn(max+1))
+		rng.Read(b)
+		return b
+	}
+	oracle := make(map[string][]byte)
+	var keys []string
+	total := 0
+	for len(keys) < 3000 {
+		k := string(randBytes(12))
+		if _, dup := oracle[k]; dup {
+			continue
+		}
+		v := []byte(nil)
+		if rng.Intn(3) > 0 {
+			v = randBytes(20)
+		}
+		oracle[k] = v
+		keys = append(keys, k)
+		total += len(k) + len(v) + 32 // the sorter's charge per record
+	}
+	for _, tc := range []struct {
+		budget     int
+		minSpills  int
+		maxSpills  int
+		budgetName string
+	}{
+		{1 << 30, 0, 0, "no spill"},
+		{total * 2 / 3, 1, 1, "one spill"},
+		{total / 20, 10, 1 << 30, "many spills"},
+	} {
+		t.Run(tc.budgetName, func(t *testing.T) {
+			s := Open(Options{MemoryBudget: tc.budget, TempDir: t.TempDir()})
+			defer s.Close()
+			for _, k := range keys {
+				if err := s.Put([]byte(k), oracle[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := s.sorter.Spills(); n < tc.minSpills || n > tc.maxSpills {
+				t.Fatalf("spills = %d, want [%d, %d]", n, tc.minSpills, tc.maxSpills)
+			}
+			if err := s.Freeze(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5000; i++ {
+				k := keys[rng.Intn(len(keys))]
+				if i%2 == 1 {
+					k = string(randBytes(12)) // mostly a miss
+				}
+				v, ok, err := s.Get([]byte(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantOK := oracle[k]
+				if ok != wantOK || !bytes.Equal(v, want) {
+					t.Fatalf("Get(%x) = %x,%v; want %x,%v", k, v, ok, want, wantOK)
+				}
+			}
+		})
+	}
+}
+
+// TestCorruptRunNeverAnswersWrong flips every byte of a spilled store's
+// run file in turn. Every Get must then answer right or fail with
+// extsort.ErrCorruptRun — never answer wrong.
+func TestCorruptRunNeverAnswersWrong(t *testing.T) {
+	const n = 40
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("v%d", i*i)) }
 	dir := t.TempDir()
-	s := Open(Options{MemoryBudget: 128, TempDir: dir})
-	for i := 0; i < 100; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("key-%d", i)), bytes.Repeat([]byte("v"), 20)); err != nil {
+	build := func() (*Store, string) {
+		s := Open(Options{MemoryBudget: 256, TempDir: dir})
+		for i := 0; i < n; i++ {
+			if err := s.Put(key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.sorter.Spills() == 0 {
+			t.Fatal("expected spills")
+		}
+		if err := s.Freeze(); err != nil {
 			t.Fatal(err)
 		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("files after Freeze: %v, %v; want one run", ents, err)
+		}
+		return s, filepath.Join(dir, ents[0].Name())
 	}
-	if s.Segments() == 0 {
-		t.Fatal("expected segments")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
+	s, path := build()
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("segment files remain: %v", ents)
-	}
-	if _, _, err := s.Get([]byte("key-1")); err == nil {
-		t.Fatal("Get after Close should fail")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-}
+	s.Close()
 
-func TestNegativeCache(t *testing.T) {
-	s := Open(Options{MemoryBudget: 64, TempDir: t.TempDir(), CacheEntries: 8})
-	defer s.Close()
-	for i := 0; i < 50; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte("v")); err != nil {
+	detected := 0
+	for off := range clean {
+		s, path := build()
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{clean[off] ^ 0xff}, int64(off)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		check := func(k, want []byte, wantOK bool) {
+			v, ok, err := s.Get(k)
+			switch {
+			case err != nil:
+				if !errors.Is(err, extsort.ErrCorruptRun) {
+					t.Fatalf("byte %d: Get(%s): %v, want ErrCorruptRun", off, k, err)
+				}
+				detected++
+			case ok != wantOK || !bytes.Equal(v, want):
+				t.Fatalf("byte %d: Get(%s) = %q,%v; want %q,%v", off, k, v, ok, want, wantOK)
+			}
+		}
+		check([]byte("a"), nil, false)
+		check([]byte("z"), nil, false)
+		for i := 0; i < n; i++ {
+			check(key(i), val(i), true)
+			check(append(key(i), 'x'), nil, false)
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Two lookups of a missing key: the second is served by the negative
-	// cache; both must agree.
-	for i := 0; i < 2; i++ {
-		if _, ok, err := s.Get([]byte("missing")); err != nil || ok {
-			t.Fatalf("lookup %d: %v %v", i, ok, err)
-		}
-	}
-	// And a present key looked up twice (second from cache).
-	for i := 0; i < 2; i++ {
-		v, ok, err := s.Get([]byte("key-07"))
-		if err != nil || !ok || string(v) != "v" {
-			t.Fatalf("lookup %d: %q %v %v", i, v, ok, err)
-		}
-	}
-}
-
-func TestRandomizedAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	s := Open(Options{MemoryBudget: 2 << 10, TempDir: t.TempDir(), SparseEvery: 3, CacheEntries: 16})
-	defer s.Close()
-	oracle := make(map[string]string)
-	for op := 0; op < 5000; op++ {
-		k := fmt.Sprintf("k%03d", rng.Intn(300))
-		if rng.Intn(2) == 0 {
-			v := fmt.Sprintf("v%d", rng.Int63())
-			oracle[k] = v
-			if err := s.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			v, ok, err := s.Get([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantOK := oracle[k]
-			if ok != wantOK || (ok && string(v) != want) {
-				t.Fatalf("op %d: Get(%s) = %q,%v; want %q,%v", op, k, v, ok, want, wantOK)
-			}
-		}
+	if detected == 0 {
+		t.Fatal("no flipped byte was detected")
 	}
 }
 
@@ -245,16 +342,15 @@ func TestLRUCacheEviction(t *testing.T) {
 	if v, ok := c.Get("c"); !ok || v.(string) != "3" {
 		t.Fatal("c lost")
 	}
-	c.Remove("a")
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a should be removed")
-	}
-	// 5 Gets hit (a, a, c) and missed (b, removed a) as counted above.
-	if hits, misses := c.Stats(); hits != 3 || misses != 2 {
-		t.Fatalf("Stats() = %d hits, %d misses; want 3, 2", hits, misses)
+	// 4 Gets hit (a, a, c) and missed (b) as counted above.
+	if hits, misses := c.Stats(); hits != 3 || misses != 1 {
+		t.Fatalf("Stats() = %d hits, %d misses; want 3, 1", hits, misses)
 	}
 }
 
+// TestStoreCacheStats: the first Get decodes the run's one block, and
+// every later lookup in its key range — hit or miss — is served from
+// the block cache.
 func TestStoreCacheStats(t *testing.T) {
 	s := Open(Options{MemoryBudget: 1, TempDir: t.TempDir()})
 	defer s.Close()
@@ -264,8 +360,6 @@ func TestStoreCacheStats(t *testing.T) {
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	// First Get misses the cache and fills it from the segment; the
-	// following Gets (positive and negative alike) hit.
 	for i := 0; i < 3; i++ {
 		if _, ok, err := s.Get([]byte("k")); err != nil || !ok {
 			t.Fatalf("Get k: ok=%v err=%v", ok, err)
@@ -276,17 +370,20 @@ func TestStoreCacheStats(t *testing.T) {
 			t.Fatalf("Get absent: ok=%v err=%v", ok, err)
 		}
 	}
-	hits, misses := s.CacheStats()
-	if hits != 3 || misses != 2 {
-		t.Fatalf("CacheStats() = %d hits, %d misses; want 3, 2", hits, misses)
+	// "absent" sorts before the first key: no block is consulted.
+	if _, ok, err := s.Get([]byte("zz")); err != nil || ok {
+		t.Fatalf("Get zz: ok=%v err=%v", ok, err)
+	}
+	hits, misses := s.blocks.Stats()
+	if hits != 3 || misses != 1 {
+		t.Fatalf("block cache = %d hits, %d misses; want 3, 1", hits, misses)
 	}
 }
 
 func TestRepeatedLookupOfEmptyValueKey(t *testing.T) {
-	// Regression: a key stored with an empty value and served from a
-	// segment must stay visible on repeated lookups — the cache must
-	// not conflate empty values with negative entries. APRIORI-SCAN's
-	// membership dictionary stores exactly such keys.
+	// A key stored with an empty value must stay visible on repeated
+	// lookups. APRIORI-SCAN's membership dictionary stores exactly such
+	// keys.
 	s := Open(Options{MemoryBudget: 1, TempDir: t.TempDir()})
 	defer s.Close()
 	if err := s.Put([]byte("member"), nil); err != nil {
@@ -296,7 +393,7 @@ func TestRepeatedLookupOfEmptyValueKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		ok, err := s.Contains([]byte("member"))
+		_, ok, err := s.Get([]byte("member"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,6 +401,19 @@ func TestRepeatedLookupOfEmptyValueKey(t *testing.T) {
 			t.Fatalf("lookup %d: key with empty value reported missing", i)
 		}
 	}
+}
+
+// eachRecords collects a list's records in iteration order.
+func eachRecords(t *testing.T, l *List) []string {
+	t.Helper()
+	var out []string
+	if err := l.Each(func(rec []byte) error {
+		out = append(out, string(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestListInMemory(t *testing.T) {
@@ -314,13 +424,16 @@ func TestListInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Len() != 10 || l.Spilled() {
-		t.Fatalf("Len=%d Spilled=%v", l.Len(), l.Spilled())
+	if l.file != nil {
+		t.Fatal("unexpected spill")
 	}
-	for i := 0; i < 10; i++ {
-		v, err := l.Get(i)
-		if err != nil || string(v) != fmt.Sprintf("rec-%d", i) {
-			t.Fatalf("Get(%d) = %q, %v", i, v, err)
+	got := eachRecords(t, l)
+	if len(got) != 10 {
+		t.Fatalf("Each visited %d records, want 10", len(got))
+	}
+	for i, rec := range got {
+		if rec != fmt.Sprintf("rec-%d", i) {
+			t.Fatalf("record %d = %q", i, rec)
 		}
 	}
 }
@@ -334,35 +447,19 @@ func TestListSpill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !l.Spilled() {
+	if l.file == nil {
 		t.Fatal("expected spill")
 	}
-	// Random access across the spill boundary.
-	for _, i := range []int{0, 1, 50, n - 2, n - 1} {
-		v, err := l.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("record-%03d-padpadpad", i)
-		if string(v) != want {
-			t.Fatalf("Get(%d) = %q, want %q", i, v, want)
-		}
+	// Sequential iteration sees every record in order, across the
+	// spill boundary.
+	got := eachRecords(t, l)
+	if len(got) != n {
+		t.Fatalf("Each visited %d records, want %d", len(got), n)
 	}
-	// Sequential iteration sees every record in order.
-	seen := 0
-	err := l.Each(func(i int, rec []byte) error {
-		want := fmt.Sprintf("record-%03d-padpadpad", i)
-		if string(rec) != want {
-			return fmt.Errorf("Each(%d) = %q, want %q", i, rec, want)
+	for i, rec := range got {
+		if want := fmt.Sprintf("record-%03d-padpadpad", i); rec != want {
+			t.Fatalf("record %d = %q, want %q", i, rec, want)
 		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != n {
-		t.Fatalf("Each visited %d records, want %d", seen, n)
 	}
 }
 
@@ -375,32 +472,26 @@ func TestListAppendAfterEach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Each(func(i int, rec []byte) error { return nil }); err != nil {
-		t.Fatal(err)
+	if got := eachRecords(t, l); len(got) != 20 {
+		t.Fatalf("Each visited %d records, want 20", len(got))
 	}
 	if err := l.Append([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := l.Get(20)
-	if err != nil || string(v) != "tail" {
-		t.Fatalf("Get(20) = %q, %v", v, err)
+	got := eachRecords(t, l)
+	if len(got) != 21 || got[20] != "tail" {
+		t.Fatalf("after Append: %d records, last %q", len(got), got[len(got)-1])
 	}
 }
 
 func TestListBounds(t *testing.T) {
 	l := NewList(0, t.TempDir())
 	defer l.Close()
-	if _, err := l.Get(0); err == nil {
-		t.Fatal("Get on empty list should fail")
+	if got := eachRecords(t, l); len(got) != 0 {
+		t.Fatalf("empty list yielded %q", got)
 	}
 	if err := l.Append([]byte("x")); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := l.Get(-1); err == nil {
-		t.Fatal("negative index should fail")
-	}
-	if _, err := l.Get(1); err == nil {
-		t.Fatal("out-of-range index should fail")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -408,38 +499,38 @@ func TestListBounds(t *testing.T) {
 	if err := l.Append([]byte("y")); err == nil {
 		t.Fatal("Append after Close should fail")
 	}
+	if err := l.Each(func([]byte) error { return nil }); err == nil {
+		t.Fatal("Each after Close should fail")
+	}
 }
 
 func TestListSpillAfterReadKeepsOffsets(t *testing.T) {
-	// A spill that happens after a read (which seeks the shared file
-	// handle) must append at the end of the file, not at the read
-	// position.
+	// A spill that happens after a read must append at the end of the
+	// file, not at the read position.
 	l := NewList(64, t.TempDir())
 	defer l.Close()
-	rec := func(i int) []byte { return []byte(fmt.Sprintf("payload-%04d-xxxxxxxx", i)) }
+	rec := func(i int) string { return fmt.Sprintf("payload-%04d-xxxxxxxx", i) }
 	for i := 0; i < 10; i++ {
-		if err := l.Append(rec(i)); err != nil {
+		if err := l.Append([]byte(rec(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !l.Spilled() {
+	if l.file == nil {
 		t.Fatal("expected initial spill")
 	}
-	if _, err := l.Get(0); err != nil { // seeks to offset 0
-		t.Fatal(err)
-	}
+	eachRecords(t, l)
 	for i := 10; i < 30; i++ { // forces more spills after the read
-		if err := l.Append(rec(i)); err != nil {
+		if err := l.Append([]byte(rec(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 30; i++ {
-		v, err := l.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(v) != string(rec(i)) {
-			t.Fatalf("Get(%d) = %q, want %q", i, v, rec(i))
+	got := eachRecords(t, l)
+	if len(got) != 30 {
+		t.Fatalf("Each visited %d records, want 30", len(got))
+	}
+	for i, r := range got {
+		if r != rec(i) {
+			t.Fatalf("record %d = %q, want %q", i, r, rec(i))
 		}
 	}
 }

@@ -3,15 +3,16 @@ package kvstore
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
 	"ngramstats/internal/encoding"
 )
 
-// List is an append-only list of byte records with random access by
-// index. Records are buffered in memory up to a budget and spilled to a
-// single backing file beyond it. APRIORI-INDEX's join reducer uses it to
+// List is an append-only list of byte records read back in order.
+// Records are buffered in memory up to a budget and spilled to a single
+// backing file beyond it. APRIORI-INDEX's join reducer uses it to
 // buffer the posting-list values of a reduce group, which "have to be
 // buffered, and a scalable implementation must deal with the case when
 // this is not possible in the available main memory" (Section III-B).
@@ -23,10 +24,7 @@ type List struct {
 	memBytes int
 	file     *os.File
 	w        *bufio.Writer
-	offsets  []int64 // file offset of each spilled record, in order
 	fileLen  int64
-	spilled  int // number of records living in the file (a prefix)
-	n        int
 	closed   bool
 }
 
@@ -48,13 +46,14 @@ func (l *List) Append(rec []byte) error {
 	}
 	l.mem = append(l.mem, append([]byte(nil), rec...))
 	l.memBytes += len(rec) + 32
-	l.n++
 	if l.memBytes >= l.budget {
 		return l.spillLocked()
 	}
 	return nil
 }
 
+// spillLocked appends the buffered records to the backing file. Reads
+// go through ReadAt, so the file's write position is always its end.
 func (l *List) spillLocked() error {
 	if l.file == nil {
 		f, err := os.CreateTemp(l.tempDir, "kvlist-*.dat")
@@ -64,98 +63,45 @@ func (l *List) spillLocked() error {
 		l.file = f
 		l.w = bufio.NewWriterSize(f, 256<<10)
 	}
-	// Reads seek the shared handle; flush any buffered writes first so
-	// they land at their intended offsets, then restore the append
-	// position.
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("kvstore: flush list spill: %w", err)
-	}
-	if _, err := l.file.Seek(l.fileLen, 0); err != nil {
-		return fmt.Errorf("kvstore: seek list spill: %w", err)
-	}
 	for _, rec := range l.mem {
-		l.offsets = append(l.offsets, l.fileLen)
 		if err := encoding.WriteRecord(l.w, nil, rec); err != nil {
 			return fmt.Errorf("kvstore: write list spill: %w", err)
 		}
 		l.fileLen += int64(encoding.RecordLen(0, len(rec)))
-		l.spilled++
 	}
 	l.mem = l.mem[:0]
 	l.memBytes = 0
 	return nil
 }
 
-// Len returns the number of records appended.
-func (l *List) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Spilled reports whether any records have been written to disk.
-func (l *List) Spilled() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.spilled > 0
-}
-
-// Get returns record i. Records still in memory are returned without a
-// read; spilled records are fetched from the backing file.
-func (l *List) Get(i int) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, fmt.Errorf("kvstore: Get on closed list")
-	}
-	if i < 0 || i >= l.n {
-		return nil, fmt.Errorf("kvstore: list index %d out of range [0,%d)", i, l.n)
-	}
-	if i >= l.spilled {
-		return l.mem[i-l.spilled], nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return nil, err
-	}
-	if _, err := l.file.Seek(l.offsets[i], 0); err != nil {
-		return nil, err
-	}
-	rr := encoding.NewRecordReader(bufio.NewReaderSize(l.file, 32<<10))
-	_, v, err := rr.Next()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), v...), nil
-}
-
 // Each calls fn for every record in order. The slice passed to fn is
 // only valid during the call.
-func (l *List) Each(fn func(i int, rec []byte) error) error {
+func (l *List) Each(fn func(rec []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("kvstore: Each on closed list")
 	}
-	if l.spilled > 0 {
+	if l.file != nil {
 		if err := l.w.Flush(); err != nil {
-			return err
+			return fmt.Errorf("kvstore: flush list spill: %w", err)
 		}
-		if _, err := l.file.Seek(0, 0); err != nil {
-			return err
-		}
-		rr := encoding.NewRecordReader(bufio.NewReaderSize(l.file, 256<<10))
-		for i := 0; i < l.spilled; i++ {
+		rr := encoding.NewRecordReader(bufio.NewReaderSize(io.NewSectionReader(l.file, 0, l.fileLen), 256<<10))
+		for {
 			_, v, err := rr.Next()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				return err
 			}
-			if err := fn(i, v); err != nil {
+			if err := fn(v); err != nil {
 				return err
 			}
 		}
 	}
-	for j, rec := range l.mem {
-		if err := fn(l.spilled+j, rec); err != nil {
+	for _, rec := range l.mem {
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}

@@ -135,10 +135,31 @@ func (s *Server) exactFor(ls *liveState) (*generation, int64) {
 	return g, g.num
 }
 
+// testHookSketchCaptured, when non-nil, runs in the approximate
+// endpoints between capturing the sketch delta and pinning the exact
+// generation — the test seam for a reconciliation landing in between.
+var testHookSketchCaptured func()
+
+// approxSources captures the sketch delta and then pins the reconciled
+// generation (nil before the first reconciliation), in that order.
+// ReconcileNow swaps the new generation in before it commits, which
+// drops the drained delta: reload before commit, delta before
+// generation. A generation pinned after the capture therefore covers
+// every document the captured delta lost, and an estimate can count a
+// document twice but never miss one. The caller releases g.
+func (s *Server) approxSources(ls *liveState) (ngramstats.SketchSnapshot, *generation, int64) {
+	sk := ls.cfg.Ingester.Sketch()
+	if hook := testHookSketchCaptured; hook != nil {
+		hook()
+	}
+	g, gen := s.exactFor(ls)
+	return sk, g, gen
+}
+
 // approxFor combines the exact component of one phrase (from a pinned
 // generation, which may be nil) with the sketch delta.
-func approxFor(si *ngramstats.StreamIngester, g *generation, phrase string) (ApproxNGram, bool, error) {
-	ac, ok := si.Estimate(phrase)
+func approxFor(sk ngramstats.SketchSnapshot, g *generation, phrase string) (ApproxNGram, bool, error) {
+	ac, ok := sk.Estimate(phrase)
 	if !ok {
 		return ApproxNGram{}, false, nil
 	}
@@ -213,11 +234,11 @@ func (s *Server) handleApproxLookup(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g, gen := s.exactFor(ls)
+	sk, g, gen := s.approxSources(ls)
 	if g != nil {
 		defer g.release()
 	}
-	ng, ok, err := approxFor(ls.cfg.Ingester, g, q)
+	ng, ok, err := approxFor(sk, g, q)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "approx lookup: %v", err)
 		return
@@ -248,8 +269,7 @@ func (s *Server) handleApproxTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	si := ls.cfg.Ingester
-	g, gen := s.exactFor(ls)
+	sk, g, gen := s.approxSources(ls)
 	if g != nil {
 		defer g.release()
 	}
@@ -258,14 +278,14 @@ func (s *Server) handleApproxTopK(w http.ResponseWriter, r *http.Request) {
 		if _, dup := cands[phrase]; dup {
 			return nil
 		}
-		ng, ok, err := approxFor(si, g, phrase)
+		ng, ok, err := approxFor(sk, g, phrase)
 		if err != nil || !ok {
 			return err // out-of-range candidates are skipped silently
 		}
 		cands[ng.Phrase] = ng
 		return nil
 	}
-	for _, hh := range si.TopK(k) {
+	for _, hh := range sk.TopK(k) {
 		if err := add(hh.Phrase); err != nil {
 			writeError(w, http.StatusInternalServerError, "approx topk: %v", err)
 			return
@@ -406,8 +426,11 @@ func (s *Server) ReconcileNow(ctx context.Context) (ReconcileResponse, error) {
 	// Commit after the swap: between Reload and Commit both the new
 	// generation and the draining delta cover the reconciled documents,
 	// so estimates stay one-sided (briefly doubled) rather than ever
-	// dropping below the true count. In incremental mode the documents
-	// are persisted in the chain, so the ingester releases them too.
+	// dropping below the true count — provided the approximate
+	// endpoints read the delta before they pin the generation
+	// (approxSources): reload before commit, delta before generation.
+	// In incremental mode the documents are persisted in the chain, so
+	// the ingester releases them too.
 	if ls.cfg.Incremental {
 		rc.CommitDrop()
 	} else {

@@ -298,6 +298,69 @@ func TestHealthzWatchInterval(t *testing.T) {
 	}
 }
 
+// TestApproxSketchBeforeGeneration forces the interleaving that made
+// the approximate endpoints under-count: a reconciliation reloads and
+// commits between the moment a query reads the sketch delta and the
+// moment it pins the exact generation. Whichever generation the query
+// then pins, exact + delta must not fall below the true count.
+func TestApproxSketchBeforeGeneration(t *testing.T) {
+	srv, ts, _ := newLiveServer(t, nil)
+	client := ts.Client()
+	ingest := func(n int) {
+		t.Helper()
+		if s := postJSON(t, client, ts.URL+"/v1/ingest", IngestRequest{Docs: liveDocs(n)}, nil); s != http.StatusOK {
+			t.Fatalf("ingest: status %d", s)
+		}
+	}
+	reconcile := func() {
+		t.Helper()
+		if rec, err := srv.ReconcileNow(context.Background()); err != nil || !rec.Applied {
+			t.Fatalf("reconcile: %+v, %v", rec, err)
+		}
+	}
+	// Every query below runs one reconciliation inside the window.
+	testHookSketchCaptured = func() {
+		if rec, err := srv.ReconcileNow(context.Background()); err != nil || !rec.Applied {
+			t.Errorf("reconcile inside the query: %+v, %v", rec, err)
+		}
+	}
+	t.Cleanup(func() { testHookSketchCaptured = nil })
+
+	docs := int64(0)
+	for _, endpoint := range []string{"lookup", "topk"} {
+		// A generation to pin and a pending delta for the forced
+		// reconciliation to drain.
+		ingest(10)
+		reconcile()
+		ingest(5)
+		docs += 15
+		// "rose" occurs three times in every document, more often than
+		// any other n-gram.
+		want := 3 * docs
+		var got ApproxNGram
+		if endpoint == "lookup" {
+			var al ApproxLookupResponse
+			if s := getStrict(t, client, ts.URL+"/v1/approx/lookup?q=rose", &al); s != http.StatusOK {
+				t.Fatalf("approx lookup: status %d", s)
+			}
+			got = al.ApproxNGram
+		} else {
+			var at ApproxTopKResponse
+			if s := getStrict(t, client, ts.URL+"/v1/approx/topk?k=1", &at); s != http.StatusOK {
+				t.Fatalf("approx topk: status %d", s)
+			}
+			if len(at.NGrams) != 1 || at.NGrams[0].Phrase != "rose" {
+				t.Fatalf("approx topk = %+v, want rose first", at.NGrams)
+			}
+			got = at.NGrams[0]
+		}
+		if got.Estimate < want {
+			t.Errorf("approx %s: estimate %d (exact %d + delta %d) below the true count %d",
+				endpoint, got.Estimate, got.Exact, got.Delta, want)
+		}
+	}
+}
+
 // TestLiveSwapDrill extends the PR 7 hot-swap drill: clients hammer the
 // approximate endpoints and keep ingesting while reconcile cycles swap
 // fresh exact generations in. Every request must succeed — zero 5xx,

@@ -138,9 +138,9 @@ func postJSON(t *testing.T, client *http.Client, url string, req, out any) int {
 	return resp.StatusCode
 }
 
-// TestServingEndToEnd is the serving-smoke oracle test: concurrent
-// HTTP clients query a saved index and every response must match the
-// in-process Result's answer. Run under -race in CI.
+// TestServingEndToEnd is the serving oracle test: concurrent HTTP
+// clients query a saved index and every response must match the
+// in-process Result's answer. CI's race job runs it under -race.
 func TestServingEndToEnd(t *testing.T) {
 	res, dir := buildServedIndex(t)
 	_, ts := newTestServer(t, dir, nil)
