@@ -1,12 +1,12 @@
 package ngramstats
 
-// Incremental index maintenance: a saved index becomes the base of an
-// LSM chain (internal/lsm), AppendDelta runs the exact computation
-// over only the new documents and links the result as a delta
-// generation, and CompactIndex merges base + deltas back into a single
-// index byte-identical to a from-scratch rebuild over all documents.
-// OpenIndex serves either form transparently (a chain through its
-// merge-on-read view).
+// Incremental index maintenance: AppendDelta creates an LSM chain
+// (internal/lsm) from its first batch, or adopts a saved index as one,
+// and links the exact computation over only the new documents as a
+// delta generation; CompactIndex merges base + deltas back into a
+// single index byte-identical to a from-scratch rebuild over all
+// documents. OpenIndex serves either form transparently (a chain
+// through its merge-on-read view).
 
 import (
 	"context"
@@ -26,16 +26,18 @@ import (
 // defaults as Count and Save.
 type AppendOptions struct {
 	// Count supplies the computation knobs for the delta job (method,
-	// parallelism, execution backend, …). MinFrequency, MaxLength,
-	// Selection, and Aggregation are forced to the chain's invariants
-	// (τ = 1, the chain's σ, no selection, the chain's aggregation) and
-	// any values set here are ignored.
+	// parallelism, execution backend, …). Every generation is counted
+	// at τ = 1 with no selection. MinFrequency is the chain's τ, which
+	// its view applies to the folded counts; MaxLength and Aggregation
+	// are the chain's σ and aggregation. The three take effect when
+	// AppendDelta creates or adopts the chain; an existing chain keeps
+	// what it recorded, and Selection is ignored.
 	Count Options
 	// Builder configures the delta corpus build.
 	Builder BuilderOptions
-	// Compress sets the chain's shard compression when the directory is
-	// first adopted as a chain; an existing chain keeps its recorded
-	// setting and this field is ignored.
+	// Compress sets the chain's shard compression when AppendDelta
+	// creates or adopts the chain; an existing chain keeps its recorded
+	// setting.
 	Compress bool
 }
 
@@ -56,23 +58,24 @@ type AppendStats struct {
 	Counters map[string]int64
 }
 
-// AppendDelta extends the saved index at dir with new documents
-// without recomputing anything over the old ones: the exact job runs
-// over just docs — O(new documents) — and its result is linked as a
-// delta generation. Besides the job, an append makes one pass over the
+// AppendDelta extends the index at dir with new documents without
+// recomputing anything over the old ones: the exact job runs over just
+// docs — O(new documents) — and its result is linked as a delta
+// generation. Besides the job, an append makes one pass over the
 // chain's vocabulary: the newest generation's cumulative dictionary is
 // parsed once, extended in place with the new terms and written out as
-// the delta's. On the first append the plain index is adopted in
-// place as the chain's base — it must have been computed with τ = 1
-// and no maximal/closed selection, the invariants under which
-// per-generation counts merge losslessly.
+// the delta's. On the first append a plain index is adopted in place
+// as the chain's base — it must have been computed with τ = 1 and no
+// maximal/closed selection, the invariants under which per-generation
+// counts merge losslessly. A directory that holds no index becomes a
+// chain whose base is what Count and Save over docs would write.
 //
 // Document identifiers continue the chain's ordinals: a zero-ID
 // document takes the position a full rebuild over all documents would
 // have assigned it. After the append, OpenIndex on dir answers every
-// query exactly as an index rebuilt from scratch over all documents
-// would (the golden-equivalence property; see CompactIndex for the
-// byte-level form).
+// query exactly as an index rebuilt from scratch over all documents at
+// the chain's τ would (the golden-equivalence property; see
+// CompactIndex for the byte-level form).
 //
 // Appends and compactions assume a single writer per chain; concurrent
 // readers (including ngramsd serving the directory) need no
@@ -83,59 +86,50 @@ func AppendDelta(ctx context.Context, dir string, docs []Document, opts AppendOp
 	}
 	man, err := lsm.ReadManifest(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		man, err = lsm.Adopt(dir, opts.Compress)
+		man, err = lsm.Adopt(dir)
+		if errors.Is(err, fs.ErrNotExist) {
+			man, err = &lsm.Manifest{
+				Corpus:    filepath.Base(filepath.Clean(dir)),
+				Kind:      int(opts.Count.Aggregation),
+				MaxLength: opts.Count.MaxLength,
+			}, nil
+		}
+		if err == nil {
+			man.Compress, man.MinFrequency = opts.Compress, opts.Count.MinFrequency
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	lsm.SweepOrphans(dir, man)
 
-	// Seed the delta's dictionary from the newest generation: inherited
-	// identifiers stay stable (encoded keys remain comparable across
-	// generations) and frequencies continue cumulatively. The builder
-	// takes the loaded tables over; this parse is the append's one pass
-	// over the chain vocabulary.
-	newest := man.Base.Dir
-	if n := len(man.Deltas); n > 0 {
-		newest = man.Deltas[n-1].Dir
-	}
-	seed, err := index.OpenDictionary(filepath.Join(dir, newest))
-	if err != nil {
-		return nil, err
-	}
-
-	b := corpus.NewSeededBuilder(man.Corpus, corpus.BuilderOptions{
-		MemoryBudget: opts.Builder.MemoryBudget,
-		TempDir:      opts.Builder.TempDir,
-	}, seed)
-	sawExplicit, sawAuto := false, false
-	for i, d := range docs {
-		if err := ctx.Err(); err != nil {
-			b.Discard()
+	// A new chain's base ranks its dictionary as a batch build does.
+	// Every later generation seeds its dictionary from the newest one:
+	// inherited identifiers stay stable (encoded keys remain comparable
+	// across generations) and frequencies continue cumulatively. The
+	// builder takes the loaded tables over; this parse is the append's
+	// one pass over the chain vocabulary.
+	bopts := corpus.BuilderOptions{MemoryBudget: opts.Builder.MemoryBudget, TempDir: opts.Builder.TempDir}
+	var b *corpus.Builder
+	if gens := man.Gens(); man.Base.Dir == "" {
+		b = corpus.NewBuilder(man.Corpus, bopts)
+	} else {
+		seed, err := index.OpenDictionary(filepath.Join(dir, gens[len(gens)-1].Dir))
+		if err != nil {
 			return nil, err
 		}
-		id := d.ID
-		if id == 0 {
-			if sawExplicit {
-				b.Discard()
-				return nil, fmt.Errorf("ngramstats: append document %d has ID 0 after explicitly assigned IDs; assign every ID (non-zero) or none", i)
-			}
-			sawAuto = true
-			// The ordinal a full rebuild over all documents would assign.
-			id = man.Docs + int64(i)
-		} else {
-			if sawAuto {
-				b.Discard()
-				return nil, fmt.Errorf("ngramstats: append document with explicit ID %d after auto-assigned IDs; assign every ID (non-zero) or none", id)
-			}
-			sawExplicit = true
-		}
-		if err := b.Add(id, d.Year, d.Text, d.Web); err != nil {
-			b.Discard()
-			return nil, err
-		}
+		b = corpus.NewSeededBuilder(man.Corpus, bopts, seed)
 	}
-	col, err := b.Finish()
+	// Zero-ID documents take the ordinals a full rebuild over all
+	// documents would assign.
+	cb := &CorpusBuilder{b: b, first: man.Docs}
+	c, err := cb.build(ctx, func(yield func(Document, error) bool) {
+		for _, d := range docs {
+			if !yield(d, nil) {
+				return
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +139,7 @@ func AppendDelta(ctx context.Context, dir string, docs []Document, opts AppendOp
 	copts.MaxLength = man.MaxLength
 	copts.Selection = SelectAll
 	copts.Aggregation = Aggregation(man.Kind)
-	res, err := Count(ctx, &Corpus{col: col}, copts)
+	res, err := Count(ctx, c, copts)
 	if err != nil {
 		return nil, err
 	}
@@ -156,15 +150,15 @@ func AppendDelta(ctx context.Context, dir string, docs []Document, opts AppendOp
 	// under Merge, so the view's threshold merge assembles the chain's
 	// exact top-k from these lists plus point gets instead of scanning
 	// every generation (see lsm.View.TopRecords).
-	deltaDir := man.NextDeltaDir()
-	err = res.SaveWith(filepath.Join(dir, deltaDir), SaveOptions{
+	genDir := man.NextGenDir()
+	err = res.SaveWith(filepath.Join(dir, genDir), SaveOptions{
 		Compress: man.Compress,
 		TempDir:  copts.TempDir,
 	})
 	if err != nil {
 		return nil, err
 	}
-	gen := lsm.GenInfo{Dir: deltaDir, Records: res.Len(), Docs: int64(len(docs))}
+	gen := lsm.GenInfo{Dir: genDir, Records: res.Len(), Docs: int64(len(docs))}
 	if err := lsm.AppendGen(dir, man, gen); err != nil {
 		return nil, err
 	}
@@ -213,11 +207,12 @@ type CompactStats struct {
 // generations — into a single new base index and atomically swaps the
 // chain manifest to it. The new base is byte-identical (dictionary,
 // shard files, precomputed top records) to what a from-scratch rebuild
-// over all the chain's documents would save: the generations' sorted
-// shards stream through one merge tree, per-key aggregate cells fold
-// exactly as the job's reducer would, keys translate into the
-// canonical frequency-ranked dictionary, and the records are re-sorted
-// and sharded under Save's policy.
+// over all the chain's documents at τ = 1 would save (the chain's own
+// τ stays in its manifest): the generations' sorted shards stream
+// through one merge tree, per-key aggregate cells fold exactly as the
+// job's reducer would, keys translate into the canonical
+// frequency-ranked dictionary, and the records are re-sorted and
+// sharded under Save's policy.
 //
 // The swap is crash-safe (the chain manifest rename is the sole commit
 // point; a crash leaves the previous chain intact and queryable) and

@@ -42,8 +42,9 @@
 //
 // A saved index (computed with -tau 1 and no -maximal/-closed) can grow
 // incrementally: -append runs the exact job over only the new input and
-// links it to the index as a delta generation, -compact merges base and
-// deltas back into one index byte-identical to a full rebuild, and
+// links it to the index as a delta generation (on a directory with no
+// index, it creates a chain at τ = 1 and -sigma), -compact merges base
+// and deltas back into one index byte-identical to a full rebuild, and
 // -open dumps any saved index or chain deterministically:
 //
 //	ngrams -tau 1 -sigma 3 -save /data/idx batch1/*.txt
@@ -130,6 +131,7 @@ func main() {
 	if *appendTo != "" {
 		err := appendRun(ctx, *appendTo, documents(flag.Args(), *web), ngramstats.AppendOptions{
 			Count: ngramstats.Options{
+				MaxLength:      *sigma,
 				Method:         ngramstats.Method(*method),
 				Combiner:       *combine,
 				DocumentSplits: *docsplit,

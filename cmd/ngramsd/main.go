@@ -36,20 +36,21 @@
 //	curl 'localhost:8091/v1/approx/topk?k=10'
 //	curl -X POST 'localhost:8091/v1/admin/reconcile'
 //
-// The index directory may start empty; it materializes at the first
-// reconciliation. -eps and -delta size the count-min sketch behind the
+// The index directory may start empty; the first reconciliation
+// creates it as an LSM chain. Every reconciliation appends only the
+// newly ingested documents as a delta generation (cost proportional to
+// the new documents, not the stream), and the daemon serves the
+// chain's merged view at -min-frequency, which the chain records when
+// it is created. -eps and -delta size the count-min sketch behind the
 // approximate answers, and -reconcile-every triggers the exact
 // MapReduce job automatically once that many documents are pending.
 //
-// With -incremental, reconciliations after the first append only the
-// newly ingested documents to the index as an LSM delta generation
-// (cost proportional to the new documents, not the stream) and the
-// daemon serves the chain's merged view; -compact-deltas and
-// -compact-ratio set the policy under which the background compactor
-// merges a chain back into a single base index, checking every
-// -compact-interval. POST /v1/admin/compact compacts on demand:
+// With -ingest the background compactor runs: -compact-deltas and
+// -compact-ratio set the policy under which it merges a chain back
+// into a single base index, checking every -compact-interval. POST
+// /v1/admin/compact compacts on demand:
 //
-//	ngramsd -index live=/data/live-idx -ingest live -incremental \
+//	ngramsd -index live=/data/live-idx -ingest live \
 //	    -reconcile-every 1000 -compact-deltas 4
 //	curl -X POST 'localhost:8091/v1/admin/compact'
 //
@@ -100,8 +101,7 @@ func main() {
 	topK := flag.Int("ingest-topk", 0, "heavy hitters tracked per sketched order (0 = default 128)")
 	ingestMaxLen := flag.Int("ingest-maxlen", 0, "longest sketched and reconciled n-gram (0 = default 5)")
 	reconcileEvery := flag.Int("reconcile-every", 0, "run the exact reconciliation job once this many documents are pending (0 = manual via /v1/admin/reconcile)")
-	minFrequency := flag.Int64("min-frequency", 2, "minimum frequency the reconciled exact index keeps (forced to 1 with -incremental)")
-	incremental := flag.Bool("incremental", false, "reconcile incrementally: append only newly ingested documents as LSM delta generations instead of rebuilding the index")
+	minFrequency := flag.Int64("min-frequency", 2, "minimum frequency the live index answers at, recorded when the first reconciliation creates it")
 	compactDeltas := flag.Int("compact-deltas", 0, "compact a served index chain once it has this many delta generations (0 = default 4 when compaction is enabled)")
 	compactRatio := flag.Float64("compact-ratio", 0, "also compact once summed delta records reach this fraction of the base's records (0 = disabled)")
 	compactInterval := flag.Duration("compact-interval", 0, "how often the background compactor checks chain manifests (0 = default 10s)")
@@ -157,18 +157,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("%v", err)
 		}
-		tau := *minFrequency
-		if *incremental {
-			tau = 1 // delta generations merge losslessly only at τ = 1
-		}
 		opts.Live = &serving.LiveConfig{
-			Ingester:    si,
-			Index:       *ingest,
-			Count:       ngramstats.Options{MinFrequency: tau},
-			Incremental: *incremental,
+			Ingester: si,
+			Index:    *ingest,
+			Count:    ngramstats.Options{MinFrequency: *minFrequency},
 		}
 	}
-	if *incremental || *compactDeltas > 0 || *compactRatio > 0 {
+	if *ingest != "" || *compactDeltas > 0 || *compactRatio > 0 {
 		cc := &serving.CompactConfig{
 			MaxDeltas: *compactDeltas,
 			MaxRatio:  *compactRatio,
@@ -219,8 +214,8 @@ func main() {
 	if *ingest != "" {
 		go srv.ReconcileLoop(ctx)
 		iopts := opts.Live.Ingester.Options()
-		log.Printf("live ingestion into %q (eps=%g delta=%g maxlen=%d reconcile-every=%d incremental=%v)",
-			*ingest, iopts.Epsilon, iopts.Delta, iopts.MaxLength, iopts.ReconcileEvery, *incremental)
+		log.Printf("live ingestion into %q (eps=%g delta=%g maxlen=%d reconcile-every=%d min-frequency=%d)",
+			*ingest, iopts.Epsilon, iopts.Delta, iopts.MaxLength, iopts.ReconcileEvery, *minFrequency)
 	}
 	if opts.Compact != nil {
 		go srv.CompactLoop(ctx)

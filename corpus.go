@@ -58,7 +58,10 @@ type BuilderOptions struct {
 // streamed build yields a corpus identical to FromText over the same
 // documents in the same order.
 type CorpusBuilder struct {
-	b           *corpus.Builder
+	b *corpus.Builder
+	// first is the ordinal of the first document: 0, or for an LSM
+	// delta the documents its chain already holds.
+	first       int64
 	sawExplicit bool
 	sawAuto     bool
 }
@@ -87,10 +90,10 @@ func (cb *CorpusBuilder) Add(doc Document) error {
 		if cb.sawExplicit {
 			return fmt.Errorf("ngramstats: document %d has ID 0 after explicitly assigned IDs; assign every ID (non-zero) or none", cb.b.Added())
 		}
-		id = cb.b.Added()
+		id = cb.first + cb.b.Added()
 		if id > 0 {
-			// Position 0 is ambiguous (ordinal and explicit 0 coincide) and
-			// harmless; from position 1 on, auto-assignment is committed.
+			// Ordinal 0 is ambiguous (ordinal and explicit 0 coincide) and
+			// harmless; from ordinal 1 on, auto-assignment is committed.
 			cb.sawAuto = true
 		}
 	} else {
@@ -126,17 +129,20 @@ func (cb *CorpusBuilder) Discard() { cb.b.Discard() }
 // stream's total size may far exceed RAM (the encoded corpus itself
 // must still fit; see BuilderOptions.MemoryBudget).
 func FromDocuments(ctx context.Context, name string, docs iter.Seq2[Document, error], opts BuilderOptions) (*Corpus, error) {
-	cb := NewCorpusBuilder(name, opts)
+	return NewCorpusBuilder(name, opts).build(ctx, docs)
+}
+
+// build adds every document of docs, honoring ctx between them, and
+// finishes the corpus; on an error it discards the builder.
+func (cb *CorpusBuilder) build(ctx context.Context, docs iter.Seq2[Document, error]) (*Corpus, error) {
 	for doc, err := range docs {
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err == nil {
+			err = cb.Add(doc)
+		}
 		if err != nil {
-			cb.Discard()
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			cb.Discard()
-			return nil, err
-		}
-		if err := cb.Add(doc); err != nil {
 			cb.Discard()
 			return nil, err
 		}

@@ -111,8 +111,9 @@
 // batch of new documents with the exact same job — restricted to just
 // those documents, so the cost is O(new documents) — and links the
 // result to the saved index as a delta generation of an LSM chain
-// (internal/lsm): the chain manifest (CHAIN.json, checksummed) orders
-// the base index and its deltas, delta dictionaries are seeded from
+// (internal/lsm), or creates the chain from its first batch: the chain
+// manifest (CHAIN.json, checksummed) orders the base index and its
+// deltas, delta dictionaries are seeded from
 // the previous generation so term identifiers stay stable, and
 // OpenIndex serves the chain transparently through a merge-on-read
 // view whose every answer equals a from-scratch rebuild over all
@@ -136,11 +137,15 @@
 //	// stats.Counters["MAP_INPUT_RECORDS"] == len(newDocs): O(new documents)
 //	cstats, err := ngramstats.CompactIndex("/data/books-idx", ngramstats.CompactOptions{})
 //
-// Appending requires the base to have been computed with
-// MinFrequency 1 and no maximal/closed selection — the invariants
-// under which per-generation counts merge losslessly. On the command
-// line, ngrams -append / -compact / -open drive the same cycle, and
-// ngramsd -incremental turns live reconciliation into appends with a
+// Every generation is counted with MinFrequency 1 and no
+// maximal/closed selection — the invariants under which per-generation
+// counts merge losslessly — so an adopted saved index must have been
+// computed that way. The chain's τ (AppendOptions.Count.MinFrequency
+// when the chain is created or adopted) is a read filter on the folded
+// frequency, which commutes with appends and compaction. Maximal and
+// closed are properties of the whole fold, so a chain has neither. On
+// the command line, ngrams -append / -compact / -open drive the same
+// cycle, and ngramsd -ingest appends every live reconciliation, with a
 // background compactor (-compact-deltas, -compact-ratio,
 // -compact-interval; POST /v1/admin/compact on demand).
 //
@@ -166,20 +171,19 @@
 //	hot := si.TopK(25)
 //
 // The sketch is an accelerator, not a replacement: BeginReconcile
-// freezes the accumulated documents and hands back a Reconcile whose
-// Corpus runs them through the standard corpus build, so the exact
-// MapReduce job over it produces results byte-identical to a batch run
-// over the same documents. Commit then drops the counted sketch delta
-// (documents ingested during the reconciliation remain counted in a
-// fresh delta); Abort folds the delta back. WriteSnapshot persists the
-// sketch in a CRC-checksummed format mergeable across processes.
+// freezes the documents ingested since the last commit, and the caller
+// appends the Reconcile's NewDocuments to an index with AppendDelta.
+// Commit then releases them and drops the counted sketch delta
+// (documents ingested during the reconciliation stay held and counted
+// in a fresh delta); Abort folds the delta back. WriteSnapshot persists
+// the sketch in a CRC-checksummed format mergeable across processes.
 //
 // cmd/ngramsd wires this into the daemon as -ingest: POST /v1/ingest
 // accepts documents, GET /v1/approx/lookup and /v1/approx/topk answer
 // with approx:true and stated bounds, and a reconciliation loop
-// (-reconcile-every, or POST /v1/admin/reconcile) hot-swaps the exact
-// index in with zero dropped requests. cmd/ngrams -sketch is the
-// one-pass command-line variant.
+// (-reconcile-every, or POST /v1/admin/reconcile) appends to the exact
+// index and hot-swaps it in with zero dropped requests. cmd/ngrams
+// -sketch is the one-pass command-line variant.
 //
 // # Language models
 //

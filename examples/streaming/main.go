@@ -5,10 +5,11 @@
 // before anything can be counted. This example shows the streaming
 // companion — documents arrive one at a time, a count-min sketch
 // answers frequency queries immediately with a one-sided eps*N error
-// bound, and a periodic reconciliation runs the exact SUFFIX-σ job
-// over everything accumulated so far. After reconciling, queries split
-// into an exact component plus a fresh sketch delta covering only the
-// documents that arrived since.
+// bound, and a periodic reconciliation appends the documents that
+// arrived since the last one to an exact index (AppendDelta runs the
+// SUFFIX-σ job over just them) and releases them. After reconciling,
+// queries split into an exact component plus a fresh sketch delta
+// covering only the documents that arrived since.
 //
 // Run with:
 //
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"strings"
 
 	"ngramstats"
@@ -76,30 +78,33 @@ func main() {
 		fmt.Printf("%10d (+<=%d)  %s\n", hh.Estimate, hh.Bound, hh.Phrase)
 	}
 
-	// Phase 2: reconcile — freeze the stream, run the exact MapReduce
-	// job over it through the standard corpus build, drop the counted
-	// delta. The result is byte-identical to a batch run over the same
-	// documents.
+	// Phase 2: reconcile — freeze the documents since the last
+	// reconciliation, append them to the index directory (the first
+	// append creates it; each later one adds a delta generation over
+	// only its new documents), and commit, which releases them and the
+	// counted sketch delta. The index answers at τ = 2.
+	dir, err := os.MkdirTemp("", "streaming-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
 	rc, err := si.BeginReconcile()
 	if err != nil {
 		log.Fatal(err)
 	}
-	corpus, err := rc.Corpus(ctx, "stream")
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact, err := ngramstats.Count(ctx, corpus, ngramstats.Options{
-		MinFrequency: 2,
-		MaxLength:    3,
-		Combiner:     true,
+	_, err = ngramstats.AppendDelta(ctx, dir, rc.NewDocuments(), ngramstats.AppendOptions{
+		Count: ngramstats.Options{MinFrequency: 2, MaxLength: 3, Combiner: true},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer exact.Release()
+	exact, err := ngramstats.OpenIndex(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer exact.Close()
 	rc.Commit()
-	fmt.Printf("\nreconciled %d documents into %d exact n-grams; pending now %d\n",
-		si.Covered(), exact.Len(), si.Pending())
+	fmt.Printf("\nreconciled %d documents; pending now %d\n", si.Covered(), si.Pending())
 
 	// Phase 3: keep streaming. Queries now combine the reconciled exact
 	// count with the sketch delta over the new arrivals.

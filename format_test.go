@@ -3,6 +3,7 @@ package ngramstats
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,12 +14,13 @@ import (
 	"ngramstats/internal/lsm"
 )
 
-// copyV1Fixture copies testdata/v1/<name> — a format-1 index or chain,
-// made by testdata/v1/mkv1.sh — into a fresh directory and returns it.
-func copyV1Fixture(t *testing.T, name string) string {
+// copyFixture copies testdata/<version>/<name> — an index or chain
+// made by the mk*.sh script beside it with an older build — into a
+// fresh directory and returns it.
+func copyFixture(t *testing.T, version, name string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), name)
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1", name))); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", version, name))); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -59,16 +61,18 @@ func assertNoLeftovers(t *testing.T, dir string) {
 	}
 }
 
-// assertFormat2 checks that the manifest at path is written in the
-// current format: its checksum inside it, no sidecar beside it.
-func assertFormat2(t *testing.T, path string) {
+// assertFormat checks that the manifest at path is written in the
+// given format, its checksum inside it and no sidecar beside it:
+// index.FormatVersion for an index manifest, lsm.FormatVersion for a
+// chain's.
+func assertFormat(t *testing.T, path string, version int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(data), "{\n  \"crc32c\": \"") || !strings.Contains(string(data), "\"version\": 2") {
-		t.Fatalf("%s is not format 2:\n%s", path, data)
+	if !strings.HasPrefix(string(data), "{\n  \"crc32c\": \"") || !strings.Contains(string(data), fmt.Sprintf("\"version\": %d,", version)) {
+		t.Fatalf("%s is not format %d:\n%s", path, version, data)
 	}
 	if _, err := os.Stat(index.V1Sidecar(path)); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("%s still has its format-1 checksum file (stat: %v)", path, err)
@@ -78,9 +82,10 @@ func assertFormat2(t *testing.T, path string) {
 // TestFormatV1Readable: a plain index and a chain written in format 1,
 // whose manifests kept their checksums in sidecar files, open and
 // answer as a fresh count over the same documents. The first write over
-// each — a replacing Save, an append — commits format 2 and removes the
-// sidecar it replaced, and the chain, now mixing format-1 and format-2
-// generations, appends and compacts to the rebuild's data files.
+// each — a replacing Save, an append — commits the current format and
+// removes the sidecar it replaced, and the chain, now mixing format-1
+// and format-2 generations, appends and compacts to the rebuild's data
+// files.
 func TestFormatV1Readable(t *testing.T) {
 	ctx := context.Background()
 	fresh := func(n int) string {
@@ -93,7 +98,7 @@ func TestFormatV1Readable(t *testing.T) {
 		// A manifest without the leading checksum field is format 1 only
 		// beside its checksum file; alone, it is corrupt, never absent.
 		for _, fx := range []struct{ name, manifest string }{{"plain", index.ManifestFile}, {"chain", lsm.ChainFile}} {
-			dir := copyV1Fixture(t, fx.name)
+			dir := copyFixture(t, "v1", fx.name)
 			if err := os.Remove(index.V1Sidecar(filepath.Join(dir, fx.manifest))); err != nil {
 				t.Fatal(err)
 			}
@@ -105,18 +110,18 @@ func TestFormatV1Readable(t *testing.T) {
 	})
 
 	t.Run("plain", func(t *testing.T) {
-		dir := copyV1Fixture(t, "plain")
+		dir := copyFixture(t, "v1", "plain")
 		full := fresh(len(lsmDocs))
 		assertOpenEqual(t, dir, full)
 
 		saveFullIndexWith(t, Counts, len(lsmDocs), dir, SaveOptions{Replace: true})
-		assertFormat2(t, filepath.Join(dir, index.ManifestFile))
+		assertFormat(t, filepath.Join(dir, index.ManifestFile), index.FormatVersion)
 		assertNoLeftovers(t, dir)
 		assertOpenEqual(t, dir, full)
 	})
 
 	t.Run("chain", func(t *testing.T) {
-		dir := copyV1Fixture(t, "chain")
+		dir := copyFixture(t, "v1", "chain")
 		assertOpenEqual(t, dir, fresh(3))
 
 		// The first append makes the chain mixed, the second appends to it.
@@ -124,9 +129,9 @@ func TestFormatV1Readable(t *testing.T) {
 			if _, err := AppendDelta(ctx, dir, docs, AppendOptions{Count: Options{TempDir: t.TempDir()}}); err != nil {
 				t.Fatal(err)
 			}
-			assertFormat2(t, filepath.Join(dir, lsm.ChainFile))
+			assertFormat(t, filepath.Join(dir, lsm.ChainFile), lsm.FormatVersion)
 		}
-		assertFormat2(t, filepath.Join(dir, "delta-000001", index.ManifestFile))
+		assertFormat(t, filepath.Join(dir, "delta-000001", index.ManifestFile), index.FormatVersion)
 		// The format-1 generations keep their checksum files.
 		for _, gen := range []string{".", "delta-000000"} {
 			if _, err := os.Stat(filepath.Join(dir, gen, "MANIFEST.crc32c")); err != nil {
@@ -153,14 +158,48 @@ func TestFormatV1Readable(t *testing.T) {
 	})
 }
 
+// TestFormatV2ChainReadable: a chain whose CHAIN.json is format 2,
+// which records no τ, opens at τ = 1 and answers as a fresh count over
+// its documents. Its first append rewrites CHAIN.json as the current
+// format and keeps τ = 1: an existing chain keeps its τ, whatever the
+// append asks for.
+func TestFormatV2ChainReadable(t *testing.T) {
+	dir := copyFixture(t, "v2", "chain")
+	if data, err := os.ReadFile(filepath.Join(dir, lsm.ChainFile)); err != nil || !strings.Contains(string(data), `"version": 2,`) {
+		t.Fatalf("fixture CHAIN.json is not format 2 (%v):\n%s", err, data)
+	}
+	want := func(n int) string {
+		dir := filepath.Join(t.TempDir(), "fresh")
+		saveFullIndex(t, Counts, n, dir)
+		return dir
+	}
+	assertOpenEqual(t, dir, want(3))
+
+	opts := AppendOptions{Count: Options{MinFrequency: 3, TempDir: t.TempDir()}}
+	if _, err := AppendDelta(context.Background(), dir, lsmBatch(3, 5), opts); err != nil {
+		t.Fatal(err)
+	}
+	assertFormat(t, filepath.Join(dir, lsm.ChainFile), lsm.FormatVersion)
+	man, err := lsm.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.MinFrequency != 0 || len(man.Deltas) != 2 {
+		t.Fatalf("after the append: τ %d over %d deltas, want τ 1 (omitted) over 2", man.MinFrequency, len(man.Deltas))
+	}
+	assertOpenEqual(t, dir, want(len(lsmDocs)))
+}
+
 // TestCommitCrashPoints: every write commits with one rename, so a
 // crash during it leaves one of two states — everything written but the
 // rename, the new manifest still under its *.tmp name; or everything
 // but the best-effort cleanup after the rename. Each state is built
 // from the directory trees before and after the write. Crashed before
-// the rename, the old state opens with identical answers; crashed after
-// it, the new state does; either way the next write succeeds. After
-// every successful write no *.crc32c or *.tmp file is left.
+// the rename, the old state opens with identical answers — for a first
+// write (a fresh save, the append that creates a chain) it reads as no
+// index, and the write redone over it succeeds; crashed after it, the
+// new state does; either way the next write succeeds. After every
+// successful write no *.crc32c or *.tmp file is left.
 func TestCommitCrashPoints(t *testing.T) {
 	ctx := context.Background()
 	save := func(n int, replace bool) func(*testing.T, string) {
@@ -170,7 +209,8 @@ func TestCommitCrashPoints(t *testing.T) {
 	}
 	appendDocs := func(lo, hi int) func(*testing.T, string) {
 		return func(t *testing.T, dir string) {
-			if _, err := AppendDelta(ctx, dir, lsmBatch(lo, hi), AppendOptions{Count: Options{TempDir: t.TempDir()}}); err != nil {
+			opts := AppendOptions{Count: Options{MaxLength: 5, TempDir: t.TempDir()}}
+			if _, err := AppendDelta(ctx, dir, lsmBatch(lo, hi), opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -197,6 +237,7 @@ func TestCommitCrashPoints(t *testing.T) {
 		docsBefore, docsAfter int
 	}{
 		{"fresh save", index.ManifestFile, nil, save(5, false), save(5, true), 0, 5},
+		{"creating append", lsm.ChainFile, nil, appendDocs(0, 3), appendDocs(0, 3), 0, 3},
 		{"replacing save", index.ManifestFile, []func(*testing.T, string){save(3, false)}, save(5, true), save(5, true), 3, 5},
 		{"append", lsm.ChainFile, []func(*testing.T, string){save(2, false), appendDocs(2, 3)}, appendDocs(3, 5), appendDocs(3, 5), 3, 5},
 		{"compaction swap", lsm.ChainFile, []func(*testing.T, string){save(2, false), appendDocs(2, 3), appendDocs(3, 5)}, compact, compact, 5, 5},
@@ -226,11 +267,16 @@ func TestCommitCrashPoints(t *testing.T) {
 					assertOpenEqual(t, dir, wants[tc.docsBefore])
 				default:
 					if _, err := OpenIndex(dir); !errors.Is(err, fs.ErrNotExist) {
-						t.Fatalf("crashed fresh save: OpenIndex = %v, want no index", err)
+						t.Fatalf("crashed first write: OpenIndex = %v, want no index", err)
 					}
 				}
 				tc.next(t, dir)
 				assertNoLeftovers(t, dir)
+				if !renamed && tc.docsBefore == 0 {
+					// The write redone over the leavings of the crashed one
+					// (an orphan generation the next append must sweep).
+					assertOpenEqual(t, dir, wants[tc.docsAfter])
+				}
 				ix, err := OpenIndex(dir)
 				if err != nil {
 					t.Fatalf("after the write that followed the crash: %v", err)

@@ -1,11 +1,9 @@
 package ngramstats
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -35,8 +33,8 @@ type IngestOptions struct {
 	// reconciliation (see Pending). Zero leaves reconciliation entirely
 	// to explicit BeginReconcile calls.
 	ReconcileEvery int
-	// Builder configures the corpus builds performed by Reconcile.Corpus
-	// (memory budget, spill directory).
+	// Builder configures the corpus build of each reconciliation's
+	// append (AppendOptions.Builder: memory budget, spill directory).
 	Builder BuilderOptions
 }
 
@@ -79,11 +77,10 @@ var ErrReconcileActive = errors.New("ngramstats: reconciliation already in progr
 // one-pass approximate n-gram statistics in bounded memory: per-order
 // count-min sketches with a concurrency-safe conservative update plus a
 // heavy-hitters heap (internal/sketch), following Lemire & Kaser's
-// one-pass estimation. Ingested documents are retained verbatim, so a
-// periodic exact reconciliation (BeginReconcile) can run the paper's
-// MapReduce pipeline over the accumulated corpus through the standard
-// FromDocuments seam — the resulting statistics are identical to a
-// batch Count over the same documents — while the sketch keeps
+// one-pass estimation. Ingested documents are held until a periodic
+// exact reconciliation (BeginReconcile) appends them to an index with
+// AppendDelta — the paper's MapReduce pipeline over just those
+// documents — and commits, which releases them; the sketch keeps
 // answering for everything newer.
 //
 // All methods are safe for concurrent use; Ingest and the query methods
@@ -102,22 +99,16 @@ type StreamIngester struct {
 		words []string
 	}
 
-	// mu guards the retained documents and the delta rotation. cur is
-	// the live delta; drain is the previous delta while a reconciliation
-	// of the documents up to cutoff is in flight (queries sum both).
-	//
-	// Document positions are absolute stream ordinals. docs holds the
-	// retained tail starting at ordinal base: a full-rebuild ingester
-	// keeps every document (base stays 0), while incremental
-	// reconciliation (CommitDrop) releases documents once a delta index
-	// covers them. covered is the absolute count of leading documents
-	// served exactly by the last committed reconciliation.
+	// mu guards the held documents and the delta rotation. cur is the
+	// live delta; drain is the previous delta while a reconciliation is
+	// in flight (queries sum both). covered counts the leading stream
+	// documents the last committed reconciliation appended; docs holds
+	// the ones after them.
 	mu      sync.Mutex
 	docs    []Document
-	base    int64
+	covered int64
 	cur     *sketch.Group
 	drain   *sketch.Group
-	covered int64
 }
 
 // NewStreamIngester returns an empty ingester.
@@ -187,14 +178,14 @@ func (si *StreamIngester) word(id sequence.Term) string {
 	return fmt.Sprintf("#%d", id)
 }
 
-// Ingest folds documents into the live sketch delta and retains them
+// Ingest folds documents into the live sketch delta and holds them
 // for the next exact reconciliation. Tokenization matches the batch
 // corpus build: boilerplate filtering for web documents, sentence
 // splitting, and within-sentence n-gram windows up to MaxLength.
 func (si *StreamIngester) Ingest(docs ...Document) error {
 	for _, doc := range docs {
 		// The group must be chosen under the same critical section that
-		// appends the document: a reconciliation cutoff taken afterwards
+		// appends the document: a reconciliation begun afterwards
 		// then provably includes this document, so dropping the drained
 		// delta at commit never loses its counts.
 		si.mu.Lock()
@@ -241,7 +232,7 @@ func (si *StreamIngester) groups() (cur, drain *sketch.Group) {
 func (si *StreamIngester) Docs() int64 {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	return si.base + int64(len(si.docs))
+	return si.covered + int64(len(si.docs))
 }
 
 // Covered returns the number of leading documents whose statistics are
@@ -258,7 +249,7 @@ func (si *StreamIngester) Covered() int64 {
 func (si *StreamIngester) Pending() int64 {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	return si.base + int64(len(si.docs)) - si.covered
+	return int64(len(si.docs))
 }
 
 // SketchSnapshot is the ingester's pair of sketch deltas — the live
@@ -420,23 +411,20 @@ func (si *StreamIngester) WriteSnapshot(w io.Writer) (int64, error) {
 	return sn.WriteTo(w)
 }
 
-// Reconcile is one in-flight exact reconciliation: a frozen prefix of
-// the ingested documents on its way through the exact MapReduce
-// pipeline. Exactly one of Commit or Abort must be called.
+// Reconcile is one in-flight exact reconciliation: the documents
+// frozen at BeginReconcile on their way through AppendDelta. Exactly
+// one of Commit or Abort must be called.
 type Reconcile struct {
-	si      *StreamIngester
-	docs    []Document // retained documents, starting at ordinal base
-	base    int64      // absolute ordinal of docs[0]
-	covered int64      // absolute coverage when the reconciliation began
-	cutoff  int64      // absolute ordinal the reconciliation covers up to
-	done    bool
+	si   *StreamIngester
+	docs []Document // the documents after the last commit
+	done bool
 }
 
-// BeginReconcile freezes the currently accumulated documents for an
-// exact batch computation and starts a fresh sketch delta for documents
-// ingested while it runs. Queries keep covering both deltas until the
-// caller commits (after swapping the exact results in) or aborts
-// (folding the drained delta back).
+// BeginReconcile freezes the documents ingested since the last commit
+// for an exact computation and starts a fresh sketch delta for
+// documents ingested while it runs. Queries keep covering both deltas
+// until the caller commits (after swapping the exact results in) or
+// aborts (folding the drained delta back).
 func (si *StreamIngester) BeginReconcile() (*Reconcile, error) {
 	g, err := sketch.NewGroup(si.params)
 	if err != nil {
@@ -449,55 +437,18 @@ func (si *StreamIngester) BeginReconcile() (*Reconcile, error) {
 	}
 	si.drain = si.cur
 	si.cur = g
-	return &Reconcile{
-		si:      si,
-		docs:    si.docs,
-		base:    si.base,
-		covered: si.covered,
-		cutoff:  si.base + int64(len(si.docs)),
-	}, nil
+	return &Reconcile{si: si, docs: si.docs}, nil
 }
 
-// Cutoff returns how many leading documents the reconciliation covers.
-func (rc *Reconcile) Cutoff() int { return int(rc.cutoff) }
-
-// Documents yields every frozen document in ingestion order — the
-// input of a full exact rebuild. After an incremental reconciliation
-// has dropped covered documents (CommitDrop), the full prefix is gone
-// and Documents yields an error; use NewDocuments and AppendDelta
-// instead.
-func (rc *Reconcile) Documents() iter.Seq2[Document, error] {
-	return func(yield func(Document, error) bool) {
-		if rc.base > 0 {
-			yield(Document{}, fmt.Errorf("ngramstats: %d leading documents were dropped by incremental reconciliation; a full rebuild needs NewDocuments + AppendDelta", rc.base))
-			return
-		}
-		for _, d := range rc.docs[:rc.cutoff-rc.base] {
-			if !yield(d, nil) {
-				return
-			}
-		}
-	}
-}
-
-// NewDocuments returns the frozen documents not yet covered by the
-// last committed reconciliation — the input of an incremental
-// AppendDelta, O(new documents) regardless of stream length. The slice
-// must not be mutated.
-func (rc *Reconcile) NewDocuments() []Document {
-	return rc.docs[rc.covered-rc.base : rc.cutoff-rc.base]
-}
-
-// Corpus builds the frozen documents into a corpus through the standard
-// batch build, so a Count over it is identical — byte for byte — to a
-// pure batch run over the same documents.
-func (rc *Reconcile) Corpus(ctx context.Context, name string) (*Corpus, error) {
-	return FromDocuments(ctx, name, rc.Documents(), rc.si.opts.Builder)
-}
+// NewDocuments returns the frozen documents — those ingested since the
+// last commit, the input of AppendDelta, O(new documents) regardless
+// of stream length. The slice must not be mutated.
+func (rc *Reconcile) NewDocuments() []Document { return rc.docs }
 
 // Commit records that exact results for the frozen documents are being
-// served and drops the drained sketch delta. The documents stay
-// retained, so a later full rebuild remains possible.
+// served — they were appended to a persistent index — so the ingester
+// releases them and drops the drained sketch delta: what it holds stays
+// O(documents since the last commit).
 func (rc *Reconcile) Commit() {
 	if rc.done {
 		return
@@ -506,27 +457,8 @@ func (rc *Reconcile) Commit() {
 	rc.si.mu.Lock()
 	defer rc.si.mu.Unlock()
 	rc.si.drain = nil
-	rc.si.covered = rc.cutoff
-}
-
-// CommitDrop is Commit for incremental reconciliation: the covered
-// documents were appended to a persistent index as a delta generation,
-// so the ingester releases them instead of retaining them forever —
-// the memory held per reconciliation cycle stays O(new documents).
-// After the first CommitDrop, Documents (the full-rebuild input)
-// reports an error.
-func (rc *Reconcile) CommitDrop() {
-	if rc.done {
-		return
-	}
-	rc.done = true
-	rc.si.mu.Lock()
-	defer rc.si.mu.Unlock()
-	rc.si.drain = nil
-	rc.si.covered = rc.cutoff
-	keep := rc.si.docs[rc.cutoff-rc.si.base:]
-	rc.si.docs = append([]Document(nil), keep...)
-	rc.si.base = rc.cutoff
+	rc.si.covered += int64(len(rc.docs))
+	rc.si.docs = append([]Document(nil), rc.si.docs[len(rc.docs):]...)
 }
 
 // Abort folds the drained delta back into the live one, restoring the

@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ngramstats/internal/lsm"
 )
 
 // synthDocs generates a deterministic skewed document stream: sentences
@@ -150,25 +153,13 @@ func TestStreamIngesterOneSidedWithinBound(t *testing.T) {
 	}
 }
 
-// resultLines renders a Result as deterministic text for byte-level
-// comparison.
-func resultLines(t *testing.T, r *Result) []byte {
-	t.Helper()
-	all, err := r.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, g := range all {
-		fmt.Fprintf(&buf, "%v\t%s\t%d\n", g.IDs, g.Text, g.Frequency)
-	}
-	return buf.Bytes()
-}
-
-// TestReconcileByteIdenticalToBatch is the satellite reconciliation
-// test: the exact job run through a Reconcile over the ingested stream
-// must equal a pure batch run over the same documents, byte for byte.
+// TestReconcileByteIdenticalToBatch is the reconciliation golden test:
+// a reconciliation appends its frozen documents with AppendDelta, and
+// the first one creates the index. Its base holds data files
+// byte-identical to a batch Count + Save over the same documents, and
+// at τ = 2 it answers every query exactly as a batch Count at τ = 2.
 func TestReconcileByteIdenticalToBatch(t *testing.T) {
+	ctx := context.Background()
 	docs := synthDocs(23, 60)
 	si, err := NewStreamIngester(IngestOptions{Epsilon: 0.01, MaxLength: 3})
 	if err != nil {
@@ -182,38 +173,50 @@ func TestReconcileByteIdenticalToBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Cutoff() != len(docs) {
-		t.Fatalf("cutoff = %d, want %d", rc.Cutoff(), len(docs))
+	if n := len(rc.NewDocuments()); n != len(docs) {
+		t.Fatalf("reconciliation froze %d documents, want %d", n, len(docs))
 	}
 	if _, err := si.BeginReconcile(); err != ErrReconcileActive {
 		t.Fatalf("second BeginReconcile err = %v, want ErrReconcileActive", err)
 	}
-
+	dir := filepath.Join(t.TempDir(), "live")
 	opts := Options{MinFrequency: 2, MaxLength: 3, TempDir: t.TempDir()}
-	rcCorpus, err := rc.Corpus(context.Background(), "live")
-	if err != nil {
+	if _, err := AppendDelta(ctx, dir, rc.NewDocuments(), AppendOptions{Count: opts}); err != nil {
 		t.Fatal(err)
 	}
-	rcRes, err := Count(context.Background(), rcCorpus, opts)
+	man, err := lsm.ReadManifest(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the first reconciliation must create a chain: %v", err)
 	}
-	defer rcRes.Release()
+	if man.MinFrequency != 2 || len(man.Deltas) != 0 || man.Docs != int64(len(docs)) {
+		t.Fatalf("created chain: τ %d, %d deltas, %d docs", man.MinFrequency, len(man.Deltas), man.Docs)
+	}
 
-	batchCorpus, err := FromDocuments(context.Background(), "live", sliceDocuments(docs), BuilderOptions{})
+	batch := func(tau int64) *Result {
+		c, err := FromDocuments(ctx, "live", sliceDocuments(docs), BuilderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.MinFrequency = tau
+		res, err := Count(ctx, c, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { res.Release() })
+		return res
+	}
+	batchDir := filepath.Join(t.TempDir(), "batch")
+	if err := batch(1).SaveWith(batchDir, SaveOptions{TempDir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	assertSameDataFiles(t, filepath.Join(dir, man.Base.Dir), batchDir)
+	ix, err := OpenIndex(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchRes, err := Count(context.Background(), batchCorpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batchRes.Release()
-
-	got, want := resultLines(t, rcRes), resultLines(t, batchRes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("reconcile results differ from pure batch run:\n--- reconcile\n%s--- batch\n%s", got, want)
-	}
+	defer ix.Close()
+	assertAnswersMatchResult(t, ix, batch(2))
 
 	rc.Commit()
 	if si.Covered() != int64(len(docs)) || si.Pending() != 0 {

@@ -13,38 +13,36 @@ import (
 // index at dir into the base of a new chain, without writing anything:
 // the first successful append links the first delta and persists the
 // manifest in the same commit, so a chain only ever exists with its
-// invariants already holding.
+// invariants already holding. The caller sets its compression and τ.
 //
 // Only indexes whose manifests record an appendable computation
 // qualify: τ = 1 (a threshold drops an n-gram whose occurrences are
-// split across generations, breaking merge equivalence), no
-// maximal/closed selection (selection is a global property of the
-// counts), and a recorded σ and document count. Indexes written before
-// those fields existed are refused.
-func Adopt(dir string, compress bool) (*Manifest, error) {
+// split across generations, breaking merge equivalence; the chain's own
+// τ filters the fold instead), no maximal/closed selection (selection
+// is a global property of the counts), and a recorded σ and document
+// count. Indexes written before those fields existed record τ = 0 and
+// are refused. A directory that holds no index fails wrapping
+// fs.ErrNotExist.
+func Adopt(dir string) (*Manifest, error) {
 	meta, err := index.ReadMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	if meta.MinFrequency == 0 {
-		return nil, fmt.Errorf("lsm: %s predates appendable metadata; rebuild it before appending", dir)
-	}
 	if err := appendable(meta.MinFrequency, meta.Selection); err != nil {
 		return nil, fmt.Errorf("lsm: cannot adopt %s as a chain base: %w", dir, err)
 	}
-	return adopted(meta, compress), nil
+	return adopted(meta), nil
 }
 
 // adopted is the one-generation manifest of the plain index meta
 // describes, with base ".": what Adopt links the first delta onto, and
 // what OpenChain serves a directory without a chain manifest as.
-func adopted(meta index.Meta, compress bool) *Manifest {
+func adopted(meta index.Meta) *Manifest {
 	return &Manifest{
 		Version:   FormatVersion,
 		Corpus:    meta.Corpus,
 		Kind:      meta.Kind,
 		MaxLength: meta.MaxLength,
-		Compress:  compress,
 		Docs:      meta.Docs,
 		Seq:       0,
 		Base:      GenInfo{Dir: ".", Records: meta.Records, Docs: meta.Docs},
@@ -64,10 +62,14 @@ func appendable(minFreq int64, selection int) error {
 	return nil
 }
 
-// NextDeltaDir reserves the directory name for the chain's next delta
-// generation and bumps Seq. The caller builds a complete index there,
-// then links it with AppendGen.
-func (m *Manifest) NextDeltaDir() string {
+// NextGenDir reserves the directory name for the chain's next
+// generation and bumps Seq: the base of a chain that has none yet,
+// else the next delta. The caller builds a complete index there, then
+// links it with AppendGen.
+func (m *Manifest) NextGenDir() string {
+	if m.Base.Dir == "" {
+		return m.NextBaseDir()
+	}
 	d := fmt.Sprintf(DeltaDirFmt, m.Seq)
 	m.Seq++
 	return d
@@ -81,24 +83,28 @@ func (m *Manifest) NextBaseDir() string {
 	return d
 }
 
-// AppendGen links a committed delta index as the chain's newest
-// generation and persists the manifest — the commit point of an
-// append. gen.Dir must be a directory name from NextDeltaDir; the
-// delta's own metadata is cross-checked against the chain invariants
-// first.
+// AppendGen links a committed index as the chain's newest generation
+// — its base, if it has none yet — and persists the manifest: the
+// commit point of an append, and of the chain's creation. gen.Dir must
+// be a directory name from NextGenDir; the index's own metadata is
+// cross-checked against the chain invariants first.
 func AppendGen(dir string, man *Manifest, gen GenInfo) error {
 	meta, err := index.ReadMeta(filepath.Join(dir, gen.Dir))
 	if err != nil {
 		return err
 	}
 	if err := appendable(meta.MinFrequency, meta.Selection); err != nil {
-		return fmt.Errorf("lsm: delta %s: %w", gen.Dir, err)
+		return fmt.Errorf("lsm: generation %s: %w", gen.Dir, err)
 	}
 	if meta.Kind != man.Kind || meta.MaxLength != man.MaxLength || meta.Corpus != man.Corpus {
-		return fmt.Errorf("lsm: delta %s (corpus %q, kind %d, σ %d) does not match chain (corpus %q, kind %d, σ %d)",
+		return fmt.Errorf("lsm: generation %s (corpus %q, kind %d, σ %d) does not match chain (corpus %q, kind %d, σ %d)",
 			gen.Dir, meta.Corpus, meta.Kind, meta.MaxLength, man.Corpus, man.Kind, man.MaxLength)
 	}
-	man.Deltas = append(man.Deltas, gen)
+	if man.Base.Dir == "" {
+		man.Base = gen
+	} else {
+		man.Deltas = append(man.Deltas, gen)
+	}
 	man.Docs += gen.Docs
 	return WriteManifest(dir, man)
 }
@@ -130,15 +136,16 @@ func SwapBase(dir string, prev *Manifest, base GenInfo) (*Manifest, error) {
 		seq = prev.Seq
 	}
 	next := &Manifest{
-		Version:   FormatVersion,
-		Corpus:    cur.Corpus,
-		Kind:      cur.Kind,
-		MaxLength: cur.MaxLength,
-		Compress:  cur.Compress,
-		Docs:      cur.Docs,
-		Seq:       seq,
-		Base:      base,
-		Deltas:    append([]GenInfo(nil), cur.Deltas[len(prev.Deltas):]...),
+		Version:      FormatVersion,
+		Corpus:       cur.Corpus,
+		Kind:         cur.Kind,
+		MaxLength:    cur.MaxLength,
+		Compress:     cur.Compress,
+		MinFrequency: cur.MinFrequency,
+		Docs:         cur.Docs,
+		Seq:          seq,
+		Base:         base,
+		Deltas:       append([]GenInfo(nil), cur.Deltas[len(prev.Deltas):]...),
 	}
 	if err := WriteManifest(dir, next); err != nil {
 		return nil, err

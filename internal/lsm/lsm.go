@@ -15,18 +15,27 @@
 // A chain directory looks like
 //
 //	CHAIN.json       the chain manifest: its own CRC-32C, format
-//	                 version, corpus, aggregation kind, σ, cumulative
-//	                 document count, and the ordered generation
-//	                 inventory
+//	                 version, corpus, aggregation kind, σ, serving τ,
+//	                 cumulative document count, and the ordered
+//	                 generation inventory
 //	<base dir>       a complete plain index directory: "." for a chain
 //	                 that adopted a pre-existing flat index in place,
-//	                 base-NNNNNN for a compacted base
+//	                 base-NNNNNN for a chain created by its first append
+//	                 or a compacted base
 //	delta-NNNNNN/    one complete plain index directory per delta
 //	                 generation, oldest first
 //
 // Every generation is a self-contained internal/index directory with
 // its own manifest, dictionary, and checksums; the chain manifest adds
 // only the ordering and the cross-generation invariants.
+//
+// # The threshold
+//
+// Every generation stores τ = 1: a per-generation threshold would drop
+// an n-gram whose occurrences are split across generations. The
+// chain's τ thresholds the folded frequency instead, which commutes
+// with the fold: the chain manifest records it, and only the View
+// applies it.
 //
 // # The dictionary contract
 //
@@ -76,9 +85,11 @@ import (
 )
 
 // FormatVersion identifies the chain manifest layout. Writers produce
-// only this version; ReadManifest also reads format 1, whose checksum
-// lived in a CHAIN.crc32c sidecar, and rejects any other.
-const FormatVersion = 2
+// only this version, which added the serving τ (a reader that ignored
+// it would serve unfiltered counts). ReadManifest also reads format 2
+// and format 1, whose checksum lived in a CHAIN.crc32c sidecar, both as
+// τ = 1, and rejects any other.
+const FormatVersion = 3
 
 // File and directory names within a chain directory.
 const (
@@ -123,6 +134,10 @@ type Manifest struct {
 	// Compress records whether generations are written with block
 	// compression, so appends and compactions reproduce the setting.
 	Compress bool `json:"compress,omitempty"`
+	// MinFrequency is the chain's τ: the view answers an n-gram only if
+	// its frequency folded across generations reaches it. 0 (omitted)
+	// means 1.
+	MinFrequency int64 `json:"min_frequency,omitempty"`
 	// Docs is the cumulative document count across base and deltas —
 	// the next delta's first document identifier.
 	Docs int64 `json:"docs"`
@@ -184,11 +199,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 		}
 		return nil, err
 	}
-	want := FormatVersion
-	if v1 {
-		want = 1
-	}
-	if man.Version != want {
+	if v1 != (man.Version == 1) || man.Version < 1 || man.Version > FormatVersion {
 		return nil, corruptf("unsupported chain format version %d", man.Version)
 	}
 	if err := validGenDir(man.Base.Dir); err != nil {
@@ -224,6 +235,9 @@ func validGenDir(d string) error {
 // CHAIN.crc32c goes once the new manifest is in place.
 func WriteManifest(dir string, man *Manifest) error {
 	man.Version = FormatVersion
+	if man.MinFrequency <= 1 {
+		man.MinFrequency = 0
+	}
 	if err := index.WriteManifest(filepath.Join(dir, ChainFile), man); err != nil {
 		return fmt.Errorf("lsm: write chain manifest: %w", err)
 	}

@@ -37,6 +37,10 @@ type Options struct {
 // cells folded across generations on the fly. A plain index directory
 // is a chain of one generation, and serves through a View too.
 //
+// Queries answer only n-grams whose folded frequency reaches the
+// chain's τ (Manifest.MinFrequency); under τ ≤ 1 — every plain index,
+// which stores only what its own τ kept — no record is decoded for it.
+//
 // Queries speak the canonical identifier space — the frequency-ranked
 // dictionary a full rebuild over all documents would produce,
 // reconstructed exactly from the newest generation's cumulative
@@ -161,7 +165,7 @@ func openChain(dir string, opts Options, prev *View) (*View, error) {
 		// A plain index: its one generation opens from this one read of
 		// its manifest, so the two cannot disagree.
 		if plain, err = index.ReadMeta(dir); err == nil {
-			man = adopted(plain, false)
+			man = adopted(plain)
 		}
 	}
 	if err != nil {
@@ -385,27 +389,28 @@ func (v *View) PrefixStats() (scans, records int64) {
 	return v.prefixScans.Load(), v.prefixRecords.Load()
 }
 
-// TopRecords returns the chain's k most frequent merged records in
-// report order — frequency, then length, then canonical text, the
-// order a rebuilt index stores them in — with canonical-space keys,
-// without scanning: a threshold merge (Fagin's TA) over the
+// TopRecords returns the chain's k most frequent merged records that
+// reach τ, in report order — frequency, then length, then canonical
+// text, the order a rebuilt index stores them in — with canonical-space
+// keys, without scanning: a threshold merge (Fagin's TA) over the
 // generations' stored top lists. Frequency is additive under the
 // aggregate fold, so the sum of the frequencies at the lists'
 // frontiers bounds every n-gram the walk has not met yet; each newly
 // met n-gram is folded across all generations by point gets, and the
 // walk stops once the k-th best folded frequency is strictly above
 // that bound (strictly, so ties at the cut are all in hand and the
-// full order decides them exactly as the scan would). An exhausted
-// list contributes 0 only if it holds every record of its generation;
-// a truncated one keeps contributing its last frequency. The cost is
-// O(depth walked × generations) point gets — about k for skewed counts.
+// full order decides them exactly as the scan would), and the result
+// is cut where it falls below τ. An exhausted list contributes 0 only
+// if it holds every record of its generation; a truncated one keeps
+// contributing its last frequency. The cost is O(depth walked ×
+// generations) point gets — about k for skewed counts.
 //
 // ok is false when the lists run out before the bound proves the
 // answer — k close to the stored depth, or a delta written before
 // deltas carried top.run — and the caller takes its scanning path;
 // that probing is wasted, at most stored depth × generations² gets.
 // Fewer than k records come back when the chain holds fewer distinct
-// n-grams and every list is complete.
+// n-grams that reach τ.
 func (v *View) TopRecords(k int) (keys, values [][]byte, ok bool) {
 	keys, values, ok = v.mergeTop(k)
 	if ok {
@@ -413,7 +418,7 @@ func (v *View) TopRecords(k int) (keys, values [][]byte, ok bool) {
 	} else {
 		v.topScans.Add(1)
 	}
-	return keys, values, ok
+	return v.cutTop(keys, values, ok)
 }
 
 // topCand is one n-gram the threshold merge has met and folded.
@@ -566,6 +571,41 @@ func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 	return result()
 }
 
+// kept reports whether a folded value reaches the chain's τ. Callers
+// ask only when τ > 1, so that under τ ≤ 1 no record is decoded.
+func (v *View) kept(val []byte) (bool, error) {
+	cf, err := core.DecodeFrequency(core.AggregationKind(v.man.Kind), val)
+	return cf >= v.man.MinFrequency, err
+}
+
+// filtered wraps a scan callback so that it sees only the records τ
+// keeps; under τ ≤ 1 it is fn itself.
+func (v *View) filtered(fn func(key, value []byte) error) func(key, value []byte) error {
+	if v.man.MinFrequency <= 1 {
+		return fn
+	}
+	return func(key, value []byte) error {
+		if ok, err := v.kept(value); !ok || err != nil {
+			return err
+		}
+		return fn(key, value)
+	}
+}
+
+// cutTop trims a top list, in descending frequency, where it falls
+// below τ.
+func (v *View) cutTop(keys, values [][]byte, ok bool) ([][]byte, [][]byte, bool) {
+	if !ok || v.man.MinFrequency <= 1 {
+		return keys, values, ok
+	}
+	for i, val := range values {
+		if keep, err := v.kept(val); !keep || err != nil {
+			return keys[:i], values[:i], err == nil
+		}
+	}
+	return keys, values, true
+}
+
 // remap rewrites an encoded key through the given identifier table
 // into dst (reusing scratch for the decoded sequence) — chain→canon
 // with v.toCanon, canon→chain with v.toChain. A nil table is the
@@ -596,24 +636,31 @@ func (v *View) AppendCanonicalKey(dst, chainKey []byte) ([]byte, error) {
 }
 
 // Get returns the merged value stored under a canonical-space key, if
-// any: the per-generation cells for the corresponding chain key are
-// folded into one. A key found in exactly one generation returns that
-// generation's stored bytes unchanged.
+// any and if it reaches τ: the per-generation cells for the
+// corresponding chain key are folded into one. A key found in exactly
+// one generation returns that generation's stored bytes unchanged.
 func (v *View) Get(key []byte) ([]byte, bool, error) {
 	if err := v.acquire(); err != nil {
 		return nil, false, err
 	}
 	defer v.release()
-	if v.Identity() {
-		return v.getChain(key)
+	chainKey := key
+	if !v.Identity() {
+		var err error
+		if chainKey, _, err = remapKey(nil, key, v.toChain, nil); err != nil {
+			// A key naming identifiers outside the dictionary cannot be
+			// stored anywhere in the chain.
+			return nil, false, nil
+		}
 	}
-	chainKey, _, err := remapKey(nil, key, v.toChain, nil)
-	if err != nil {
-		// A key naming identifiers outside the dictionary cannot be
-		// stored anywhere in the chain.
-		return nil, false, nil
+	val, ok, err := v.getChain(chainKey)
+	if ok && v.man.MinFrequency > 1 {
+		ok, err = v.kept(val)
 	}
-	return v.getChain(chainKey)
+	if !ok {
+		return nil, false, err
+	}
+	return val, true, err
 }
 
 // getChain is Get for a chain-space key on an already pinned view: one
@@ -660,10 +707,11 @@ func (v *View) fold(cells [][]byte) ([]byte, error) {
 }
 
 // ScanChain calls fn for every merged record in ascending chain-key
-// order. Equal keys across generations arrive folded: fn sees each
-// distinct chain key exactly once, with the generations' aggregate
-// cells merged. The slices passed to fn are valid only during the
-// call. fn may return index.StopScan() to end the scan early.
+// order, τ notwithstanding. Equal keys across generations arrive
+// folded: fn sees each distinct chain key exactly once, with the
+// generations' aggregate cells merged. The slices passed to fn are
+// valid only during the call. fn may return index.StopScan() to end
+// the scan early.
 //
 // This is the full pass of ordered scans, top-k selection and the
 // compactor: it streams every generation's sorted shards through one
@@ -799,35 +847,36 @@ func (v *View) scanRange(lo, hi []byte, fn func(chainKey []byte, cells [][]byte)
 	return nil
 }
 
-// ScanUnordered calls fn for every merged record exactly once, with
-// canonical-space keys, in no particular (canonical) order. It is the
-// cheap full pass for order-independent consumers such as top-k
-// selection.
+// ScanUnordered calls fn for every merged record that reaches τ
+// exactly once, with canonical-space keys, in no particular (canonical)
+// order. It is the cheap full pass for order-independent consumers such
+// as top-k selection.
 func (v *View) ScanUnordered(fn func(key, value []byte) error) error {
 	if v.Identity() {
-		return v.ScanChain(fn)
+		return v.ScanChain(v.filtered(fn))
 	}
 	var keyBuf []byte
 	var scratch sequence.Seq
-	return v.ScanChain(func(chainKey, value []byte) error {
+	return v.ScanChain(v.filtered(func(chainKey, value []byte) error {
 		var err error
 		keyBuf, scratch, err = remapKey(keyBuf, chainKey, v.toCanon, scratch)
 		if err != nil {
 			return err
 		}
 		return fn(keyBuf, value)
-	})
+	}))
 }
 
-// ScanAll calls fn for every merged record in ascending canonical key
-// order — the order the rebuilt index would enumerate. Chain order and
-// canonical order differ (identifiers were assigned at different
-// times), so the merged stream is re-sorted through an external
-// sorter; prefer ScanUnordered when order does not matter. Under
-// identity maps the orders agree and nothing is re-sorted.
+// ScanAll calls fn for every merged record that reaches τ, in
+// ascending canonical key order — the order the rebuilt index would
+// enumerate. Chain order and canonical order differ (identifiers were
+// assigned at different times), so the merged stream is re-sorted
+// through an external sorter; prefer ScanUnordered when order does not
+// matter. Under identity maps the orders agree and nothing is
+// re-sorted.
 func (v *View) ScanAll(fn func(key, value []byte) error) error {
 	if v.Identity() {
-		return v.ScanChain(fn)
+		return v.ScanChain(v.filtered(fn))
 	}
 	sorter := extsort.NewSorter(extsort.Options{TempDir: v.opts.TempDir})
 	defer sorter.Discard()
@@ -850,18 +899,19 @@ func (v *View) ScanAll(fn func(key, value []byte) error) error {
 	return it.Err()
 }
 
-// ScanPrefix calls fn for the first limit merged records, in ascending
-// canonical key order, whose canonical key starts with the given byte
-// prefix (limit ≤ 0: all of them). The prefix must be a complete
-// encoded sequence (as produced for a phrase); it is translated to the
-// chain space, where — identifier translation being
+// ScanPrefix calls fn for the first limit merged records that reach τ,
+// in ascending canonical key order, whose canonical key starts with the
+// given byte prefix (limit ≤ 0: all of them). The prefix must be a
+// complete encoded sequence (as produced for a phrase); it is
+// translated to the chain space, where — identifier translation being
 // sequence-position-wise — it bounds exactly the same set of records.
 // One scanRange pass over that range translates each chain key back
 // into reused scratch and keeps the limit smallest canonical keys in a
-// bounded max-heap; only the survivors are folded, sorted and emitted,
-// so a warm query costs O(range) comparisons and O(limit) memory. Under
-// identity maps the merge already runs in canonical order, and stops
-// after the first limit records. The slices passed to fn must not be
+// bounded max-heap; only those are folded, sorted and emitted (under
+// τ > 1 every record is folded first, to be tested), so a warm query
+// costs O(range) comparisons and O(limit) memory. Under identity maps
+// the merge already runs in canonical order, and stops after the first
+// limit records that reach τ. The slices passed to fn must not be
 // modified. An empty prefix matches every record; ScanAll is the full
 // pass that does not hold them all.
 func (v *View) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error {
@@ -883,6 +933,15 @@ func (v *View) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) e
 	var records int64
 	err = v.scanRange(chainPrefix, index.PrefixSuccessor(chainPrefix), func(chainKey []byte, cells [][]byte) error {
 		records += int64(len(cells))
+		if v.man.MinFrequency > 1 {
+			val, err := v.fold(cells)
+			if err != nil {
+				return err
+			}
+			if ok, err := v.kept(val); !ok || err != nil {
+				return err
+			}
+		}
 		var err error
 		if keyBuf, scratch, err = remapKey(keyBuf, chainKey, v.toCanon, scratch); err != nil {
 			return err
@@ -918,6 +977,11 @@ func (v *View) scanPrefixIdentity(prefix []byte, limit int, fn func(key, value [
 		val, err := v.fold(cells)
 		if err != nil {
 			return err
+		}
+		if v.man.MinFrequency > 1 {
+			if ok, err := v.kept(val); !ok || err != nil {
+				return err
+			}
 		}
 		if err := fn(key, val); err != nil {
 			return err

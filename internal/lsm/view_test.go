@@ -150,7 +150,7 @@ func (w *chainWriter) append(gen testGen) {
 	sort.Strings(fresh)
 	if w.man == nil {
 		w.writeGen(".", gen, w.rankedDict(), w.single)
-		man, err := Adopt(w.dir, false)
+		man, err := Adopt(w.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func (w *chainWriter) append(gen testGen) {
 	for i, word := range w.terms {
 		table[i], ids[word] = w.cfs[word], sequence.Term(i)
 	}
-	sub := w.man.NextDeltaDir()
+	sub := w.man.NextGenDir()
 	records := w.writeGen(sub, gen, dictionary.FromTables(slices.Clone(w.terms), table, ids), false)
 	if err := AppendGen(w.dir, w.man, GenInfo{Dir: sub, Records: records, Docs: int64(len(gen.docs))}); err != nil {
 		t.Fatal(err)

@@ -16,31 +16,24 @@ import (
 
 // LiveConfig wires a StreamIngester into the server: the live-ingest
 // endpoints feed it, the approximate endpoints query it, and the
-// reconciliation loop periodically converts its accumulated documents
-// into an exact index that hot-swaps into the named served index.
+// reconciliation loop periodically appends its accumulated documents
+// to the named served index — an LSM chain — and hot-swaps the result
+// in.
 type LiveConfig struct {
 	// Ingester is the stream ingester behind POST /v1/ingest. Required.
 	Ingester *ngramstats.StreamIngester
 	// Index names the served index (a key of ServerOptions.Indexes) the
-	// reconciliation loop saves into. Its directory may start empty: it
-	// materializes at the first reconcile. Required.
+	// reconciliation loop appends to. Its directory may start empty: the
+	// first reconcile creates the chain. Required.
 	Index string
-	// Count configures the exact reconciliation job. A zero MaxLength
-	// is replaced by the ingester's, so the exact index covers the same
-	// orders the sketch does.
+	// Count configures the exact job of each reconcile's append
+	// (AppendOptions.Count), whose cost is O(new documents); pair with
+	// ServerOptions.Compact. MinFrequency is the τ the chain answers at
+	// when the first reconcile creates it. A zero MaxLength is replaced
+	// by the ingester's, so the exact index covers the same orders the
+	// sketch does. Maximal/closed selection, a property of the whole
+	// fold, is refused.
 	Count ngramstats.Options
-	// Save configures how reconciled results are persisted; Replace is
-	// forced on.
-	Save ngramstats.SaveOptions
-	// Incremental switches reconciliation to LSM delta appends: the
-	// first reconcile still saves a full base index, every later one
-	// appends only the documents ingested since the previous reconcile
-	// as a delta generation (ngramstats.AppendDelta) and releases them
-	// from memory — each cycle costs O(new documents) regardless of
-	// stream length. Requires Count.MinFrequency ≤ 1 and no
-	// maximal/closed selection (the chain invariants); pair with
-	// ServerOptions.Compact so chains are merged back periodically.
-	Incremental bool
 	// Interval is how often the reconciliation loop checks whether
 	// enough documents accumulated (IngestOptions.ReconcileEvery).
 	// Default 1s.
@@ -60,6 +53,11 @@ type liveState struct {
 	// mu serializes reconciliations (the loop and the admin endpoint).
 	mu         sync.Mutex
 	reconciles atomic.Int64 // committed reconciliations
+	// appended is a reconciliation whose documents are in the chain but
+	// whose reload failed: it stays open, its drained delta still
+	// counting them, and the next reconciliation retries only the reload
+	// rather than append them twice. Guarded by mu.
+	appended *ngramstats.Reconcile
 }
 
 func newLiveState(cfg *LiveConfig) (*liveState, error) {
@@ -73,18 +71,9 @@ func newLiveState(cfg *LiveConfig) (*liveState, error) {
 	if c.Count.MaxLength == 0 {
 		c.Count.MaxLength = c.Ingester.Options().MaxLength
 	}
-	if c.Incremental {
-		// Delta generations merge losslessly only when every generation
-		// counts every n-gram: τ = 1 and no selection.
-		if c.Count.MinFrequency > 1 {
-			return nil, fmt.Errorf("serving: incremental reconciliation requires MinFrequency 1, got %d (per-generation thresholds do not merge)", c.Count.MinFrequency)
-		}
-		c.Count.MinFrequency = 1
-		if c.Count.Selection != ngramstats.SelectAll {
-			return nil, fmt.Errorf("serving: incremental reconciliation requires SelectAll (per-generation maximal/closed selection does not merge)")
-		}
+	if c.Count.Selection != ngramstats.SelectAll {
+		return nil, fmt.Errorf("serving: live reconciliation requires SelectAll (maximal/closed selection does not merge across appends)")
 	}
-	c.Save.Replace = true
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
@@ -124,24 +113,19 @@ func (s *Server) requireLive(w http.ResponseWriter) (*liveState, bool) {
 	return s.live, true
 }
 
-// exactFor pins the reconciled generation of the live index, returning
-// (nil, 0) before the first reconciliation lands — the approximate
-// endpoints then answer from the sketch alone.
-func (s *Server) exactFor(ls *liveState) (*generation, int64) {
-	g := s.handles[ls.cfg.Index].acquire()
-	if g == nil {
-		return nil, 0
-	}
-	return g, g.num
-}
-
 // testHookSketchCaptured, when non-nil, runs in the approximate
 // endpoints between capturing the sketch delta and pinning the exact
 // generation — the test seam for a reconciliation landing in between.
 var testHookSketchCaptured func()
 
+// testHookAppended, when non-nil, runs in ReconcileNow between the
+// append and the reload — the test seam for a reload that fails.
+var testHookAppended func()
+
 // approxSources captures the sketch delta and then pins the reconciled
-// generation (nil before the first reconciliation), in that order.
+// generation of the live index, in that order; before the first
+// reconciliation lands it pins none, and the approximate endpoints
+// answer from the sketch alone.
 // ReconcileNow swaps the new generation in before it commits, which
 // drops the drained delta: reload before commit, delta before
 // generation. A generation pinned after the capture therefore covers
@@ -152,8 +136,11 @@ func (s *Server) approxSources(ls *liveState) (ngramstats.SketchSnapshot, *gener
 	if hook := testHookSketchCaptured; hook != nil {
 		hook()
 	}
-	g, gen := s.exactFor(ls)
-	return sk, g, gen
+	g := s.handles[ls.cfg.Index].acquire()
+	if g == nil {
+		return sk, nil, 0
+	}
+	return sk, g, g.num
 }
 
 // approxFor combines the exact component of one phrase (from a pinned
@@ -326,8 +313,9 @@ func (s *Server) handleApproxTopK(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReconcile answers POST /v1/admin/reconcile: run the exact job
-// over everything ingested, swap the result in, and reset the delta.
+// handleReconcile answers POST /v1/admin/reconcile: append the
+// documents ingested since the last reconcile, swap the result in, and
+// reset the delta.
 func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.requireLive(w); !ok {
 		return
@@ -345,11 +333,13 @@ func (s *Server) handleReconcile(w http.ResponseWriter, r *http.Request) {
 }
 
 // ReconcileNow runs one exact reconciliation synchronously: freeze the
-// ingested documents, run the batch MapReduce job over them through the
-// standard corpus build (so the saved index is identical to a pure
-// batch run), save it over the live index directory, hot-swap the new
-// generation in, and drop the drained sketch delta. On any failure the
-// delta is folded back and queries keep answering approximately.
+// documents ingested since the last reconcile, append them to the live
+// index directory as a delta generation (ngramstats.AppendDelta, which
+// creates the chain on the first reconcile), hot-swap the new
+// generation in, and release the documents with the drained sketch
+// delta. If the append fails, the delta is folded back and queries
+// keep answering approximately; if the reload fails, the documents are
+// already in the chain, and the next call retries only the reload.
 func (s *Server) ReconcileNow(ctx context.Context) (ReconcileResponse, error) {
 	ls := s.live
 	if ls == nil {
@@ -359,88 +349,64 @@ func (s *Server) ReconcileNow(ctx context.Context) (ReconcileResponse, error) {
 	defer ls.mu.Unlock()
 
 	si := ls.cfg.Ingester
+	h := s.handles[ls.cfg.Index]
 	resp := ReconcileResponse{Index: ls.cfg.Index}
-	rc, err := si.BeginReconcile()
-	if err != nil {
-		return resp, err
-	}
-	if int64(rc.Cutoff()) == si.Covered() {
-		if err := rc.Abort(); err != nil {
+	rc := ls.appended
+	if rc == nil {
+		var err error
+		if rc, err = si.BeginReconcile(); err != nil {
 			return resp, err
 		}
-		if g := s.handles[ls.cfg.Index].acquire(); g != nil {
-			resp.Generation = g.num
-			g.release()
+		docs := rc.NewDocuments()
+		if len(docs) == 0 {
+			if err := rc.Abort(); err != nil {
+				return resp, err
+			}
+			if g := h.acquire(); g != nil {
+				resp.Generation = g.num
+				g.release()
+			}
+			return resp, nil
 		}
-		return resp, nil
-	}
-	h := s.handles[ls.cfg.Index]
-	// Incremental mode appends only the new documents as a delta
-	// generation — once a base index exists to append to. The first
-	// reconciliation always takes the full path below to materialize
-	// the base.
-	incremental := ls.cfg.Incremental && h.gen.Load() != nil
-	run := func() error {
-		if incremental {
-			docs := rc.NewDocuments()
-			h.chainMu.Lock()
-			stats, err := ngramstats.AppendDelta(ctx, h.cfg.Dir, docs, ngramstats.AppendOptions{
-				Count:    ls.cfg.Count,
-				Builder:  ls.cfg.Ingester.Options().Builder,
-				Compress: ls.cfg.Save.Compress,
-			})
-			h.chainMu.Unlock()
-			if err != nil {
-				return fmt.Errorf("append delta: %w", err)
-			}
-			resp.Incremental = true
-			resp.AppendedDocs = stats.Docs
-			resp.MapInputRecords = stats.Counters["MAP_INPUT_RECORDS"]
-		} else {
-			c, err := rc.Corpus(ctx, ls.cfg.Index)
-			if err != nil {
-				return fmt.Errorf("build corpus: %w", err)
-			}
-			res, err := ngramstats.Count(ctx, c, ls.cfg.Count)
-			if err != nil {
-				return fmt.Errorf("exact job: %w", err)
-			}
-			defer res.Release()
-			if err := res.SaveWith(h.cfg.Dir, ls.cfg.Save); err != nil {
-				return fmt.Errorf("save: %w", err)
-			}
-		}
-		gen, err := s.Reload(ls.cfg.Index)
+		h.chainMu.Lock()
+		stats, err := ngramstats.AppendDelta(ctx, h.cfg.Dir, docs, ngramstats.AppendOptions{
+			Count:   ls.cfg.Count,
+			Builder: si.Options().Builder,
+		})
+		h.chainMu.Unlock()
 		if err != nil {
-			return err
+			if aerr := rc.Abort(); aerr != nil {
+				s.logf("serving: reconcile abort after %v: %v", err, aerr)
+			}
+			return resp, fmt.Errorf("append delta: %w", err)
 		}
-		resp.Generation = gen
-		return nil
+		resp.AppendedDocs = stats.Docs
+		resp.MapInputRecords = stats.Counters["MAP_INPUT_RECORDS"]
 	}
-	if err := run(); err != nil {
-		if aerr := rc.Abort(); aerr != nil {
-			s.logf("serving: reconcile abort after %v: %v", err, aerr)
-		}
+	if hook := testHookAppended; hook != nil {
+		hook()
+	}
+	gen, err := s.Reload(ls.cfg.Index)
+	if err != nil {
+		ls.appended = rc
 		return resp, err
 	}
+	ls.appended = nil
+	resp.Generation = gen
 	// Commit after the swap: between Reload and Commit both the new
 	// generation and the draining delta cover the reconciled documents,
 	// so estimates stay one-sided (briefly doubled) rather than ever
 	// dropping below the true count — provided the approximate
 	// endpoints read the delta before they pin the generation
 	// (approxSources): reload before commit, delta before generation.
-	// In incremental mode the documents are persisted in the chain, so
-	// the ingester releases them too.
-	if ls.cfg.Incremental {
-		rc.CommitDrop()
-	} else {
-		rc.Commit()
-	}
+	// The documents are persisted in the chain, so the ingester
+	// releases them.
+	rc.Commit()
 	ls.reconciles.Add(1)
 	resp.Applied = true
-	resp.Docs = int64(rc.Cutoff())
+	resp.Docs = si.Covered()
 	s.logf("serving: reconciled %d documents into index %q generation %d",
-		rc.Cutoff(), ls.cfg.Index, resp.Generation)
+		resp.Docs, ls.cfg.Index, resp.Generation)
 	return resp, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"ngramstats"
+	"ngramstats/internal/lsm"
 )
 
 // liveDocs is a small fixed stream with known exact counts.
@@ -30,7 +32,7 @@ func liveDocs(n int) []WireDocument {
 }
 
 // newLiveServer starts a server in live-ingest mode over an initially
-// empty index directory.
+// empty index directory, at τ = 1 unless tweak says otherwise.
 func newLiveServer(t testing.TB, tweak func(*ServerOptions)) (*Server, *httptest.Server, *ngramstats.StreamIngester) {
 	t.Helper()
 	si, err := ngramstats.NewStreamIngester(ngramstats.IngestOptions{
@@ -46,7 +48,6 @@ func newLiveServer(t testing.TB, tweak func(*ServerOptions)) (*Server, *httptest
 			Ingester: si,
 			Index:    "live",
 			Count:    ngramstats.Options{MinFrequency: 1, TempDir: t.TempDir()},
-			Save:     ngramstats.SaveOptions{Shards: 2, TopDepth: 32},
 		},
 	}
 	if tweak != nil {
@@ -358,6 +359,69 @@ func TestApproxSketchBeforeGeneration(t *testing.T) {
 			t.Errorf("approx %s: estimate %d (exact %d + delta %d) below the true count %d",
 				endpoint, got.Estimate, got.Exact, got.Delta, want)
 		}
+	}
+}
+
+// TestReconcileRetriesOnlyTheReload: a reload that fails after the
+// append leaves the documents in the chain, so the reconciliation stays
+// open — its delta still counting them, estimates one-sided — and the
+// next one reloads without appending them a second time.
+func TestReconcileRetriesOnlyTheReload(t *testing.T) {
+	srv, ts, si := newLiveServer(t, nil)
+	dir := srv.handles["live"].cfg.Dir
+	client := ts.Client()
+	ctx := context.Background()
+	for _, n := range []int{5, 3} {
+		if s := postJSON(t, client, ts.URL+"/v1/ingest", IngestRequest{Docs: liveDocs(n)}, nil); s != http.StatusOK {
+			t.Fatalf("ingest: status %d", s)
+		}
+		if n == 5 {
+			if _, err := srv.ReconcileNow(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Hide the chain manifest between the append and the reload.
+	chain, hidden := filepath.Join(dir, lsm.ChainFile), dir+".chain"
+	testHookAppended = func() {
+		if err := os.Rename(chain, hidden); err != nil {
+			t.Error(err)
+		}
+	}
+	_, err := srv.ReconcileNow(ctx)
+	testHookAppended = nil
+	if err == nil {
+		t.Fatal("reconcile with a failing reload succeeded")
+	}
+	if err := os.Rename(hidden, chain); err != nil {
+		t.Fatal(err)
+	}
+	var al ApproxLookupResponse
+	if s := getStrict(t, client, ts.URL+"/v1/approx/lookup?q=the+rose", &al); s != http.StatusOK || al.Estimate < 16 {
+		t.Fatalf("approx lookup after the failed reload: status %d, %+v; want an estimate of at least 16", s, al)
+	}
+	if si.Pending() != 3 {
+		t.Fatalf("after the failed reload %d documents pending, want 3", si.Pending())
+	}
+
+	rec, err := srv.ReconcileNow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Applied || rec.AppendedDocs != 0 || rec.Docs != 8 || si.Pending() != 0 {
+		t.Fatalf("retried reconcile = %+v with %d pending; want the reload alone, covering 8 documents", rec, si.Pending())
+	}
+	man, err := lsm.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Deltas) != 1 || man.Docs != 8 {
+		t.Fatalf("chain of %d deltas over %d documents, want 1 delta over 8", len(man.Deltas), man.Docs)
+	}
+	var lr LookupResponse
+	if s := getStrict(t, client, ts.URL+"/v1/lookup?q=the+rose", &lr); s != http.StatusOK || lr.NGram == nil || lr.NGram.Frequency != 16 {
+		t.Fatalf("lookup after the retry: status %d, %+v; want frequency 16", s, lr)
 	}
 }
 

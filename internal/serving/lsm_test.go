@@ -2,12 +2,9 @@ package serving
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"path/filepath"
 	"strings"
@@ -20,42 +17,11 @@ import (
 	"ngramstats/internal/lsm"
 )
 
-// newIncrementalServer starts a live-ingest server in incremental
-// (LSM) mode over an initially empty index directory, returning the
-// directory so tests can inspect the chain on disk.
-func newIncrementalServer(t testing.TB) (*Server, *httptest.Server, string) {
-	t.Helper()
-	si, err := ngramstats.NewStreamIngester(ngramstats.IngestOptions{
-		Epsilon: 0.001, Delta: 0.02, MaxLength: 3, TopK: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "live-idx")
-	srv, err := NewServer(ServerOptions{
-		Indexes: map[string]IndexConfig{"live": {Dir: dir}},
-		Live: &LiveConfig{
-			Ingester:    si,
-			Index:       "live",
-			Count:       ngramstats.Options{MinFrequency: 1, TempDir: t.TempDir()},
-			Save:        ngramstats.SaveOptions{Shards: 2, TopDepth: 32},
-			Incremental: true,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return srv, ts, dir
-}
-
 // TestLiveRetryAfterBeforeMaterialization: the 503 served before the
 // first reconciliation materializes a live index carries a Retry-After
 // hint, so well-behaved clients back off instead of hammering.
 func TestLiveRetryAfterBeforeMaterialization(t *testing.T) {
-	_, ts, _ := newIncrementalServer(t)
+	_, ts, _ := newLiveServer(t, nil)
 	resp, err := ts.Client().Get(ts.URL + "/v1/lookup?q=the+rose")
 	if err != nil {
 		t.Fatal(err)
@@ -69,68 +35,45 @@ func TestLiveRetryAfterBeforeMaterialization(t *testing.T) {
 	}
 }
 
-// TestIncrementalReconcile: with LiveConfig.Incremental the first
-// reconciliation materializes the base and every later one appends
-// only the newly ingested documents as an LSM delta — asserted through
-// the job's MAP_INPUT_RECORDS counter — while exact answers match a
-// batch rebuild over the whole stream.
+// TestIncrementalReconcile: a live server at τ = 2 appends each
+// reconcile's new documents — and only those, asserted through the
+// job's MAP_INPUT_RECORDS counter — to its directory, which is a chain
+// from the first reconcile on and answers exactly as a batch Count at
+// τ = 2 over the whole stream.
 func TestIncrementalReconcile(t *testing.T) {
-	_, ts, dir := newIncrementalServer(t)
+	srv, ts, _ := newLiveServer(t, func(o *ServerOptions) { o.Live.Count.MinFrequency = 2 })
+	dir := srv.handles["live"].cfg.Dir
 	client := ts.Client()
 
-	first, second := liveDocs(12), liveDocs(17)[12:]
-	var ing IngestResponse
-	if s := postJSON(t, client, ts.URL+"/v1/ingest", IngestRequest{Docs: first}, &ing); s != http.StatusOK {
-		t.Fatalf("ingest: status %d", s)
-	}
-
-	// First reconcile: the full path, materializing the base.
-	var rec ReconcileResponse
-	if s := postJSON(t, client, ts.URL+"/v1/admin/reconcile", nil, &rec); s != http.StatusOK {
-		t.Fatalf("reconcile: status %d", s)
-	}
-	if !rec.Applied || rec.Incremental || rec.Docs != int64(len(first)) {
-		t.Fatalf("first reconcile = %+v, want full (non-incremental) over %d docs", rec, len(first))
-	}
-	if _, err := lsm.ReadManifest(dir); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("first reconciliation must save a plain base, not a chain (ReadManifest: %v)", err)
-	}
-
-	// Second reconcile: incremental, appending exactly the new docs.
-	if s := postJSON(t, client, ts.URL+"/v1/ingest", IngestRequest{Docs: second}, &ing); s != http.StatusOK {
-		t.Fatalf("ingest: status %d", s)
-	}
-	if s := postJSON(t, client, ts.URL+"/v1/admin/reconcile", nil, &rec); s != http.StatusOK {
-		t.Fatalf("reconcile: status %d", s)
-	}
-	if !rec.Applied || !rec.Incremental {
-		t.Fatalf("second reconcile = %+v, want incremental", rec)
-	}
-	if rec.AppendedDocs != int64(len(second)) || rec.MapInputRecords != int64(len(second)) {
-		t.Fatalf("second reconcile appended %d docs reading %d records, want %d of each (O(new documents))",
-			rec.AppendedDocs, rec.MapInputRecords, len(second))
-	}
-	if rec.Docs != int64(len(first)+len(second)) {
-		t.Fatalf("reconciled docs = %d, want %d", rec.Docs, len(first)+len(second))
-	}
-	man, err := lsm.ReadManifest(dir)
-	if err != nil {
-		t.Fatalf("incremental reconciliation must leave an LSM chain: %v", err)
-	}
-	if len(man.Deltas) != 1 || man.Docs != int64(len(first)+len(second)) {
-		t.Fatalf("chain manifest: %d deltas over %d docs", len(man.Deltas), man.Docs)
+	// "a lone heron" occurs once in the stream: below τ.
+	first := liveDocs(12)
+	second := append(liveDocs(17)[12:], WireDocument{Text: "a lone heron."})
+	for i, batch := range [][]WireDocument{first, second} {
+		if s := postJSON(t, client, ts.URL+"/v1/ingest", IngestRequest{Docs: batch}, nil); s != http.StatusOK {
+			t.Fatalf("ingest %d: status %d", i, s)
+		}
+		var rec ReconcileResponse
+		if s := postJSON(t, client, ts.URL+"/v1/admin/reconcile", nil, &rec); s != http.StatusOK {
+			t.Fatalf("reconcile %d: status %d", i, s)
+		}
+		if !rec.Applied || rec.AppendedDocs != int64(len(batch)) || rec.MapInputRecords != int64(len(batch)) {
+			t.Fatalf("reconcile %d = %+v, want %d documents appended and read (O(new documents))", i, rec, len(batch))
+		}
+		man, err := lsm.ReadManifest(dir)
+		if err != nil {
+			t.Fatalf("reconcile %d must leave an LSM chain: %v", i, err)
+		}
+		if len(man.Deltas) != i || man.MinFrequency != 2 || man.Docs != rec.Docs {
+			t.Fatalf("chain after reconcile %d: %d deltas at τ %d over %d docs", i, len(man.Deltas), man.MinFrequency, man.Docs)
+		}
 	}
 
 	// The merged view answers exactly like a batch job over the stream.
 	all := append(append([]WireDocument(nil), first...), second...)
-	ndocs := make([]ngramstats.Document, len(all))
-	for i, d := range all {
-		ndocs[i] = ngramstats.Document{Text: d.Text, Year: d.Year}
-	}
 	oracleCorpus, err := ngramstats.FromDocuments(context.Background(), "live",
 		func(yield func(ngramstats.Document, error) bool) {
-			for _, d := range ndocs {
-				if !yield(d, nil) {
+			for _, d := range all {
+				if !yield(ngramstats.Document{Text: d.Text, Year: d.Year}, nil) {
 					return
 				}
 			}
@@ -139,12 +82,12 @@ func TestIncrementalReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle, err := ngramstats.Count(context.Background(), oracleCorpus,
-		ngramstats.Options{MinFrequency: 1, TempDir: t.TempDir()})
+		ngramstats.Options{MinFrequency: 2, MaxLength: 3, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oracle.Release()
-	for _, q := range []string{"the rose", "rose is red", "the rose w3", "never seen"} {
+	for _, q := range []string{"the rose", "rose is red", "the rose w3", "lone heron", "a lone", "never seen"} {
 		wantNG, wantOK, err := oracle.Lookup(q)
 		if err != nil {
 			t.Fatal(err)
@@ -153,15 +96,29 @@ func TestIncrementalReconcile(t *testing.T) {
 		if s := getStrict(t, client, ts.URL+"/v1/lookup?q="+url.QueryEscape(q), &lr); s != http.StatusOK {
 			t.Fatalf("lookup %q: status %d", q, s)
 		}
-		if lr.Found != wantOK {
-			t.Fatalf("lookup %q: found=%v, oracle %v", q, lr.Found, wantOK)
+		if lr.Found != wantOK || wantOK && lr.NGram.Frequency != wantNG.Frequency {
+			t.Fatalf("lookup %q: %+v, oracle found=%v %+v", q, lr, wantOK, wantNG)
 		}
-		if wantOK && lr.NGram.Frequency != wantNG.Frequency {
-			t.Fatalf("lookup %q: frequency %d, oracle %d", q, lr.NGram.Frequency, wantNG.Frequency)
+	}
+	wantTop, err := oracle.TopK(int(oracle.Len()) + 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tk TopKResponse
+	if s := getStrict(t, client, ts.URL+fmt.Sprintf("/v1/topk?k=%d", len(wantTop)+5), &tk); s != http.StatusOK {
+		t.Fatalf("topk: status %d", s)
+	}
+	if len(tk.NGrams) != len(wantTop) {
+		t.Fatalf("topk returned %d n-grams, oracle %d", len(tk.NGrams), len(wantTop))
+	}
+	for i, ng := range tk.NGrams {
+		if ng.Text != wantTop[i].Text || ng.Frequency != wantTop[i].Frequency {
+			t.Fatalf("topk[%d] = %s:%d, oracle %s:%d", i, ng.Text, ng.Frequency, wantTop[i].Text, wantTop[i].Frequency)
 		}
 	}
 
 	// With nothing pending, reconcile is a clean no-op.
+	var rec ReconcileResponse
 	if s := postJSON(t, client, ts.URL+"/v1/admin/reconcile", nil, &rec); s != http.StatusOK {
 		t.Fatalf("no-op reconcile: status %d", s)
 	}
@@ -174,7 +131,8 @@ func TestIncrementalReconcile(t *testing.T) {
 // into a single base, swaps it in, and reports the stats; compacting
 // an already-compact index is a no-op, and a plain index 404s nothing.
 func TestCompactEndpoint(t *testing.T) {
-	_, ts, dir := newIncrementalServer(t)
+	srv, ts, _ := newLiveServer(t, nil)
+	dir := srv.handles["live"].cfg.Dir
 	client := ts.Client()
 
 	// Grow a chain: base + one delta.
@@ -191,8 +149,8 @@ func TestCompactEndpoint(t *testing.T) {
 	if s := postJSON(t, client, ts.URL+"/v1/admin/reconcile", nil, &rec); s != http.StatusOK {
 		t.Fatalf("reconcile: status %d", s)
 	}
-	if !rec.Incremental {
-		t.Fatalf("second reconcile = %+v, want incremental", rec)
+	if rec.AppendedDocs != 4 {
+		t.Fatalf("second reconcile = %+v, want 4 documents appended", rec)
 	}
 
 	var before LookupResponse

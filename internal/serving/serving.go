@@ -58,11 +58,12 @@
 // and /v1/approx/topk answer immediately with one-sided estimates plus
 // a stated ε·N error bound — every response carries approx: true. A
 // reconciliation loop (or POST /v1/admin/reconcile) periodically runs
-// the exact MapReduce job over everything ingested, saves the result
-// over the live index directory, hot-swaps it in through the
-// generation machinery, and resets the sketch delta: approximate
-// answers degrade gracefully to exact + a delta covering only the
-// documents ingested since the last reconcile.
+// the exact MapReduce job over the documents ingested since the last
+// one, appends the result to the live index directory as an LSM delta
+// generation, hot-swaps it in through the generation machinery, and
+// resets the sketch delta: approximate answers degrade gracefully to
+// exact + a delta covering only the documents ingested since the last
+// reconcile.
 //
 // # Incremental indexes
 //
@@ -71,10 +72,10 @@
 // are answered from the chain's merge-on-read view exactly as from a
 // plain index; the Watch loop follows the chain manifest instead of
 // the index manifest, so appends and compactions hot-swap in like any
-// other reload. With LiveConfig.Incremental, the reconciliation loop
-// appends only the documents ingested since the previous reconcile as
-// a delta generation — O(new documents) instead of a full rebuild —
-// and CompactLoop (policy: delta count or delta/base record ratio,
+// other reload. The live reconciliation loop appends only the
+// documents ingested since the previous reconcile as a delta
+// generation — O(new documents), never a full rebuild — and
+// CompactLoop (policy: delta count or delta/base record ratio,
 // ServerOptions.Compact) merges chains back into a single base in the
 // background, swapping through the generation machinery with zero
 // failed requests.
@@ -275,7 +276,7 @@ type handle struct {
 	}
 
 	// chainMu serializes chain mutations on the directory — delta
-	// appends (incremental reconciliation) and compactions — which
+	// appends (live reconciliation) and compactions — which
 	// assume a single writer per chain. Readers never take it.
 	chainMu sync.Mutex
 	// compacting guards against overlapping compactions of one handle

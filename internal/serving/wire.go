@@ -207,15 +207,13 @@ type ReconcileResponse struct {
 	// Generation is the index generation serving the reconciled
 	// results.
 	Generation int64 `json:"generation"`
-	// Incremental reports that the reconciliation appended a delta
-	// generation (LiveConfig.Incremental) instead of rebuilding.
-	Incremental bool `json:"incremental,omitempty"`
-	// AppendedDocs is how many new documents the delta covered —
-	// exactly the documents ingested since the previous reconcile.
+	// AppendedDocs is how many new documents the appended generation
+	// covered — exactly the documents ingested since the previous
+	// reconcile.
 	AppendedDocs int64 `json:"appended_docs,omitempty"`
-	// MapInputRecords is the MAP_INPUT_RECORDS counter of the delta
-	// job: the records the incremental run actually read, evidence the
-	// append was O(new documents).
+	// MapInputRecords is the MAP_INPUT_RECORDS counter of the append's
+	// job: the records it actually read, evidence the append was O(new
+	// documents).
 	MapInputRecords int64 `json:"map_input_records,omitempty"`
 }
 

@@ -293,6 +293,84 @@ func TestAppendCompactGolden(t *testing.T) {
 	}
 }
 
+// TestChainMinFrequencyMatchesRebuild is the oracle for τ as a read
+// filter: a chain created by AppendDelta at τ = 3 — a base and three
+// deltas, every generation stored at τ = 1 — answers Lookup, Prefix,
+// TopK, Longest and NGrams exactly as a Count at τ = 3 over all its
+// documents, through its translating view and again after compaction,
+// when the view is identity. "amber falcon" occurs once in each of
+// three generations, below τ in every one and exactly τ folded;
+// "cobalt heron" folds to τ − 1.
+func TestChainMinFrequencyMatchesRebuild(t *testing.T) {
+	ctx := context.Background()
+	batches := [][]string{
+		{lsmDocs[0], lsmDocs[1], "amber falcon. cobalt heron."},
+		{lsmDocs[2], "amber falcon."},
+		{lsmDocs[3], "amber falcon rises."},
+		{lsmDocs[4], "cobalt heron."},
+	}
+	for _, agg := range []Aggregation{Counts, TimeSeries, DocumentIndex} {
+		t.Run(fmt.Sprintf("agg=%d", agg), func(t *testing.T) {
+			opts := Options{MinFrequency: 3, MaxLength: 5, Aggregation: agg, TempDir: t.TempDir()}
+			dir := filepath.Join(t.TempDir(), "chain")
+			var all []Document
+			for i, texts := range batches {
+				var docs []Document
+				for _, text := range texts {
+					docs = append(docs, Document{Text: text, Year: 2000 + len(all)%3})
+					all = append(all, docs[len(docs)-1])
+				}
+				if _, err := AppendDelta(ctx, dir, docs, AppendOptions{Count: opts}); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			c, err := FromDocuments(ctx, "oracle", sliceDocuments(all), BuilderOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := Count(ctx, c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer oracle.Release()
+
+			for _, compacted := range []bool{false, true} {
+				if compacted {
+					if _, err := CompactIndex(dir, CompactOptions{TempDir: t.TempDir()}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				man, err := lsm.ReadManifest(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantDeltas := 3
+				if compacted {
+					wantDeltas = 0
+				}
+				if len(man.Deltas) != wantDeltas || man.MinFrequency != 3 {
+					t.Fatalf("chain of %d deltas at τ = %d, want %d deltas at τ = 3", len(man.Deltas), man.MinFrequency, wantDeltas)
+				}
+				ix, err := OpenIndex(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ix.v.Identity() != compacted {
+					t.Fatalf("view identity = %v, want %v", ix.v.Identity(), compacted)
+				}
+				assertAnswersMatchResult(t, ix, oracle)
+				if ng, ok, err := ix.Lookup("amber falcon"); err != nil || !ok || ng.Frequency != 3 {
+					t.Fatalf("Lookup(amber falcon) = %+v, %v, %v; want frequency 3", ng, ok, err)
+				}
+				if ng, ok, err := ix.Lookup("cobalt heron"); err != nil || ok {
+					t.Fatalf("Lookup(cobalt heron) = %+v, %v, %v; want not found below τ", ng, ok, err)
+				}
+				ix.Close()
+			}
+		})
+	}
+}
+
 // assertSameDataFiles checks that the compacted base in baseDir holds
 // data files byte-identical to the full rebuild's in fullDir.
 func assertSameDataFiles(t *testing.T, baseDir, fullDir string) {
@@ -543,7 +621,7 @@ func TestChainManifestCorruption(t *testing.T) {
 	}
 	restore()
 
-	v1 := copyV1Fixture(t, "chain")
+	v1 := copyFixture(t, "v1", "chain")
 	crcPath := filepath.Join(v1, "CHAIN.crc32c")
 	crcData, err := os.ReadFile(crcPath)
 	if err != nil {
@@ -624,19 +702,31 @@ func TestCompactionCrashSafety(t *testing.T) {
 	assertIndexesEqual(t, chain, full)
 }
 
-// TestReconcileIncremental covers the ingester's incremental
-// reconciliation contract: NewDocuments exposes exactly the documents
-// since the last commit, CommitDrop retires them, and the full-rebuild
-// iterator refuses to run once leading documents have been dropped.
+// TestReconcileIncremental covers the ingester's reconciliation
+// contract: NewDocuments exposes exactly the documents since the last
+// commit, Commit releases them — the ingester holds only uncommitted
+// documents — and Abort keeps them for the next attempt.
 func TestReconcileIncremental(t *testing.T) {
 	si, err := NewStreamIngester(IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := func(want ...int) {
+		t.Helper()
+		si.mu.Lock()
+		defer si.mu.Unlock()
+		if len(si.docs) != len(want) {
+			t.Fatalf("ingester holds %d documents, want %d", len(si.docs), len(want))
+		}
+		for i, d := range si.docs {
+			if d.Text != lsmDocs[want[i]] {
+				t.Fatalf("held document %d is %q, want lsmDocs[%d]", i, d.Text, want[i])
+			}
+		}
+	}
 	if err := si.Ingest(lsmBatch(0, 2)...); err != nil {
 		t.Fatal(err)
 	}
-
 	rc, err := si.BeginReconcile()
 	if err != nil {
 		t.Fatal(err)
@@ -644,61 +734,43 @@ func TestReconcileIncremental(t *testing.T) {
 	if got := rc.NewDocuments(); len(got) != 2 || got[0].Text != lsmDocs[0] {
 		t.Fatalf("first NewDocuments: %d docs", len(got))
 	}
-	// Before any drop the full iterator still works.
-	n := 0
-	for _, err := range rc.Documents() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("Documents yielded %d docs, want 2", n)
-	}
-	rc.CommitDrop()
-	if si.Pending() != 0 || si.Covered() != 2 || si.Docs() != 2 {
-		t.Fatalf("after CommitDrop: pending=%d covered=%d docs=%d", si.Pending(), si.Covered(), si.Docs())
-	}
-
-	if err := si.Ingest(lsmBatch(2, 4)...); err != nil {
+	// A document ingested mid-reconcile is not frozen into it, and
+	// outlives its commit.
+	if err := si.Ingest(lsmBatch(2, 3)...); err != nil {
 		t.Fatal(err)
 	}
-	if si.Pending() != 2 || si.Docs() != 4 {
-		t.Fatalf("after ingest: pending=%d docs=%d", si.Pending(), si.Docs())
+	rc.Commit()
+	if si.Pending() != 1 || si.Covered() != 2 || si.Docs() != 3 {
+		t.Fatalf("after Commit: pending=%d covered=%d docs=%d", si.Pending(), si.Covered(), si.Docs())
+	}
+	held(2)
+
+	if err := si.Ingest(lsmBatch(3, 5)...); err != nil {
+		t.Fatal(err)
 	}
 	rc, err = si.BeginReconcile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rc.NewDocuments(); len(got) != 2 || got[0].Text != lsmDocs[2] {
+	if got := rc.NewDocuments(); len(got) != 3 || got[0].Text != lsmDocs[2] {
 		t.Fatalf("second NewDocuments: %+v", got)
-	}
-	// The stream's prefix is gone: a full-rebuild iteration must fail
-	// rather than silently rebuild from a partial stream.
-	sawErr := false
-	for _, err := range rc.Documents() {
-		if err != nil {
-			sawErr = true
-			break
-		}
-	}
-	if !sawErr {
-		t.Fatal("Documents() must fail after leading documents were dropped")
 	}
 	if err := rc.Abort(); err != nil {
 		t.Fatal(err)
 	}
+	held(2, 3, 4)
 
-	// An aborted incremental reconcile leaves the window intact.
+	// An aborted reconcile leaves the window intact.
 	rc, err = si.BeginReconcile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rc.NewDocuments(); len(got) != 2 {
-		t.Fatalf("post-abort NewDocuments: %d docs, want 2", len(got))
+	if got := rc.NewDocuments(); len(got) != 3 {
+		t.Fatalf("post-abort NewDocuments: %d docs, want 3", len(got))
 	}
-	rc.CommitDrop()
-	if si.Pending() != 0 || si.Covered() != 4 {
-		t.Fatalf("final state: pending=%d covered=%d", si.Pending(), si.Covered())
+	rc.Commit()
+	if si.Pending() != 0 || si.Covered() != 5 || si.Docs() != 5 {
+		t.Fatalf("final state: pending=%d covered=%d docs=%d", si.Pending(), si.Covered(), si.Docs())
 	}
+	held()
 }

@@ -194,12 +194,12 @@ type IndexOptions struct {
 }
 
 // OpenIndex opens an index directory written by Save — or an LSM chain
-// grown from one by AppendDelta, served as its merged view. The
-// returned Index answers NGrams, TopK, Longest, Lookup, and Prefix
-// queries byte-identically to the Result it was saved from (for a
-// chain: to a full rebuild over all its documents), and is safe for
-// any number of concurrent readers. Equivalent to OpenIndexWith with
-// zero options.
+// written by AppendDelta, served as its merged view. The returned
+// Index answers NGrams, TopK, Longest, Lookup, and Prefix queries
+// byte-identically to the Result it was saved from (for a chain: to a
+// full rebuild over all its documents at the chain's τ), and is safe
+// for any number of concurrent readers. Equivalent to OpenIndexWith
+// with zero options.
 func OpenIndex(dir string) (*Index, error) { return OpenIndexWith(dir, IndexOptions{}) }
 
 // OpenIndexWith is OpenIndex with explicit options.
