@@ -122,7 +122,11 @@
 // with no fold and no identifier translation. Each delta stores its
 // own top records, so TopK over a chain is an exact threshold merge of
 // the generations' stored lists plus point gets rather than a scan
-// (Index.TopKStats counts which answered), and Prefix merges one
+// (Index.TopKStats counts which answered). The merge runs once per
+// handle and depth: the handle keeps the list it proved, so a repeated
+// or shallower TopK costs what a plain index's stored list costs and
+// issues no point get (Index.TopKPointGets counts them), and Reopen
+// keeps that list while the generations are unchanged. Prefix merges one
 // block-cache-served cursor per generation, keeping only the limit
 // answers it returns (Index.PrefixStats counts the records read). A
 // reader that holds the directory open follows it with Index.Reopen,

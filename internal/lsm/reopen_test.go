@@ -37,7 +37,9 @@ func countOf(v *View, word string) (int64, error) {
 // manifest by sharing everything, and one append by opening the new
 // delta and parsing its dictionary — where a fresh open, which is what
 // every reload was before Reopen, opens all six generations (and used to
-// parse all six dictionaries: 6, 0, 6·V).
+// parse all six dictionaries: 6, 0, 6·V). The unchanged view keeps the
+// top list the merge proved, so its top-k issues no point get; a view
+// with a new generation merges afresh.
 func TestReopenWorkCounts(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
 	w := newChainWriter(t, dir, core.AggCount, 2, false)
@@ -48,6 +50,9 @@ func TestReopenWorkCounts(t *testing.T) {
 	vocab := int64(v.Dictionary().Len()) // a, b, w0..w4
 	if st := v.OpenStats(); st != (OpenStats{Opened: 5, Terms: vocab}) {
 		t.Fatalf("OpenChain of 1 + 4: %+v, want 5 opened, 0 shared, %d terms", st, vocab)
+	}
+	if _, _, ok := v.TopRecords(3); !ok || v.TopKPointGets() == 0 || v.TopKPointGets()%5 != 0 {
+		t.Fatalf("TopRecords(3) answered %v with %d point gets; want the merge's, 5 per n-gram met", ok, v.TopKPointGets())
 	}
 
 	same, err := v.Reopen()
@@ -60,6 +65,14 @@ func TestReopenWorkCounts(t *testing.T) {
 	}
 	if same.Dictionary() != v.Dictionary() {
 		t.Fatal("Reopen of an unchanged manifest rebuilt the canonical dictionary")
+	}
+	if same.top.Load() == nil || same.top.Load() != v.top.Load() {
+		t.Fatal("Reopen of an unchanged manifest dropped the memoized top list")
+	}
+	for _, k := range []int{3, 2} {
+		if _, _, ok := same.TopRecords(k); !ok || same.TopKPointGets() != 0 {
+			t.Fatalf("TopRecords(%d) on the unchanged view answered %v with %d point gets; want the memo's, 0", k, ok, same.TopKPointGets())
+		}
 	}
 
 	w.append(oneDoc(5, "b", "w5"))
@@ -75,7 +88,13 @@ func TestReopenWorkCounts(t *testing.T) {
 	if st := fresh.OpenStats(); st != (OpenStats{Opened: 6, Terms: vocab + 1}) {
 		t.Fatalf("OpenChain of 1 + 5: %+v, want 6 opened, 0 shared, %d terms", st, vocab+1)
 	}
+	if next.top.Load() != nil {
+		t.Fatal("Reopen after an append kept the old top list")
+	}
 	checkReopened(t, next, fresh, w.all)
+	if next.TopKPointGets() == 0 || next.TopKPointGets()%6 != 0 {
+		t.Fatalf("the view after an append issued %d point gets; want the merge's, 6 per n-gram met", next.TopKPointGets())
+	}
 
 	// A compacted chain is one generation whose ranked dictionary is the
 	// canonical one: nothing to share, nothing to rebuild.
@@ -87,6 +106,9 @@ func TestReopenWorkCounts(t *testing.T) {
 	defer flat.Close()
 	if st := flat.OpenStats(); st != (OpenStats{Opened: 1, Terms: vocab + 1}) {
 		t.Fatalf("Reopen after a compaction: %+v, want 1 opened, 0 shared, %d terms", st, vocab+1)
+	}
+	if flat.top.Load() != nil {
+		t.Fatal("Reopen after a compaction kept the old top list")
 	}
 	if flat.Dictionary() != flat.gens[0].Dictionary() {
 		t.Fatal("a chain of one ranked generation built a canonical dictionary of its own")

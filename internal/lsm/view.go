@@ -85,9 +85,15 @@ type View struct {
 	refs   atomic.Int64
 	closed atomic.Bool
 
-	// topMerged and topScans count TopRecords calls answered by the
-	// threshold merge and calls handed back to the caller's scan.
-	topMerged, topScans atomic.Int64
+	// top is the memo of the merged top list: the longest answer the
+	// threshold merge has proven on this view, or nil before the first.
+	top atomic.Pointer[topMemo]
+
+	// topMerged and topScans count TopRecords calls answered without a
+	// scan (from the memo or by the threshold merge) and calls handed
+	// back to the caller's scan; topGets counts the per-generation point
+	// gets the merge issued.
+	topMerged, topScans, topGets atomic.Int64
 	// prefixScans and prefixRecords count ScanPrefix calls and the
 	// generation records their merges consumed.
 	prefixScans, prefixRecords atomic.Int64
@@ -136,8 +142,9 @@ func OpenChain(dir string, opts Options) (*View, error) {
 // loaded top records, and closes it only if it is the last view to do
 // so. Only directories v does not hold are opened, checked exactly as
 // OpenChain checks them; when the newest generation is shared, so are
-// the canonical dictionary and the translation tables. Reopen on a
-// closed view fails with index.ErrClosed.
+// the canonical dictionary and the translation tables, and when every
+// generation is, under the same τ, so is the memoized top list (see
+// TopRecords). Reopen on a closed view fails with index.ErrClosed.
 func (v *View) Reopen() (*View, error) {
 	if err := v.acquire(); err != nil {
 		return nil, err
@@ -217,6 +224,10 @@ func openChain(dir string, opts Options, prev *View) (*View, error) {
 		v.dict, v.toCanon, v.toChain = prev.dict, prev.toCanon, prev.toChain
 	} else {
 		v.buildCanonical()
+	}
+	if prev != nil && slices.Equal(v.gens, prev.gens) && v.man.MinFrequency == prev.man.MinFrequency {
+		// The same generations under the same τ: the same merged records.
+		v.top.Store(prev.top.Load())
 	}
 	return v, nil
 }
@@ -374,12 +385,24 @@ func (v *View) ManifestTime() time.Time { return v.man.mtime }
 // rebuild would assign them.
 func (v *View) Dictionary() *dictionary.Dictionary { return v.dict }
 
-// TopKStats returns how many TopRecords calls the threshold merge
-// answered and how many fell back to the caller's full scan — the
-// answer to "why was this top-k slow" (ngramsd exports both).
+// TopKStats returns how many TopRecords calls were answered without a
+// scan — from the memo or by the threshold merge — and how many fell
+// back to the caller's full scan: the answer to "why was this top-k
+// slow" (ngramsd exports both).
 func (v *View) TopKStats() (merged, scans int64) {
 	return v.topMerged.Load(), v.topScans.Load()
 }
+
+// TopKPointGets returns how many point gets, one per generation probed,
+// the threshold merge has issued on this view. The count is exact and
+// depends only on the chain and the sequence of k asked: a TopRecords
+// call the memo answers issues none (ngramsd exports it).
+func (v *View) TopKPointGets() int64 { return v.topGets.Load() }
+
+// DropTopMemo forgets the memoized top list, so that the next
+// TopRecords call runs the threshold merge again, as on a view just
+// reopened after an append. Benchmarks use it to time the merge.
+func (v *View) DropTopMemo() { v.top.Store(nil) }
 
 // PrefixStats returns how many bounded scans (ScanPrefix calls) the
 // view has served and how many generation records their merges read —
@@ -402,23 +425,72 @@ func (v *View) PrefixStats() (scans, records int64) {
 // full order decides them exactly as the scan would), and the result
 // is cut where it falls below τ. An exhausted list contributes 0 only
 // if it holds every record of its generation; a truncated one keeps
-// contributing its last frequency. The cost is O(depth walked ×
-// generations) point gets — about k for skewed counts.
+// contributing its last frequency.
+//
+// The view is immutable, so a proven answer stays the answer: the view
+// memoizes the longest one, and a call whose k fits inside it returns a
+// prefix of it with no merge and no point get. The merge therefore runs
+// once per view and depth asked — O(depth walked × generations) point
+// gets, about k × generations for skewed counts — and every later call
+// costs what a plain index's stored list costs. The memo holds at most
+// the generations' stored records, and Reopen carries it to a view of
+// the same generations.
 //
 // ok is false when the lists run out before the bound proves the
 // answer — k close to the stored depth, or a delta written before
 // deltas carried top.run — and the caller takes its scanning path;
 // that probing is wasted, at most stored depth × generations² gets.
 // Fewer than k records come back when the chain holds fewer distinct
-// n-grams that reach τ.
+// n-grams that reach τ. The returned slices must not be modified.
 func (v *View) TopRecords(k int) (keys, values [][]byte, ok bool) {
-	keys, values, ok = v.mergeTop(k)
-	if ok {
-		v.topMerged.Add(1)
-	} else {
+	if err := v.acquire(); err != nil {
 		v.topScans.Add(1)
+		return nil, nil, false
 	}
-	return v.cutTop(keys, values, ok)
+	defer v.release()
+	k = max(k, 0)
+	if m := v.top.Load(); m != nil && (k <= len(m.keys) || m.complete) {
+		v.topMerged.Add(1)
+		return m.prefix(k)
+	}
+	keys, values, ok = v.cutTop(v.mergeTop(k))
+	if !ok {
+		v.topScans.Add(1)
+		return nil, nil, false
+	}
+	v.topMerged.Add(1)
+	v.remember(&topMemo{keys: keys, values: values, complete: len(keys) < k})
+	return keys, values, true
+}
+
+// topMemo is a proven merged top list: the view's first len(keys)
+// records in report order, canonical keys with folded values. complete
+// marks a list that holds every record reaching τ — one cut short by τ
+// or by the chain running out of n-grams — so that it answers any k.
+type topMemo struct {
+	keys, values [][]byte
+	complete     bool
+}
+
+// prefix returns the memo's first k records (all of them, if fewer),
+// capped so that a caller's append cannot write into the memo.
+func (m *topMemo) prefix(k int) (keys, values [][]byte, ok bool) {
+	k = min(k, len(m.keys))
+	return m.keys[:k:k], m.values[:k:k], true
+}
+
+// remember publishes m as the view's memo unless the memo already
+// answers everything m does; concurrent callers settle on the deepest.
+func (v *View) remember(m *topMemo) {
+	for {
+		old := v.top.Load()
+		if old != nil && (old.complete || !m.complete && len(old.keys) >= len(m.keys)) {
+			return
+		}
+		if v.top.CompareAndSwap(old, m) {
+			return
+		}
+	}
 }
 
 // topCand is one n-gram the threshold merge has met and folded.
@@ -461,11 +533,9 @@ func (h *freqHeap) Pop() any {
 	return x
 }
 
+// mergeTop is TopRecords without the memo and the τ cut, on a pinned
+// view.
 func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
-	if err := v.acquire(); err != nil {
-		return nil, nil, false
-	}
-	defer v.release()
 	if len(v.gens) == 1 {
 		// A chain of length one is its base: the stored records are the
 		// answer, re-keyed into the canonical space.
@@ -517,6 +587,7 @@ func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 	met := make(map[string]struct{})
 	frontier := make([]int64, len(v.gens))
 	var kth freqHeap
+	defer func() { v.topGets.Add(int64(len(met) * len(v.gens))) }()
 	for d := 0; d < deepest; d++ {
 		for g, ix := range v.gens {
 			if d >= stored[g] {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ngramstats/internal/core"
@@ -102,6 +103,8 @@ type chainWriter struct {
 	// single says the chain will stay a chain of one: its base's stored
 	// list is then the answer and must be in report order.
 	single bool
+	// tau is the serving τ the chain manifest records (0 or 1: none).
+	tau int64
 
 	all   map[string]cell  // brute-force counts over every document so far
 	docs  []testDoc        // every document so far
@@ -154,6 +157,7 @@ func (w *chainWriter) append(gen testGen) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		man.MinFrequency = w.tau
 		if err := WriteManifest(w.dir, man); err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +175,18 @@ func (w *chainWriter) append(gen testGen) {
 	if err := AppendGen(w.dir, w.man, GenInfo{Dir: sub, Records: records, Docs: int64(len(gen.docs))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// kept returns the brute-force counts of the n-grams that reach the
+// chain's τ: what the view answers.
+func (w *chainWriter) kept() map[string]cell {
+	out := make(map[string]cell, len(w.all))
+	for text, c := range w.all {
+		if c.freq() >= w.tau {
+			out[text] = c
+		}
+	}
+	return out
 }
 
 // compact replaces the chain's generations by one base over every
@@ -334,9 +350,16 @@ func scanRanked(t *testing.T, v *View) []topRec {
 func checkMerge(t *testing.T, v *View, ranked []topRec, k int) bool {
 	t.Helper()
 	keys, values, ok := v.TopRecords(k)
-	if !ok {
-		return false
+	if ok {
+		checkTop(t, k, keys, values, ranked)
 	}
+	return ok
+}
+
+// checkTop requires an answer to TopRecords(k) to equal the first k
+// scanned records byte for byte.
+func checkTop(t *testing.T, k int, keys, values [][]byte, ranked []topRec) {
+	t.Helper()
 	want := ranked[:min(k, len(ranked))]
 	if len(keys) != len(want) || len(values) != len(want) {
 		t.Fatalf("TopRecords(%d) returned %d keys, %d values; the scan has %d", k, len(keys), len(values), len(want))
@@ -346,7 +369,6 @@ func checkMerge(t *testing.T, v *View, ranked []topRec, k int) bool {
 			t.Fatalf("TopRecords(%d)[%d] = %x → %x, the scan has %q (%x → %x)", k, i, keys[i], values[i], w.text, w.key, w.value)
 		}
 	}
-	return true
 }
 
 // randomGen draws documents over a tiny, skewed vocabulary so that
@@ -372,16 +394,18 @@ func randomGen(rng *rand.Rand, vocab []string, nextDoc *int64) []testDoc {
 // brute-force counts over all its documents, and the open view.
 type randomChain struct {
 	iter     int
+	dir      string
 	kind     core.AggregationKind
+	tau      int64
 	gens     []testGen
-	complete bool // every generation stores all its records as top records
-	truth    map[string]cell
+	complete bool            // every generation stores all its records as top records
+	truth    map[string]cell // the brute-force counts that reach τ
 	v        *View
 }
 
 // forRandomChains draws the 150 random small chains the property tests
-// share — every aggregation kind, σ ∈ {1,2,3}, 0–5 deltas, complete,
-// truncated and missing stored lists — and calls fn on each. A chain
+// share — every aggregation kind, σ ∈ {1,2,3}, τ ∈ {1,2,3}, 0–5 deltas,
+// complete, truncated and missing stored lists — and calls fn on each. A chain
 // grows one append at a time under an open view that follows it by
 // Reopen, so the view fn gets shares all but its newest generation with
 // its predecessors; at every append it is checked against a fresh
@@ -391,6 +415,7 @@ func forRandomChains(t *testing.T, fn func(c randomChain)) {
 	vocab := []string{"a", "b", "c", "d", "e", "f"}
 	for iter := 0; iter < 150; iter++ {
 		c := randomChain{iter: iter, kind: core.AggregationKind(iter % 3), complete: iter%2 == 0}
+		c.tau = []int64{1, 1, 2, 3}[iter/3%4]
 		sigma := 1 + rng.Intn(3)
 		words := vocab[:3+rng.Intn(4)]
 		var nextDoc int64
@@ -405,8 +430,10 @@ func forRandomChains(t *testing.T, fn func(c randomChain)) {
 				}
 			}
 		}
-		dir := filepath.Join(t.TempDir(), "chain")
+		c.dir = filepath.Join(t.TempDir(), "chain")
+		dir := c.dir
 		w := newChainWriter(t, dir, c.kind, sigma, len(c.gens) == 1)
+		w.tau = c.tau
 		for g, gen := range c.gens {
 			w.append(gen)
 			if g == 0 {
@@ -421,10 +448,10 @@ func forRandomChains(t *testing.T, fn func(c randomChain)) {
 			if st := next.OpenStats(); st.Opened != 1 || st.Shared != g {
 				t.Fatalf("iter %d: Reopen after append %d opened %d generations and shared %d, want 1 and %d", iter, g, st.Opened, st.Shared, g)
 			}
-			checkReopened(t, next, openTestChain(t, dir), w.all)
+			checkReopened(t, next, openTestChain(t, dir), w.kept())
 			c.v = next
 		}
-		c.truth = w.all
+		c.truth = w.kept()
 		fn(c)
 	}
 }
@@ -479,9 +506,11 @@ func checkReopened(t *testing.T, got, fresh *View, truth map[string]cell) {
 // TestTopRecordsMatchesScan is the exactness property: over random
 // small chains the threshold merge either declines or returns exactly
 // what the scan ranks first, order and folded bytes included, and the
-// scan itself equals the brute-force count.
+// scan itself equals the brute-force count. A view asked a sequence of
+// k — deeper, shallower, deeper again — answers each from its memo or
+// by the merge, and answers whatever a fresh view answers.
 func TestTopRecordsMatchesScan(t *testing.T) {
-	var mergedTruncated, declined int
+	var mergedTruncated, declined, cutShort int
 	forRandomChains(t, func(c randomChain) {
 		iter, v, kind := c.iter, c.v, c.kind
 		ranked := scanRanked(t, v)
@@ -511,11 +540,130 @@ func TestTopRecordsMatchesScan(t *testing.T) {
 				mergedTruncated++
 			}
 		}
+
+		for _, ks := range [][]int{{depth, depth / 2, len(ranked) + 7}, {2, 1, depth + 1}} {
+			asked := openTestChain(t, c.dir)
+			for _, k := range ks {
+				keys, values, ok := asked.TopRecords(k)
+				fk, fv, fok := openTestChain(t, c.dir).TopRecords(k)
+				// A memo cut short by τ may answer where a fresh merge
+				// declines (TestTopRecordsMemoCutByTau); never the reverse.
+				switch {
+				case fok && !ok:
+					t.Fatalf("iter %d: after %v, TopRecords(%d) declined where a fresh view answers", iter, ks, k)
+				case fok && (!slices.EqualFunc(keys, fk, bytes.Equal) || !slices.EqualFunc(values, fv, bytes.Equal)):
+					t.Fatalf("iter %d: after %v, TopRecords(%d) answers %d records, a fresh view %d", iter, ks, k, len(keys), len(fk))
+				}
+				if ok {
+					checkTop(t, k, keys, values, ranked)
+					if c.tau > 1 && len(keys) < k {
+						cutShort++
+					}
+				}
+			}
+		}
 	})
 	// The property is vacuous unless truncated lists both answer and
-	// decline.
+	// decline, and τ cuts answers short.
 	if mergedTruncated == 0 || declined == 0 {
 		t.Fatalf("truncated chains: %d merged answers, %d declined; want both", mergedTruncated, declined)
+	}
+	if cutShort == 0 {
+		t.Fatal("τ > 1: no answer shorter than k")
+	}
+}
+
+// TestTopRecordsMemoCutByTau: a merged list that τ cuts short holds
+// every n-gram that reaches τ, so the memo answers any deeper k from
+// it, with no point get — even a k whose own merge the truncated lists
+// could not prove.
+func TestTopRecordsMemoCutByTau(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	w := newChainWriter(t, dir, core.AggCount, 1, false)
+	w.tau = 5
+	w.append(testGen{docs: unigrams(0, "a", 10, "b", 4, "c", 1, "d", 1), depth: 3})
+	w.append(testGen{docs: unigrams(10, "a", 10, "e", 4, "f", 1, "g", 1), depth: 3})
+	ranked := scanRanked(t, openTestChain(t, dir))
+	if got := rankedTexts(ranked); got != "a=20" {
+		t.Fatalf("scan ranks %s", got)
+	}
+	// k = 5 needs five n-grams proven, and the lists run out first.
+	if _, _, ok := openTestChain(t, dir).TopRecords(5); ok {
+		t.Fatal("fixture: a fresh view proves TopRecords(5)")
+	}
+	v := openTestChain(t, dir)
+	if !checkMerge(t, v, ranked, 2) {
+		t.Fatal("TopRecords(2) declined")
+	}
+	gets := v.TopKPointGets()
+	if gets == 0 {
+		t.Fatal("the merge issued no point get")
+	}
+	for _, k := range []int{5, 100, 1} {
+		if !checkMerge(t, v, ranked, k) {
+			t.Fatalf("TopRecords(%d) declined after the memo holds every n-gram reaching τ", k)
+		}
+	}
+	if merged, scans := v.TopKStats(); merged != 4 || scans != 0 || v.TopKPointGets() != gets {
+		t.Fatalf("TopKStats = %d merged, %d scans, %d point gets; want 4, 0, %d", merged, scans, v.TopKPointGets(), gets)
+	}
+}
+
+// TestTopRecordsConcurrent: callers asking mixed k of one view at once
+// — some run the merge, some read its memo while another replaces it —
+// each get exactly the scan's first k records (run it under -race).
+func TestTopRecordsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	dir := filepath.Join(t.TempDir(), "chain")
+	w := newChainWriter(t, dir, core.AggCount, 3, false)
+	w.tau = 2
+	var nextDoc int64
+	for g := 0; g < 5; g++ {
+		docs := append(randomGen(rng, vocab, &nextDoc), randomGen(rng, vocab, &nextDoc)...)
+		w.append(testGen{docs: docs, depth: -1})
+	}
+	v := openTestChain(t, dir)
+	ranked := scanRanked(t, v)
+	if len(ranked) < 20 {
+		t.Fatalf("fixture: %d n-grams reach τ, want at least 20", len(ranked))
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50; i++ {
+				k := rng.Intn(len(ranked) + 4)
+				keys, values, ok := v.TopRecords(k)
+				want := ranked[:min(k, len(ranked))]
+				if !ok || len(keys) != len(want) {
+					t.Errorf("TopRecords(%d) = %d records, ok=%v; the scan has %d", k, len(keys), ok, len(want))
+					return
+				}
+				for j, r := range want {
+					if !bytes.Equal(keys[j], r.key) || !bytes.Equal(values[j], r.value) {
+						t.Errorf("TopRecords(%d)[%d] = %x → %x, the scan has %x → %x", k, j, keys[j], values[j], r.key, r.value)
+						return
+					}
+				}
+			}
+		}(int64(c))
+	}
+	wg.Wait()
+	if merged, scans := v.TopKStats(); merged != 8*50 || scans != 0 {
+		t.Fatalf("TopKStats = %d merged, %d scans; want %d, 0", merged, scans, 8*50)
+	}
+	// The deepest list won, and a slower caller's shallower one, arriving
+	// last, does not replace it.
+	m := v.top.Load()
+	if m == nil || !m.complete || len(m.keys) != len(ranked) {
+		t.Fatalf("the memo is %+v; want all %d n-grams reaching τ, complete", m, len(ranked))
+	}
+	v.remember(&topMemo{keys: m.keys[:1], values: m.values[:1]})
+	if v.top.Load() != m {
+		t.Fatal("a shallower list replaced the memo")
 	}
 }
 
@@ -603,7 +751,8 @@ func TestBoundedScansMatchFullScan(t *testing.T) {
 		}
 		sort.Slice(canon, func(i, j int) bool { return bytes.Compare(canon[i].key, canon[j].key) < 0 })
 		prefixes := [][]byte{{byte(v.Dictionary().Len())}} // an identifier no term has
-		for i := 0; i < 4; i++ {
+		// τ may keep nothing to draw a prefix from.
+		for i := 0; i < 4 && len(canon) > 0; i++ {
 			k := canon[rng.Intn(len(canon))].key
 			prefixes = append(prefixes, k[:1+rng.Intn(len(k))]) // one byte per term at this vocabulary size
 		}

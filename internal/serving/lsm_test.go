@@ -188,6 +188,22 @@ func TestCompactEndpoint(t *testing.T) {
 	if folded := `ngramsd_prefix_records_folded_total{index="live"} `; !strings.Contains(string(body), folded) || strings.Contains(string(body), folded+"0\n") {
 		t.Fatalf("metrics do not count the records the prefix scan read:\n%s", body)
 	}
+	// The merge's point gets are counted once: the served view keeps the
+	// list it proved, and a repeated or shallower top-k reads it.
+	const getsSeries, mergedSeries = `ngramsd_topk_point_gets_total{index="live"}`, `ngramsd_topk_merged_total{index="live"}`
+	gets := scrapeTotals(t, client, ts.URL)[getsSeries]
+	if gets == 0 {
+		t.Fatalf("%s is 0 after a chain top-k", getsSeries)
+	}
+	for _, k := range []int{5, 3} {
+		if s := getStrict(t, client, fmt.Sprintf("%s/v1/topk?k=%d", ts.URL, k), &tk); s != http.StatusOK || len(tk.NGrams) != k {
+			t.Fatalf("topk k=%d on the chain: status %d, %d n-grams", k, s, len(tk.NGrams))
+		}
+	}
+	if totals := scrapeTotals(t, client, ts.URL); totals[getsSeries] != gets || totals[mergedSeries] != 3 {
+		t.Fatalf("after two more top-k: %s = %v (was %v), %s = %v; want unchanged and 3",
+			getsSeries, totals[getsSeries], gets, mergedSeries, totals[mergedSeries])
+	}
 
 	var cr CompactResponse
 	if s := postJSON(t, client, ts.URL+"/v1/admin/compact", nil, &cr); s != http.StatusOK {

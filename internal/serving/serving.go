@@ -286,19 +286,21 @@ type handle struct {
 
 // indexCounters are the cumulative per-index counters an open index
 // keeps, in the order of indexCounterNames.
-type indexCounters [6]int64
+type indexCounters [7]int64
 
 // indexCounterNames are the counters' metric names, less the ngramsd_
 // prefix and the _total suffix: block-cache hits and misses, how chain
-// top-k queries were answered, and the work of chain prefix scans.
-var indexCounterNames = [6]string{
-	"block_cache_hits", "block_cache_misses", "topk_merged", "topk_scans", "prefix_scans", "prefix_records_folded",
+// top-k queries were answered and the point gets their merges issued,
+// and the work of chain prefix scans.
+var indexCounterNames = [7]string{
+	"block_cache_hits", "block_cache_misses", "topk_merged", "topk_scans", "topk_point_gets", "prefix_scans", "prefix_records_folded",
 }
 
 func countersOf(ix *ngramstats.Index) (c indexCounters) {
 	c[0], c[1] = ix.CacheStats()
 	c[2], c[3] = ix.TopKStats()
-	c[4], c[5] = ix.PrefixStats()
+	c[4] = ix.TopKPointGets()
+	c[5], c[6] = ix.PrefixStats()
 	return c
 }
 

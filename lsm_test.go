@@ -502,6 +502,56 @@ func TestChainTopKPaths(t *testing.T) {
 	}
 }
 
+// TestChainTopKPointGets pins the work of a chain's TopK in point gets:
+// the first TopK(100) on the benchmark chain (1 base + 4 deltas, seed
+// 43) folds each n-gram the threshold merge meets across all five
+// generations, a fixed count; the same or a smaller k again is a prefix
+// of the list the merge proved and issues none, though it still counts
+// as merged. A closed handle answers nothing, memoized or not.
+func TestChainTopKPointGets(t *testing.T) {
+	const firstGets = 1055 // 211 n-grams met × 5 generations
+	chain, err := OpenIndex(lsmBenchChain(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chain.Close()
+	var first []NGram
+	for i, k := range []int{100, 100, 10} {
+		top, err := chain.TopK(k)
+		if err != nil || len(top) != k {
+			t.Fatalf("TopK(%d): %v (%d n-grams)", k, err, len(top))
+		}
+		if i == 0 {
+			first = top
+		} else if !reflect.DeepEqual(top, first[:k]) {
+			t.Fatalf("TopK(%d) is not the first %d of the first TopK(100)", k, k)
+		}
+		if gets := chain.TopKPointGets(); gets != firstGets {
+			t.Fatalf("after TopK(%d) number %d: %d point gets, want %d", k, i+1, gets, firstGets)
+		}
+		if merged, scans := chain.TopKStats(); merged != int64(i+1) || scans != 0 {
+			t.Fatalf("after TopK(%d) number %d: TopKStats = %d merged, %d scans; want %d, 0", k, i+1, merged, scans, i+1)
+		}
+	}
+	chain.Close()
+	for _, k := range []int{100, 10} {
+		if _, err := chain.TopK(k); !errors.Is(err, ErrIndexClosed) {
+			t.Fatalf("TopK(%d) after Close: %v, want ErrIndexClosed", k, err)
+		}
+	}
+
+	plainDir := filepath.Join(t.TempDir(), "plain")
+	saveDocuments(t, lsmBenchBatches()[0], plainDir)
+	plain, err := OpenIndex(plainDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if _, err := plain.TopK(100); err != nil || plain.TopKPointGets() != 0 {
+		t.Fatalf("plain TopK(100): %v, %d point gets; want none", err, plain.TopKPointGets())
+	}
+}
+
 // TestChainPrefixWarmPath: once its blocks are cached, a limit-20
 // Prefix on a chain reads no file — every generation's cursor is served
 // by the block cache — and allocates for the 20 answers it returns, not

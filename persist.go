@@ -228,8 +228,9 @@ func newIndex(v *lsm.View, err error) (*Index, error) {
 // directory that is appended to, compacted or replaced while it is
 // served. It costs what the manifest added — every generation x already
 // holds and the manifest still lists unchanged is shared with the new
-// handle (same file descriptors, same warm block cache), and only new
-// generation directories are opened and checked. A plain index is a
+// handle (same file descriptors, same warm block cache; when nothing
+// changed, the top list TopK proved too), and only new generation
+// directories are opened and checked. A plain index is a
 // chain of one: reopened unchanged it shares its one generation, and
 // reopened after a replacing Save it opens the new one. Both handles
 // must be closed; a shared generation's files close with the last
@@ -350,8 +351,10 @@ func (x *Index) Each(fn func(NGram) error) error {
 // Result.TopK. Up to the saved precomputation depth (SaveOptions.
 // TopDepth) the answer is served from the stored top records without
 // scanning — for a chain, from a threshold merge over its generations'
-// stored records plus point gets; beyond what those can prove the
-// index falls back to a full streaming selection.
+// stored records plus point gets, run once per handle and depth and
+// remembered, so that a repeated or shallower TopK costs what a plain
+// index's does; beyond what those can prove the index falls back to a
+// full streaming selection.
 func (x *Index) TopK(k int) ([]NGram, error) {
 	if k < 0 {
 		k = 0
@@ -381,9 +384,15 @@ func (x *Index) TopK(k int) ([]NGram, error) {
 
 // TopKStats reports how TopK calls were answered since the index was
 // opened: from the stored top records (for a chain of several
-// generations, by the threshold merge over them), or by the scanning
-// fallback.
+// generations, by the threshold merge over them or from the list it
+// proved earlier), or by the scanning fallback.
 func (x *Index) TopKStats() (merged, scans int64) { return x.v.TopKStats() }
+
+// TopKPointGets reports the point gets, one per generation probed, that
+// the threshold merge behind TopK has issued since the index was
+// opened: 0 for a plain index, and 0 for a TopK the handle answered
+// before at the same or a greater k.
+func (x *Index) TopKPointGets() int64 { return x.v.TopKPointGets() }
 
 // PrefixStats reports the work Prefix calls did since the index was
 // opened: the bounded scans served and the generation records they
