@@ -17,9 +17,11 @@ import (
 	"time"
 
 	"ngramstats/internal/corpus"
+	"ngramstats/internal/encoding"
 	"ngramstats/internal/extsort"
 	"ngramstats/internal/index"
 	"ngramstats/internal/lsm"
+	"ngramstats/internal/sequence"
 )
 
 // AppendOptions configures AppendDelta. The zero value uses the same
@@ -72,9 +74,10 @@ type AppendStats struct {
 //
 // Document identifiers continue the chain's ordinals: a zero-ID
 // document takes the position a full rebuild over all documents would
-// have assigned it. After the append, OpenIndex on dir answers every
-// query exactly as an index rebuilt from scratch over all documents at
-// the chain's τ would (the golden-equivalence property; see
+// have assigned it. After the append, OpenIndex on dir holds exactly
+// the n-grams and aggregates of an index rebuilt from scratch over all
+// documents at the chain's τ, spelled in the chain's own identifiers
+// until compaction (see OpenIndex for what that changes, and
 // CompactIndex for the byte-level form).
 //
 // Appends and compactions assume a single writer per chain; concurrent
@@ -210,9 +213,10 @@ type CompactStats struct {
 // over all the chain's documents at τ = 1 would save (the chain's own
 // τ stays in its manifest): the generations' sorted shards stream
 // through one merge tree, per-key aggregate cells fold exactly as the
-// job's reducer would, keys translate into the canonical
-// frequency-ranked dictionary, and the records are re-sorted and
-// sharded under Save's policy.
+// job's reducer would, keys translate from the chain's own identifiers
+// into the frequency-ranked dictionary a rebuild assigns (the only
+// place a chain's identifiers are ranked), and the records are
+// re-sorted and sharded under Save's policy.
 //
 // The swap is crash-safe (the chain manifest rename is the sole commit
 // point; a crash leaves the previous chain intact and queryable) and
@@ -233,7 +237,7 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	}
 	lsm.SweepOrphans(dir, peek)
 
-	v, err := lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks, TempDir: opts.TempDir})
+	v, err := lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks})
 	if err != nil {
 		return nil, err
 	}
@@ -241,20 +245,39 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 	prev := v.Manifest()
 	hadFlatBase := prev.Base.Dir == "."
 
-	// One merged pass over every generation, folding equal keys and
-	// translating into the canonical identifier space; the external
-	// sorter restores canonical key order (chain order differs because
-	// identifiers were assigned incrementally).
+	// Compaction is the one place identifiers are ranked: the chain's
+	// dictionary ranks into the one a rebuild builds, and one merged pass
+	// over every generation, folding equal keys, translates each key into
+	// it. The external sorter restores the ranked key order (chain order
+	// differs because identifiers were assigned incrementally).
+	dict, order := v.Dictionary().Rank()
+	var toRanked []sequence.Term
+	if order != nil {
+		toRanked = make([]sequence.Term, len(order))
+		for ranked, chain := range order {
+			toRanked[chain] = sequence.Term(ranked)
+		}
+	}
 	sorter := extsort.NewSorter(extsort.Options{TempDir: opts.TempDir})
 	defer sorter.Discard()
 	sorter.Reserve(int(v.Records()))
 	var keyBuf []byte
-	err = v.ScanChain(func(chainKey, value []byte) error {
-		keyBuf, err = v.AppendCanonicalKey(keyBuf, chainKey)
-		if err != nil {
-			return err
+	var seq sequence.Seq
+	err = v.ScanChain(func(key, value []byte) error {
+		if toRanked != nil {
+			if seq, err = encoding.DecodeSeqInto(seq, key); err != nil {
+				return err
+			}
+			for i, t := range seq {
+				if int(t) >= len(toRanked) {
+					return fmt.Errorf("%w: key holds term id %d outside dictionary of %d", lsm.ErrCorrupt, t, len(toRanked))
+				}
+				seq[i] = toRanked[t]
+			}
+			keyBuf = encoding.AppendSeq(keyBuf[:0], seq)
+			key = keyBuf
 		}
-		return sorter.Add(keyBuf, value)
+		return sorter.Add(key, value)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ngramstats: compact %s: %w", dir, err)
@@ -266,7 +289,7 @@ func CompactIndex(dir string, opts CompactOptions) (*CompactStats, error) {
 		codec = extsort.CodecFlate
 	}
 	baseDir := prev.NextBaseDir()
-	err = writeIndex(filepath.Join(dir, baseDir), sorter, v.Dictionary(), opts.TopDepth, index.WriterOptions{
+	err = writeIndex(filepath.Join(dir, baseDir), sorter, dict, opts.TopDepth, index.WriterOptions{
 		Corpus:       prev.Corpus,
 		Kind:         prev.Kind,
 		Shards:       opts.Shards,

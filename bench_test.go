@@ -711,9 +711,10 @@ func benchPrefix(b *testing.B, ix *Index) {
 }
 
 // BenchmarkViewPrefix measures a limit-20 prefix query on a chain of 1
-// base + 4 deltas: one cursor per generation over cached blocks, merged
-// and cut to the 20 smallest canonical keys. "short" is what it costs
-// to set the merge up; "long" adds a pass over a range of thousands.
+// base + 4 deltas: one cursor per generation over cached blocks,
+// merged in the chain's key order and stopped at the 20th record.
+// "short" is a range of tens of records, "long" one of thousands; the
+// walk costs the same for both.
 func BenchmarkViewPrefix(b *testing.B) {
 	ix, err := OpenIndex(lsmPrefixChain(b))
 	if err != nil {
@@ -869,10 +870,9 @@ func BenchmarkAppendVisible(b *testing.B) {
 
 // BenchmarkChainReopen measures Index.Reopen on a handle holding 1 base
 // + 4 deltas over the 20 000-term vocabulary, by what the manifest did
-// since: nothing (every generation and the canonical dictionary are
-// shared), one append (one delta opened and its dictionary parsed and
-// ranked, five generations shared), or a compaction (one base opened,
-// nothing shared, its ranked dictionary taken as canonical).
+// since: nothing (every generation shared), one append (one delta
+// opened and its dictionary parsed, five generations shared), or a
+// compaction (one base opened, nothing shared).
 func BenchmarkChainReopen(b *testing.B) {
 	pristine, next := lsmVocabChain(b)
 	for _, bc := range []struct {

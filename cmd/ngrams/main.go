@@ -94,7 +94,7 @@ func main() {
 		connect  = flag.String("worker-connect", "", "run as a net worker for the coordinator at this address (host:port) until interrupted; no input is read")
 		appendTo = flag.String("append", "", "append the input documents to the saved index in this directory as a delta generation (exact job over only the new documents)")
 		compact  = flag.String("compact", "", "merge the saved index chain in this directory (base + deltas) into a single base index and exit")
-		open     = flag.String("open", "", "dump every n-gram of the saved index or chain in this directory to stdout, deterministically ordered, and exit")
+		open     = flag.String("open", "", "dump every n-gram of the saved index or chain in this directory to stdout, in its encoded-key order (an uncompacted chain's own identifiers), and exit")
 		sketch   = flag.Bool("sketch", false, "one-pass approximate mode: count-min sketch instead of the exact MapReduce job")
 		eps      = flag.Float64("eps", 0, "with -sketch: estimates exceed true counts by at most eps*N (0 = default 1e-4)")
 		delta    = flag.Float64("delta", 0, "with -sketch: the eps*N bound holds per key with probability 1-delta (0 = default 0.01)")
@@ -301,10 +301,12 @@ func compactRun(dir string) error {
 }
 
 // dumpIndex is the -open mode: every n-gram of a saved index or chain
-// on stdout in the canonical (dictionary-encoded) order, rendering
-// time-series and document aggregates sorted — the same documents
-// produce the same dump whether indexed in one batch or incrementally,
-// which is exactly what the CI smoke diff asserts.
+// on stdout in encoded-key order, rendering time-series and document
+// aggregates sorted. The same documents produce the same lines whether
+// indexed in one batch or incrementally; an uncompacted chain lists
+// them in the order of its own identifiers, so its dump equals a
+// rebuild's once both are sorted, and byte for byte after compaction —
+// what the CI smoke diffs assert.
 func dumpIndex(dir string) error {
 	x, err := ngramstats.OpenIndex(dir)
 	if err != nil {

@@ -115,11 +115,15 @@
 // manifest (CHAIN.json, checksummed) orders the base index and its
 // deltas, delta dictionaries are seeded from
 // the previous generation so term identifiers stay stable, and
-// OpenIndex serves the chain transparently through a merge-on-read
-// view whose every answer equals a from-scratch rebuild over all
-// documents. There is one reader: a plain index is a chain of one
-// generation, whose identifiers are already canonical, so it reads
-// with no fold and no identifier translation. Each delta stores its
+// OpenIndex serves the chain through a merge-on-read view that holds
+// exactly the n-grams and aggregates of a from-scratch rebuild over all
+// documents. The view speaks the chain's own identifiers — the base's
+// frequency ranks, then each delta's new terms — and nothing translates
+// them: Lookup, TopK and Longest answer as the rebuild does (ties broken
+// by text), while NGram.IDs, the order of NGrams, and which extensions
+// a Prefix limit keeps follow the chain's dictionary until compaction,
+// the only step that ranks identifiers. There is one reader: a plain
+// index is a chain of one generation, read with no fold. Each delta stores its
 // own top records, so TopK over a chain is an exact threshold merge of
 // the generations' stored lists plus point gets rather than a scan
 // (Index.TopKStats counts which answered). The merge runs once per
@@ -127,8 +131,8 @@
 // or shallower TopK costs what a plain index's stored list costs and
 // issues no point get (Index.TopKPointGets counts them), and Reopen
 // keeps that list while the generations are unchanged. Prefix merges one
-// block-cache-served cursor per generation, keeping only the limit
-// answers it returns (Index.PrefixStats counts the records read). A
+// block-cache-served cursor per generation and stops at the limit
+// (Index.PrefixStats counts the records read). A
 // reader that holds the directory open follows it with Index.Reopen,
 // which opens only the generations the manifest added and shares the
 // rest, warm block caches included (Index.OpenStats counts both).

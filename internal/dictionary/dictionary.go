@@ -99,9 +99,11 @@ func reordered(terms []string, cfs []int64, order []sequence.Term) *Dictionary {
 // already in rank order is returned itself, with a nil order, after one
 // linear pass.
 //
-// It is how an LSM view reconstructs the canonical dictionary from the
-// newest generation's seeded one: one sort of the identifiers and one
-// map, with the duplicate check left where the bytes entered (Load).
+// It is how LSM compaction ranks a chain's seeded dictionary, the
+// newest generation's, into the one a rebuild over the same documents
+// builds: one sort of the identifiers and one map, with the duplicate
+// check left where the bytes entered (Load). Nothing else ranks a
+// chain's identifiers; its view serves them as they were assigned.
 func (d *Dictionary) Rank() (ranked *Dictionary, order []sequence.Term) {
 	for i := 1; i < len(d.terms); i++ {
 		if c := cmp.Compare(d.cfs[i-1], d.cfs[i]); c < 0 || c == 0 && d.terms[i-1] > d.terms[i] {

@@ -47,12 +47,22 @@
 // therefore directly comparable bytes, which is what lets the merge
 // tree and the compactor treat generations as just more sorted runs.
 // The newest generation's dictionary alone carries the cumulative
-// (term, frequency) table from which the canonical frequency-ranked
-// dictionary of a full rebuild is reconstructed exactly, so it is the
-// only one ever parsed: an append parses it once to seed the next
-// delta, an open once to rank it; the older generations' dictionaries
-// are verified against their manifests' size and checksum and not read
-// further.
+// (term, frequency) table, so it is the only one ever parsed: an append
+// parses it once to seed the next delta, an open once to serve through
+// it; the older generations' dictionaries are verified against their
+// manifests' size and checksum and not read further.
+//
+// # One identifier space per chain
+//
+// A View serves in the chain's own identifier space: keys, key order
+// and the records a bounded scan reaches first follow the newest
+// generation's dictionary, and nothing is translated on a read. The
+// set of (n-gram, aggregate) pairs a view holds is exactly a full
+// rebuild's; only the identifiers spelling them differ, and only until
+// compaction. Compaction is the one place identifiers are ranked: it
+// ranks the newest dictionary exactly as a rebuild's Builder would
+// (dictionary.Rank), translates every merged key into it and re-sorts,
+// so the compacted base is byte-identical to the rebuild.
 //
 // # Crash safety
 //

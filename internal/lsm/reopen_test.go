@@ -63,9 +63,6 @@ func TestReopenWorkCounts(t *testing.T) {
 	if st := same.OpenStats(); st != (OpenStats{Shared: 5}) {
 		t.Fatalf("Reopen of an unchanged manifest: %+v, want 0 opened, 5 shared, 0 terms", st)
 	}
-	if same.Dictionary() != v.Dictionary() {
-		t.Fatal("Reopen of an unchanged manifest rebuilt the canonical dictionary")
-	}
 	if same.top.Load() == nil || same.top.Load() != v.top.Load() {
 		t.Fatal("Reopen of an unchanged manifest dropped the memoized top list")
 	}
@@ -96,8 +93,7 @@ func TestReopenWorkCounts(t *testing.T) {
 		t.Fatalf("the view after an append issued %d point gets; want the merge's, 6 per n-gram met", next.TopKPointGets())
 	}
 
-	// A compacted chain is one generation whose ranked dictionary is the
-	// canonical one: nothing to share, nothing to rebuild.
+	// A compacted chain is one new generation: nothing to share.
 	w.compact()
 	flat, err := next.Reopen()
 	if err != nil {
@@ -109,9 +105,6 @@ func TestReopenWorkCounts(t *testing.T) {
 	}
 	if flat.top.Load() != nil {
 		t.Fatal("Reopen after a compaction kept the old top list")
-	}
-	if flat.Dictionary() != flat.gens[0].Dictionary() {
-		t.Fatal("a chain of one ranked generation built a canonical dictionary of its own")
 	}
 	checkReopened(t, flat, openTestChain(t, dir), w.all)
 }
@@ -135,7 +128,7 @@ func TestReopenViewsOutliveEachOther(t *testing.T) {
 		}
 	}
 
-	old, err := OpenChain(dir, Options{TempDir: t.TempDir()})
+	old, err := OpenChain(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +188,7 @@ func TestReopenLeaksNoDescriptors(t *testing.T) {
 	docs.Store(1)
 	start := openFDs(t)
 
-	v, err := OpenChain(dir, Options{TempDir: t.TempDir()})
+	v, err := OpenChain(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

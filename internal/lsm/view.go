@@ -26,10 +26,6 @@ type Options struct {
 	// CacheBlocks bounds each generation's decoded-block cache, as
 	// index.Options.CacheBlocks.
 	CacheBlocks int
-	// TempDir is the directory for the spill files of full ordered
-	// scans (which re-sort into canonical order externally). Empty
-	// selects the system temp directory.
-	TempDir string
 }
 
 // View is a read-only merged view over a chain: one base plus its
@@ -41,18 +37,19 @@ type Options struct {
 // chain's τ (Manifest.MinFrequency); under τ ≤ 1 — every plain index,
 // which stores only what its own τ kept — no record is decoded for it.
 //
-// Queries speak the canonical identifier space — the frequency-ranked
-// dictionary a full rebuild over all documents would produce,
-// reconstructed exactly from the newest generation's cumulative
-// (term, frequency) table. Keys are translated to the chain's stable
-// identifier space on the way in and back on the way out, so a caller
-// cannot distinguish a View from the rebuilt index it stands in for.
+// Queries speak the chain's own identifier space: the newest
+// generation's dictionary, which holds the base's ranks followed by
+// each delta's new terms (see Dictionary). Keys, key order and the
+// records a bounded scan reaches first therefore follow that
+// dictionary; the set of (n-gram, aggregate) pairs is exactly a full
+// rebuild's. Only compaction ranks the identifiers the way a rebuild
+// does, and until a chain is compacted nothing translates a key.
 //
 // Point gets and bounded scans read each generation through its block
 // cache — one probe, or one index.Cursor, per generation, folded or
 // merged as they go — so a warm query touches no file. Only the full
-// passes (ScanAll, ScanUnordered, the compactor's ScanChain) stream the
-// shard files, past the cache.
+// passes (ScanAll, the compactor's ScanChain) stream the shard files,
+// past the cache.
 //
 // Like index.Index, all state is immutable after OpenChain and Close
 // is refcounted against in-flight queries, so a serving layer can
@@ -67,17 +64,6 @@ type View struct {
 	// gens holds the open generations in merge order: base first, then
 	// deltas oldest to newest.
 	gens []*index.Index
-
-	// dict is the canonical dictionary; toCanon and toChain translate
-	// between the chain's stable identifiers and canonical ones (a
-	// bijection — both spaces rank exactly the terms of the newest
-	// generation's dictionary). Both are nil when dict is the newest
-	// generation's own dictionary, as for every saved or compacted base:
-	// chain keys are then canonical keys, and chain order canonical
-	// order, so no key needs translating and no scan re-sorting.
-	dict    *dictionary.Dictionary
-	toCanon []sequence.Term
-	toChain []sequence.Term
 
 	// open counts what opening this view cost.
 	open OpenStats
@@ -141,10 +127,9 @@ func OpenChain(dir string, opts Options) (*View, error) {
 // index.Index, with its file descriptors, its warm block cache and its
 // loaded top records, and closes it only if it is the last view to do
 // so. Only directories v does not hold are opened, checked exactly as
-// OpenChain checks them; when the newest generation is shared, so are
-// the canonical dictionary and the translation tables, and when every
-// generation is, under the same τ, so is the memoized top list (see
-// TopRecords). Reopen on a closed view fails with index.ErrClosed.
+// OpenChain checks them; when every generation is shared, under the
+// same τ, so is the memoized top list (see TopRecords). Reopen on a
+// closed view fails with index.ErrClosed.
 func (v *View) Reopen() (*View, error) {
 	if err := v.acquire(); err != nil {
 		return nil, err
@@ -219,12 +204,6 @@ func openChain(dir string, opts Options, prev *View) (*View, error) {
 			return nil, corruptf("generation %s: %v", g.Dir, err)
 		}
 	}
-	if prev != nil && v.gens[len(v.gens)-1] == prev.gens[len(prev.gens)-1] {
-		// The same newest generation: the same cumulative table.
-		v.dict, v.toCanon, v.toChain = prev.dict, prev.toCanon, prev.toChain
-	} else {
-		v.buildCanonical()
-	}
 	if prev != nil && slices.Equal(v.gens, prev.gens) && v.man.MinFrequency == prev.man.MinFrequency {
 		// The same generations under the same τ: the same merged records.
 		v.top.Store(prev.top.Load())
@@ -252,28 +231,6 @@ func (v *View) share(g GenInfo, newest bool) *index.Index {
 	}
 	return ix
 }
-
-// buildCanonical reconstructs the canonical frequency-ranked
-// dictionary from the newest generation's cumulative table and the
-// translation maps between the two identifier spaces. A table already
-// in rank order — a plain index, or a chain whose newest generation is a
-// compacted base — is the canonical dictionary, under identity maps
-// that need no tables.
-func (v *View) buildCanonical() {
-	v.dict, v.toChain = v.gens[len(v.gens)-1].Dictionary().Rank()
-	if v.Identity() {
-		return
-	}
-	v.toCanon = make([]sequence.Term, len(v.toChain))
-	for canon, chain := range v.toChain {
-		v.toCanon[chain] = sequence.Term(canon)
-	}
-}
-
-// Identity reports whether the chain's identifiers are the canonical
-// ones, so that the view keeps no translation tables and translates no
-// key: true for a plain index and a chain just compacted.
-func (v *View) Identity() bool { return v.toChain == nil }
 
 // acquire/release mirror index.Index: queries pin the view, and the
 // generations close when the last pin after Close drains.
@@ -380,10 +337,14 @@ func (v *View) CacheStats() (hits, misses int64) {
 // reload checks.
 func (v *View) ManifestTime() time.Time { return v.man.mtime }
 
-// Dictionary returns the canonical dictionary: term identifiers ranked
-// by cumulative frequency across all generations, exactly as a full
-// rebuild would assign them.
-func (v *View) Dictionary() *dictionary.Dictionary { return v.dict }
+// Dictionary returns the newest generation's dictionary, the one every
+// key of the view is spelled in: the base's identifiers, ranked by
+// frequency when it was built, then each delta's new terms in the order
+// it added them, with frequencies cumulative across all generations.
+// For a plain index or a chain just compacted it is the rebuild's
+// ranked dictionary; CompactIndex ranks it (dictionary.Rank) to write
+// the compacted base.
+func (v *View) Dictionary() *dictionary.Dictionary { return v.gens[len(v.gens)-1].Dictionary() }
 
 // TopKStats returns how many TopRecords calls were answered without a
 // scan — from the memo or by the threshold merge — and how many fell
@@ -413,9 +374,9 @@ func (v *View) PrefixStats() (scans, records int64) {
 }
 
 // TopRecords returns the chain's k most frequent merged records that
-// reach τ, in report order — frequency, then length, then canonical
-// text, the order a rebuilt index stores them in — with canonical-space
-// keys, without scanning: a threshold merge (Fagin's TA) over the
+// reach τ, in report order — frequency, then length, then text, the
+// order a rebuilt index stores them in, whatever the identifiers —
+// without scanning: a threshold merge (Fagin's TA) over the
 // generations' stored top lists. Frequency is additive under the
 // aggregate fold, so the sum of the frequencies at the lists'
 // frontiers bounds every n-gram the walk has not met yet; each newly
@@ -464,7 +425,7 @@ func (v *View) TopRecords(k int) (keys, values [][]byte, ok bool) {
 }
 
 // topMemo is a proven merged top list: the view's first len(keys)
-// records in report order, canonical keys with folded values. complete
+// records in report order, keys with folded values. complete
 // marks a list that holds every record reaching τ — one cut short by τ
 // or by the chain running out of n-grams — so that it answers any k.
 type topMemo struct {
@@ -495,15 +456,15 @@ func (v *View) remember(m *topMemo) {
 
 // topCand is one n-gram the threshold merge has met and folded.
 type topCand struct {
-	key   []byte       // canonical space
-	seq   sequence.Seq // canonical identifiers
-	value []byte       // folded across generations
+	key   []byte
+	seq   sequence.Seq
+	value []byte // folded across generations
 	cf    int64
 }
 
-// topBetter is the TopK report order over canonical identifiers:
-// descending frequency, then longer first, then by text.
-func (v *View) topBetter(a, b *topCand) bool {
+// topBetter is the TopK report order: descending frequency, then
+// longer first, then by text, so that no tie depends on identifiers.
+func topBetter(dict *dictionary.Dictionary, a, b *topCand) bool {
 	if a.cf != b.cf {
 		return a.cf > b.cf
 	}
@@ -511,7 +472,7 @@ func (v *View) topBetter(a, b *topCand) bool {
 		return len(a.seq) > len(b.seq)
 	}
 	for i := range a.seq {
-		if wa, wb := v.dict.Term(a.seq[i]), v.dict.Term(b.seq[i]); wa != wb {
+		if wa, wb := dict.Term(a.seq[i]), dict.Term(b.seq[i]); wa != wb {
 			return wa < wb
 		}
 	}
@@ -538,22 +499,12 @@ func (h *freqHeap) Pop() any {
 func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 	if len(v.gens) == 1 {
 		// A chain of length one is its base: the stored records are the
-		// answer, re-keyed into the canonical space.
+		// answer.
 		base := v.gens[0]
 		if base.TopStored() == base.Records() {
 			k = min(k, int(base.Records()))
 		}
-		keys, values, ok = base.TopRecords(k)
-		if v.Identity() {
-			return keys, values, ok
-		}
-		for i, key := range keys {
-			var err error
-			if keys[i], _, err = remapKey(nil, key, v.toCanon, nil); err != nil {
-				return nil, nil, false
-			}
-		}
-		return keys, values, ok
+		return base.TopRecords(k)
 	}
 	if k <= 0 {
 		return nil, nil, true
@@ -575,8 +526,9 @@ func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 	}
 
 	var cands []*topCand
+	dict := v.Dictionary()
 	result := func() ([][]byte, [][]byte, bool) {
-		sort.Slice(cands, func(i, j int) bool { return v.topBetter(cands[i], cands[j]) })
+		sort.Slice(cands, func(i, j int) bool { return topBetter(dict, cands[i], cands[j]) })
 		cands = cands[:min(k, len(cands))]
 		keys, values := make([][]byte, len(cands)), make([][]byte, len(cands))
 		for i, c := range cands {
@@ -599,23 +551,23 @@ func (v *View) mergeTop(k int) (keys, values [][]byte, ok bool) {
 				}
 				continue
 			}
-			chainKey, val := ix.TopRecord(d)
+			key, val := ix.TopRecord(d)
 			var err error
 			if frontier[g], err = core.DecodeFrequency(kind, val); err != nil {
 				return nil, nil, false
 			}
-			if _, dup := met[string(chainKey)]; dup {
+			if _, dup := met[string(key)]; dup {
 				continue
 			}
-			met[string(chainKey)] = struct{}{}
-			c := &topCand{}
-			if c.value, ok, err = v.getChain(chainKey); err != nil || !ok {
+			met[string(key)] = struct{}{}
+			c := &topCand{key: key}
+			if c.value, ok, err = v.get(key); err != nil || !ok {
 				return nil, nil, false
 			}
 			if c.cf, err = core.DecodeFrequency(kind, c.value); err != nil {
 				return nil, nil, false
 			}
-			if c.key, c.seq, err = remapKey(nil, chainKey, v.toCanon, nil); err != nil {
+			if c.seq, err = encoding.DecodeSeq(key); err != nil {
 				return nil, nil, false
 			}
 			cands = append(cands, c)
@@ -677,54 +629,16 @@ func (v *View) cutTop(keys, values [][]byte, ok bool) ([][]byte, [][]byte, bool)
 	return keys, values, true
 }
 
-// remap rewrites an encoded key through the given identifier table
-// into dst (reusing scratch for the decoded sequence) — chain→canon
-// with v.toCanon, canon→chain with v.toChain. A nil table is the
-// identity: the key is copied.
-func remapKey(dst []byte, key []byte, m []sequence.Term, scratch sequence.Seq) ([]byte, sequence.Seq, error) {
-	seq, err := encoding.DecodeSeqInto(scratch, key)
-	if err != nil {
-		return dst, scratch, err
-	}
-	for i, t := range seq {
-		if m == nil {
-			break
-		}
-		if int(t) >= len(m) {
-			return dst, seq, corruptf("key holds term id %d outside dictionary of %d", t, len(m))
-		}
-		seq[i] = m[t]
-	}
-	return encoding.AppendSeq(dst[:0], seq), seq, nil
-}
-
-// AppendCanonicalKey rewrites a chain-space key into the canonical
-// identifier space, appending to dst[:0]. The compactor uses it to
-// translate merged chain keys into the keys the rebuilt base stores.
-func (v *View) AppendCanonicalKey(dst, chainKey []byte) ([]byte, error) {
-	out, _, err := remapKey(dst, chainKey, v.toCanon, nil)
-	return out, err
-}
-
-// Get returns the merged value stored under a canonical-space key, if
-// any and if it reaches τ: the per-generation cells for the
-// corresponding chain key are folded into one. A key found in exactly
-// one generation returns that generation's stored bytes unchanged.
+// Get returns the merged value stored under key, if any and if it
+// reaches τ: the per-generation cells are folded into one. A key found
+// in exactly one generation returns that generation's stored bytes
+// unchanged.
 func (v *View) Get(key []byte) ([]byte, bool, error) {
 	if err := v.acquire(); err != nil {
 		return nil, false, err
 	}
 	defer v.release()
-	chainKey := key
-	if !v.Identity() {
-		var err error
-		if chainKey, _, err = remapKey(nil, key, v.toChain, nil); err != nil {
-			// A key naming identifiers outside the dictionary cannot be
-			// stored anywhere in the chain.
-			return nil, false, nil
-		}
-	}
-	val, ok, err := v.getChain(chainKey)
+	val, ok, err := v.get(key)
 	if ok && v.man.MinFrequency > 1 {
 		ok, err = v.kept(val)
 	}
@@ -734,13 +648,13 @@ func (v *View) Get(key []byte) ([]byte, bool, error) {
 	return val, true, err
 }
 
-// getChain is Get for a chain-space key on an already pinned view: one
-// point get per generation, folded.
-func (v *View) getChain(chainKey []byte) ([]byte, bool, error) {
+// get is Get without the τ test, on an already pinned view: one point
+// get per generation, folded.
+func (v *View) get(key []byte) ([]byte, bool, error) {
 	var buf [8][]byte
 	cells := buf[:0]
 	for _, g := range v.gens {
-		val, ok, err := g.Get(chainKey)
+		val, ok, err := g.Get(key)
 		if err != nil {
 			return nil, false, err
 		}
@@ -777,21 +691,20 @@ func (v *View) fold(cells [][]byte) ([]byte, error) {
 	return agg.Encode(), nil
 }
 
-// ScanChain calls fn for every merged record in ascending chain-key
-// order, τ notwithstanding. Equal keys across generations arrive
-// folded: fn sees each distinct chain key exactly once, with the
-// generations' aggregate cells merged. The slices passed to fn are
-// valid only during the call. fn may return index.StopScan() to end
-// the scan early.
+// ScanChain calls fn for every merged record in ascending key order, τ
+// notwithstanding. Equal keys across generations arrive folded: fn sees
+// each distinct key exactly once, with the generations' aggregate cells
+// merged. The slices passed to fn are valid only during the call. fn
+// may return index.StopScan() to end the scan early.
 //
-// This is the full pass of ordered scans, top-k selection and the
-// compactor: it streams every generation's sorted shards through one
-// merge tree (the extsort loser tree over the generations' open file
-// descriptors, batched reads, no block cache), so its cost is O(total
-// records) however they are spread across generations. A single
-// generation has nothing to merge or fold and streams its own batched
-// scan. Bounded reads take scanRange instead.
-func (v *View) ScanChain(fn func(chainKey, value []byte) error) error {
+// This is the full pass of ScanAll (ordered scans, top-k and longest-k
+// selection) and the compactor: it streams every generation's sorted
+// shards through one merge tree (the extsort loser tree over the
+// generations' open file descriptors, batched reads, no block cache),
+// so its cost is O(total records) however they are spread across
+// generations. A single generation has nothing to merge or fold and
+// streams its own batched scan. Bounded reads take scanRange instead.
+func (v *View) ScanChain(fn func(key, value []byte) error) error {
 	if err := v.acquire(); err != nil {
 		return err
 	}
@@ -854,15 +767,15 @@ func stopIsNil(err error) error {
 	return err
 }
 
-// scanRange calls fn for every distinct chain key with lo ≤ key < hi in
+// scanRange calls fn for every distinct key with lo ≤ key < hi in
 // ascending order, with the cells stored under it oldest generation
 // first (unfolded, so a caller that drops the key pays no decode). It
 // is a k-way merge over one index.Cursor per generation: each cursor
 // seeks by footer and binary search and steps through cached decoded
-// blocks, so a warm scan reads no file. chainKey and the cells alias
+// blocks, so a warm scan reads no file. key and the cells alias
 // immutable block memory; the cells slice itself is reused. The view
 // must be pinned.
-func (v *View) scanRange(lo, hi []byte, fn func(chainKey []byte, cells [][]byte) error) error {
+func (v *View) scanRange(lo, hi []byte, fn func(key []byte, cells [][]byte) error) error {
 	// curs are the cursors with records left, in generation order; keys
 	// caches each one's current key. An exhausted cursor has released
 	// itself.
@@ -918,129 +831,25 @@ func (v *View) scanRange(lo, hi []byte, fn func(chainKey []byte, cells [][]byte)
 	return nil
 }
 
-// ScanUnordered calls fn for every merged record that reaches τ
-// exactly once, with canonical-space keys, in no particular (canonical)
-// order. It is the cheap full pass for order-independent consumers such
-// as top-k selection.
-func (v *View) ScanUnordered(fn func(key, value []byte) error) error {
-	if v.Identity() {
-		return v.ScanChain(v.filtered(fn))
-	}
-	var keyBuf []byte
-	var scratch sequence.Seq
-	return v.ScanChain(v.filtered(func(chainKey, value []byte) error {
-		var err error
-		keyBuf, scratch, err = remapKey(keyBuf, chainKey, v.toCanon, scratch)
-		if err != nil {
-			return err
-		}
-		return fn(keyBuf, value)
-	}))
-}
-
 // ScanAll calls fn for every merged record that reaches τ, in
-// ascending canonical key order — the order the rebuilt index would
-// enumerate. Chain order and canonical order differ (identifiers were
-// assigned at different times), so the merged stream is re-sorted
-// through an external sorter; prefer ScanUnordered when order does not
-// matter. Under identity maps the orders agree and nothing is
-// re-sorted.
+// ascending key order: ScanChain, filtered by τ.
 func (v *View) ScanAll(fn func(key, value []byte) error) error {
-	if v.Identity() {
-		return v.ScanChain(v.filtered(fn))
-	}
-	sorter := extsort.NewSorter(extsort.Options{TempDir: v.opts.TempDir})
-	defer sorter.Discard()
-	err := v.ScanUnordered(func(key, value []byte) error {
-		return sorter.Add(key, value)
-	})
-	if err != nil {
-		return err
-	}
-	it, err := sorter.Sort()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for it.Next() {
-		if err := fn(it.Key(), it.Value()); err != nil {
-			return stopIsNil(err)
-		}
-	}
-	return it.Err()
+	return v.ScanChain(v.filtered(fn))
 }
 
 // ScanPrefix calls fn for the first limit merged records that reach τ,
-// in ascending canonical key order, whose canonical key starts with the
-// given byte prefix (limit ≤ 0: all of them). The prefix must be a
-// complete encoded sequence (as produced for a phrase); it is
-// translated to the chain space, where — identifier translation being
-// sequence-position-wise — it bounds exactly the same set of records.
-// One scanRange pass over that range translates each chain key back
-// into reused scratch and keeps the limit smallest canonical keys in a
-// bounded max-heap; only those are folded, sorted and emitted (under
-// τ > 1 every record is folded first, to be tested), so a warm query
-// costs O(range) comparisons and O(limit) memory. Under identity maps
-// the merge already runs in canonical order, and stops after the first
-// limit records that reach τ. The slices passed to fn must not be
-// modified. An empty prefix matches every record; ScanAll is the full
-// pass that does not hold them all.
+// in ascending key order, whose key starts with the given byte prefix
+// (limit ≤ 0: all of them). The prefix must be a complete encoded
+// sequence (as produced for a phrase). One scanRange pass over the
+// prefix's range emits the merged records as they come and stops after
+// the first limit that reach τ, so a warm query costs what it returns
+// plus the records τ drops. The slices passed to fn must not be
+// modified. An empty prefix matches every record.
 func (v *View) ScanPrefix(prefix []byte, limit int, fn func(key, value []byte) error) error {
 	if err := v.acquire(); err != nil {
 		return err
 	}
 	defer v.release()
-	if v.Identity() {
-		return v.scanPrefixIdentity(prefix, limit, fn)
-	}
-	chainPrefix, _, err := remapKey(nil, prefix, v.toChain, nil)
-	if err != nil {
-		// Identifiers outside the dictionary match nothing.
-		return nil
-	}
-	keep := smallestKeys{limit: limit}
-	var keyBuf []byte
-	var scratch sequence.Seq
-	var records int64
-	err = v.scanRange(chainPrefix, index.PrefixSuccessor(chainPrefix), func(chainKey []byte, cells [][]byte) error {
-		records += int64(len(cells))
-		if v.man.MinFrequency > 1 {
-			val, err := v.fold(cells)
-			if err != nil {
-				return err
-			}
-			if ok, err := v.kept(val); !ok || err != nil {
-				return err
-			}
-		}
-		var err error
-		if keyBuf, scratch, err = remapKey(keyBuf, chainKey, v.toCanon, scratch); err != nil {
-			return err
-		}
-		keep.offer(keyBuf, cells)
-		return nil
-	})
-	v.prefixScans.Add(1)
-	v.prefixRecords.Add(records)
-	if err != nil {
-		return err
-	}
-	slices.SortFunc(keep.recs, func(a, b keptRecord) int { return bytes.Compare(a.key, b.key) })
-	for _, r := range keep.recs {
-		val, err := v.fold(r.cells)
-		if err != nil {
-			return err
-		}
-		if err := fn(r.key, val); err != nil {
-			return stopIsNil(err)
-		}
-	}
-	return nil
-}
-
-// scanPrefixIdentity is ScanPrefix under identity maps, on a pinned
-// view: the merged records are emitted as they come.
-func (v *View) scanPrefixIdentity(prefix []byte, limit int, fn func(key, value []byte) error) error {
 	var records int64
 	n := 0
 	err := v.scanRange(prefix, index.PrefixSuccessor(prefix), func(key []byte, cells [][]byte) error {
@@ -1065,60 +874,4 @@ func (v *View) scanPrefixIdentity(prefix []byte, limit int, fn func(key, value [
 	v.prefixScans.Add(1)
 	v.prefixRecords.Add(records)
 	return stopIsNil(err)
-}
-
-// smallestKeys selects the limit records with the smallest keys of a
-// stream (limit ≤ 0: all of them, unordered): once it holds limit
-// records they form a max-heap on key, so the root is the record the
-// next smaller key replaces.
-type smallestKeys struct {
-	limit int
-	recs  []keptRecord
-	// keys and cells are the arenas the first limit records are cut
-	// from; a record that replaces the root reuses the root's slices.
-	keys  []byte
-	cells [][]byte
-}
-
-type keptRecord struct {
-	key   []byte
-	cells [][]byte // immutable block memory, one cell per generation
-}
-
-// offer considers one record, copying what it keeps.
-func (h *smallestKeys) offer(key []byte, cells [][]byte) {
-	if h.limit <= 0 || len(h.recs) < h.limit {
-		k, c := len(h.keys), len(h.cells)
-		h.keys, h.cells = append(h.keys, key...), append(h.cells, cells...)
-		h.recs = append(h.recs, keptRecord{h.keys[k:len(h.keys):len(h.keys)], h.cells[c:len(h.cells):len(h.cells)]})
-		if len(h.recs) == h.limit {
-			for i := len(h.recs)/2 - 1; i >= 0; i-- {
-				h.siftDown(i)
-			}
-		}
-		return
-	}
-	root := &h.recs[0]
-	if bytes.Compare(key, root.key) >= 0 {
-		return
-	}
-	root.key, root.cells = append(root.key[:0], key...), append(root.cells[:0], cells...)
-	h.siftDown(0)
-}
-
-func (h *smallestKeys) siftDown(i int) {
-	s := h.recs
-	for {
-		big := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(s); c++ {
-			if bytes.Compare(s[c].key, s[big].key) > 0 {
-				big = c
-			}
-		}
-		if big == i {
-			return
-		}
-		s[i], s[big] = s[big], s[i]
-		i = big
-	}
 }

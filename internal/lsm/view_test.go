@@ -290,7 +290,7 @@ func (w *chainWriter) writeGen(sub string, gen testGen, dict *dictionary.Diction
 
 func openTestChain(t *testing.T, dir string) *View {
 	t.Helper()
-	v, err := OpenChain(dir, Options{TempDir: t.TempDir()})
+	v, err := OpenChain(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ type topRec struct {
 func scanRanked(t *testing.T, v *View) []topRec {
 	t.Helper()
 	var recs []topRec
-	err := v.ScanUnordered(func(key, value []byte) error {
+	err := v.ScanAll(func(key, value []byte) error {
 		seq, err := encoding.DecodeSeq(key)
 		if err != nil {
 			return err
@@ -672,10 +672,10 @@ type kv struct{ key, value []byte }
 
 // TestBoundedScansMatchFullScan is the bounded-read property, over the
 // same random chains. The cursor merge (scanRange) on a random [lo, hi)
-// emits exactly the chain keys and folded values the streaming
-// ScanChain emits inside that range; and ScanPrefix(prefix, limit)
-// emits exactly the first limit records, in canonical key order, of
-// the brute-force counts under that prefix.
+// emits exactly the keys and folded values the streaming ScanChain
+// emits inside that range; and ScanPrefix(prefix, limit) emits exactly
+// the first limit records, in key order, of the brute-force counts
+// under that prefix, spelled in the view's dictionary.
 func TestBoundedScansMatchFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var inOne, inSome, inAll int
@@ -740,7 +740,7 @@ func TestBoundedScansMatchFullScan(t *testing.T) {
 			}
 		}
 
-		// The canonical answer, from the brute-force counts alone.
+		// The answer, from the brute-force counts alone.
 		var canon []kv
 		for text, cl := range c.truth {
 			seq, err := v.Dictionary().Encode(strings.Fields(text))
@@ -792,6 +792,85 @@ func TestBoundedScansMatchFullScan(t *testing.T) {
 	}
 }
 
+// TestViewSpeaksChainIDs is the identifier contract of an uncompacted
+// chain, over the random chains (τ ∈ {1, 2, 3}, each view reached by
+// Reopen): the view's dictionary is its newest generation's own;
+// ScanAll runs in strictly ascending key order and holds exactly the
+// brute-force counts, as a set of (text, aggregate) pairs; and
+// ScanPrefix(p, limit) emits the first limit ScanAll records under p.
+func TestViewSpeaksChainIDs(t *testing.T) {
+	var unranked int
+	forRandomChains(t, func(c randomChain) {
+		iter, v := c.iter, c.v
+		dict := v.Dictionary()
+		if dict != v.gens[len(v.gens)-1].Dictionary() {
+			t.Fatalf("iter %d: Dictionary is not the newest generation's", iter)
+		}
+		if _, order := dict.Rank(); order != nil {
+			unranked++
+		}
+		var all []kv
+		texts := map[string][]byte{}
+		err := v.ScanAll(func(k, val []byte) error {
+			if n := len(all); n > 0 && bytes.Compare(all[n-1].key, k) >= 0 {
+				return fmt.Errorf("key %x follows %x", k, all[n-1].key)
+			}
+			seq, err := encoding.DecodeSeq(k)
+			if err != nil {
+				return err
+			}
+			all = append(all, kv{append([]byte(nil), k...), append([]byte(nil), val...)})
+			texts[dict.Format(seq)] = all[len(all)-1].value
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("iter %d: ScanAll: %v", iter, err)
+		}
+		if len(texts) != len(all) || len(texts) != len(c.truth) {
+			t.Fatalf("iter %d: ScanAll yields %d records, %d texts; brute force %d", iter, len(all), len(texts), len(c.truth))
+		}
+		for text, cl := range c.truth {
+			if got := texts[text]; !bytes.Equal(got, cl.encode(c.kind)) {
+				t.Fatalf("iter %d: %q = %x, brute force %x", iter, text, got, cl.encode(c.kind))
+			}
+		}
+
+		// Every one- and two-term prefix the scan holds (one byte per
+		// term at this vocabulary size), and the empty one.
+		prefixes := [][]byte{{}}
+		for _, r := range all {
+			prefixes = append(prefixes, r.key[:1])
+			if len(r.key) > 1 {
+				prefixes = append(prefixes, r.key[:2])
+			}
+		}
+		for _, prefix := range prefixes {
+			for _, limit := range []int{1, 2, 5, 0} {
+				var want []kv
+				for _, r := range all {
+					if bytes.HasPrefix(r.key, prefix) && (limit <= 0 || len(want) < limit) {
+						want = append(want, r)
+					}
+				}
+				var got []kv
+				if err := v.ScanPrefix(prefix, limit, func(k, val []byte) error {
+					got = append(got, kv{k, val})
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.EqualFunc(got, want, func(a, b kv) bool { return bytes.Equal(a.key, b.key) && bytes.Equal(a.value, b.value) }) {
+					t.Fatalf("iter %d: ScanPrefix(%x, %d) emits %d records, ScanAll holds %d first under it", iter, prefix, limit, len(got), len(want))
+				}
+			}
+		}
+	})
+	// The contract is vacuous unless chain order and rank order differ.
+	if unranked == 0 {
+		t.Fatal("no view's dictionary is out of rank order")
+	}
+}
+
 // TestPrefixStats: the view counts its bounded scans and the generation
 // records their merges read; an early stop by the callback still counts
 // the scan.
@@ -815,10 +894,8 @@ func TestPrefixStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Under "a": a, a b, a c in the base; a, a b in the delta. The
-	// cumulative dictionary (a 4, b 3, c 1) is already in rank order, so
-	// the merge runs in canonical order and each scan stops at its first
-	// merged record, a, read from both generations.
+	// Under "a": a, a b, a c in the base; a, a b in the delta. Each scan
+	// stops at its first merged record, a, read from both generations.
 	if scans, records := v.PrefixStats(); seen != 2 || scans != 2 || records != 4 {
 		t.Fatalf("saw %d records; PrefixStats = %d scans, %d records; want 2, 2, 4", seen, scans, records)
 	}
@@ -939,8 +1016,7 @@ func TestTopRecordsChainOfOne(t *testing.T) {
 			t.Fatalf("TopRecords(%d) = %d records, ok=%v", k, len(keys), ok)
 		}
 		for i := range keys {
-			// The base's ranked dictionary is the canonical one, so even
-			// the keys are the stored bytes.
+			// Even the keys are the stored bytes.
 			if wk, wv := base.TopRecord(i); !bytes.Equal(keys[i], wk) || !bytes.Equal(values[i], wv) {
 				t.Fatalf("TopRecords(%d)[%d] is not the base's stored record", k, i)
 			}

@@ -63,7 +63,7 @@ func NewLanguageModelFromIndex(x *Index, order int) (*LanguageModel, error) {
 		return nil, fmt.Errorf("ngramstats: language model order %d < 1", order)
 	}
 	m := lm.New(order, lm.DefaultAlpha)
-	err := x.eachAggregateUnordered(func(s sequence.Seq, agg core.Aggregate) error {
+	err := x.eachAggregate(func(s sequence.Seq, agg core.Aggregate) error {
 		m.AddCount(s, agg.Frequency())
 		return nil
 	})

@@ -187,24 +187,33 @@ type IndexOptions struct {
 	// block decodes to ~64 KiB). 0 selects 128; negative disables
 	// caching. A chain applies the bound per generation.
 	CacheBlocks int
-	// TempDir is the scratch directory for query-time external sorts
-	// (only ordered full scans over a chain view need one; default:
-	// system temp).
+	// TempDir is ignored: no query sorts externally.
+	//
+	// Deprecated: kept so that existing callers compile; it has no
+	// effect.
 	TempDir string
 }
 
 // OpenIndex opens an index directory written by Save — or an LSM chain
 // written by AppendDelta, served as its merged view. The returned
 // Index answers NGrams, TopK, Longest, Lookup, and Prefix queries
-// byte-identically to the Result it was saved from (for a chain: to a
-// full rebuild over all its documents at the chain's τ), and is safe
-// for any number of concurrent readers. Equivalent to OpenIndexWith
-// with zero options.
+// byte-identically to the Result it was saved from, and is safe for any
+// number of concurrent readers. Equivalent to OpenIndexWith with zero
+// options.
+//
+// A chain answers in its own identifier space until it is compacted:
+// Lookup, TopK and Longest return what a full rebuild over all its
+// documents at the chain's τ would — the same text, frequency and
+// aggregates, ties broken by text — and NGrams, Each and Prefix return
+// the rebuild's set of n-grams, but NGram.IDs, the order of NGrams and
+// Each, and which extensions a Prefix limit keeps follow the chain's
+// dictionary: the base's ranks, then each delta's new terms.
+// CompactIndex restores the rebuild byte for byte.
 func OpenIndex(dir string) (*Index, error) { return OpenIndexWith(dir, IndexOptions{}) }
 
 // OpenIndexWith is OpenIndex with explicit options.
 func OpenIndexWith(dir string, opts IndexOptions) (*Index, error) {
-	return newIndex(lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks, TempDir: opts.TempDir}))
+	return newIndex(lsm.OpenChain(dir, lsm.Options{CacheBlocks: opts.CacheBlocks}))
 }
 
 // newIndex wraps an open view, closing it if its aggregation kind is
@@ -296,18 +305,7 @@ func (x *Index) ManifestTime() time.Time { return x.v.ManifestTime() }
 // eachAggregate streams every indexed record in ascending encoded-key
 // order through the shared iteration seam.
 func (x *Index) eachAggregate(fn func(s sequence.Seq, agg core.Aggregate) error) error {
-	return x.decodeScan(x.v.ScanAll, fn)
-}
-
-// eachAggregateUnordered is eachAggregate without the order guarantee
-// — what order-independent consumers (top-k, longest-k selection) use,
-// sparing a chain view the external re-sort into canonical order.
-func (x *Index) eachAggregateUnordered(fn func(s sequence.Seq, agg core.Aggregate) error) error {
-	return x.decodeScan(x.v.ScanUnordered, fn)
-}
-
-func (x *Index) decodeScan(scan func(func(k, v []byte) error) error, fn func(s sequence.Seq, agg core.Aggregate) error) error {
-	return scan(func(k, v []byte) error {
+	return x.v.ScanAll(func(k, v []byte) error {
 		s, err := encoding.DecodeSeq(k)
 		if err != nil {
 			return err
@@ -321,8 +319,9 @@ func (x *Index) decodeScan(scan func(func(k, v []byte) error) error, fn func(s s
 }
 
 // NGrams returns an iterator over every indexed n-gram in ascending
-// encoded-key order, decoding one at a time. Error handling matches
-// Result.NGrams.
+// encoded-key order — for an uncompacted chain, the order of the
+// chain's own identifiers (see OpenIndex) — decoding one at a time.
+// Error handling matches Result.NGrams.
 func (x *Index) NGrams() iter.Seq2[NGram, error] {
 	rv := x.resolver()
 	return func(yield func(NGram, error) bool) {
@@ -339,7 +338,7 @@ func (x *Index) NGrams() iter.Seq2[NGram, error] {
 }
 
 // Each calls fn for every indexed n-gram in ascending encoded-key
-// order. Returning an error from fn stops iteration.
+// order, as NGrams does. Returning an error from fn stops iteration.
 func (x *Index) Each(fn func(NGram) error) error {
 	rv := x.resolver()
 	return x.eachAggregate(func(s sequence.Seq, agg core.Aggregate) error {
@@ -379,7 +378,7 @@ func (x *Index) TopK(k int) ([]NGram, error) {
 		}
 		return out, nil
 	}
-	return rv.selectTop(x.eachAggregateUnordered, x.Len(), k, rv.topKBetter)
+	return rv.selectTop(x.eachAggregate, x.Len(), k, rv.topKBetter)
 }
 
 // TopKStats reports how TopK calls were answered since the index was
@@ -413,7 +412,7 @@ func (x *Index) OpenStats() (opened, shared int, terms int64) {
 // Result.Longest, via a full streaming selection.
 func (x *Index) Longest(k int) ([]NGram, error) {
 	rv := x.resolver()
-	return rv.selectTop(x.eachAggregateUnordered, x.Len(), k, rv.longestBetter)
+	return rv.selectTop(x.eachAggregate, x.Len(), k, rv.longestBetter)
 }
 
 // encodePhrase maps a phrase to its encoded key, or false if any word
@@ -462,10 +461,9 @@ func (x *Index) Lookup(phrase string) (NGram, bool, error) {
 // phrase (including the phrase itself, if indexed), in ascending
 // encoded-key order. limit <= 0 returns all. The scan touches only the
 // blocks whose key range intersects the prefix, through the block
-// cache, merging one cursor per generation. It stops at limit when the
-// chain's identifiers are already canonical (a plain index, a chain
-// just compacted); otherwise it walks the whole range and keeps the limit
-// smallest merged keys.
+// cache, merging one cursor per generation, and stops at limit. For an
+// uncompacted chain the order, and so which extensions a limit keeps,
+// follows the chain's own identifiers (see OpenIndex).
 func (x *Index) Prefix(phrase string, limit int) ([]NGram, error) {
 	key, ok := x.encodePhrase(phrase)
 	if !ok {

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"ngramstats/internal/dictionary"
 	"ngramstats/internal/encoding"
+	"ngramstats/internal/sequence"
 )
 
 // saveTestCorpus returns a small deterministic corpus with repeated
@@ -34,12 +36,13 @@ func saveTestCorpus(t *testing.T) *Corpus {
 	return c
 }
 
-// ngramKey gives a canonical map key for set comparison.
+// ngramKey gives a map key for set comparison: the text, which names
+// an n-gram whatever dictionary spells its IDs.
 func ngramKey(ng NGram) string {
-	return fmt.Sprint(ng.IDs)
+	return ng.Text
 }
 
-// collect gathers an NGrams iterator into a map keyed by ID sequence.
+// collect gathers an NGrams iterator into a map keyed by text.
 func collect(t *testing.T, seq func(yield func(NGram, error) bool)) map[string]NGram {
 	t.Helper()
 	out := make(map[string]NGram)
@@ -460,7 +463,7 @@ func savePlainFixture(t *testing.T, opts Options, dir string, replace bool) *Res
 }
 
 // TestPlainIsChainOfOne: a plain index opens as a chain of one
-// generation under identity maps, whatever its τ and selection mode;
+// generation, whatever its τ and selection mode;
 // answers every query as the Result it was saved from; and follows its
 // directory through Reopen like any chain — unchanged, it shares its
 // one generation; replaced, it opens the new one. Its point lookups
@@ -491,9 +494,6 @@ func TestPlainIsChainOfOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ix.Close()
-			if !ix.v.Identity() {
-				t.Fatal("a plain index opened with translation tables")
-			}
 			vocab := int64(ix.v.Dictionary().Len())
 			if opened, shared, terms := ix.OpenStats(); opened != 1 || shared != 0 || terms != vocab {
 				t.Fatalf("OpenStats = %d opened, %d shared, %d terms; want 1, 0, %d", opened, shared, terms, vocab)
@@ -537,23 +537,79 @@ func TestPlainIsChainOfOne(t *testing.T) {
 	}
 }
 
-// assertIndexMatchesResult checks that ix answers NGrams, TopK,
-// Longest, Lookup and Prefix as res does. Prefix, which Result lacks,
-// must return the n-grams extending the phrase in NGrams order, cut at
-// the limit.
-func assertIndexMatchesResult(t *testing.T, ix *Index, res *Result) {
-	t.Helper()
-	if ix.Len() != res.Len() {
-		t.Fatalf("index Len %d, result %d", ix.Len(), res.Len())
+// sameIDs reports whether two dictionaries assign every identifier to
+// the same term. A plain index, a compacted chain and a rebuild over
+// the same documents do; an uncompacted chain, which spells n-grams in
+// its own dictionary (the base's ranks, then each delta's new terms),
+// in general does not.
+func sameIDs(a, b *dictionary.Dictionary) bool {
+	if a.Len() != b.Len() {
+		return false
 	}
-	assertAnswersMatchResult(t, ix, res)
+	for i := 0; i < a.Len(); i++ {
+		if a.Term(sequence.Term(i)) != b.Term(sequence.Term(i)) {
+			return false
+		}
+	}
+	return true
 }
 
-// assertAnswersMatchResult is assertIndexMatchesResult less the Len
-// check, for a chain view whose Len is an upper bound.
-func assertAnswersMatchResult(t *testing.T, ix *Index, res *Result) {
+// sameNGram reports whether got answers as want: byte for byte when the
+// two speak the same identifiers (exact), else by text, frequency and
+// aggregates.
+func sameNGram(got, want NGram, exact bool) bool {
+	if !exact {
+		got.IDs, want.IDs = nil, nil
+	}
+	return reflect.DeepEqual(got, want)
+}
+
+// assertSameNGrams requires got to equal want element by element under
+// sameNGram, and every n-gram of got to be spelled by its IDs in ix's
+// own dictionary.
+func assertSameNGrams(t *testing.T, ix *Index, what string, got, want []NGram, exact bool) {
 	t.Helper()
-	want := collect(t, res.NGrams())
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d n-grams %v, want %d %v", what, len(got), texts(got), len(want), texts(want))
+	}
+	for i := range got {
+		if !sameNGram(got[i], want[i], exact) {
+			t.Fatalf("%s[%d]:\ngot:  %+v\nwant: %+v", what, i, got[i], want[i])
+		}
+		assertSpelled(t, ix, got[i])
+	}
+}
+
+// assertSpelled requires ng's IDs to decode to its Text through ix's
+// dictionary.
+func assertSpelled(t *testing.T, ix *Index, ng NGram) {
+	t.Helper()
+	words := make([]string, len(ng.IDs))
+	for i, id := range ng.IDs {
+		words[i] = ix.v.Dictionary().Term(id)
+	}
+	if text := strings.Join(words, " "); text != ng.Text {
+		t.Fatalf("IDs %v spell %q in the index's dictionary, the n-gram reads %q", ng.IDs, text, ng.Text)
+	}
+}
+
+// prefixOf returns the n-grams of ordered that extend phrase, in
+// ordered's order: what Prefix(phrase, 0) answers on the index ordered
+// was listed from.
+func prefixOf(ordered []NGram, phrase string) []NGram {
+	var ext []NGram
+	for _, ng := range ordered {
+		if ng.Text == phrase || strings.HasPrefix(ng.Text, phrase+" ") {
+			ext = append(ext, ng)
+		}
+	}
+	return ext
+}
+
+// listNGrams lists ix.NGrams(), requiring strictly ascending
+// encoded-key order in ix's own identifiers.
+func listNGrams(t *testing.T, ix *Index) []NGram {
+	t.Helper()
 	var ordered []NGram
 	for ng, err := range ix.NGrams() {
 		if err != nil {
@@ -563,58 +619,30 @@ func assertAnswersMatchResult(t *testing.T, ix *Index, res *Result) {
 			t.Fatalf("NGrams: %q after %q, out of encoded-key order", ng.Text, ordered[n-1].Text)
 		}
 		ordered = append(ordered, ng)
-		if w, ok := want[ngramKey(ng)]; !ok || !reflect.DeepEqual(ng, w) {
-			t.Fatalf("index n-gram %+v, result %+v", ng, w)
-		}
 	}
-	if len(ordered) != len(want) {
-		t.Fatalf("index holds %d n-grams, result %d", len(ordered), len(want))
-	}
-	for _, k := range []int{0, 1, 3, 4, len(want), len(want) + 2} {
-		got, err := ix.TopK(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp, err := res.TopK(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, exp) {
-			t.Fatalf("TopK(%d): index %v, result %v", k, texts(got), texts(exp))
-		}
-	}
-	got, err := ix.Longest(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp, err := res.Longest(3); err != nil || !reflect.DeepEqual(got, exp) {
-		t.Fatalf("Longest(3): index %v, result %v (%v)", texts(got), texts(exp), err)
-	}
-	phrases := []string{"the the the", "xylophone quick", ""}
-	for _, ng := range ordered {
-		phrases = append(phrases, ng.Text)
-	}
+	return ordered
+}
+
+// assertPrefixes requires ix.Prefix(p, limit) to be the first limit
+// n-grams extending p in ix's NGrams order (ordered), and, cut at no
+// limit, to hold exactly the n-grams of want (by sameNGram).
+func assertPrefixes(t *testing.T, ix *Index, ordered []NGram, phrases []string, limits []int, want func(p string) []NGram, exact bool) {
+	t.Helper()
 	for _, p := range phrases {
-		got, gok, err := ix.Lookup(p)
-		if err != nil {
-			t.Fatal(err)
+		ext := prefixOf(ordered, p)
+		wantSet := map[string]NGram{}
+		for _, ng := range want(p) {
+			wantSet[ngramKey(ng)] = ng
 		}
-		exp, eok, err := res.Lookup(p)
-		if err != nil {
-			t.Fatal(err)
+		if len(ext) != len(wantSet) {
+			t.Fatalf("Prefix(%q): %d extensions, want %d", p, len(ext), len(wantSet))
 		}
-		if gok != eok || !reflect.DeepEqual(got, exp) {
-			t.Fatalf("Lookup(%q): index (%+v, %v), result (%+v, %v)", p, got, gok, exp, eok)
-		}
-	}
-	for _, p := range []string{"the", "quick", "quick brown", "to be", "amber", "cobalt heron", "zebra"} {
-		var ext []NGram
-		for _, ng := range ordered {
-			if ng.Text == p || strings.HasPrefix(ng.Text, p+" ") {
-				ext = append(ext, ng)
+		for _, ng := range ext {
+			if w, ok := wantSet[ngramKey(ng)]; !ok || !sameNGram(ng, w, exact) {
+				t.Fatalf("Prefix(%q) holds %+v, want %+v", p, ng, w)
 			}
 		}
-		for _, limit := range []int{1, 2, 3, 0} {
+		for _, limit := range limits {
 			got, err := ix.Prefix(p, limit)
 			if err != nil {
 				t.Fatal(err)
@@ -628,6 +656,84 @@ func assertAnswersMatchResult(t *testing.T, ix *Index, res *Result) {
 			}
 		}
 	}
+}
+
+// assertIndexMatchesResult checks that ix answers NGrams, TopK,
+// Longest, Lookup and Prefix as res does: byte for byte when ix speaks
+// res's identifiers, else by text, frequency and aggregates, with ix's
+// own IDs spelling the text and its own order. Prefix, which Result
+// lacks, must return the n-grams extending the phrase in NGrams order,
+// cut at the limit.
+func assertIndexMatchesResult(t *testing.T, ix *Index, res *Result) {
+	t.Helper()
+	if ix.Len() != res.Len() {
+		t.Fatalf("index Len %d, result %d", ix.Len(), res.Len())
+	}
+	assertAnswersMatchResult(t, ix, res)
+}
+
+// assertAnswersMatchResult is assertIndexMatchesResult less the Len
+// check, for a chain view whose Len is an upper bound.
+func assertAnswersMatchResult(t *testing.T, ix *Index, res *Result) {
+	t.Helper()
+	exact := sameIDs(ix.v.Dictionary(), res.corpus.col.Dict)
+	if !exact && ix.v.Generations() == 1 {
+		t.Fatal("a single-generation index speaks identifiers of its own")
+	}
+	want := collect(t, res.NGrams())
+	ordered := listNGrams(t, ix)
+	for _, ng := range ordered {
+		if w, ok := want[ngramKey(ng)]; !ok || !sameNGram(ng, w, exact) {
+			t.Fatalf("index n-gram %+v, result %+v", ng, w)
+		}
+		assertSpelled(t, ix, ng)
+	}
+	if len(ordered) != len(want) {
+		t.Fatalf("index holds %d n-grams, result %d", len(ordered), len(want))
+	}
+	for _, k := range []int{0, 1, 3, 4, len(want), len(want) + 2} {
+		got, err := ix.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := res.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameNGrams(t, ix, fmt.Sprintf("TopK(%d)", k), got, exp, exact)
+	}
+	got, err := ix.Longest(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := res.Longest(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameNGrams(t, ix, "Longest(3)", got, exp, exact)
+	phrases := []string{"the the the", "xylophone quick", ""}
+	for _, ng := range ordered {
+		phrases = append(phrases, ng.Text)
+	}
+	for _, p := range phrases {
+		got, gok, err := ix.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, eok, err := res.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gok != eok || !sameNGram(got, exp, exact) {
+			t.Fatalf("Lookup(%q): index (%+v, %v), result (%+v, %v)", p, got, gok, exp, eok)
+		}
+	}
+	wantOrdered := make([]NGram, 0, len(want))
+	for _, ng := range want {
+		wantOrdered = append(wantOrdered, ng)
+	}
+	assertPrefixes(t, ix, ordered, []string{"the", "quick", "quick brown", "to be", "amber", "cobalt heron", "zebra"},
+		[]int{1, 2, 3, 0}, func(p string) []NGram { return prefixOf(wantOrdered, p) }, exact)
 }
 
 // TestReopenClosedHandle: Reopen on a closed handle fails with

@@ -12,7 +12,11 @@ import (
 
 // NGram is one reported n-gram with its statistics.
 type NGram struct {
-	// IDs are the term identifiers.
+	// IDs are the term identifiers, in the dictionary of whatever
+	// produced the n-gram: a Result's or a saved index's frequency-ranked
+	// one, or for an uncompacted LSM chain the chain's own (its base's
+	// ranks, then each delta's new terms). Compare n-grams across those
+	// by Text.
 	IDs []uint32
 	// Text is the space-joined word form (empty terms render as the
 	// identifier).
