@@ -35,8 +35,8 @@
 //	ngrams -runner='net://host:7001?spawn=0' -tau 5 books/*.txt
 //
 // -sketch skips the exact MapReduce job entirely and answers from a
-// one-pass count-min sketch: a single streaming scan, constant memory,
-// one-sided estimates with a stated eps*N error bound:
+// one-pass count-min sketch: a single streaming scan, fixed counter
+// memory, one-sided estimates with a stated eps*N error bound:
 //
 //	ngrams -sketch -eps 1e-4 -delta 0.01 -sigma 3 -top 20 books/*.txt
 //
@@ -347,8 +347,9 @@ func dumpIndex(dir string) error {
 
 // sketchRun is the -sketch mode: one streaming pass over the input
 // through a count-min sketch, then the tracked heavy hitters with
-// their one-sided error bounds. No exact job runs and no corpus is
-// materialized; memory stays constant in the input size.
+// their one-sided error bounds. No exact job runs. The sketch's
+// counters are fixed in size, but the ingester holds every document for
+// a reconciliation this mode never runs, so memory grows with the input.
 func sketchRun(docs iter.Seq2[ngramstats.Document, error], eps, delta float64, sigma, top int) error {
 	si, err := ngramstats.NewStreamIngester(ngramstats.IngestOptions{
 		Epsilon: eps, Delta: delta, MaxLength: sigma, TopK: max(top, 1),

@@ -98,7 +98,7 @@ func main() {
 	ingest := flag.String("ingest", "", "enable live ingestion into this index name and serve /v1/ingest and /v1/approx endpoints")
 	eps := flag.Float64("eps", 0, "sketch error bound factor: estimates exceed true counts by at most eps*N (0 = default 1e-4)")
 	delta := flag.Float64("delta", 0, "sketch failure probability: the eps*N bound holds for each key with probability 1-delta (0 = default 0.01)")
-	topK := flag.Int("ingest-topk", 0, "heavy hitters tracked per sketched order (0 = default 128)")
+	topK := flag.Int("ingest-topk", 0, "heavy hitters tracked across all sketched orders (0 = default 128)")
 	ingestMaxLen := flag.Int("ingest-maxlen", 0, "longest sketched and reconciled n-gram (0 = default 5)")
 	reconcileEvery := flag.Int("reconcile-every", 0, "run the exact reconciliation job once this many documents are pending (0 = manual via /v1/admin/reconcile)")
 	minFrequency := flag.Int64("min-frequency", 2, "minimum frequency the live index answers at, recorded when the first reconciliation creates it")

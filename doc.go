@@ -167,8 +167,8 @@
 // true count of the ingested stream — and exceed it by at most
 // ceil(ε·N) with probability 1−δ per phrase, where N is the number of
 // n-gram occurrences at that order (IngestOptions.Epsilon and Delta;
-// the sketch is sized width = ceil(e/ε), depth = ceil(ln(1/δ))). A
-// top-k heap per order tracks heavy hitters.
+// the sketch is sized width = ceil(e/ε), depth = ceil(ln(1/δ))). One
+// top-k heap across all orders tracks heavy hitters.
 //
 //	si, err := ngramstats.NewStreamIngester(ngramstats.IngestOptions{
 //		Epsilon: 1e-4, Delta: 0.01, MaxLength: 3,
@@ -183,8 +183,7 @@
 // appends the Reconcile's NewDocuments to an index with AppendDelta.
 // Commit then releases them and drops the counted sketch delta
 // (documents ingested during the reconciliation stay held and counted
-// in a fresh delta); Abort folds the delta back. WriteSnapshot persists
-// the sketch in a CRC-checksummed format mergeable across processes.
+// in a fresh delta); Abort folds the delta back.
 //
 // cmd/ngramsd wires this into the daemon as -ingest: POST /v1/ingest
 // accepts documents, GET /v1/approx/lookup and /v1/approx/topk answer

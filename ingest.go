@@ -3,7 +3,6 @@ package ngramstats
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -38,22 +37,6 @@ type IngestOptions struct {
 	Builder BuilderOptions
 }
 
-func (o IngestOptions) withDefaults() IngestOptions {
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-4
-	}
-	if o.Delta <= 0 {
-		o.Delta = 0.01
-	}
-	if o.TopK <= 0 {
-		o.TopK = 128
-	}
-	if o.MaxLength <= 0 {
-		o.MaxLength = 5
-	}
-	return o
-}
-
 // ApproxCount is one approximate n-gram statistic: a one-sided estimate
 // (never below the exact count) plus its stated error bound.
 type ApproxCount struct {
@@ -74,13 +57,15 @@ type ApproxCount struct {
 var ErrReconcileActive = errors.New("ngramstats: reconciliation already in progress")
 
 // StreamIngester consumes a live document stream and maintains
-// one-pass approximate n-gram statistics in bounded memory: per-order
-// count-min sketches with a concurrency-safe conservative update plus a
-// heavy-hitters heap (internal/sketch), following Lemire & Kaser's
-// one-pass estimation. Ingested documents are held until a periodic
-// exact reconciliation (BeginReconcile) appends them to an index with
-// AppendDelta — the paper's MapReduce pipeline over just those
-// documents — and commits, which releases them; the sketch keeps
+// one-pass approximate n-gram statistics: per-order count-min sketches
+// of fixed counter memory with a concurrency-safe conservative update,
+// plus one heavy-hitters heap across all orders (internal/sketch),
+// following Lemire & Kaser's one-pass estimation. Memory is not
+// bounded as a whole: the ingester's private vocabulary gains every
+// new word and never releases one. Ingested documents are held until a
+// periodic exact reconciliation (BeginReconcile) appends them to an
+// index with AppendDelta — the paper's MapReduce pipeline over just
+// those documents — and commits, which releases them; the sketch keeps
 // answering for everything newer.
 //
 // All methods are safe for concurrent use; Ingest and the query methods
@@ -113,14 +98,17 @@ type StreamIngester struct {
 
 // NewStreamIngester returns an empty ingester.
 func NewStreamIngester(opts IngestOptions) (*StreamIngester, error) {
-	opts = opts.withDefaults()
-	p := sketch.Params{
+	// MaxLength is also the σ reconciliation counts to, so its default
+	// lives here; the sketch's own parameters default in sketch.NewGroup.
+	if opts.MaxLength <= 0 {
+		opts.MaxLength = 5
+	}
+	g, err := sketch.NewGroup(sketch.Params{
 		Epsilon: opts.Epsilon,
 		Delta:   opts.Delta,
 		Orders:  opts.MaxLength,
 		TopK:    opts.TopK,
-	}
-	g, err := sketch.NewGroup(p)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +117,13 @@ func NewStreamIngester(opts IngestOptions) (*StreamIngester, error) {
 	return si, nil
 }
 
-// Options returns the ingester's options with defaults applied.
-func (si *StreamIngester) Options() IngestOptions { return si.opts }
+// Options returns the ingester's options with defaults applied: ε, δ
+// and TopK as its sketch group resolved them.
+func (si *StreamIngester) Options() IngestOptions {
+	o := si.opts
+	o.Epsilon, o.Delta, o.TopK = si.params.Epsilon, si.params.Delta, si.params.TopK
+	return o
+}
 
 // termIDs resolves tokens to sketch term identifiers, assigning
 // first-seen identifiers when assign is true. With assign false, a
@@ -281,7 +274,9 @@ func (si *StreamIngester) N(order int) int64 { return si.Sketch().n(order) }
 // ErrorBound returns ceil(ε·N) for the given order.
 func (si *StreamIngester) ErrorBound(order int) int64 { return si.Sketch().bound(order) }
 
-// Bytes returns the resident counter memory of the sketches.
+// Bytes returns the resident counter memory of the sketches. It does
+// not count the ingester's vocabulary or the documents held for the
+// next reconciliation, both of which grow with the stream.
 func (si *StreamIngester) Bytes() int64 {
 	cur, drain := si.groups()
 	b := cur.Bytes()
@@ -395,20 +390,6 @@ func (sn SketchSnapshot) TopK(k int) []ApproxCount {
 		}
 	}
 	return out
-}
-
-// WriteSnapshot persists an immutable snapshot of the current sketch
-// delta (live plus draining) in the mergeable, CRC-checksummed format
-// of internal/sketch.
-func (si *StreamIngester) WriteSnapshot(w io.Writer) (int64, error) {
-	cur, drain := si.groups()
-	sn := cur.Snapshot()
-	if drain != nil {
-		if err := sn.Merge(drain.Snapshot()); err != nil {
-			return 0, err
-		}
-	}
-	return sn.WriteTo(w)
 }
 
 // Reconcile is one in-flight exact reconciliation: the documents

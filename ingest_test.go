@@ -1,7 +1,6 @@
 package ngramstats
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -56,6 +55,17 @@ func TestStreamIngesterOneSidedWithinBound(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o := si.Options(); o.Epsilon != 0.002 || o.Delta != 0.05 || o.MaxLength != maxLen || o.TopK != 16 {
+		t.Fatalf("Options() = %+v, want the options given", o)
+	}
+	// Zero options report the sketch's defaults.
+	def, err := NewStreamIngester(IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := def.Options(); o.Epsilon != 1e-4 || o.Delta != 0.01 || o.TopK != 128 || o.MaxLength != 5 {
+		t.Fatalf("default Options() = %+v, want ε 1e-4, δ 0.01, top-k 128, 5 orders", o)
 	}
 	if err := si.Ingest(docs...); err != nil {
 		t.Fatal(err)
@@ -268,11 +278,6 @@ func TestReconcileRotationAndAbort(t *testing.T) {
 		t.Fatalf("abort advanced covered to %d", si.Covered())
 	}
 
-	// A snapshot of the delta is writable and non-empty.
-	var buf bytes.Buffer
-	if n, err := si.WriteSnapshot(&buf); err != nil || n != int64(buf.Len()) || buf.Len() == 0 {
-		t.Fatalf("WriteSnapshot = %d, %v (buffered %d)", n, err, buf.Len())
-	}
 }
 
 // TestStreamIngesterConcurrent hammers Ingest and the query surface

@@ -303,60 +303,3 @@ func TestReadShardsMissingDir(t *testing.T) {
 		t.Fatal("expected error for empty directory")
 	}
 }
-
-func TestShardInputStreamsWithoutLoading(t *testing.T) {
-	texts := []string{"a b c. d e f.", "a a b b.", "c d. e f. a b."}
-	c, err := FromText("stream", texts, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := WriteShards(c, dir, 3); err != nil {
-		t.Fatal(err)
-	}
-	in, err := ShardInput(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	splits, err := in.Splits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 3 {
-		t.Fatalf("splits = %d, want one per shard", len(splits))
-	}
-	// Stream all records and verify the documents round-trip.
-	byID := map[int64]*Document{}
-	for _, sp := range splits {
-		err := sp.Records(func(k, v []byte) error {
-			id, err := DecodeDocKey(k)
-			if err != nil {
-				return err
-			}
-			doc, err := DecodeDocValue(v)
-			if err != nil {
-				return err
-			}
-			doc.ID = id
-			byID[id] = doc
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(byID) != len(c.Docs) {
-		t.Fatalf("streamed %d docs, want %d", len(byID), len(c.Docs))
-	}
-	for i := range c.Docs {
-		want := &c.Docs[i]
-		got := byID[want.ID]
-		if got == nil || len(got.Sentences) != len(want.Sentences) {
-			t.Fatalf("doc %d mismatch", want.ID)
-		}
-	}
-	// Missing directory errors.
-	if _, err := ShardInput(t.TempDir()); err == nil {
-		t.Fatal("expected error for empty dir")
-	}
-}

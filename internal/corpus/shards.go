@@ -11,7 +11,6 @@ import (
 
 	"ngramstats/internal/dictionary"
 	"ngramstats/internal/encoding"
-	"ngramstats/internal/mapreduce"
 )
 
 // shardMagic identifies corpus shard files.
@@ -106,60 +105,6 @@ func ReadShards(name, dir string) (*Collection, error) {
 	}
 	sort.Slice(c.Docs, func(i, j int) bool { return c.Docs[i].ID < c.Docs[j].ID })
 	return c, nil
-}
-
-// ShardInput exposes a persisted corpus directory as a MapReduce input
-// without loading the documents into memory: one split per shard file,
-// each streamed from disk as its map task runs. This is the
-// corpus-at-rest path (corpusgen output → computation) for collections
-// larger than main memory.
-func ShardInput(dir string) (mapreduce.Input, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("corpus: no shard files in %s", dir)
-	}
-	sort.Strings(paths)
-	splits := make([]mapreduce.Split, len(paths))
-	for i, path := range paths {
-		path := path
-		splits[i] = mapreduce.SplitFunc(func(yield func(key, value []byte) error) error {
-			return scanShard(path, yield)
-		})
-	}
-	return mapreduce.SplitsInput(splits...), nil
-}
-
-// scanShard streams the records of one shard file.
-func scanShard(path string, yield func(key, value []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("corpus: shard %s: read magic: %w", path, err)
-	}
-	if !bytes.Equal(magic, shardMagic) {
-		return fmt.Errorf("corpus: shard %s: bad magic %q", path, magic)
-	}
-	rr := encoding.NewRecordReader(br)
-	for {
-		k, v, err := rr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("corpus: shard %s: %w", path, err)
-		}
-		if err := yield(k, v); err != nil {
-			return err
-		}
-	}
 }
 
 func readShard(c *Collection, path string) error {

@@ -1,13 +1,8 @@
 package mapreduce
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"sync"
-
-	"ngramstats/internal/encoding"
 )
 
 // KV is a key-value record.
@@ -78,61 +73,6 @@ func (d *MemDataset) Release() error {
 
 // Partition returns partition p for direct access.
 func (d *MemDataset) Partition(p int) []KV { return d.parts[p] }
-
-// fileDataset is a Dataset backed by one record file per partition.
-type fileDataset struct {
-	paths []string
-	n     int64
-}
-
-// NumPartitions implements Dataset.
-func (d *fileDataset) NumPartitions() int { return len(d.paths) }
-
-// Scan implements Dataset.
-func (d *fileDataset) Scan(p int, yield func(key, value []byte) error) error {
-	if p < 0 || p >= len(d.paths) {
-		return fmt.Errorf("mapreduce: partition %d out of range [0,%d)", p, len(d.paths))
-	}
-	if d.paths[p] == "" {
-		return nil
-	}
-	f, err := os.Open(d.paths[p])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rr := encoding.NewRecordReader(bufio.NewReaderSize(f, 256<<10))
-	for {
-		k, v, err := rr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := yield(k, v); err != nil {
-			return err
-		}
-	}
-}
-
-// Records implements Dataset.
-func (d *fileDataset) Records() int64 { return d.n }
-
-// Release implements Dataset.
-func (d *fileDataset) Release() error {
-	var first error
-	for _, p := range d.paths {
-		if p == "" {
-			continue
-		}
-		if err := os.Remove(p); err != nil && first == nil {
-			first = err
-		}
-	}
-	d.paths = nil
-	return first
-}
 
 // concatDataset exposes several datasets as one, partition-aligned end
 // to end.
@@ -223,37 +163,10 @@ type SinkWriter interface {
 	Close() error
 }
 
-// SinkAborter is implemented by sinks that can discard partial output
-// when a job fails or is cancelled before Finish. Runners call it on
-// every failure path so disk-backed sinks do not orphan partition
-// files.
-type SinkAborter interface {
-	Abort()
-}
-
-// abortSink discards a failed job's partial sink output, if the sink
-// supports it.
-func abortSink(s Sink) {
-	if a, ok := s.(SinkAborter); ok {
-		a.Abort()
-	}
-}
-
 // MemSinkFactory returns a factory for in-memory sinks, the default.
 func MemSinkFactory() SinkFactory {
 	return func(partitions int) (Sink, error) {
 		return &memSink{parts: make([][]KV, partitions)}, nil
-	}
-}
-
-// FileSinkFactory returns a factory for disk-backed sinks writing to
-// dir (created if needed).
-func FileSinkFactory(dir string) SinkFactory {
-	return func(partitions int) (Sink, error) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		return &fileSink{dir: dir, paths: make([]string, partitions)}, nil
 	}
 }
 
@@ -290,92 +203,4 @@ func (w *memSinkWriter) Close() error {
 	w.sink.mu.Unlock()
 	w.buf = nil
 	return nil
-}
-
-type fileSink struct {
-	dir   string
-	mu    sync.Mutex
-	paths []string
-	n     int64
-}
-
-func (s *fileSink) Writer(p int) (SinkWriter, error) {
-	f, err := os.CreateTemp(s.dir, fmt.Sprintf("part-%05d-*.rec", p))
-	if err != nil {
-		return nil, err
-	}
-	return &fileSinkWriter{sink: s, p: p, f: f, w: bufio.NewWriterSize(f, 256<<10)}, nil
-}
-
-func (s *fileSink) Finish() (Dataset, error) {
-	return &fileDataset{paths: s.paths, n: s.n}, nil
-}
-
-// Abort implements SinkAborter: it removes every partition file closed
-// writers have registered so far. Files of writers still open belong
-// to their (failing) task, which closes them before the runner aborts.
-func (s *fileSink) Abort() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, p := range s.paths {
-		if p != "" {
-			os.Remove(p)
-			s.paths[i] = ""
-		}
-	}
-	s.n = 0
-}
-
-type fileSinkWriter struct {
-	sink *fileSink
-	p    int
-	f    *os.File
-	w    *bufio.Writer
-	n    int64
-}
-
-func (w *fileSinkWriter) Write(key, value []byte) error {
-	w.n++
-	return encoding.WriteRecord(w.w, key, value)
-}
-
-func (w *fileSinkWriter) Close() error {
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	w.sink.mu.Lock()
-	defer w.sink.mu.Unlock()
-	if w.sink.paths[w.p] != "" {
-		// A partition written by several writers (map-only jobs) is
-		// concatenated.
-		if err := appendFile(w.sink.paths[w.p], w.f.Name()); err != nil {
-			return err
-		}
-		if err := os.Remove(w.f.Name()); err != nil {
-			return err
-		}
-	} else {
-		w.sink.paths[w.p] = w.f.Name()
-	}
-	w.sink.n += w.n
-	return nil
-}
-
-func appendFile(dst, src string) error {
-	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	_, err = io.Copy(out, in)
-	return err
 }

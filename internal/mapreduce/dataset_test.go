@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -88,46 +87,6 @@ func TestConcatDatasets(t *testing.T) {
 	}
 }
 
-func TestFileDatasetViaJobAndChaining(t *testing.T) {
-	// Produce a file-backed dataset, then chain it into a second job via
-	// DatasetInput — the disk-backed variant of the APRIORI chaining.
-	dir := t.TempDir()
-	res, err := Run(context.Background(), &Job{
-		Name:        "produce",
-		Input:       SliceInput([]KV{mkKV("d", "a b a c b a")}, 1),
-		NewMapper:   func() Mapper { return wcMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
-		NumReducers: 2,
-		Sink:        FileSinkFactory(dir),
-		TempDir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := Run(context.Background(), &Job{
-		Name:  "consume",
-		Input: DatasetInput(res.Output),
-		NewMapper: func() Mapper {
-			return MapperFunc(func(key, value []byte, emit Emit) error {
-				return emit(key, value)
-			})
-		},
-		NewReducer:  func() Reducer { return sumReducer{} },
-		NumReducers: 1,
-		TempDir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectCounts(t, res2.Output)
-	if got["a"] != 3 || got["b"] != 2 || got["c"] != 1 {
-		t.Fatalf("counts = %v", got)
-	}
-	if err := res.Output.Release(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPhaseTimingCounters(t *testing.T) {
 	res, err := Run(context.Background(), &Job{
 		Name:        "timing",
@@ -150,65 +109,8 @@ func TestPhaseTimingCounters(t *testing.T) {
 	if m+r > res.Wallclock.Milliseconds()+1 {
 		t.Fatalf("phases (%d+%d ms) exceed wallclock %v", m, r, res.Wallclock)
 	}
-}
-
-func TestEmptyPartitionsInFileSink(t *testing.T) {
-	// With more partitions than keys, some partitions stay empty; the
-	// file dataset must scan them as empty without error.
-	dir := t.TempDir()
-	res, err := Run(context.Background(), &Job{
-		Name:        "sparse",
-		Input:       SliceInput([]KV{mkKV("d", "onlyword")}, 1),
-		NewMapper:   func() Mapper { return wcMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
-		NumReducers: 8,
-		Sink:        FileSinkFactory(dir),
-		TempDir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonEmpty := 0
-	for p := 0; p < res.Output.NumPartitions(); p++ {
-		n := 0
-		if err := res.Output.Scan(p, func(k, v []byte) error { n++; return nil }); err != nil {
-			t.Fatalf("partition %d: %v", p, err)
-		}
-		if n > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 1 {
-		t.Fatalf("nonEmpty = %d, want 1", nonEmpty)
-	}
-	if err := res.Output.Release(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDriverReport(t *testing.T) {
-	d := NewDriver()
-	for i := 0; i < 2; i++ {
-		_, err := d.Run(context.Background(), &Job{
-			Name:        fmt.Sprintf("job-%d", i),
-			Input:       SliceInput([]KV{mkKV("d", "a b a")}, 1),
-			NewMapper:   func() Mapper { return wcMapper{} },
-			NewReducer:  func() Reducer { return sumReducer{} },
-			NumReducers: 2,
-			TempDir:     t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep := d.Report()
-	for _, want := range []string{"#1", "#2", "TOTAL", "wallclock"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("report missing %q:\n%s", want, rep)
-		}
-	}
-	s := Summary("x", d.JobResults[0])
-	if s.MapTasks != 1 || s.InputRecords != 1 || s.MapOutRecords != 3 || s.OutputRecords != 2 {
+	s := Summary("x", res)
+	if s.MapTasks != 1 || s.ReduceTasks != 2 || s.InputRecords != 1 || s.MapOutRecords != 3 || s.OutputRecords != 3 {
 		t.Fatalf("summary = %+v", s)
 	}
 }

@@ -427,35 +427,6 @@ func TestShuffleSpillsStillCorrect(t *testing.T) {
 	}
 }
 
-func TestFileSink(t *testing.T) {
-	dir := t.TempDir()
-	res, err := Run(context.Background(), &Job{
-		Name:        "filesink",
-		Input:       wordCountInput([]string{"a b a", "b b c"}, 2),
-		NewMapper:   func() Mapper { return wcMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
-		NumReducers: 2,
-		Sink:        FileSinkFactory(dir),
-		TempDir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectCounts(t, res.Output)
-	want := map[string]uint64{"a": 2, "b": 3, "c": 1}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("count[%s] = %d, want %d", k, got[k], v)
-		}
-	}
-	if res.Output.Records() != 3 {
-		t.Fatalf("Records = %d, want 3", res.Output.Records())
-	}
-	if err := res.Output.Release(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDatasetInputChaining(t *testing.T) {
 	// Job 1: word count. Job 2: filter counts >= 2. Chained via
 	// DatasetInput, as APRIORI iterations chain.

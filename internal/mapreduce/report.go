@@ -1,10 +1,6 @@
 package mapreduce
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // JobSummary is a compact per-job account of a run, in the style of the
 // Hadoop job history a practitioner would read after a workflow.
@@ -68,32 +64,4 @@ func Summary(name string, r *Result) JobSummary {
 		WorkerProcs:         c.Get(CounterWorkerProcs),
 		TasksRetried:        c.Get(CounterTasksRetried),
 	}
-}
-
-// Report renders a table of all jobs run through the driver, one line
-// per job plus an aggregate line. The shuffle-wB column is the
-// measured encoded transfer (SHUFFLE_BYTES_WRITTEN), not the logical
-// key+value estimate older reports showed.
-func (d *Driver) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s %5s %5s %12s %12s %12s %12s %6s %10s\n",
-		"job", "maps", "reds", "in-recs", "map-out", "shuffle-wB", "out-recs", "runs", "wallclock")
-	var totalWall time.Duration
-	var totIn, totOut, totMapOut, totShuffle, totRuns int64
-	for i, r := range d.JobResults {
-		s := Summary(fmt.Sprintf("#%d", i+1), r)
-		fmt.Fprintf(&sb, "%-28s %5d %5d %12d %12d %12d %12d %6d %10s\n",
-			s.Name, s.MapTasks, s.ReduceTasks, s.InputRecords, s.MapOutRecords,
-			s.ShuffleBytesWritten, s.OutputRecords, s.SealedRuns, s.Wallclock.Round(time.Millisecond))
-		totalWall += s.Wallclock
-		totIn += s.InputRecords
-		totOut += s.OutputRecords
-		totMapOut += s.MapOutRecords
-		totShuffle += s.ShuffleBytesWritten
-		totRuns += s.SealedRuns
-	}
-	fmt.Fprintf(&sb, "%-28s %5s %5s %12d %12d %12d %12d %6d %10s\n",
-		"TOTAL", "", "", totIn, totMapOut, totShuffle, totOut, totRuns,
-		totalWall.Round(time.Millisecond))
-	return sb.String()
 }

@@ -42,7 +42,6 @@ func (LocalRunner) Run(ctx context.Context, plan *Plan, counters *Counters, prog
 		err = runMapReduce(ctx, j, plan.Splits, sink, plan.shuffleIO, counters, progress)
 	}
 	if err != nil {
-		abortSink(sink)
 		return nil, err
 	}
 	out, err := sink.Finish()

@@ -160,7 +160,6 @@ func (r *NetRunner) Run(ctx context.Context, plan *Plan, counters *Counters, pro
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		abortSink(sink)
 		return nil, fmt.Errorf("mapreduce: job %q: coordinator listen %s: %w", plan.Name, addr, err)
 	}
 	baseURL := "http://" + advertiseAddr(ln.Addr())
@@ -208,7 +207,6 @@ func (r *NetRunner) Run(ctx context.Context, plan *Plan, counters *Counters, pro
 	srv.Close()
 
 	if err := c.err(); err != nil {
-		abortSink(sink)
 		return nil, err
 	}
 	out, err := sink.Finish()

@@ -389,7 +389,6 @@ func newTestCoordinator(t *testing.T, job *Job, ttl time.Duration, attempts int)
 	t.Cleanup(func() {
 		c.fail(context.Canceled) // release held polls so Close returns
 		srv.Close()
-		abortSink(sink)
 	})
 	c.start()
 	return c, srv

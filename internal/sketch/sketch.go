@@ -1,11 +1,11 @@
-// Package sketch implements one-pass approximate n-gram counting with
-// bounded memory: a count-min sketch with a concurrency-safe
-// conservative update, a heavy-hitters top-k heap, and immutable
-// snapshots with a mergeable, CRC-checksummed on-disk format.
+// Package sketch implements one-pass approximate n-gram counting in
+// fixed counter memory: a count-min sketch per order with a
+// concurrency-safe conservative update, and one heavy-hitters top-k
+// heap shared by all orders.
 //
 // The design follows Lemire & Kaser's "One-Pass, One-Hash n-Gram
 // Statistics Estimation": a live document stream is reduced to hashed
-// counters in a single pass, trading exactness for constant memory and
+// counters in a single pass, trading exactness for fixed memory and
 // immediate queryability, while the exact MapReduce pipeline
 // periodically reconciles the estimates (see ngramstats.StreamIngester).
 //
@@ -54,8 +54,8 @@ type Params struct {
 	TopK int
 }
 
-// WithDefaults returns p with zero fields replaced by the defaults.
-func (p Params) WithDefaults() Params {
+// withDefaults returns p with zero fields replaced by the defaults.
+func (p Params) withDefaults() Params {
 	if p.Epsilon <= 0 {
 		p.Epsilon = 1e-4
 	}
@@ -119,8 +119,9 @@ func NewSketch(width, depth int) *Sketch {
 	return &Sketch{width: width, depth: depth, cells: make([]uint64, width*depth)}
 }
 
-// fnv64a is the FNV-1a hash of key — deterministic across processes,
-// so snapshots written on one machine merge and answer on another.
+// fnv64a is the FNV-1a hash of key: unseeded and allocation-free, so
+// two groups with the same parameters hash a key to the same cells and
+// Merge can add them element-wise.
 func fnv64a(key []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -192,15 +193,6 @@ func (s *Sketch) N() int64 { return s.n.Load() }
 // Bytes returns the counter memory of the sketch.
 func (s *Sketch) Bytes() int64 { return int64(len(s.cells)) * 8 }
 
-// snapshotCells copies the counters with atomic loads.
-func (s *Sketch) snapshotCells() []uint64 {
-	out := make([]uint64, len(s.cells))
-	for i := range s.cells {
-		out[i] = atomic.LoadUint64(&s.cells[i])
-	}
-	return out
-}
-
 // merge folds o's counters in by element-wise atomic addition. Addition
 // preserves one-sidedness: each cell becomes at least the sum of the
 // per-sketch lower bounds. Widths and depths must match.
@@ -226,7 +218,7 @@ type Group struct {
 
 // NewGroup returns an empty group sized from p (defaults applied).
 func NewGroup(p Params) (*Group, error) {
-	p = p.WithDefaults()
+	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -310,25 +302,4 @@ func (g *Group) Merge(o *Group) error {
 	}
 	g.docs.Add(o.docs.Load())
 	return nil
-}
-
-// Snapshot returns an immutable, consistent-enough copy of the group:
-// counters are copied with atomic loads, so every estimate read from
-// the snapshot is still one-sided with respect to the updates that
-// completed before Snapshot returned.
-func (g *Group) Snapshot() *Snapshot {
-	sn := &Snapshot{
-		params: g.params,
-		width:  g.width,
-		depth:  g.depth,
-		cells:  make([][]uint64, len(g.orders)),
-		ns:     make([]int64, len(g.orders)),
-		docs:   g.docs.Load(),
-		top:    g.top.Items(0),
-	}
-	for i, s := range g.orders {
-		sn.cells[i] = s.snapshotCells()
-		sn.ns[i] = s.N()
-	}
-	return sn
 }

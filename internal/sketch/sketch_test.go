@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +9,7 @@ import (
 )
 
 func TestParamsGeometry(t *testing.T) {
-	p := Params{}.WithDefaults()
+	p := Params{}.withDefaults()
 	if p.Epsilon != 1e-4 || p.Delta != 0.01 || p.Orders != 5 || p.TopK != 128 {
 		t.Fatalf("defaults = %+v", p)
 	}
@@ -170,209 +168,4 @@ func TestGroupUpdateAndMerge(t *testing.T) {
 	if err := a.Merge(other); err == nil {
 		t.Fatal("Merge accepted incompatible params")
 	}
-}
-
-func testGroup(t testing.TB) *Group {
-	t.Helper()
-	g, err := NewGroup(Params{Epsilon: 0.05, Delta: 0.2, Orders: 2, TopK: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, _ := zipfStream(t, 7, 500, 5_000)
-	for _, k := range stream {
-		g.Update(1, k, 1)
-		g.Update(2, append(append([]byte(nil), k...), " b"...), 1)
-	}
-	g.AddDocs(42)
-	return g
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	g := testGroup(t)
-	sn := g.Snapshot()
-
-	var buf bytes.Buffer
-	n, err := sn.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Params() != sn.Params() || back.Docs() != sn.Docs() {
-		t.Fatalf("round trip params/docs: %+v/%d vs %+v/%d", back.Params(), back.Docs(), sn.Params(), sn.Docs())
-	}
-	for order := 1; order <= 2; order++ {
-		if back.N(order) != sn.N(order) {
-			t.Fatalf("order %d: N %d vs %d", order, back.N(order), sn.N(order))
-		}
-		if back.ErrorBound(order) != sn.ErrorBound(order) {
-			t.Fatalf("order %d: bound %d vs %d", order, back.ErrorBound(order), sn.ErrorBound(order))
-		}
-		for i := 0; i < 200; i++ {
-			k := []byte(fmt.Sprintf("key-%06d", i))
-			if order == 2 {
-				k = append(k, " b"...)
-			}
-			want, _ := sn.Estimate(order, k)
-			got, ok := back.Estimate(order, k)
-			if !ok || got != want {
-				t.Fatalf("order %d key %q: estimate %d,%v vs %d", order, k, got, ok, want)
-			}
-		}
-	}
-	wantTop, gotTop := sn.Top(0), back.Top(0)
-	if len(wantTop) != len(gotTop) {
-		t.Fatalf("top length %d vs %d", len(gotTop), len(wantTop))
-	}
-	for i := range wantTop {
-		if !bytes.Equal(wantTop[i].Key, gotTop[i].Key) || wantTop[i].Estimate != gotTop[i].Estimate ||
-			wantTop[i].Order != gotTop[i].Order {
-			t.Fatalf("top[%d]: %+v vs %+v", i, gotTop[i], wantTop[i])
-		}
-	}
-
-	// A second serialization of the re-read snapshot is byte-identical.
-	var buf2 bytes.Buffer
-	if _, err := back.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("re-serialization differs from original bytes")
-	}
-}
-
-func TestSnapshotMergeMatchesGroupMerge(t *testing.T) {
-	p := Params{Epsilon: 0.05, Delta: 0.2, Orders: 1, TopK: 4}
-	a, _ := NewGroup(p)
-	b, _ := NewGroup(p)
-	for i := 0; i < 50; i++ {
-		a.Update(1, []byte("k"), 1)
-		b.Update(1, []byte("k"), 1)
-		b.Update(1, []byte("q"), 3)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	if est, _ := sa.Estimate(1, []byte("k")); est < 100 {
-		t.Fatalf("merged snapshot estimate(k) = %d, want >= 100", est)
-	}
-	if est, _ := sa.Estimate(1, []byte("q")); est < 150 {
-		t.Fatalf("merged snapshot estimate(q) = %d, want >= 150", est)
-	}
-	if sa.N(1) != 250 {
-		t.Fatalf("merged N = %d, want 250", sa.N(1))
-	}
-	bad := EmptySnapshot(Params{Epsilon: 0.01})
-	if err := sa.Merge(bad); err == nil {
-		t.Fatal("Merge accepted incompatible snapshot")
-	}
-}
-
-func TestEmptySnapshot(t *testing.T) {
-	sn := EmptySnapshot(Params{})
-	if est, ok := sn.Estimate(1, []byte("anything")); !ok || est != 0 {
-		t.Fatalf("empty estimate = %d,%v", est, ok)
-	}
-	if sn.ErrorBound(1) != 0 || sn.Docs() != 0 || len(sn.Top(0)) != 0 {
-		t.Fatal("empty snapshot is not empty")
-	}
-}
-
-// TestSnapshotCorruption flips every byte and tries every truncation of
-// a small snapshot: each must fail with ErrCorruptSnapshot, not panic
-// and not silently succeed with different bytes semantics.
-func TestSnapshotCorruption(t *testing.T) {
-	g, err := NewGroup(Params{Epsilon: 0.1, Delta: 0.3, Orders: 2, TopK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Update(1, []byte("a"), 3)
-	g.Update(2, []byte("a b"), 2)
-	g.AddDocs(1)
-	var buf bytes.Buffer
-	if _, err := g.Snapshot().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	for cut := 0; cut < len(raw); cut++ {
-		if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("truncation at %d/%d: err = %v, want ErrCorruptSnapshot", cut, len(raw), err)
-		}
-	}
-	for pos := 0; pos < len(raw); pos++ {
-		mut := append([]byte(nil), raw...)
-		mut[pos] ^= 0xff
-		sn, err := ReadSnapshot(bytes.NewReader(mut))
-		if err == nil {
-			// The only tolerable silent success would be an undetectable
-			// equivalence — there is none for a single inverted byte in
-			// this format, so re-serialize and insist it round-trips to
-			// something; estimates must still be readable without panic.
-			sn.Estimate(1, []byte("a"))
-			t.Fatalf("byte flip at %d/%d accepted", pos, len(raw))
-		}
-		if !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("byte flip at %d: err = %v, want ErrCorruptSnapshot", pos, err)
-		}
-	}
-}
-
-func FuzzSketchSnapshot(f *testing.F) {
-	g, err := NewGroup(Params{Epsilon: 0.1, Delta: 0.3, Orders: 2, TopK: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	g.Update(1, []byte("a"), 3)
-	g.Update(1, []byte("b"), 1)
-	g.Update(2, []byte("a b"), 2)
-	g.AddDocs(2)
-	var buf bytes.Buffer
-	if _, err := g.Snapshot().WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	var empty bytes.Buffer
-	if _, err := EmptySnapshot(Params{Epsilon: 0.2, Delta: 0.4, Orders: 1, TopK: 1}).WriteTo(&empty); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
-	f.Add([]byte("NGSKSNAP"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sn, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrCorruptSnapshot) {
-				t.Fatalf("non-sentinel error: %v", err)
-			}
-			return
-		}
-		// Accepted input must be internally consistent: queries don't
-		// panic and serialization is a fixed point.
-		sn.Estimate(1, []byte("probe"))
-		sn.Top(0)
-		sn.ErrorBound(1)
-		var out bytes.Buffer
-		if _, err := sn.WriteTo(&out); err != nil {
-			t.Fatalf("re-serialize: %v", err)
-		}
-		back, err := ReadSnapshot(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-read of accepted snapshot: %v", err)
-		}
-		var out2 bytes.Buffer
-		if _, err := back.WriteTo(&out2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatal("serialization is not a fixed point")
-		}
-	})
 }
